@@ -38,6 +38,7 @@ from .tensors import (
     StateVector,
     hermiticity_defect,
     kron_states,
+    max_abs,
     unitary_from_generator,
 )
 
@@ -65,10 +66,14 @@ class Coupling:
     duration: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"coupling duration must be nonnegative, got {self.duration}")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"coupling strength must be finite, got {self.strength!r}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(
+                f"coupling duration must be finite and nonnegative, got {self.duration!r}"
+            )
         defect = hermiticity_defect(self.observable.matrix)
-        if defect > HERMITIAN_INPUT_TOL:
+        if not defect <= HERMITIAN_INPUT_TOL:
             raise ValueError(f"coupling observable has Hermiticity defect {defect:.3e}")
 
     @property
@@ -212,14 +217,17 @@ def _pointer_axis(state: UnifiedState, label: str) -> int:
     raise KeyError(label)
 
 
+def commutes(a: Operator, b: Operator) -> bool:
+    """Whether two operators commute, entrywise to within COMMUTATOR_TOL."""
+    return max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) <= COMMUTATOR_TOL
+
+
 def _couplings_commute(couplings: Sequence[Coupling]) -> bool:
-    for i, a in enumerate(couplings):
-        for b in couplings[i + 1 :]:
-            comm = a.observable.matrix @ b.observable.matrix
-            comm = comm - b.observable.matrix @ a.observable.matrix
-            if np.abs(comm).max() > COMMUTATOR_TOL:
-                return False
-    return True
+    return all(
+        commutes(a.observable, b.observable)
+        for i, a in enumerate(couplings)
+        for b in couplings[i + 1 :]
+    )
 
 
 def _evolve_commuting(
@@ -322,7 +330,7 @@ def evolve(
     else:
         raise ValueError(f"unknown evolution method {method!r}")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - state.state.norm) > NORM_TOL:
+    if not abs(norm - state.state.norm) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
     return replace(
         state,
@@ -387,17 +395,15 @@ def expand_perturbative(
 
 def apparatus_density(state: UnifiedState) -> DensityMatrix:
     """Reduced density matrix of all pointers, system traced out."""
-    m = state.matrix()
-    rho = m.T @ m.conj()
-    return DensityMatrix(
-        state.pointer_dims(), rho, normalized=state.provenance == "exact"
+    return DensityMatrix.from_factors(
+        state.pointer_dims(), state.matrix().T, normalized=state.provenance == "exact"
     )
 
 
 def system_density(state: UnifiedState) -> DensityMatrix:
-    m = state.matrix()
-    rho = m @ m.conj().T
-    return DensityMatrix(state.system, rho, normalized=state.provenance == "exact")
+    return DensityMatrix.from_factors(
+        state.system, state.matrix(), normalized=state.provenance == "exact"
+    )
 
 
 def _position_weights(state: UnifiedState, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +480,7 @@ def postselect(state: UnifiedState, final: StateVector) -> PostselectionResult:
             f"conditional apparatus matrix of dimension {pdims.total} is too "
             f"large; post-select on a coarser grid"
         )
-    apparatus = DensityMatrix(pdims, np.outer(v, v.conj()), normalized=False)
+    apparatus = DensityMatrix.from_factors(pdims, v[:, None], normalized=False)
     shape = tuple(s.grid.points for s in state.pointers)
     weights = (np.abs(v) ** 2).reshape(shape)
     unnorm: dict[str, float] = {}
@@ -503,7 +509,7 @@ def initial_info_expectation(
     within eigenspaces the observable cannot resolve.
     """
     defect = hermiticity_defect(observable.matrix)
-    if defect > HERMITIAN_INPUT_TOL:
+    if not defect <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"observable has Hermiticity defect {defect:.3e}")
     evolved = evolve(state, couplings)
     rho = system_density(evolved).matrix

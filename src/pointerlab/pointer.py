@@ -41,8 +41,10 @@ class PointerGrid:
         n = self.points
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid points must be a power of two >= 8, got {n}")
-        if self.length <= 0:
-            raise ValueError(f"grid length must be positive, got {self.length}")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"grid length must be finite and positive, got {self.length!r}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"grid center must be finite, got {self.center!r}")
 
     @property
     def spacing(self) -> float:
@@ -66,8 +68,10 @@ class PointerSpec:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"pointer {self.label!r}: x0 must be finite, got {self.x0!r}")
         margin = self.grid.length / 2 - abs(self.x0 - self.grid.center)
         if margin < CONTAINMENT_SIGMAS * self.sigma:
             raise ValueError(
@@ -128,7 +132,7 @@ def momentum_operator(grid: PointerGrid, label: str) -> Operator:
     f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
     raw = f.conj().T @ (grid.wavenumbers()[:, None] * f)
     defect = hermiticity_defect(raw)
-    if defect > MOMENTUM_HERMITICITY_TOL:
+    if not defect <= MOMENTUM_HERMITICITY_TOL:
         raise ValueError(f"spectral momentum asymmetry {defect:.3e}")
     dims = DimensionSpec.of((label, n))
     return Operator(dims, (raw + raw.conj().T) / 2.0, hermitian=True)

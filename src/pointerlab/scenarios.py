@@ -914,12 +914,8 @@ def scenario_sequential(cfg: ScenarioConfig | None = None) -> ScenarioReport:
     )
     deviation = abs(cond_mean_a - mean_a)
     branch_weights = np.abs(amps_b) ** 2
-    commuting = (
-        np.abs(first_obs.matrix @ second_obs.matrix - second_obs.matrix @ first_obs.matrix).max()
-        <= engine.COMMUTATOR_TOL
-    )
     conditioning_active = (
-        not commuting
+        not engine.commutes(first_obs, second_obs)
         and float(np.sort(branch_weights)[-2]) >= 0.05
         and abs(expectation(second_obs, system).real * second.impulse) >= 0.01
     )

@@ -24,7 +24,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import engine
-from .engine import Coupling, UnifiedState
+from .engine import COMMUTATOR_TOL, Coupling, UnifiedState
 from .pointer import PointerSpec, gaussian_state, translate
 from .tensors import (
     Cut,
@@ -32,7 +32,7 @@ from .tensors import (
     DimensionSpec,
     StateVector,
     TRACE_TOL,
-    max_abs,
+    factored_distance,
     trace_distance,
 )
 
@@ -41,7 +41,6 @@ ENTANGLEMENT_THRESHOLD = -1e-6
 CERTIFICATE_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_PRUNE = 1e-14
-COMMUTATOR_TOL = 1e-10
 # Grid resolution used to revalidate certificates independently.
 REVALIDATION_POINTS = 32
 
@@ -58,7 +57,7 @@ class ProductTerm:
     factors: dict[str, StateVector]
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValueError(f"term weight must be nonnegative, got {self.weight}")
         if not self.factors:
             raise ValueError("term must carry at least one factor")
@@ -84,26 +83,42 @@ class SeparableDecomposition:
             if set(term.factors) != labels:
                 raise ValueError("all terms must carry the same factor labels")
         total = sum(t.weight for t in self.terms)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1")
 
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(t.weight for t in self.terms)
 
-    def reconstruct(self, dims: DimensionSpec, normalized: bool = True) -> DensityMatrix:
-        """Assemble the density matrix the decomposition claims to equal."""
-        total = np.zeros((dims.total, dims.total), dtype=complex)
+    def _columns(self, dims: DimensionSpec) -> np.ndarray:
+        """One column per term: the Kronecker product of its factors in ``dims`` order."""
+        columns = []
         for term in self.terms:
             amp = np.ones(1, dtype=complex)
             for label in dims.labels:
                 amp = np.kron(amp, term.factors[label].amplitudes)
-            total += term.weight * np.outer(amp, amp.conj())
+            columns.append(amp)
+        return np.stack(columns, axis=1)
+
+    def reconstruct(self, dims: DimensionSpec, normalized: bool = True) -> DensityMatrix:
+        """Assemble the density matrix the decomposition claims to equal."""
+        total = np.zeros((dims.total, dims.total), dtype=complex)
+        for weight, amp in zip(self.weights, self._columns(dims).T):
+            total += weight * np.outer(amp, amp.conj())
         return DensityMatrix(dims, total, normalized=normalized)
 
     def validate(self, target: DensityMatrix) -> float:
-        """Trace distance between the reconstruction and the target state."""
-        return trace_distance(self.reconstruct(target.dims, target.normalized), target)
+        """Trace distance between the reconstruction and the target state.
+
+        A target built from factors is compared through its columns: the
+        reconstruction's trace and spectrum floor are checked on its Gram
+        matrix, and the distance comes from the stacked columns of both, so
+        no N x N matrix is formed. Any other target is compared densely.
+        """
+        if target.factors is None:
+            return trace_distance(self.reconstruct(target.dims, target.normalized), target)
+        columns = self._columns(target.dims) * np.sqrt(self.weights)
+        return factored_distance(columns, target)
 
 
 Status = Literal["separable", "entangled", "inconclusive"]
@@ -127,7 +142,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     qubit-sized factors nonnegativity is also sufficient for separability,
     while for larger factors it is only necessary.
     """
-    if not rho.normalized or abs(rho.trace - 1.0) > TRACE_TOL:
+    if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
     left, right = tuple(cut[0]), tuple(cut[1])
     labels = set(rho.dims.labels)
@@ -187,9 +202,7 @@ def commuting_decomposition(
     apparatus state is the mixture of shifted Gaussian products weighted by
     the initial populations of the joint eigenvectors.
     """
-    a = coupling_a.observable.matrix
-    b = coupling_b.observable.matrix
-    if max_abs(a @ b - b @ a) > COMMUTATOR_TOL:
+    if not engine.commutes(coupling_a.observable, coupling_b.observable):
         raise NonCommutingError(
             "commuting decomposition asked for observables that do not commute"
         )
@@ -198,7 +211,9 @@ def commuting_decomposition(
     spec_b = by_label[coupling_b.pointer]
     if coupling_a.pointer == coupling_b.pointer:
         raise ValueError("the two couplings must address distinct pointers")
-    a_vals, b_vals, basis = _joint_eigensystem(a, b)
+    a_vals, b_vals, basis = _joint_eigensystem(
+        coupling_a.observable.matrix, coupling_b.observable.matrix
+    )
     terms = []
     for idx in range(basis.shape[1]):
         weight = float(abs(basis[:, idx].conj() @ initial.amplitudes) ** 2)
@@ -365,13 +380,11 @@ def _certificate_route(
         return "uncoupled-product", SeparableDecomposition((term,), kind="uncoupled")
     if len(state.history) == 1 and len(state.history[0]) == 2 and len(specs) == 2:
         ca, cb = state.history[0]
-        if ca.pointer != cb.pointer:
-            a, b = ca.observable.matrix, cb.observable.matrix
-            if max_abs(a @ b - b @ a) <= COMMUTATOR_TOL:
-                return (
-                    "commuting-eigenbasis",
-                    commuting_decomposition(initial, specs, ca, cb),
-                )
+        if ca.pointer != cb.pointer and engine.commutes(ca.observable, cb.observable):
+            return (
+                "commuting-eigenbasis",
+                commuting_decomposition(initial, specs, ca, cb),
+            )
     if (
         len(state.history) == 2
         and all(len(phase) == 1 for phase in state.history)
@@ -428,7 +441,11 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
         if error <= CERTIFICATE_TOL:
             replica = _replica(state, REVALIDATION_POINTS)
             replica_route = _certificate_route(replica)
-            assert replica_route is not None
+            if replica_route is None:
+                raise RuntimeError(
+                    "the replica rebuilt on the revalidation grid supports no "
+                    "certificate route; internal inconsistency"
+                )
             replica_error = replica_route[1].validate(engine.apparatus_density(replica))
             if replica_error <= CERTIFICATE_TOL:
                 ppt = ppt_min_eigenvalue(rho, cut)

@@ -5,14 +5,24 @@ factors, for example ``(("system", 2), ("A", 256))``. Every state and
 operator carries its factor layout, so partial traces, bipartite cuts and
 operator embeddings never address a subsystem by bare axis position.
 
-Everything is dense on purpose. The measurement models served here top out
-around a few thousand amplitudes, well below the point where sparsity or
-clever structure would pay for its complexity.
+States and operators are dense arrays: the measurement models served here
+top out around a few thousand amplitudes. One structure is kept on purpose.
+A density matrix built from r columns, rho = U U-dagger, remembers U
+(``DensityMatrix.from_factors``). The apparatus and system reductions and
+the post-selected apparatus are built that way; the apparatus state has
+rank at most the system dimension. When r is below the matrix dimension N,
+the spectrum floor is checked on the r x r Gram matrix U-dagger U, which has
+the same nonzero spectrum, and the trace distance from such a matrix to a
+certificate or to another factored matrix (``factored_distance``) comes from
+a thin QR of the stacked columns, so no N x N eigensolve runs. Hermiticity
+and trace are still checked on the matrix itself. Matrices supplied whole
+keep the full-spectrum check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -115,7 +125,7 @@ class Operator:
             raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
         if self.hermitian:
             defect = hermiticity_defect(m)
-            if defect > HERMITIAN_INPUT_TOL:
+            if not defect <= HERMITIAN_INPUT_TOL:
                 raise ValueError(
                     f"matrix claimed Hermitian but has defect {defect:.3e}"
                 )
@@ -136,7 +146,7 @@ class StateVector:
             )
         if self.normalized:
             norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:
                 raise ValueError(f"state claimed normalized but has norm {norm!r}")
 
     @property
@@ -155,36 +165,120 @@ class DensityMatrix:
     Construction verifies Hermiticity, spectrum above EIGENVALUE_FLOOR and,
     unless ``normalized=False``, unit trace. Unnormalized matrices appear as
     post-selected or truncated reductions whose trace carries meaning.
+
+    ``factors`` holds the columns U when the matrix was built by
+    ``from_factors`` as U U-dagger, and is None for a matrix supplied whole,
+    which always gets the full-spectrum check. ``_factors`` is keyword-only
+    and for ``from_factors`` alone: the constructor does not check that the
+    columns reproduce the matrix.
     """
 
     dims: DimensionSpec
     matrix: np.ndarray
     normalized: bool = True
+    _: KW_ONLY
+    _factors: InitVar[np.ndarray | None] = None
+    factors: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _factors: np.ndarray | None) -> None:
         m = _frozen(self.matrix)
         object.__setattr__(self, "matrix", m)
         n = self.dims.total
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
         defect = hermiticity_defect(m)
-        if defect > HERMITIAN_DERIVED_TOL:
+        if not defect <= HERMITIAN_DERIVED_TOL:
             raise ValueError(f"density matrix Hermiticity defect {defect:.3e}")
         tr = m.trace()
-        if abs(tr.imag) > TRACE_TOL:
-            raise ValueError(f"density matrix has complex trace {tr!r}")
-        if self.normalized and abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr.real!r} is not 1")
-        # Spectrum floor scales with trace so unnormalized reductions are
-        # judged on their own magnitude.
-        scale = max(1.0, abs(float(tr.real)))
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if low < EIGENVALUE_FLOOR * scale:
-            raise ValueError(f"density matrix has eigenvalue {low:.3e} below floor")
+        _check_trace(tr, self.normalized)
+        if _factors is None or _factors.shape[1] >= n:
+            _check_floor(m, tr)
+        else:
+            _check_floor(_gram(_factors), tr)
+        object.__setattr__(self, "factors", _factors)
+
+    @classmethod
+    def from_factors(
+        cls, dims: DimensionSpec, columns: np.ndarray, normalized: bool = True
+    ) -> "DensityMatrix":
+        """U U-dagger from the columns U, which the result keeps as ``factors``.
+
+        The spectrum floor is checked on the smaller of the r x r Gram matrix
+        and the matrix itself; both share their nonzero spectrum.
+        """
+        u = _frozen(columns)
+        if u.ndim != 2 or u.shape[0] != dims.total:
+            raise ValueError(
+                f"columns of shape {u.shape} do not match dims total {dims.total}"
+            )
+        return cls(dims, u @ u.conj().T, normalized, _factors=u)
 
     @property
     def trace(self) -> float:
         return float(self.matrix.trace().real)
+
+
+def _gram(columns: np.ndarray) -> np.ndarray:
+    """U-dagger U: the nonzero spectrum of U U-dagger, r x r."""
+    return columns.conj().T @ columns
+
+
+def _check_trace(tr: complex, normalized: bool) -> None:
+    if not abs(tr.imag) <= TRACE_TOL:
+        raise ValueError(f"density matrix has complex trace {tr!r}")
+    if not math.isfinite(tr.real):
+        raise ValueError(f"density matrix trace {tr.real!r} is not finite")
+    if normalized and not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr.real!r} is not 1")
+
+
+def _check_floor(h: np.ndarray, tr: complex) -> None:
+    """Spectrum floor of a Hermitian matrix that shares a state's nonzero spectrum.
+
+    The floor scales with the trace so unnormalized reductions are judged
+    on their own magnitude.
+    """
+    scale = max(1.0, abs(float(tr.real)))
+    low = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0).min())
+    if not low >= EIGENVALUE_FLOOR * scale:
+        raise ValueError(f"density matrix has eigenvalue {low:.3e} below floor")
+
+
+def _half_trace_norm(columns: np.ndarray, signs: np.ndarray) -> float:
+    """Half the trace norm of U diag(s) U-dagger, from a thin QR of U.
+
+    With U = Q R the nonzero spectrum is that of the k x k matrix R S R-dagger,
+    k = min(rows, columns).
+    """
+    r = np.linalg.qr(columns, mode="r")
+    core = (r * signs) @ r.conj().T
+    return float(np.abs(np.linalg.eigvalsh((core + core.conj().T) / 2.0)).sum() / 2.0)
+
+
+def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
+    """Trace distance between the candidate C C-dagger and a target built from factors.
+
+    The candidate's trace (unit when the target is normalized) and spectrum
+    floor are checked on its r x r Gram matrix, and the distance comes from
+    the stacked columns of both, so no N x N matrix is formed. Weighted
+    candidates pass columns scaled by the square roots of their weights.
+    """
+    if target.factors is None:
+        raise ValueError("factored distance needs a target built from factors")
+    c = np.asarray(columns, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != target.dims.total:
+        raise ValueError(
+            f"columns of shape {c.shape} do not match dims total {target.dims.total}"
+        )
+    g = _gram(c)
+    tr = g.trace()
+    _check_trace(tr, target.normalized)
+    _check_floor(g, tr)
+    u = target.factors
+    signs = np.concatenate([np.ones(c.shape[1]), -np.ones(u.shape[1])])
+    return _half_trace_norm(np.hstack([c, u]), signs)
 
 
 def pure_density(state: StateVector) -> DensityMatrix:
@@ -259,7 +353,7 @@ def expectation(op: Operator, state: StateVector) -> complex:
 def eigh(op: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian operator."""
     defect = hermiticity_defect(op.matrix)
-    if defect > HERMITIAN_INPUT_TOL and not op.hermitian:
+    if not defect <= HERMITIAN_INPUT_TOL and not op.hermitian:
         raise ValueError(f"eigh requires a Hermitian operator, defect {defect:.3e}")
     return np.linalg.eigh(op.matrix)
 
@@ -269,7 +363,7 @@ def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
     w, v = eigh(op)
     u = (v * np.exp(-1j * scale * w)) @ v.conj().T
     defect = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
-    if defect > HERMITIAN_DERIVED_TOL * u.shape[0]:
+    if not defect <= HERMITIAN_DERIVED_TOL * u.shape[0]:
         raise ValueError(f"generated matrix is not unitary, defect {defect:.3e}")
     return u
 
@@ -297,8 +391,13 @@ def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
+    """Half the trace norm of the difference.
+
+    When both matrices carry factors only their stacked columns are used.
+    """
     if a.dims != b.dims:
         raise ValueError("trace distance needs matching factor layouts")
+    if a.factors is not None and b.factors is not None:
+        return factored_distance(a.factors, b)
     diff = a.matrix - b.matrix
     return float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum() / 2.0)

@@ -101,6 +101,12 @@ class TestRun:
             main(["scenario", "run", "epr", "--gA", "strong"])
         assert excinfo.value.code == 1
 
+    def test_nonfinite_flag_value_exits_one(self, capsys):
+        assert main(["scenario", "run", "weak-noselect", "--gA", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert "coupling strength must be finite, got nan" in err
+        assert "converge" not in err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("gA = 0.3  # file value loses to the flag\nsigma = 1.0\n")

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from pointerlab import engine as engine_module
 from pointerlab.engine import (
     Coupling,
     OrthogonalPostselection,
     apparatus_density,
     build_initial,
+    commutes,
     cross_validate,
     evolve,
     evolve_sequential,
@@ -137,6 +139,33 @@ class TestEvolve:
         with pytest.raises(ValueError, match="method"):
             evolve(state, [coupling], "magic")
 
+    def test_norm_guard_catches_nan(self, monkeypatch):
+        # a NaN norm must fail the guard, not slip past a '>' comparison
+        state, coupling = _single()
+        monkeypatch.setattr(
+            engine_module, "_evolve_commuting", lambda tensor, *_: tensor * math.nan
+        )
+        with pytest.raises(ValueError, match="preserve the norm"):
+            evolve(state, [coupling])
+
+
+class TestCouplingValidation:
+    @pytest.mark.parametrize("strength", [math.nan, math.inf])
+    def test_rejects_nonfinite_strength(self, strength):
+        with pytest.raises(ValueError, match="strength must be finite"):
+            Coupling(pauli(SIGMA_Z), "A", strength, 1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_duration(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite and nonnegative"):
+            Coupling(pauli(SIGMA_Z), "A", 0.2, duration)
+
+
+class TestCommutes:
+    def test_paulis(self):
+        assert commutes(pauli(SIGMA_Z), pauli(SIGMA_Z))
+        assert not commutes(pauli(SIGMA_X), pauli(SIGMA_Z))
+
 
 class TestPerturbative:
     def test_flags_and_norm(self):
@@ -203,6 +232,17 @@ class TestDensities:
         evolved = evolve(state, [coupling])
         rho = system_density(evolved)
         assert abs(rho.trace - 1.0) < 1e-12
+
+    def test_densities_keep_their_factors(self):
+        state, coupling = _single(grid=COARSE)
+        evolved = evolve(state, [coupling])
+        m = evolved.matrix()
+        np.testing.assert_array_equal(apparatus_density(evolved).factors, m.T)
+        np.testing.assert_array_equal(system_density(evolved).factors, m)
+        selected = postselect(evolved, bloch_state(math.pi / 4, 0.0)).apparatus
+        assert selected.factors.shape == (COARSE.points, 1)
+        v = bloch_state(math.pi / 4, 0.0).amplitudes.conj() @ m
+        np.testing.assert_allclose(selected.matrix, np.outer(v, v.conj()), atol=1e-16)
 
     def test_cross_moment_needs_two_pointers(self):
         state, coupling = _single()

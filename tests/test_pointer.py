@@ -49,6 +49,27 @@ class TestGrid:
         with pytest.raises(ValueError, match="length"):
             PointerGrid(length=0.0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_rejects_nonfinite_length(self, length):
+        with pytest.raises(ValueError, match="length must be finite"):
+            PointerGrid(length=length)
+
+    def test_rejects_nonfinite_center(self):
+        with pytest.raises(ValueError, match="center must be finite"):
+            PointerGrid(center=math.nan)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_nonfinite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            PointerSpec("A", FINE, sigma=sigma)
+
+    @pytest.mark.parametrize("x0", [math.nan, -math.inf])
+    def test_rejects_nonfinite_x0(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            PointerSpec("A", FINE, x0=x0)
+
 
 class TestGaussianPreparation:
     def test_moments_match_continuum(self):

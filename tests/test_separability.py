@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import engine
+from pointerlab import engine, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
 from pointerlab.pointer import PointerGrid, PointerSpec
 from pointerlab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
@@ -129,6 +129,13 @@ class TestDecompositionContainer:
 
         with pytest.raises(ValueError, match="nonnegative"):
             ProductTerm(-0.1, {"A": gaussian_state(spec)})
+
+    def test_nan_weight_rejected(self):
+        spec = PointerSpec("A", COARSE)
+        from pointerlab.pointer import gaussian_state
+
+        with pytest.raises(ValueError, match="nonnegative"):
+            ProductTerm(float("nan"), {"A": gaussian_state(spec)})
 
 
 class TestCommutingDecomposition:
@@ -275,3 +282,119 @@ class TestReadability:
         state = build_initial(system, specs)
         with pytest.raises(ValueError, match="too large"):
             readability_check(state)
+
+
+def _record(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA_Z):
+    """Two-dial record on a ``points`` grid and the certificate its route builds."""
+    grid = PointerGrid(points=points, length=16.0)
+    system = bloch_state(theta, 0.3)
+    specs = [PointerSpec("A", grid), PointerSpec("B", grid)]
+    ca = Coupling(pauli(obs_a), "A", impulse, 1.0)
+    cb = Coupling(pauli(SIGMA_X if sequential else obs_b), "B", impulse, 1.0)
+    initial = build_initial(system, specs)
+    if sequential:
+        state = evolve_sequential(initial, ca, cb)
+        certificate = sequential_decomposition(system, specs, ca, cb)
+    else:
+        state = evolve(initial, [ca, cb])
+        certificate = None
+        if engine.commutes(ca.observable, cb.observable):
+            certificate = commuting_decomposition(system, specs, ca, cb)
+    return engine.apparatus_density(state), certificate
+
+
+def _dense(rho: DensityMatrix) -> DensityMatrix:
+    """The same matrix supplied whole, so validation takes the dense route."""
+    return DensityMatrix(rho.dims, rho.matrix, normalized=rho.normalized)
+
+
+def _swapped_a(certificate: SeparableDecomposition) -> SeparableDecomposition:
+    first, second = certificate.terms
+    return SeparableDecomposition(
+        (
+            ProductTerm(first.weight, {"A": second.factors["A"], "B": first.factors["B"]}),
+            ProductTerm(second.weight, {"A": first.factors["A"], "B": second.factors["B"]}),
+        )
+    )
+
+
+class TestFactoredValidation:
+    """Validation from factors against the dense reconstruction as oracle."""
+
+    @pytest.mark.parametrize("points", [16, 32])
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_certificates_match_dense_oracle(self, points, sequential):
+        rho, certificate = _record(points, math.pi / 3, 0.5, sequential)
+        assert rho.factors is not None
+        factored = certificate.validate(rho)
+        assert factored < 1e-12
+        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+
+    def test_swapped_factors_match_dense_oracle(self):
+        rho, certificate = _record(16, math.pi / 3, 0.5)
+        swapped = _swapped_a(certificate)
+        factored = swapped.validate(rho)
+        assert factored == pytest.approx(0.3033094692010, abs=1e-10)
+        assert abs(factored - swapped.validate(_dense(rho))) < 1e-12
+
+    def test_noncommuting_record_matches_dense_oracle(self):
+        _, certificate = _record(16, math.pi / 3, 0.5)
+        rho, _ = _record(16, math.pi / 3, 0.5, obs_a=SIGMA_X)
+        factored = certificate.validate(rho)
+        assert factored == pytest.approx(0.1405488546543, abs=1e-10)
+        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+
+    def test_unnormalized_certificate_refused_on_both_routes(self):
+        state, couplings, specs = _coarse_pair(theta=math.pi / 3, impulse_a=0.3)
+        certificate, _ = first_order_product_certificate(
+            state.initial_system, specs, couplings[0], couplings[1]
+        )
+        rho = engine.apparatus_density(evolve(state, couplings))
+        for target in (rho, _dense(rho)):
+            with pytest.raises(ValueError, match="trace"):
+                certificate.validate(target)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(0.0, math.pi),
+        st.floats(1e-3, 1.5),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_property_factored_equals_dense(self, theta, impulse, sequential, swap):
+        rho, certificate = _record(16, theta, impulse, sequential)
+        if swap and len(certificate.terms) == 2:
+            certificate = _swapped_a(certificate)
+        factored = certificate.validate(rho)
+        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+
+    def test_no_eigensolve_beyond_the_analysis_grid(self, monkeypatch):
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        state, couplings, _ = _coarse_pair(
+            theta=math.pi / 3, impulse_a=0.5, obs_a=SIGMA_Z, obs_b=SIGMA_Z
+        )
+        verdict = readability_check(evolve(state, couplings))
+        assert verdict.status == "separable"
+        assert shapes
+        assert max(shape[-1] for shape in shapes) <= 256
+
+    def test_replica_without_route_raises(self, monkeypatch):
+        route = separability._certificate_route
+        monkeypatch.setattr(
+            separability,
+            "_certificate_route",
+            lambda state: None if state.pointers[0].grid.points == 32 else route(state),
+        )
+        state, couplings, _ = _coarse_pair(
+            theta=math.pi / 3, impulse_a=0.5, obs_a=SIGMA_Z, obs_b=SIGMA_Z
+        )
+        with pytest.raises(RuntimeError, match="replica"):
+            readability_check(evolve(state, couplings))

@@ -13,6 +13,7 @@ from pointerlab.tensors import (
     eigh,
     embed,
     expectation,
+    factored_distance,
     kron_operators,
     kron_states,
     partial_trace,
@@ -246,3 +247,106 @@ class TestEmbed:
         )
         with pytest.raises(ValueError, match="contiguous"):
             embed(op, dims)
+
+
+class TestFactoredDensity:
+    """DensityMatrix.from_factors: U U-dagger, checked on its Gram matrix."""
+
+    DIMS = DimensionSpec.of(("a", 4), ("b", 4))
+
+    def _columns(self, seed: int, r: int = 3) -> np.ndarray:
+        rng = _rng(seed)
+        u = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
+        return u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_equals_dense_outer_product_sum(self, seed):
+        u = self._columns(seed)
+        rho = DensityMatrix.from_factors(self.DIMS, u)
+        dense = sum(np.outer(ui, ui.conj()) for ui in u.T)
+        np.testing.assert_allclose(rho.matrix, dense, atol=1e-15)
+        np.testing.assert_array_equal(rho.factors, u)
+
+    def test_plain_constructor_carries_no_factors(self):
+        assert DensityMatrix(Q, np.eye(2) / 2).factors is None
+        with pytest.raises(TypeError):
+            DensityMatrix(Q, np.eye(2) / 2, True, np.eye(2))
+
+    def test_plain_constructor_runs_full_spectrum_check(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(h, *args, **kwargs):
+            shapes.append(np.shape(h))
+            return eigvalsh(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        u = self._columns(3)
+        DensityMatrix(self.DIMS, u @ u.conj().T)
+        assert shapes == [(16, 16)]
+        shapes.clear()
+        DensityMatrix.from_factors(self.DIMS, u)
+        assert shapes == [(3, 3)]
+
+    def test_rejects_wrong_trace(self):
+        u = self._columns(5)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factors(self.DIMS, np.sqrt(2) * u)
+        DensityMatrix.from_factors(self.DIMS, np.sqrt(2) * u, normalized=False)
+
+    def test_rejects_nan_column(self):
+        u = self._columns(6).copy()
+        u[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            DensityMatrix.from_factors(self.DIMS, u)
+        with pytest.raises(ValueError):
+            factored_distance(u, DensityMatrix.from_factors(self.DIMS, self._columns(7)))
+
+    def test_rejects_mismatched_shapes(self):
+        u = self._columns(8)
+        with pytest.raises(ValueError, match="columns"):
+            DensityMatrix.from_factors(Q, u)
+        with pytest.raises(ValueError, match="columns"):
+            factored_distance(u[:4], DensityMatrix.from_factors(self.DIMS, u))
+
+    def test_more_columns_than_rows(self):
+        # the floor is then checked on the matrix itself
+        rng = _rng(9)
+        u = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+        rho = DensityMatrix.from_factors(Q, u / np.linalg.norm(u))
+        assert abs(rho.trace - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_trace_distance_matches_dense(self, seed):
+        a = DensityMatrix.from_factors(self.DIMS, self._columns(seed))
+        b = DensityMatrix.from_factors(self.DIMS, self._columns(seed + 100, r=2))
+        dense = trace_distance(DensityMatrix(self.DIMS, a.matrix), b)
+        assert dense > 0.1
+        assert abs(trace_distance(a, b) - dense) < 1e-13
+        assert trace_distance(a, a) < 1e-14
+
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_weighted_candidate_matches_dense(self, seed):
+        u = self._columns(seed)
+        w = _rng(seed).uniform(0.1, 1.0, size=3)
+        w = w / (w * (np.abs(u) ** 2).sum(axis=0)).sum()
+        candidate = DensityMatrix(self.DIMS, (u * w) @ u.conj().T)
+        target = DensityMatrix.from_factors(self.DIMS, self._columns(seed + 100, r=2))
+        dense = trace_distance(candidate, DensityMatrix(self.DIMS, target.matrix))
+        assert dense > 0.1
+        assert abs(factored_distance(u * np.sqrt(w), target) - dense) < 1e-13
+
+    def test_distance_needs_factored_target(self):
+        u = self._columns(14)
+        with pytest.raises(ValueError, match="built from factors"):
+            factored_distance(u, DensityMatrix(self.DIMS, u @ u.conj().T))
+
+
+class TestNonFiniteInputs:
+    def test_state_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(Q, np.array([1.0, np.nan]))
+
+    def test_density_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="Hermiticity"):
+            DensityMatrix(Q, np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -193,6 +194,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
+    for flag in ("start", "stop"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, got {value!r}")
     if args.steps < 1:
         raise ValueError("sweep needs at least one step")
     if args.steps == 1:
@@ -212,6 +217,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"cannot sweep {args.param!r}; numeric flags are "
             f"{', '.join(sorted(_SWEEPABLE))}"
         )
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = _resolve_config(args)
     field = _FLAG_FIELDS[args.param][0]
     values = _sweep_values(args)

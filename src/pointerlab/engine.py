@@ -9,10 +9,14 @@ can cross-check each other:
   observables commute it reduces to exact per-eigenvalue translations; when
   they do not, the generator is block-diagonal over the momentum grid and
   each small system block is exponentiated exactly.
-* ``expm``: builds the dense generator on the full product space and
-  exponentiates through its eigendecomposition. Memory-bound, so it refuses
-  spaces beyond a few thousand dimensions, but it shares no code path with
-  ``shift`` above the level of the FFT library.
+* ``expm``: builds the dense generator on the full product space, one
+  ``np.kron`` per coupling, and applies exp(-i t H) to the state by a scaled
+  Taylor series (``tensors.generator_action``) made of matrix-vector
+  products: no eigensolve, no FFT on the state, no N x N unitary. A series
+  step that does not converge within a fixed number of terms, as on NaN,
+  raises. Memory-bound, so it refuses spaces beyond a few thousand
+  dimensions, but it shares no code path with ``shift``; only the momentum
+  matrix is built with the FFT library.
 
 Truncated (perturbative) evolution is available separately for order-by-
 order comparisons; the resulting states are flagged and unnormalized.
@@ -36,10 +40,10 @@ from .tensors import (
     NORM_TOL,
     Operator,
     StateVector,
+    generator_action,
     hermiticity_defect,
     kron_states,
     max_abs,
-    unitary_from_generator,
 )
 
 COMMUTATOR_TOL = 1e-10
@@ -299,8 +303,8 @@ def _evolve_dense(
             f"dense exponential refuses dimension {dim} > {DENSE_LIMIT}; "
             f"use the shift method or a coarser grid"
         )
-    u = unitary_from_generator(_dense_generator(state, couplings), t)
-    return u @ state.state.amplitudes
+    generator = _dense_generator(state, couplings)
+    return generator_action(generator, t, state.state.amplitudes)
 
 
 def evolve(

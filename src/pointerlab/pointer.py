@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,12 +122,14 @@ def position_operator(grid: PointerGrid, label: str) -> Operator:
     return Operator(dims, np.diag(grid.positions().astype(complex)), hermitian=True)
 
 
+@lru_cache(maxsize=8)
 def momentum_operator(grid: PointerGrid, label: str) -> Operator:
     """Momentum as a dense matrix, built spectrally: F† diag(k) F.
 
     The raw product picks up roundoff asymmetry of order N*eps*k_max, so the
     result is symmetrized; the discarded asymmetry is checked against
-    MOMENTUM_HERMITICITY_TOL.
+    MOMENTUM_HERMITICITY_TOL. Results are cached per (grid, label): the
+    Operator is frozen and its matrix read-only, so callers can share it.
     """
     n = grid.points
     f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)

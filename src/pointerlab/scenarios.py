@@ -32,7 +32,15 @@ from . import engine, separability
 from .engine import Coupling, UnifiedState
 from .pointer import PointerGrid, PointerSpec
 from .separability import SeparabilityVerdict, readability_check
-from .tensors import DimensionSpec, Operator, StateVector, embed, expectation, schmidt
+from .tensors import (
+    DimensionSpec,
+    NORM_TOL,
+    Operator,
+    StateVector,
+    embed,
+    expectation,
+    schmidt,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,7 +53,6 @@ ANALYSIS_GRID = COARSE_GRID
 READOUT_TOL = 1e-8
 EIGEN_READOUT_TOL = 1e-9
 PATHS_TOL = 1e-8
-NORM_TOL = 1e-10
 PURITY_TOL = 1e-6
 CERT_TOL = 1e-8
 # Two-point scaling checks demand at least this reduction per halving,
@@ -55,6 +62,23 @@ CUBIC_RATIO = 7.5
 SCALING_FLOOR = 1e-12
 
 
+# ScenarioConfig's real-valued fields and what each one is, for the message
+# that refuses a non-finite value.
+_NUMERIC_FIELDS = {
+    "g_a": "coupling strength",
+    "g_b": "coupling strength",
+    "t": "coupling duration",
+    "theta_i": "Bloch angle",
+    "phi_i": "Bloch angle",
+    "theta_f": "Bloch angle",
+    "phi_f": "Bloch angle",
+    "x0_a": "pointer offset",
+    "x0_b": "pointer offset",
+    "sigma": "pointer spread",
+    "grid_length": "grid length",
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs shared by every scenario; unused ones are simply ignored.
@@ -62,7 +86,8 @@ class ScenarioConfig:
     ``g_a``/``g_b`` are coupling strengths, ``t`` the shared interaction
     time. Angles are Bloch coordinates of the initial and post-selection
     states. ``grid_profile`` picks the readout grid; ``grid_points`` and
-    ``grid_length`` override it explicitly.
+    ``grid_length`` override it explicitly. A non-finite real value is
+    refused at construction, with the field's name.
     """
 
     g_a: float = 0.2
@@ -79,6 +104,12 @@ class ScenarioConfig:
     grid_points: int | None = None
     grid_length: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name, role in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: {role} must be finite, got {value!r}")
 
     def readout_grid(self) -> PointerGrid:
         base = {"fine": FINE_GRID, "coarse": COARSE_GRID}.get(self.grid_profile)

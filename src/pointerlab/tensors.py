@@ -35,6 +35,12 @@ EIGENVALUE_FLOOR = -1e-10
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
+# generator_action: the largest 1-norm of one Taylor step (theta_55 for
+# double precision, Al-Mohy and Higham, Table 3.1), the most terms a step
+# may take, and the relative size at which the series is cut.
+TAYLOR_STEP_NORM = 9.9
+TAYLOR_TERM_CAP = 60
+TAYLOR_TOL = 2.0**-53
 
 Cut = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -366,6 +372,53 @@ def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
     if not defect <= HERMITIAN_DERIVED_TOL * u.shape[0]:
         raise ValueError(f"generated matrix is not unitary, defect {defect:.3e}")
     return u
+
+
+def generator_action(op: Operator, scale: float, vector: np.ndarray) -> np.ndarray:
+    """exp(-i * scale * H) v by a scaled Taylor series, from products H v alone.
+
+    The scaled Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
+    488 (2011)): s steps with ||scale * H||_1 / s <= TAYLOR_STEP_NORM, each
+    summing the series until two successive terms fall below TAYLOR_TOL of
+    the partial sum in the max norm. Term j of a step is at most
+    TAYLOR_STEP_NORM^j / j! times the step's input, 7e-23 at TAYLOR_TERM_CAP,
+    while a unitary step keeps at least 1/sqrt(N) of its input's max norm, so
+    finite input converges before the cap. A step that reaches the cap, as
+    one with NaN or infinite input does, raises ValueError. No eigensolve
+    runs and no matrix-matrix product is formed.
+    """
+    h = op.matrix
+    if not op.hermitian:
+        defect = hermiticity_defect(h)
+        if not defect <= HERMITIAN_INPUT_TOL:
+            raise ValueError(
+                f"generator action needs a Hermitian operator, defect {defect:.3e}"
+            )
+    v = np.asarray(vector, dtype=complex)
+    if v.shape != (h.shape[0],):
+        raise ValueError(
+            f"vector of shape {v.shape} does not match operator dimension {h.shape[0]}"
+        )
+    norm = abs(scale) * float(np.abs(h).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError(f"generator action needs finite scale * ||H||_1, got {norm!r}")
+    steps = max(1, math.ceil(norm / TAYLOR_STEP_NORM))
+    a = -1j * scale / steps
+    for _ in range(steps):
+        term = v
+        previous = max_abs(term)
+        for j in range(1, TAYLOR_TERM_CAP + 1):
+            term = (a / j) * (h @ term)
+            v = v + term
+            current = max_abs(term)
+            if previous + current <= TAYLOR_TOL * max_abs(v):
+                break
+            previous = current
+        else:
+            raise ValueError(
+                f"Taylor series did not converge within {TAYLOR_TERM_CAP} terms"
+            )
+    return v
 
 
 def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:

@@ -107,6 +107,12 @@ class TestRun:
         assert "coupling strength must be finite, got nan" in err
         assert "converge" not in err
 
+    def test_nonfinite_angle_named(self, capsys):
+        assert main(["scenario", "run", "weak-noselect", "--thetaI", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert "theta_i: Bloch angle must be finite, got nan" in err
+        assert "norm" not in err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("gA = 0.3  # file value loses to the flag\nsigma = 1.0\n")
@@ -212,6 +218,21 @@ class TestSweep:
         )
         assert code == 1
         assert "cannot sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "start, stop, jobs, message",
+        [
+            ("nan", "0.2", "1", "--start must be finite, got nan"),
+            ("0.1", "inf", "1", "--stop must be finite, got inf"),
+            ("0.1", "0.2", "0", "--jobs must be at least 1, got 0"),
+            ("0.1", "0.2", "-3", "--jobs must be at least 1, got -3"),
+        ],
+    )
+    def test_bad_sweep_flags_exit_one(self, start, stop, jobs, message, capsys):
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--steps", "2"]
+        argv += ["--start", start, "--stop", stop, "--jobs", jobs]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -134,6 +134,26 @@ class TestEvolve:
         with pytest.raises(ValueError, match="dense"):
             evolve(state, couplings, "expm")
 
+    @pytest.mark.parametrize("g", [1e-3, 5e-2])
+    def test_integrators_agree_across_the_sweep_ladder(self, g):
+        state, coupling = _single(g=g)
+        assert cross_validate(state, [coupling]) <= 1e-12
+
+    def test_dense_path_runs_no_large_eigensolve(self, monkeypatch):
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        state, coupling = _single()
+        evolve(state, [coupling], "expm")
+        assert shapes
+        assert max(shape[-1] for shape in shapes) <= state.system.total
+
     def test_unknown_method_rejected(self):
         state, coupling = _single()
         with pytest.raises(ValueError, match="method"):

@@ -120,6 +120,12 @@ class TestOperators:
     def test_momentum_is_hermitian(self):
         assert hermiticity_defect(momentum_operator(FINE, "A").matrix) == 0.0
 
+    def test_momentum_is_shared_read_only(self):
+        op = momentum_operator(FINE, "A")
+        assert momentum_operator(FINE, "A") is op
+        assert not op.matrix.flags.writeable
+        assert momentum_operator(FINE, "B").dims.labels == ("B",)
+
     def test_momentum_squares_to_spectral_values(self):
         # acting on a plane wave returns its wavenumber
         grid = PointerGrid(points=16, length=8.0)

@@ -14,6 +14,7 @@ from pointerlab.tensors import (
     embed,
     expectation,
     factored_distance,
+    generator_action,
     kron_operators,
     kron_states,
     partial_trace,
@@ -184,6 +185,45 @@ class TestUnitaryFromGenerator:
         dims = DimensionSpec.of(("x", 4))
         u = unitary_from_generator(Operator(dims, h, hermitian=True), scale)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+class TestGeneratorAction:
+    """The Taylor action against the spectral exponential as oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 64),
+        st.integers(0, 2**32 - 1),
+        st.floats(20.0, 60.0),
+        st.booleans(),
+    )
+    def test_matches_spectral_oracle(self, n, seed, scale, backwards):
+        # ||H||_1 = 1, so ||scale * H||_1 / 9.9 forces 3 to 7 scaling steps
+        rng = _rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (m + m.conj().T) / 2
+        h = h / np.abs(h).sum(axis=0).max()
+        op = Operator(DimensionSpec.of(("x", n)), h, hermitian=True)
+        v = _random_state(rng, op.dims).amplitudes
+        t = -scale if backwards else scale
+        expected = unitary_from_generator(op, t) @ v
+        assert np.abs(generator_action(op, t, v) - expected).max() <= 1e-12
+
+    def test_rejects_nan_generator(self):
+        h = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            generator_action(Operator(Q, h), 0.5, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_vector_trips_the_convergence_guard(self, bad):
+        op = Operator(Q, SX, hermitian=True)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="did not converge"):
+            generator_action(op, 0.5, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_rejects_nonfinite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            generator_action(Operator(Q, SX, hermitian=True), scale, np.array([1.0, 0.0]))
 
 
 class TestSchmidt:

@@ -22,11 +22,12 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .scenarios import DEFAULTS, DESCRIPTIONS, SCENARIOS, ScenarioConfig, run_scenario
+from .scenarios import SCENARIOS, ScenarioConfig, get_scenario, run_scenario
 
 # CLI flag name -> (ScenarioConfig field, parser)
 _FLAG_FIELDS: dict[str, tuple[str, Any]] = {
@@ -81,7 +82,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument(
         "--log", action="store_true", help="space the steps geometrically"
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    jobs_help = "parallel worker threads; above 1, set OPENBLAS_NUM_THREADS=1 (see README)"
+    sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     sweep.add_argument("--out", type=Path, help="write the CSV table to this file")
     return parser
 
@@ -112,11 +114,7 @@ def _config_from_file(path: Path) -> dict[str, Any]:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    if args.name not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {args.name!r}; choose from {', '.join(SCENARIOS)}"
-        )
-    cfg = DEFAULTS[args.name]
+    cfg = get_scenario(args.name).defaults
     if args.config is not None:
         cfg = replace(cfg, **_config_from_file(args.config))
     overrides = {}
@@ -147,30 +145,30 @@ def _flatten(prefix: str, value: Any, into: dict[str, str]) -> None:
 
 def _write_report(report_dict: dict, out: Path | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(report_dict, indent=2)
-        if out is None:
-            print(text)
-        else:
-            out.write_text(text + "\n")
+        with _output(out) as handle:
+            handle.write(json.dumps(report_dict, indent=2) + "\n")
         return
     flat: dict[str, str] = {}
     _flatten("", report_dict, flat)
-    rows = list(flat.items())
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["key", "value"])
+    _write_csv(["key", "value"], list(flat.items()), out)
+
+
+def _output(out: Path | None):
+    """A text handle on the file ``out``, or on stdout when no file is given."""
+    return nullcontext(sys.stdout) if out is None else out.open("w", newline="")
+
+
+def _write_csv(header: list[str], rows: list, out: Path | None) -> None:
+    with _output(out) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with out.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["key", "value"])
-            writer.writerows(rows)
 
 
 def _cmd_list() -> int:
     width = max(len(name) for name in SCENARIOS)
-    for name in SCENARIOS:
-        print(f"{name:<{width}}  {DESCRIPTIONS[name]}")
+    for name, scenario in SCENARIOS.items():
+        print(f"{name:<{width}}  {scenario.description}")
     return 0
 
 
@@ -231,11 +229,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             row["error"] = str(exc)
             row["pass"] = "false"
             return row
-        flat: dict[str, str] = {}
         payload = report.to_dict()
         del payload["config"]
-        _flatten("", payload, flat)
-        row.update(flat)
+        _flatten("", payload, row)
         row["error"] = ""
         return row
 
@@ -247,21 +243,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for i, row in enumerate(rows):
         row["step"] = str(i)
 
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    table = [[row.get(col, "") for col in columns] for row in rows]
-    if args.out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        writer.writerows(table)
-    else:
-        with args.out.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            writer.writerows(table)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    _write_csv(columns, [[row.get(col, "") for col in columns] for row in rows], args.out)
 
     bad = [row for row in rows if row.get("pass") != "true" or row.get("error")]
     if bad:

@@ -32,6 +32,7 @@ from .tensors import (
     DimensionSpec,
     StateVector,
     TRACE_TOL,
+    cut_sides,
     factored_distance,
     trace_distance,
 )
@@ -144,10 +145,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
-    left, right = tuple(cut[0]), tuple(cut[1])
-    labels = set(rho.dims.labels)
-    if set(left) | set(right) != labels or set(left) & set(right) or not left or not right:
-        raise ValueError(f"cut {cut} does not partition factors {rho.dims.labels}")
+    left, right = cut_sides(rho.dims, cut)
     sizes = rho.dims.sizes
     n = len(sizes)
     order = [rho.dims.axis(lab) for lab in left + right]

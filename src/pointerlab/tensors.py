@@ -421,6 +421,16 @@ def generator_action(op: Operator, scale: float, vector: np.ndarray) -> np.ndarr
     return v
 
 
+def cut_sides(dims: DimensionSpec, cut: Cut) -> Cut:
+    """The two sides of ``cut``, which must split the factors into two nonempty parts."""
+    left, right = tuple(cut[0]), tuple(cut[1])
+    if set(left) | set(right) != set(dims.labels) or set(left) & set(right) or not (left and right):
+        raise ValueError(
+            f"cut {cut} does not partition factors {dims.labels} into two nonempty sides"
+        )
+    return left, right
+
+
 def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     """Schmidt coefficients across a bipartition, descending, plus the rank.
 
@@ -428,12 +438,7 @@ def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     Rank counts coefficients above SCHMIDT_RANK_TOL; the coefficients of a
     normalized state square-sum to one.
     """
-    left, right = tuple(cut[0]), tuple(cut[1])
-    all_labels = set(state.dims.labels)
-    if set(left) | set(right) != all_labels or set(left) & set(right):
-        raise ValueError(f"cut {cut} does not partition factors {state.dims.labels}")
-    if not left or not right:
-        raise ValueError("both sides of the cut must be nonempty")
+    left, right = cut_sides(state.dims, cut)
     t = state.tensor()
     order = [state.dims.axis(lab) for lab in left + right]
     t = np.transpose(t, order)

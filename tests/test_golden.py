@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).parent / "golden" / "default_reports.json"
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "default_reports.json").read_text())
 GOLDEN_TOL = 1e-12
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
@@ -31,48 +31,43 @@ def _differences(path: str, got, want) -> list[str]:
     if isinstance(want, dict):
         if list(got) != list(want):
             return [f"{path}: keys {list(got)} vs {list(want)}"]
-        return [d for key in want for d in _differences(f"{path}.{key}", got[key], want[key])]
+        return [d for k in want for d in _differences(f"{path}.{k}", got[k], want[k])]
     if isinstance(want, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} vs {len(want)}"]
-        return [d for i, (g, w) in enumerate(zip(got, want)) for d in _differences(f"{path}[{i}]", g, w)]
+        pairs = enumerate(zip(got, want))
+        return [d for i, (g, w) in pairs for d in _differences(f"{path}[{i}]", g, w)]
     if isinstance(want, float):
         return [] if abs(got - want) <= GOLDEN_TOL else [f"{path}: {got!r} vs {want!r}"]
     if isinstance(want, str):
         got_numbers, want_numbers = NUMBER.findall(got), NUMBER.findall(want)
         same_text = NUMBER.split(got) == NUMBER.split(want)
         close = len(got_numbers) == len(want_numbers) and all(
-            abs(float(g) - float(w)) <= GOLDEN_TOL for g, w in zip(got_numbers, want_numbers)
+            abs(float(g) - float(w)) <= GOLDEN_TOL
+            for g, w in zip(got_numbers, want_numbers)
         )
         return [] if same_text and close else [f"{path}: {got!r} vs {want!r}"]
     return [] if got == want else [f"{path}: {got!r} vs {want!r}"]
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+def test_golden_covers_every_scenario(default_reports):
+    assert list(GOLDEN) == list(default_reports)
 
 
-def test_golden_covers_every_scenario(golden, default_reports):
-    assert list(golden) == list(default_reports)
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["weak-noselect", "weak-postselect", "simultaneous", "weak-orders", "eigenstate", "epr", "sequential"],
-)
-def test_default_report_matches_golden(name, golden, default_reports):
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_default_report_matches_golden(name, default_reports):
     report = json.loads(json.dumps(default_reports[name].to_dict()))
     report.pop("runtime_seconds")
-    assert _differences(name, report, golden[name]) == []
+    assert _differences(name, report, GOLDEN[name]) == []
 
 
 def test_comparison_catches_departures():
     want = {"a": 1.0, "b": "error 6.503e-16", "c": [True, 2]}
-    assert _differences("r", {"a": 1.0 + 1e-13, "b": "error 6.51e-16", "c": [True, 2]}, want) == []
-    assert _differences("r", {"a": 1.0 + 1e-11, "b": "error 6.503e-16", "c": [True, 2]}, want)
-    assert _differences("r", {"a": 1.0, "b": "error 7.0e-12", "c": [True, 2]}, want)
-    assert _differences("r", {"a": 1.0, "b": "fault 6.503e-16", "c": [True, 2]}, want)
-    assert _differences("r", {"a": 1.0, "b": "error 6.503e-16", "c": [True, 2.0]}, want)
-    assert _differences("r", {"a": 1.0, "b": "error 6.503e-16", "c": [1, 2]}, want)
+    close = {"a": 1.0 + 1e-13, "b": "error 6.51e-16", "c": [True, 2]}
+    assert _differences("r", close, want) == []
+    assert _differences("r", {**want, "a": 1.0 + 1e-11}, want)
+    assert _differences("r", {**want, "b": "error 7.0e-12"}, want)
+    assert _differences("r", {**want, "b": "fault 6.503e-16"}, want)
+    assert _differences("r", {**want, "c": [True, 2.0]}, want)
+    assert _differences("r", {**want, "c": [1, 2]}, want)
     assert _differences("r", {"b": "error 6.503e-16", "a": 1.0, "c": [True, 2]}, want)

@@ -110,6 +110,8 @@ class TestPartialTranspose:
     def test_refuses_bad_cut(self):
         with pytest.raises(ValueError, match="partition"):
             ppt_min_eigenvalue(_bell(), (("a",), ("a",)))
+        with pytest.raises(ValueError, match="partition"):
+            ppt_min_eigenvalue(_bell(), (("a", "b"), ()))
 
 
 class TestDecompositionContainer:

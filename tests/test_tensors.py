@@ -258,6 +258,8 @@ class TestSchmidt:
         state = _random_state(_rng(0), dims)
         with pytest.raises(ValueError, match="partition"):
             schmidt(state, (("q",), ("q",)))
+        with pytest.raises(ValueError, match="partition"):
+            schmidt(state, (("q", "r"), ()))
 
 
 class TestDistanceAndExpectation:

@@ -424,7 +424,7 @@ def generator_action(op: Operator, scale: float, vector: np.ndarray) -> np.ndarr
 def cut_sides(dims: DimensionSpec, cut: Cut) -> Cut:
     """The two sides of ``cut``, which must split the factors into two nonempty parts."""
     left, right = tuple(cut[0]), tuple(cut[1])
-    if set(left) | set(right) != set(dims.labels) or set(left) & set(right) or not (left and right):
+    if sorted(left + right) != sorted(dims.labels) or not (left and right):
         raise ValueError(
             f"cut {cut} does not partition factors {dims.labels} into two nonempty sides"
         )

@@ -58,7 +58,7 @@ def test_runs_are_deterministic():
 
 
 def test_each_state_evolved_once(monkeypatch):
-    """The seven defaults evolve no state twice and keep the dense oracle.
+    """The seven defaults evolve their states at most 42 times, 8 of them dense.
 
     ``engine.evolve`` is rebound in every module that holds it, as the
     benchmark's span recorder does. One dense call per coupling phase (eight

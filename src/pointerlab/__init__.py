@@ -22,6 +22,7 @@ from .engine import (
     pointer_mean,
     postselect,
     system_density,
+    system_expectation,
     weak_value,
 )
 from .pointer import (

@@ -5,7 +5,7 @@ Three commands:
 * ``pointerlab scenario list`` prints the scenario names and what each one
   demonstrates;
 * ``pointerlab scenario run NAME`` runs one scenario, writes the full
-  report as JSON (or flat CSV) and prints a one-line verdict;
+  report as JSON (or flat CSV) and prints a one-line verdict to stderr;
 * ``pointerlab sweep NAME --param gA --start ... --stop ... --steps N``
   reruns a scenario along one numeric axis and writes a CSV table, one row
   per step, continuing past failing steps.
@@ -186,7 +186,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     print(
         f"scenario {args.name}: pass ({len(report.checks)} checks, "
-        f"{report.runtime_seconds:.2f}s)"
+        f"{report.runtime_seconds:.2f}s)",
+        file=sys.stderr,
     )
     return 0
 
@@ -250,7 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if bad:
         print(f"sweep {args.name}: {len(bad)}/{len(rows)} steps failed", file=sys.stderr)
         return 2
-    print(f"sweep {args.name}: {len(rows)} steps, all checks passed")
+    print(f"sweep {args.name}: {len(rows)} steps, all checks passed", file=sys.stderr)
     return 0
 
 

@@ -47,6 +47,8 @@ from .tensors import (
 )
 
 COMMUTATOR_TOL = 1e-10
+# Largest imaginary part a system expectation may carry before it is refused.
+EXPECTATION_IMAG_TOL = 1e-10
 # Largest product-space dimension the dense exponential path will accept.
 DENSE_LIMIT = 4096
 ORTHOGONAL_OVERLAP_TOL = 1e-12
@@ -512,14 +514,18 @@ def initial_info_expectation(
     its pre-interaction expectation: the interaction then only dephases
     within eigenspaces the observable cannot resolve.
     """
+    return system_expectation(evolve(state, couplings), observable)
+
+
+def system_expectation(state: UnifiedState, observable: Operator) -> float:
+    """tr(A rho_system) of a Hermitian system observable A."""
     defect = hermiticity_defect(observable.matrix)
     if not defect <= HERMITIAN_INPUT_TOL:
         raise ValueError(f"observable has Hermiticity defect {defect:.3e}")
-    evolved = evolve(state, couplings)
-    rho = system_density(evolved).matrix
+    rho = system_density(state).matrix
     value = complex(np.trace(observable.matrix @ rho))
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation came out complex: {value!r}")
+    if not (abs(value.imag) <= EXPECTATION_IMAG_TOL and math.isfinite(value.real)):
+        raise ValueError(f"expectation is not a finite real number: {value!r}")
     return float(value.real)
 
 

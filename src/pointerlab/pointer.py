@@ -106,7 +106,7 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
     readout means at a level this package refuses to average over.
     """
     leak = gaussian_leakage(spec)
-    if leak > LEAKAGE_TOL:
+    if not leak <= LEAKAGE_TOL:
         raise LeakageError(
             f"pointer {spec.label!r}: out-of-box mass {leak:.3e} exceeds "
             f"{LEAKAGE_TOL:.0e}"

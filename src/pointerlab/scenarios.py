@@ -678,10 +678,10 @@ def _sequential(run: Run) -> Measured:
 
     # Information left in the system right after the first coupling, read
     # through observables that do and do not commute with it.
-    fresh = engine.build_initial(system, [spec_b])
+    after_first = engine.evolve(engine.build_initial(system, [spec_b]), [first])
     proj_up = Operator(system.dims, np.diag([1, 0]), hermitian=True)
     proj_plus = Operator(system.dims, np.full((2, 2), 0.5), hermitian=True)
-    info_commuting = engine.initial_info_expectation(fresh, [first], proj_up)
+    info_commuting = engine.system_expectation(after_first, proj_up)
     info_before = expectation(proj_up, system).real
 
     defects = {
@@ -698,9 +698,7 @@ def _sequential(run: Run) -> Measured:
             "conditioned_mean_a": cond_mean_a,
             "conditioned_probability": cond_prob,
             "info_commuting_readout": info_commuting,
-            "info_noncommuting_readout": engine.initial_info_expectation(
-                fresh, [first], proj_plus
-            ),
+            "info_noncommuting_readout": engine.system_expectation(after_first, proj_plus),
         },
         predictions={
             "mean_a_damped": pred_a_damped,

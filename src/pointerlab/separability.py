@@ -8,16 +8,29 @@ pointers. Two complementary tools live here:
 * constructive certificates: explicit convex decompositions into product
   states, available in the physically transparent cases (commuting
   observables, sequential couplings, first order in the coupling);
-* the partial-transpose criterion, whose negative eigenvalues witness
-  entanglement when no decomposition exists.
+* the partial-transpose criterion (Peres, PRL 77, 1413 (1996); Horodecki,
+  Horodecki and Horodecki, PLA 223, 1 (1996)), whose negative eigenvalues
+  witness entanglement when no decomposition exists.
 
 Certificates are never taken on faith: each one is reconstructed and
-compared against the actual reduced state, and then revalidated on an
-independent grid resolution to rule out discretization artifacts.
+compared against the actual reduced state, and then revalidated on a grid
+resolution that no pointer of the state uses, to rule out discretization
+artifacts.
+
+The witness works from the columns of the apparatus state, rho = sum_k
+vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
+k. It compresses each Psi_k onto the Schmidt supports of the two sides of
+the cut, which have dimension r_A and r_B, and eigensolves an (r_A * r_B)-
+dimension partial transpose instead of the N x N one. Weyl's inequality
+bounds the error by the Frobenius norm of what the compression drops; a
+bound above SUPPORT_BOUND_TOL raises instead of answering. A matrix supplied
+whole is transposed and eigensolved densely, which the tests use as the
+oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Literal, Sequence
 
@@ -42,8 +55,15 @@ ENTANGLEMENT_THRESHOLD = -1e-6
 CERTIFICATE_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_PRUNE = 1e-14
-# Grid resolution used to revalidate certificates independently.
+# Grid resolution used to revalidate certificates independently, doubled
+# until it differs from every pointer's own grid.
 REVALIDATION_POINTS = 32
+# The compressed partial-transpose witness drops support directions whose
+# singular value is below SUPPORT_CUTOFF of the largest, and refuses to
+# answer when its Weyl bound on the error exceeds SUPPORT_BOUND_TOL, four
+# orders below |ENTANGLEMENT_THRESHOLD|.
+SUPPORT_CUTOFF = 1e-13
+SUPPORT_BOUND_TOL = 1e-10
 
 
 class NonCommutingError(ValueError):
@@ -141,20 +161,70 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
 
     Negative values witness entanglement across the cut; for a pair of
     qubit-sized factors nonnegativity is also sufficient for separability,
-    while for larger factors it is only necessary.
+    while for larger factors it is only necessary. A state built from
+    factors is compressed onto its Schmidt support first
+    (``_support_ppt_min``); a matrix supplied whole is transposed and
+    eigensolved as it is.
     """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
     left, right = cut_sides(rho.dims, cut)
+    order = [rho.dims.axis(lab) for lab in left + right]
+    dl = math.prod(rho.dims.dim(lab) for lab in left)
+    dr = math.prod(rho.dims.dim(lab) for lab in right)
+    if rho.factors is not None:
+        low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
+        if not bound <= SUPPORT_BOUND_TOL:
+            raise ValueError(
+                f"compressed partial transpose is off by up to {bound:.3e}, "
+                f"above {SUPPORT_BOUND_TOL:.0e}; no verdict"
+            )
+        return low
     sizes = rho.dims.sizes
     n = len(sizes)
-    order = [rho.dims.axis(lab) for lab in left + right]
     t = rho.matrix.reshape(sizes + sizes)
     t = np.transpose(t, order + [n + i for i in order])
-    dl = int(np.prod([rho.dims.dim(lab) for lab in left]))
-    dr = int(np.prod([rho.dims.dim(lab) for lab in right]))
     m = t.reshape(dl, dr, dl, dr).transpose(0, 3, 2, 1).reshape(dl * dr, dl * dr)
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+
+
+def _support_ppt_min(
+    columns: np.ndarray, sizes: tuple[int, ...], order: list[int], dl: int, dr: int
+) -> tuple[float, float]:
+    """Partial-transpose minimum of U U-dagger on its Schmidt support, and its bound.
+
+    Column k of U, as a dl x dr block Psi_k, is compressed to
+    C_k = U_A-dagger Psi_k V_B, with U_A spanning the Psi_k side by side and
+    V_B the Psi_k stacked vertically (singular values above SUPPORT_CUTOFF
+    of the largest). The compressed state sits in the full one through the
+    isometry U_A (x) conj(V_B), so its partial transpose has the same
+    nonzero spectrum; the rest is zeros when r_A * r_B < dl * dr. By Weyl's
+    inequality the minimum moves by at most ||rho - rho~||_F, computed from
+    the discarded part D = Psi - U_A C V_B-dagger: with rho~ = U~ U~-dagger and
+    D orthogonal to the support, ||rho - rho~||_F^2 = 2 ||U~ D-dagger||_F^2 +
+    ||D D-dagger||_F^2, both from r x r Gram matrices.
+    """
+    r = columns.shape[1]
+    axes = [0] + [1 + i for i in order]
+    psi = columns.T.reshape((r,) + sizes).transpose(axes).reshape(r, dl, dr)
+    u, s, _ = np.linalg.svd(psi.transpose(1, 0, 2).reshape(dl, r * dr), full_matrices=False)
+    ua = u[:, s > SUPPORT_CUTOFF * s[0]]
+    _, s, vh = np.linalg.svd(psi.reshape(r * dl, dr), full_matrices=False)
+    vb = vh[s > SUPPORT_CUTOFF * s[0]].conj().T
+    c = ua.conj().T @ psi @ vb
+    ra, rb = c.shape[1:]
+    kept = c.reshape(r, ra * rb)
+    rho_c = kept.T @ kept.conj()
+    pt = rho_c.reshape(ra, rb, ra, rb).transpose(0, 3, 2, 1).reshape(ra * rb, ra * rb)
+    low = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
+    if ra * rb < dl * dr:
+        low = min(low, 0.0)
+    discarded = (psi - ua @ c @ vb.conj().T).reshape(r, dl * dr)
+    gram_kept = kept.conj() @ kept.T
+    gram_discarded = discarded.conj() @ discarded.T
+    cross = float(np.sum(gram_kept * gram_discarded.T).real)
+    bound = math.sqrt(max(2.0 * cross, 0.0) + float(np.sum(np.abs(gram_discarded) ** 2)))
+    return low, bound
 
 
 def _joint_eigensystem(
@@ -363,6 +433,14 @@ def _replica(state: UnifiedState, points: int) -> UnifiedState:
     return rebuilt
 
 
+def _revalidation_points(state: UnifiedState) -> int:
+    """REVALIDATION_POINTS, doubled until no pointer of ``state`` uses that grid."""
+    points = REVALIDATION_POINTS
+    while any(spec.grid.points == points for spec in state.pointers):
+        points *= 2
+    return points
+
+
 def _certificate_route(
     state: UnifiedState,
 ) -> tuple[str, SeparableDecomposition] | None:
@@ -401,10 +479,11 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
     """Decide whether the pointer record is readable dial-by-dial.
 
     Tries a constructive product decomposition first, validating it against
-    the reduced state on the state's own grid and again on an independent
-    resolution. When no decomposition route applies, falls back to the
-    partial-transpose witness. Truncated states are refused: their reduced
-    matrices are not states and the analysis would be meaningless.
+    the reduced state on the state's own grid and again on a resolution no
+    pointer of the state uses. When no decomposition route applies, falls
+    back to the partial-transpose witness. Truncated states are refused:
+    their reduced matrices are not states and the analysis would be
+    meaningless.
     """
     if state.provenance != "exact":
         raise ValueError(
@@ -437,7 +516,8 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
         method, certificate = route
         error = certificate.validate(rho)
         if error <= CERTIFICATE_TOL:
-            replica = _replica(state, REVALIDATION_POINTS)
+            points = _revalidation_points(state)
+            replica = _replica(state, points)
             replica_route = _certificate_route(replica)
             if replica_route is None:
                 raise RuntimeError(
@@ -459,8 +539,7 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
                     certificate=certificate,
                     certificate_error=error,
                     method=method,
-                    notes=(f"revalidated at {REVALIDATION_POINTS} points: "
-                           f"{replica_error:.3e}",),
+                    notes=(f"revalidated at {points} points: {replica_error:.3e}",),
                 )
             notes.append(
                 f"certificate failed revalidation ({replica_error:.3e}), discarded"

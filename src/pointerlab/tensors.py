@@ -10,19 +10,24 @@ top out around a few thousand amplitudes. One structure is kept on purpose.
 A density matrix built from r columns, rho = U U-dagger, remembers U
 (``DensityMatrix.from_factors``). The apparatus and system reductions and
 the post-selected apparatus are built that way; the apparatus state has
-rank at most the system dimension. When r is below the matrix dimension N,
-the spectrum floor is checked on the r x r Gram matrix U-dagger U, which has
-the same nonzero spectrum, and the trace distance from such a matrix to a
-certificate or to another factored matrix (``factored_distance``) comes from
-a thin QR of the stacked columns, so no N x N eigensolve runs. Hermiticity
-and trace are still checked on the matrix itself. Matrices supplied whole
-keep the full-spectrum check.
+rank at most the system dimension. Such a matrix is checked from U alone:
+its trace as the squared Frobenius norm of U, which also refuses NaN and
+infinite columns, and, when r is below the matrix dimension N, its spectrum
+floor on the r x r Gram matrix U-dagger U, which has the same nonzero
+spectrum. The N x N matrix U U-dagger is formed, and its Hermiticity
+checked, only when ``matrix`` is first read, as ``partial_trace``, the dense
+``trace_distance`` and the dense partial-transpose oracle do. The trace
+distance from such a matrix to a certificate or to another factored matrix
+(``factored_distance``) comes from a thin QR of the stacked columns, so no
+N x N eigensolve runs. Matrices supplied whole keep every check, the full
+spectrum included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -164,7 +169,7 @@ class StateVector:
         return self.amplitudes.reshape(self.dims.sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
     """Positive-semidefinite matrix on a labeled product space.
 
@@ -174,36 +179,46 @@ class DensityMatrix:
 
     ``factors`` holds the columns U when the matrix was built by
     ``from_factors`` as U U-dagger, and is None for a matrix supplied whole,
-    which always gets the full-spectrum check. ``_factors`` is keyword-only
-    and for ``from_factors`` alone: the constructor does not check that the
-    columns reproduce the matrix.
+    which always gets the full-spectrum check. For a factored matrix the
+    Hermiticity check waits for the first read of ``matrix``, which is when
+    U U-dagger is formed. ``_factors`` is keyword-only and for
+    ``from_factors`` alone, which passes no matrix.
     """
 
     dims: DimensionSpec
-    matrix: np.ndarray
-    normalized: bool = True
-    _: KW_ONLY
-    _factors: InitVar[np.ndarray | None] = None
-    factors: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    normalized: bool
+    trace: float
+    factors: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self, _factors: np.ndarray | None) -> None:
-        m = _frozen(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        n = self.dims.total
-        if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
-        defect = hermiticity_defect(m)
-        if not defect <= HERMITIAN_DERIVED_TOL:
-            raise ValueError(f"density matrix Hermiticity defect {defect:.3e}")
-        tr = m.trace()
-        _check_trace(tr, self.normalized)
-        if _factors is None or _factors.shape[1] >= n:
-            _check_floor(m, tr)
-        else:
-            _check_floor(_gram(_factors), tr)
+    def __init__(
+        self,
+        dims: DimensionSpec,
+        matrix: np.ndarray | None,
+        normalized: bool = True,
+        *,
+        _factors: np.ndarray | None = None,
+    ) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "factors", _factors)
+        n = dims.total
+        if _factors is None:
+            m = _frozen(matrix)
+            if m.shape != (n, n):
+                raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
+            _check_hermitian(m)
+            tr = m.trace()
+            _check_trace(tr, normalized)
+            _check_floor(m, tr)
+            self.__dict__["matrix"] = m  # where the cached property looks first
+        else:
+            tr = np.vdot(_factors, _factors)
+            _check_trace(tr, normalized)
+            if _factors.shape[1] >= n:
+                _check_floor(self.matrix, tr)
+            else:
+                _check_floor(_gram(_factors), tr)
+        object.__setattr__(self, "trace", float(tr.real))
 
     @classmethod
     def from_factors(
@@ -211,19 +226,31 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """U U-dagger from the columns U, which the result keeps as ``factors``.
 
-        The spectrum floor is checked on the smaller of the r x r Gram matrix
-        and the matrix itself; both share their nonzero spectrum.
+        The trace is checked as the squared Frobenius norm of U, and the
+        spectrum floor on the smaller of the r x r Gram matrix and the matrix
+        itself; both share their nonzero spectrum. The N x N matrix is formed
+        and its Hermiticity checked only when ``matrix`` is first read.
         """
         u = _frozen(columns)
         if u.ndim != 2 or u.shape[0] != dims.total:
             raise ValueError(
                 f"columns of shape {u.shape} do not match dims total {dims.total}"
             )
-        return cls(dims, u @ u.conj().T, normalized, _factors=u)
+        return cls(dims, None, normalized, _factors=u)
 
-    @property
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The matrix itself; built from ``factors`` on first read."""
+        m = self.factors @ self.factors.conj().T
+        m.setflags(write=False)
+        _check_hermitian(m)
+        return m
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    defect = hermiticity_defect(m)
+    if not defect <= HERMITIAN_DERIVED_TOL:
+        raise ValueError(f"density matrix Hermiticity defect {defect:.3e}")
 
 
 def _gram(columns: np.ndarray) -> np.ndarray:
@@ -232,10 +259,10 @@ def _gram(columns: np.ndarray) -> np.ndarray:
 
 
 def _check_trace(tr: complex, normalized: bool) -> None:
+    if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
+        raise ValueError(f"density matrix trace {tr!r} is not finite")
     if not abs(tr.imag) <= TRACE_TOL:
         raise ValueError(f"density matrix has complex trace {tr!r}")
-    if not math.isfinite(tr.real):
-        raise ValueError(f"density matrix trace {tr.real!r} is not finite")
     if normalized and not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"density matrix trace {tr.real!r} is not 1")
 

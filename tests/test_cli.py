@@ -52,11 +52,26 @@ class TestRun:
         out = tmp_path / "epr.json"
         assert main(["scenario", "run", "epr", "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "pass" in captured.out
+        assert "pass" in captured.err
         report = json.loads(out.read_text())
         assert set(report) == REPORT_KEYS
         assert report["pass"] is True
         assert report["scenario"] == "epr"
+
+    def test_stdout_json_report_parses(self, capsys):
+        assert main(["scenario", "run", "epr"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert set(report) == REPORT_KEYS
+        assert "scenario epr: pass" in captured.err
+
+    def test_stdout_csv_report_has_only_rows(self, capsys):
+        assert main(["scenario", "run", "weak-noselect", "--format", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["key", "value"]
+        assert {len(row) for row in rows} == {2}
+        assert {key.split(".")[0] for key, _ in rows[1:]} <= REPORT_KEYS
+        assert dict(rows[1:])["pass"] == "true"
 
     def test_csv_report_round_trips_floats(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -200,6 +215,16 @@ class TestSweep:
         # packets centered too close to the box edge are refused up front
         assert len(errored) == 2
         assert all("out-of-box mass" in row["error"] for row in errored)
+
+    def test_stdout_table_has_rows_of_equal_width(self, capsys):
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--steps", "3"]
+        assert main(argv + ["--start", "0.1", "--stop", "0.3"]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert len(rows) == 4
+        assert len({len(row) for row in rows}) == 1
+        assert [row[rows[0].index("pass")] for row in rows[1:]] == ["true"] * 3
+        assert "3 steps, all checks passed" in captured.err
 
     def test_non_numeric_param_rejected(self, capsys):
         code = main(

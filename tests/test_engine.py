@@ -21,6 +21,7 @@ from pointerlab.engine import (
     pointer_mean,
     postselect,
     system_density,
+    system_expectation,
     weak_value,
 )
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec
@@ -340,3 +341,20 @@ class TestInitialInfo:
         value = initial_info_expectation(state, [coupling], proj_plus)
         initial = 0.5 * (1.0 + math.sin(math.pi / 3))
         assert abs(value - initial) > 1e-3
+
+    def test_one_evolution_serves_both_readouts(self):
+        state, coupling = _single(theta=math.pi / 3, g=0.5)
+        evolved = evolve(state, [coupling])
+        for matrix in ([[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]):
+            observable = pauli(np.array(matrix, dtype=complex))
+            value = system_expectation(evolved, observable)
+            assert value == initial_info_expectation(state, [coupling], observable)
+
+    def test_nan_expectation_rejected(self, monkeypatch):
+        state, coupling = _single(theta=math.pi / 3, g=0.5)
+        proj_up = pauli(np.array([[1, 0], [0, 0]], dtype=complex))
+        for entry in (complex(np.nan, np.nan), complex(np.nan, 0.0)):
+            rho = type("Rho", (), {"matrix": np.full((2, 2), entry)})
+            monkeypatch.setattr(engine_module, "system_density", lambda state: rho)
+            with pytest.raises(ValueError, match="not a finite real number"):
+                initial_info_expectation(state, [coupling], proj_up)

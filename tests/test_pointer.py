@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointerlab import pointer
 from pointerlab.pointer import (
     LeakageError,
     PointerGrid,
@@ -101,6 +102,11 @@ class TestGaussianPreparation:
         assert gaussian_leakage(spec) > 1e-12
         with pytest.raises(LeakageError, match="out-of-box"):
             gaussian_state(spec)
+
+    def test_nan_leakage_rejected(self, monkeypatch):
+        monkeypatch.setattr(pointer, "gaussian_leakage", lambda spec: math.nan)
+        with pytest.raises(LeakageError, match="out-of-box mass nan"):
+            gaussian_state(PointerSpec("A", FINE))
 
     def test_spec_containment_guard(self):
         with pytest.raises(ValueError, match="standard deviations"):

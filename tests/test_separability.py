@@ -33,6 +33,7 @@ from pointerlab.tensors import (
 COARSE = PointerGrid(points=16, length=16.0)
 QUBIT_PAIR = DimensionSpec.of(("a", 2), ("b", 2))
 CUT_AB = (("a",), ("b",))
+CUT_POINTERS = (("A",), ("B",))
 
 
 def _bell() -> DensityMatrix:
@@ -400,3 +401,119 @@ class TestFactoredValidation:
         )
         with pytest.raises(RuntimeError, match="replica"):
             readability_check(evolve(state, couplings))
+
+
+LADDER = np.geomspace(1e-3, 1.5, 12)
+FAMILY = {
+    "commuting": dict(obs_a=SIGMA_Z),
+    "sequential": dict(sequential=True),
+    "noncommuting": dict(obs_a=SIGMA_X),
+}
+
+
+class TestSupportWitness:
+    """The partial transpose on the Schmidt support, against the dense oracle."""
+
+    @pytest.mark.parametrize("points", [16, 32])
+    @pytest.mark.parametrize("kind", sorted(FAMILY))
+    def test_ladder_matches_dense_oracle(self, points, kind):
+        # Every rung at 16 points; at 32, where each dense oracle call takes
+        # two 1024-dimension eigensolves, the middle rung and the strongest.
+        for impulse in LADDER if points == 16 else LADDER[5::6]:
+            rho, _ = _record(points, math.pi / 3, impulse, **FAMILY[kind])
+            compressed = ppt_min_eigenvalue(rho, CUT_POINTERS)
+            dense = ppt_min_eigenvalue(_dense(rho), CUT_POINTERS)
+            assert abs(compressed - dense) < 1e-12, (kind, impulse)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_property_random_factors_match_dense(self, da, db, rank, terms, seed, swap):
+        rng = np.random.default_rng(seed)
+
+        def normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        # Each column sums ``terms`` products, so low Schmidt ranks occur too.
+        blocks = np.einsum("kat,kbt->kab", normal(rank, da, terms), normal(rank, db, terms))
+        u = blocks.reshape(rank, da * db).T
+        rho = DensityMatrix.from_factors(
+            DimensionSpec.of(("a", da), ("b", db)), u / np.linalg.norm(u)
+        )
+        cut = (("b",), ("a",)) if swap else CUT_AB
+        compressed = ppt_min_eigenvalue(rho, cut)
+        assert abs(compressed - ppt_min_eigenvalue(_dense(rho), cut)) < 1e-12
+
+    def test_noncommuting_record_stays_on_the_support(self, monkeypatch):
+        formed, shapes = [], []
+        matrix = DensityMatrix.__dict__["matrix"]
+
+        def spied(rho):
+            formed.append(rho.dims.total)
+            return matrix.__get__(rho, DensityMatrix)
+
+        monkeypatch.setattr(DensityMatrix, "matrix", property(spied))
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        state, couplings, _ = _coarse_pair(theta=math.pi / 3, impulse_a=1.0)
+        evolved = evolve(state, couplings)
+        shapes.clear()
+        verdict = readability_check(evolved, CUT_POINTERS)
+        assert verdict.status == "entangled"
+        assert formed == []
+        assert shapes and max(shapes) < 256
+
+    def test_bound_comes_from_the_discarded_part(self, monkeypatch):
+        # Two columns on a 2 x 2 support of a 5 x 4 space, plus a planted
+        # 1e-8 component orthogonal to it on both sides, which a 1e-6 cutoff
+        # discards: the compressed state is then exactly the first part.
+        rng = np.random.default_rng(7)
+        qa = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        qb = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        core = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        kept = np.einsum("ai,kij,bj->abk", qa[:, :2], core, qb[:, :2]).reshape(20, 2)
+        planted = np.einsum("a,k,b->abk", qa[:, 4], [1.0, 2.0], qb[:, 3]).reshape(20, 2)
+        scale = np.linalg.norm(kept)
+        u = (kept + 1e-8 * scale * planted) / scale
+        rho = DensityMatrix.from_factors(DimensionSpec.of(("a", 5), ("b", 4)), u)
+        rho_kept = (kept / scale) @ (kept / scale).conj().T
+        exact = np.linalg.norm(rho.matrix - rho_kept)
+        monkeypatch.setattr(separability, "SUPPORT_CUTOFF", 1e-6)
+        low, bound = separability._support_ppt_min(u, (5, 4), [0, 1], 5, 4)
+        assert bound == pytest.approx(exact, rel=1e-6)
+        assert abs(low - ppt_min_eigenvalue(_dense(rho), CUT_AB)) <= bound
+        with pytest.raises(ValueError, match="no verdict"):
+            ppt_min_eigenvalue(rho, CUT_AB)
+
+
+class TestRevalidationGrid:
+    @pytest.mark.parametrize("points, expected", [(16, 32), (32, 64)])
+    def test_revalidates_off_the_state_grid(self, points, expected, monkeypatch):
+        grids = []
+        replica = separability._replica
+
+        def recording(state, revalidation_points):
+            grids.append(revalidation_points)
+            return replica(state, revalidation_points)
+
+        monkeypatch.setattr(separability, "_replica", recording)
+        grid = PointerGrid(points=points, length=16.0)
+        specs = [PointerSpec("A", grid), PointerSpec("B", grid)]
+        state = build_initial(bloch_state(math.pi / 3, 0.3), specs)
+        couplings = [Coupling(pauli(SIGMA_Z), "A", 0.5), Coupling(pauli(SIGMA_Z), "B", 0.5)]
+        verdict = readability_check(evolve(state, couplings), CUT_POINTERS)
+        assert verdict.status == "separable"
+        assert grids == [expected]
+        assert verdict.notes[0].startswith(f"revalidated at {expected} points: ")

@@ -344,6 +344,28 @@ class TestFactoredDensity:
         with pytest.raises(ValueError):
             factored_distance(u, DensityMatrix.from_factors(self.DIMS, self._columns(7)))
 
+    def test_refuses_bad_columns_without_forming_the_matrix(self, monkeypatch):
+        def formed(rho):
+            raise AssertionError("U U-dagger was formed")
+
+        monkeypatch.setattr(DensityMatrix, "matrix", property(formed))
+        u = self._columns(15)
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            columns = u.copy()
+            columns[4, 2] = bad
+            with pytest.raises(ValueError, match="trace"):
+                DensityMatrix.from_factors(self.DIMS, columns)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factors(self.DIMS, 1.01 * u)
+        assert DensityMatrix.from_factors(self.DIMS, u).trace == pytest.approx(1.0, abs=1e-14)
+
+    def test_matrix_formed_once_on_first_read(self):
+        rho = DensityMatrix.from_factors(self.DIMS, self._columns(16))
+        assert "matrix" not in vars(rho)
+        first = rho.matrix
+        assert rho.matrix is first
+        assert not first.flags.writeable
+
     def test_rejects_mismatched_shapes(self):
         u = self._columns(8)
         with pytest.raises(ValueError, match="columns"):

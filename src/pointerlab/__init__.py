@@ -9,7 +9,7 @@ resulting measurement record is separable, dial by dial.
 from .engine import (
     Coupling,
     OrthogonalPostselection,
-    PostselectionResult,
+    Postselection,
     UnifiedState,
     apparatus_density,
     build_initial,

@@ -41,10 +41,8 @@ _FLAG_FIELDS: dict[str, tuple[str, Any]] = {
     "x0A": ("x0_a", float),
     "x0B": ("x0_b", float),
     "sigma": ("sigma", float),
-    "profile": ("grid_profile", str),
     "gridN": ("grid_points", int),
     "gridL": ("grid_length", float),
-    "seed": ("seed", int),
 }
 _SWEEPABLE = {
     name for name, (_, parser) in _FLAG_FIELDS.items() if parser is float

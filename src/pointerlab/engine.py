@@ -14,9 +14,12 @@ can cross-check each other:
   Taylor series (``tensors.generator_action``) made of matrix-vector
   products: no eigensolve, no FFT on the state, no N x N unitary. A series
   step that does not converge within a fixed number of terms, as on NaN,
-  raises. Memory-bound, so it refuses spaces beyond a few thousand
-  dimensions, but it shares no code path with ``shift``; only the momentum
-  matrix is built with the FFT library.
+  raises. Memory-bound, so it refuses spaces beyond DENSE_LIMIT dimensions,
+  but it shares no code path with ``shift``; only the momentum matrix is
+  built with the FFT library.
+
+DENSE_LIMIT bounds only ``expm``. Everything else here, post-selection
+included, works from the amplitudes and never forms an N x N matrix.
 
 Truncated (perturbative) evolution is available separately for order-by-
 order comparisons; the resulting states are flagged and unnormalized.
@@ -32,7 +35,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .pointer import CONTAINMENT_SIGMAS, LeakageError, PointerSpec, gaussian_state
-from .pointer import momentum_operator
+from .pointer import momentum_operator, near_edge
 from .tensors import (
     DensityMatrix,
     DimensionSpec,
@@ -49,13 +52,13 @@ from .tensors import (
 COMMUTATOR_TOL = 1e-10
 # Largest imaginary part a system expectation may carry before it is refused.
 EXPECTATION_IMAG_TOL = 1e-10
-# Largest product-space dimension the dense exponential path will accept.
+# Largest product-space dimension the dense integrator will accept.
 DENSE_LIMIT = 4096
 ORTHOGONAL_OVERLAP_TOL = 1e-12
 MIN_POSTSELECT_PROBABILITY = 1e-14
 
 Provenance = Literal["exact", "first_order", "second_order"]
-EvolutionMethod = Literal["auto", "shift", "expm"]
+EvolutionMethod = Literal["shift", "expm"]
 
 
 class OrthogonalPostselection(ValueError):
@@ -95,23 +98,18 @@ class WeakValue:
 
 
 @dataclass(frozen=True)
-class PostselectionStats:
-    probability: float
-    unnormalized_mean: dict[str, float]
-    normalized_mean: dict[str, float]
+class Postselection:
+    """The apparatus conditioned on a system outcome, and its two readouts.
 
+    ``apparatus`` is unnormalized, with trace ``probability``. Per pointer,
+    ``unnormalized_mean`` is the raw first moment and ``normalized_mean``
+    that moment divided by the probability.
+    """
 
-@dataclass(frozen=True)
-class ReadoutReport:
-    pointer_means: dict[str, float]
-    postselection: PostselectionStats | None = None
-
-
-@dataclass(frozen=True)
-class PostselectionResult:
     probability: float
     apparatus: DensityMatrix
-    report: ReadoutReport
+    unnormalized_mean: dict[str, float]
+    normalized_mean: dict[str, float]
 
 
 @dataclass
@@ -205,10 +203,8 @@ def _updated_bounds(
         bounds[c.pointer] = (lo + float(kicks.min()), hi + float(kicks.max()))
     for label, (lo, hi) in bounds.items():
         spec = state.pointer_spec(label)
-        half = spec.grid.length / 2
         for bound in (lo, hi):
-            reach = abs(spec.x0 + bound - spec.grid.center) + CONTAINMENT_SIGMAS * spec.sigma
-            if reach > half:
+            if near_edge(spec.x0 + bound, spec.sigma, spec.grid):
                 raise LeakageError(
                     f"pointer {label!r}: accumulated shift {bound:+.3f} would put "
                     f"the packet within {CONTAINMENT_SIGMAS} spreads of the box edge"
@@ -312,7 +308,7 @@ def _evolve_dense(
 def evolve(
     state: UnifiedState,
     couplings: Sequence[Coupling],
-    method: EvolutionMethod = "auto",
+    method: EvolutionMethod = "shift",
 ) -> UnifiedState:
     """Apply one interaction phase exp(-i t sum_j g_j A_j pi_j).
 
@@ -326,7 +322,7 @@ def evolve(
     bounds = _updated_bounds(state, cs)
     if method == "expm":
         amps = _evolve_dense(state, cs, t)
-    elif method in ("auto", "shift"):
+    elif method == "shift":
         tensor = state.tensor()
         if _couplings_commute(cs):
             tensor = _evolve_commuting(tensor, state, cs)
@@ -350,7 +346,7 @@ def evolve_sequential(
     state: UnifiedState,
     first: Sequence[Coupling] | Coupling,
     second: Sequence[Coupling] | Coupling,
-    method: EvolutionMethod = "auto",
+    method: EvolutionMethod = "shift",
 ) -> UnifiedState:
     """Two interaction phases back to back, recorded as separate history entries."""
     first_cs = (first,) if isinstance(first, Coupling) else tuple(first)
@@ -461,13 +457,11 @@ def weak_value(observable: Operator, initial: StateVector, final: StateVector) -
     return WeakValue(value=numerator / overlap, overlap=overlap)
 
 
-def postselect(state: UnifiedState, final: StateVector) -> PostselectionResult:
+def postselect(state: UnifiedState, final: StateVector) -> Postselection:
     """Condition the apparatus on finding the system in ``final``.
 
-    Returns the selection probability, the unnormalized conditional
-    apparatus matrix (trace equal to the probability) and a report carrying
-    both readout conventions: raw unnormalized moments and moments divided
-    by the probability.
+    The conditional apparatus keeps its one column, <final| on the state,
+    so no matrix over the pointer grid is formed at any grid size.
     """
     if final.dims != state.system:
         raise ValueError("post-selection state must live on the system factors")
@@ -481,11 +475,6 @@ def postselect(state: UnifiedState, final: StateVector) -> PostselectionResult:
             f"post-selection probability {probability:.3e} is numerically zero"
         )
     pdims = state.pointer_dims()
-    if pdims.total > DENSE_LIMIT:
-        raise ValueError(
-            f"conditional apparatus matrix of dimension {pdims.total} is too "
-            f"large; post-select on a coarser grid"
-        )
     apparatus = DensityMatrix.from_factors(pdims, v[:, None], normalized=False)
     shape = tuple(s.grid.points for s in state.pointers)
     weights = (np.abs(v) ** 2).reshape(shape)
@@ -495,14 +484,7 @@ def postselect(state: UnifiedState, final: StateVector) -> PostselectionResult:
         w = weights.sum(axis=other) if other else weights
         unnorm[spec.label] = float(w @ spec.grid.positions())
     normalized = {lab: val / probability for lab, val in unnorm.items()}
-    stats = PostselectionStats(
-        probability=probability, unnormalized_mean=unnorm, normalized_mean=normalized
-    )
-    return PostselectionResult(
-        probability=probability,
-        apparatus=apparatus,
-        report=ReadoutReport(pointer_means=normalized, postselection=stats),
-    )
+    return Postselection(probability, apparatus, unnorm, normalized)
 
 
 def initial_info_expectation(

@@ -16,14 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensors import DimensionSpec, Operator, StateVector, hermiticity_defect
+from .tensors import DimensionSpec, HERMITIAN_DERIVED_TOL, Operator, StateVector
+from .tensors import hermiticity_defect
 
 # A packet is "contained" when this many standard deviations on either side
 # of its center fit inside the box.
 CONTAINMENT_SIGMAS = 6.0
 # Continuum probability mass outside the box above which preparation fails.
 LEAKAGE_TOL = 1e-12
-MOMENTUM_HERMITICITY_TOL = 1e-10
 
 
 class LeakageError(ValueError):
@@ -59,6 +59,12 @@ class PointerGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
 
 
+def near_edge(center: float, spread: float, grid: PointerGrid) -> bool:
+    """Whether CONTAINMENT_SIGMAS spreads around ``center`` leave the box; True on NaN."""
+    reach = abs(center - grid.center) + CONTAINMENT_SIGMAS * spread
+    return not reach <= grid.length / 2
+
+
 @dataclass(frozen=True)
 class PointerSpec:
     """Label, grid and Gaussian preparation of one pointer."""
@@ -73,9 +79,8 @@ class PointerSpec:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if not math.isfinite(self.x0):
             raise ValueError(f"pointer {self.label!r}: x0 must be finite, got {self.x0!r}")
-        margin = self.grid.length / 2 - abs(self.x0 - self.grid.center)
-        if margin < CONTAINMENT_SIGMAS * self.sigma:
-            raise ValueError(
+        if near_edge(self.x0, self.sigma, self.grid):
+            raise LeakageError(
                 f"pointer {self.label!r}: packet at x0={self.x0} with "
                 f"sigma={self.sigma} is within {CONTAINMENT_SIGMAS} standard "
                 f"deviations of the box edge"
@@ -128,14 +133,14 @@ def momentum_operator(grid: PointerGrid, label: str) -> Operator:
 
     The raw product picks up roundoff asymmetry of order N*eps*k_max, so the
     result is symmetrized; the discarded asymmetry is checked against
-    MOMENTUM_HERMITICITY_TOL. Results are cached per (grid, label): the
+    HERMITIAN_DERIVED_TOL. Results are cached per (grid, label): the
     Operator is frozen and its matrix read-only, so callers can share it.
     """
     n = grid.points
     f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
     raw = f.conj().T @ (grid.wavenumbers()[:, None] * f)
     defect = hermiticity_defect(raw)
-    if not defect <= MOMENTUM_HERMITICITY_TOL:
+    if not defect <= HERMITIAN_DERIVED_TOL:
         raise ValueError(f"spectral momentum asymmetry {defect:.3e}")
     dims = DimensionSpec.of((label, n))
     return Operator(dims, (raw + raw.conj().T) / 2.0, hermitian=True)
@@ -161,9 +166,7 @@ def translate(state: StateVector, a: float, grid: PointerGrid) -> StateVector:
     if state.dims.total != grid.points or len(state.dims.factors) != 1:
         raise ValueError("translate expects a single-factor state on this grid")
     mean, std = state_moments(state, grid)
-    half = grid.length / 2
-    reach = abs(mean + a - grid.center) + CONTAINMENT_SIGMAS * std
-    if reach > half:
+    if near_edge(mean + a, std, grid):
         raise LeakageError(
             f"translation by {a} would move the packet to within "
             f"{CONTAINMENT_SIGMAS} spreads of the box edge"

@@ -48,16 +48,13 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-FINE_GRID = PointerGrid(points=256, length=16.0)
-COARSE_GRID = PointerGrid(points=16, length=16.0)
-ANALYSIS_GRID = COARSE_GRID
+ANALYSIS_GRID = PointerGrid(points=16, length=16.0)
 POINTER_CUT = (("A",), ("B",))
 
 READOUT_TOL = 1e-8
 EIGEN_READOUT_TOL = 1e-9
 PATHS_TOL = 1e-8
 PURITY_TOL = 1e-6
-CERT_TOL = 1e-8
 # Two-point scaling checks demand at least this reduction per halving,
 # unless the defect is already at the roundoff floor.
 QUADRATIC_RATIO = 3.5
@@ -88,9 +85,8 @@ class ScenarioConfig:
 
     ``g_a``/``g_b`` are coupling strengths, ``t`` the shared interaction
     time. Angles are Bloch coordinates of the initial and post-selection
-    states. ``grid_profile`` picks the readout grid; ``grid_points`` and
-    ``grid_length`` override it explicitly. A non-finite real value is
-    refused at construction, with the field's name.
+    states. ``grid_points`` and ``grid_length`` give the readout grid. A
+    non-finite real value is refused at construction, with the field's name.
     """
 
     g_a: float = 0.2
@@ -103,24 +99,17 @@ class ScenarioConfig:
     x0_a: float = 0.0
     x0_b: float = 0.0
     sigma: float = 1.0
-    grid_profile: str = "fine"
-    grid_points: int | None = None
-    grid_length: float | None = None
-    seed: int = 0
+    grid_points: int = 256
+    grid_length: float = 16.0
 
     def __post_init__(self) -> None:
         for name, role in _NUMERIC_FIELDS.items():
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name}: {role} must be finite, got {value!r}")
 
     def readout_grid(self) -> PointerGrid:
-        base = {"fine": FINE_GRID, "coarse": COARSE_GRID}.get(self.grid_profile)
-        if base is None:
-            raise ValueError(f"unknown grid profile {self.grid_profile!r}")
-        points = self.grid_points if self.grid_points is not None else base.points
-        length = self.grid_length if self.grid_length is not None else base.length
-        return PointerGrid(points=points, length=length)
+        return PointerGrid(points=self.grid_points, length=self.grid_length)
 
 
 @dataclass
@@ -338,14 +327,14 @@ def _weak_postselect(run: Run) -> Measured:
     def readout(state: UnifiedState) -> tuple[dict[str, float], dict[str, float]]:
         """Post-selected readouts of ``state`` and their first-order predictions."""
         ((coupling,),) = state.history
-        stats = engine.postselect(state, final).report.postselection
+        selected = engine.postselect(state, final)
         wv = engine.weak_value(coupling.observable, run.system, final)
         overlap_sq = abs(wv.overlap) ** 2
         shifted = run.cfg.x0_a + coupling.impulse * wv.value.real
         simulated = {
-            "probability": stats.probability,
-            "unnormalized_mean_a": stats.unnormalized_mean["A"],
-            "normalized_mean_a": stats.normalized_mean["A"],
+            "probability": selected.probability,
+            "unnormalized_mean_a": selected.unnormalized_mean["A"],
+            "normalized_mean_a": selected.normalized_mean["A"],
         }
         predicted = {
             "probability": overlap_sq,
@@ -503,7 +492,7 @@ def _weak_orders(run: Run) -> Measured:
         checks={
             "order1_defect_scales_quadratically": floor1 or 3.5 <= ratio1 <= 4.5,
             "order2_defect_scales_cubically": floor2 or 7.0 <= ratio2 <= 9.0,
-            "first_order_record_is_product": cert_defect <= CERT_TOL,
+            "first_order_record_is_product": cert_defect <= separability.CERTIFICATE_TOL,
             "exact_record_not_separable": run.verdict.status != "separable",
             "strong_coupling_entangled": ppt_strong < separability.ENTANGLEMENT_THRESHOLD,
             "weak_limit_ppt_vanishes": abs(ppt_weak) < 1e-8,
@@ -618,7 +607,7 @@ def _epr(run: Run) -> Measured:
             "mean_a_matches": defects["mean_a"] <= EIGEN_READOUT_TOL,
             "mean_b_matches": defects["mean_b"] <= EIGEN_READOUT_TOL,
             "record_separable": verdict.status == "separable"
-            and (verdict.certificate_error or 1.0) <= CERT_TOL,
+            and (verdict.certificate_error or 1.0) <= separability.CERTIFICATE_TOL,
             "weights_match_populations": weights_match,
         },
         notes=["theta_i, phi_i parametrize the anticorrelated subspace"],
@@ -715,7 +704,7 @@ def _sequential(run: Run) -> Measured:
             "conditioned_readout_shifts": not conditioning_active or deviation > 1e-3,
             "initial_info_preserved": defects["info_commuting"] <= 1e-10,
             "record_separable": verdict.status == "separable"
-            and (verdict.certificate_error or 1.0) <= CERT_TOL,
+            and (verdict.certificate_error or 1.0) <= separability.CERTIFICATE_TOL,
         },
         notes=notes,
     )

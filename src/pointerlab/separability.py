@@ -26,6 +26,10 @@ bounds the error by the Frobenius norm of what the compression drops; a
 bound above SUPPORT_BOUND_TOL raises instead of answering. A matrix supplied
 whole is transposed and eigensolved densely, which the tests use as the
 oracle.
+
+``readability_check`` forms no N x N apparatus matrix, so a verdict has no
+size limit of its own; ``engine.DENSE_LIMIT`` bounds only the dense
+integrator.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .tensors import (
 
 # Partial-transpose spectrum below this is reported as entanglement.
 ENTANGLEMENT_THRESHOLD = -1e-6
+# Largest trace distance, or first-order defect, at which a certificate holds.
 CERTIFICATE_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_PRUNE = 1e-14
@@ -490,13 +495,7 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
             f"readability analysis refuses {state.provenance} states; "
             f"evolve exactly instead"
         )
-    pdims = state.pointer_dims()
-    if pdims.total > engine.DENSE_LIMIT:
-        raise ValueError(
-            f"apparatus dimension {pdims.total} is too large to analyze; "
-            f"rebuild the state on an analysis grid"
-        )
-    labels = pdims.labels
+    labels = state.pointer_dims().labels
     if cut is None:
         if len(labels) < 2:
             cut = ((labels[0],), ())

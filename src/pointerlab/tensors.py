@@ -5,8 +5,11 @@ factors, for example ``(("system", 2), ("A", 256))``. Every state and
 operator carries its factor layout, so partial traces, bipartite cuts and
 operator embeddings never address a subsystem by bare axis position.
 
-States and operators are dense arrays: the measurement models served here
-top out around a few thousand amplitudes. One structure is kept on purpose.
+States and operators are dense arrays. A state can be large (epr's readout
+state has 4 x 256 x 256 = 262144 amplitudes), but no matrix over a space of
+that size is formed: operators act on small factors, and only the engine's
+dense integrator builds a full product-space matrix, up to its DENSE_LIMIT.
+One structure is kept on purpose.
 A density matrix built from r columns, rho = U U-dagger, remembers U
 (``DensityMatrix.from_factors``). The apparatus and system reductions and
 the post-selected apparatus are built that way; the apparatus state has

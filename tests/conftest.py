@@ -1,6 +1,7 @@
 import pytest
 
 from pointerlab.scenarios import SCENARIOS, run_scenario
+from pointerlab.tensors import DensityMatrix
 
 # Verdict lines collected by the acceptance gate, replayed after the run so
 # they survive output capture in any invocation.
@@ -11,6 +12,20 @@ ACCEPTANCE_LINES: list[str] = []
 def default_reports():
     """Every scenario run once at its default configuration."""
     return {name: run_scenario(name) for name in SCENARIOS}
+
+
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """Dimensions of every density matrix whose ``.matrix`` is read, in order."""
+    formed: list[int] = []
+    matrix = DensityMatrix.__dict__["matrix"]
+
+    def spied(rho):
+        formed.append(rho.dims.total)
+        return matrix.__get__(rho, DensityMatrix)
+
+    monkeypatch.setattr(DensityMatrix, "matrix", property(spied))
+    return formed
 
 
 @pytest.fixture

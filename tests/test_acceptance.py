@@ -88,7 +88,7 @@ def test_c02_weak_value_readout(acceptance_verdict):
         evolved = evolve(state, [Coupling(pauli(SIGMA_Z), "A", impulse, 1.0)])
         result = postselect(evolved, final)
         slowest = max(slowest, time.perf_counter() - started)
-        readout = result.report.postselection.normalized_mean["A"] / impulse
+        readout = result.normalized_mean["A"] / impulse
         errors[impulse] = abs(readout - TAN_PI_8) / TAN_PI_8
     ok = errors[0.01] <= 1e-2 and errors[0.001] <= 1e-4 and slowest < 1.0
     acceptance_verdict(

@@ -83,7 +83,7 @@ class TestRun:
         assert flat["pass"] == "true"
         # 17 significant digits reproduce the double exactly
         assert abs(float(flat["readouts.mean_a"]) - 0.1) < 1e-8
-        assert flat["config.grid_profile"] == "fine"
+        assert flat["config.grid_points"] == "256"
 
     def test_failing_check_exits_two(self, tmp_path, capsys):
         # coarse grid readout misses the 1e-8 gate at this coupling
@@ -92,8 +92,8 @@ class TestRun:
                 "scenario",
                 "run",
                 "weak-noselect",
-                "--profile",
-                "coarse",
+                "--gridN",
+                "16",
                 "--thetaI",
                 "0",
                 "--gA",
@@ -154,6 +154,17 @@ class TestRun:
         cfg.write_text("coupling = 0.3\n")
         assert main(["scenario", "run", "weak-noselect", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", "1"), ("profile", "coarse")])
+    def test_removed_knobs_exit_one(self, key, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "run", "weak-noselect", f"--{key}", value])
+        assert excinfo.value.code == 1
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["scenario", "run", "weak-noselect", "--config", str(cfg)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -232,7 +243,7 @@ class TestSweep:
                 "sweep",
                 "weak-noselect",
                 "--param",
-                "profile",
+                "gridN",
                 "--start",
                 "0",
                 "--stop",

@@ -301,9 +301,8 @@ class TestPostselect:
         evolved = evolve(state, [coupling])
         result = postselect(evolved, bloch_state(0.0, 0.0))
         assert abs(result.probability - 0.75) < 1e-10
-        stats = result.report.postselection
-        assert abs(stats.normalized_mean["A"] - 0.1) < 1e-10
-        assert abs(stats.unnormalized_mean["A"] - 0.075) < 1e-10
+        assert abs(result.normalized_mean["A"] - 0.1) < 1e-10
+        assert abs(result.unnormalized_mean["A"] - 0.075) < 1e-10
 
     def test_probability_matches_overlap_formula(self):
         # closed form: (1 + sin(pi/4) exp(-(gt)^2 / 2 sigma^2)) / 2
@@ -320,6 +319,27 @@ class TestPostselect:
         evolved = evolve(state, [coupling])
         result = postselect(evolved, bloch_state(math.pi / 4, 0.0))
         assert abs(result.apparatus.trace - result.probability) < 1e-12
+
+    def test_two_pointer_readout_grid_from_amplitudes(self, matrix_reads):
+        # 2 x 256 x 256 amplitudes, far above DENSE_LIMIT; nothing squares them
+        specs = [PointerSpec("A", FINE, x0=0.3), PointerSpec("B", FINE, x0=-0.2)]
+        state = build_initial(bloch_state(math.pi / 3, 0.0), specs)
+        couplings = [Coupling(pauli(SIGMA_X), "A", 0.5), Coupling(pauli(SIGMA_Z), "B", 0.5)]
+        evolved = evolve(state, couplings)
+        assert evolved.state.dims.total > engine_module.DENSE_LIMIT
+        final = bloch_state(math.pi / 4, 0.0)
+        result = postselect(evolved, final)
+        selected = np.tensordot(final.amplitudes.conj(), evolved.tensor(), axes=(0, 0))
+        weights = np.abs(selected) ** 2
+        probability = weights.sum()
+        means = {"A": weights.sum(axis=1) @ FINE.positions()}
+        means["B"] = weights.sum(axis=0) @ FINE.positions()
+        assert abs(result.probability - probability) < 1e-14
+        for label, mean in means.items():
+            assert abs(result.unnormalized_mean[label] - mean) < 1e-14
+            assert abs(result.normalized_mean[label] - mean / probability) < 1e-14
+        assert abs(result.apparatus.trace - probability) < 1e-14
+        assert matrix_reads == []
 
     def test_zero_probability_rejected(self):
         state, coupling = _single(theta=math.pi / 2, g=0.0)

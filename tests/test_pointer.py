@@ -180,3 +180,9 @@ class TestTranslate:
         state = gaussian_state(spec)
         with pytest.raises(LeakageError, match="edge"):
             translate(state, 2.5, FINE)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_refuses_nonfinite_shift(self, shift):
+        state = gaussian_state(PointerSpec("A", FINE))
+        with pytest.raises(LeakageError, match=f"translation by {shift} .* edge"):
+            translate(state, shift, FINE)

@@ -68,7 +68,7 @@ def test_each_state_evolved_once(monkeypatch):
     original = engine.evolve
     methods = []
 
-    def counted(state, couplings, method="auto"):
+    def counted(state, couplings, method="shift"):
         methods.append(method)
         return original(state, couplings, method)
 
@@ -84,12 +84,6 @@ def test_each_state_evolved_once(monkeypatch):
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario("weak-unselect")
-
-
-def test_unknown_grid_profile_rejected():
-    cfg = dataclasses.replace(DEFAULTS["weak-noselect"], grid_profile="ultrafine")
-    with pytest.raises(ValueError, match="profile"):
-        run_scenario("weak-noselect", cfg)
 
 
 class TestWeakNoselect:

@@ -278,13 +278,31 @@ class TestReadability:
         with pytest.raises(ValueError, match="refuses"):
             readability_check(truncated)
 
-    def test_refuses_oversized_apparatus(self):
-        fine = PointerGrid(points=256, length=16.0)
-        system = bloch_state(0.0, 0.0)
-        specs = [PointerSpec("A", fine), PointerSpec("B", fine)]
-        state = build_initial(system, specs)
-        with pytest.raises(ValueError, match="too large"):
-            readability_check(state)
+    @pytest.mark.parametrize("kind", ["uncoupled", "commuting", "sequential", "noncommuting"])
+    def test_readout_grid_verdict_matches_analysis_grid(self, kind, matrix_reads):
+        # 256 points per pointer: an apparatus dimension of 65536, and
+        # nothing reads the apparatus matrix at either grid
+        verdicts = [readability_check(_simultaneous_record(n, kind)) for n in (16, 256)]
+        coarse, fine = verdicts
+        assert (fine.status, fine.method) == (coarse.status, coarse.method)
+        kinds = [v.certificate.kind if v.certificate else None for v in verdicts]
+        assert kinds[0] == kinds[1]
+        assert fine.status == ("entangled" if kind == "noncommuting" else "separable")
+        assert matrix_reads == []
+
+
+def _simultaneous_record(points, kind):
+    """A two-dial state at the simultaneous scenario's defaults, g = 0.05."""
+    grid = PointerGrid(points=points, length=16.0)
+    specs = [PointerSpec("A", grid, x0=0.3), PointerSpec("B", grid, x0=-0.2)]
+    initial = build_initial(bloch_state(math.pi / 3, 0.0), specs)
+    x, z = pauli(SIGMA_X), pauli(SIGMA_Z)
+    if kind == "uncoupled":
+        return initial
+    if kind == "sequential":
+        return evolve_sequential(initial, Coupling(z, "A", 0.05), Coupling(x, "B", 0.05))
+    obs_a = z if kind == "commuting" else x
+    return evolve(initial, [Coupling(obs_a, "A", 0.05), Coupling(z, "B", 0.05)])
 
 
 def _record(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA_Z):

@@ -62,7 +62,6 @@ from .tensors import (
     DimensionSpec,
     Operator,
     StateVector,
-    eigh,
     expectation,
     kron_operators,
     kron_states,

@@ -12,8 +12,10 @@ can cross-check each other:
 * ``expm``: builds the dense generator on the full product space, one
   ``np.kron`` per coupling, and applies exp(-i t H) to the state by a scaled
   Taylor series (``tensors.generator_action``) made of matrix-vector
-  products: no eigensolve, no FFT on the state, no N x N unitary. A series
-  step that does not converge within a fixed number of terms, as on NaN,
+  products: no eigensolve, no FFT on the state, no N x N unitary. H is a
+  plain sum of kron products of Operator matrices, which are stored exactly
+  Hermitian, so no N x N matrix is checked or symmetrized. A series step
+  that does not converge within a fixed number of terms, as on NaN,
   raises. Memory-bound, so it refuses spaces beyond DENSE_LIMIT dimensions,
   but it shares no code path with ``shift``; only the momentum matrix is
   built with the FFT library.
@@ -39,12 +41,10 @@ from .pointer import momentum_operator, near_edge
 from .tensors import (
     DensityMatrix,
     DimensionSpec,
-    HERMITIAN_INPUT_TOL,
     NORM_TOL,
     Operator,
     StateVector,
     generator_action,
-    hermiticity_defect,
     kron_states,
     max_abs,
 )
@@ -81,9 +81,6 @@ class Coupling:
             raise ValueError(
                 f"coupling duration must be finite and nonnegative, got {self.duration!r}"
             )
-        defect = hermiticity_defect(self.observable.matrix)
-        if not defect <= HERMITIAN_INPUT_TOL:
-            raise ValueError(f"coupling observable has Hermiticity defect {defect:.3e}")
 
     @property
     def impulse(self) -> float:
@@ -197,7 +194,7 @@ def _updated_bounds(
     """
     bounds = dict(state.shift_bounds)
     for c in couplings:
-        eigs = np.linalg.eigvalsh((c.observable.matrix + c.observable.matrix.conj().T) / 2)
+        eigs = np.linalg.eigvalsh(c.observable.matrix)
         kicks = c.impulse * eigs
         lo, hi = bounds[c.pointer]
         bounds[c.pointer] = (lo + float(kicks.min()), hi + float(kicks.max()))
@@ -278,7 +275,8 @@ def _evolve_blocks(
     return np.fft.ifftn(np.moveaxis(vec, -1, 0), axes=paxes)
 
 
-def _dense_generator(state: UnifiedState, couplings: Sequence[Coupling]) -> Operator:
+def _dense_generator(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
+    """sum_j g_j kron(A_j, ..., pi_j, ...), exactly Hermitian as its factors are."""
     mats = []
     for c in couplings:
         factors = [c.observable.matrix]
@@ -288,8 +286,7 @@ def _dense_generator(state: UnifiedState, couplings: Sequence[Coupling]) -> Oper
             else:
                 factors.append(np.eye(spec.grid.points))
         mats.append(c.strength * reduce(np.kron, factors))
-    total = reduce(np.add, mats)
-    return Operator(state.state.dims, (total + total.conj().T) / 2, hermitian=True)
+    return reduce(np.add, mats)
 
 
 def _evolve_dense(
@@ -500,10 +497,7 @@ def initial_info_expectation(
 
 
 def system_expectation(state: UnifiedState, observable: Operator) -> float:
-    """tr(A rho_system) of a Hermitian system observable A."""
-    defect = hermiticity_defect(observable.matrix)
-    if not defect <= HERMITIAN_INPUT_TOL:
-        raise ValueError(f"observable has Hermiticity defect {defect:.3e}")
+    """tr(A rho_system) of a system observable A."""
     rho = system_density(state).matrix
     value = complex(np.trace(observable.matrix @ rho))
     if not (abs(value.imag) <= EXPECTATION_IMAG_TOL and math.isfinite(value.real)):

@@ -124,7 +124,7 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
 
 def position_operator(grid: PointerGrid, label: str) -> Operator:
     dims = DimensionSpec.of((label, grid.points))
-    return Operator(dims, np.diag(grid.positions().astype(complex)), hermitian=True)
+    return Operator(dims, np.diag(grid.positions().astype(complex)))
 
 
 @lru_cache(maxsize=8)
@@ -143,7 +143,7 @@ def momentum_operator(grid: PointerGrid, label: str) -> Operator:
     if not defect <= HERMITIAN_DERIVED_TOL:
         raise ValueError(f"spectral momentum asymmetry {defect:.3e}")
     dims = DimensionSpec.of((label, n))
-    return Operator(dims, (raw + raw.conj().T) / 2.0, hermitian=True)
+    return Operator(dims, (raw + raw.conj().T) / 2.0)
 
 
 def state_moments(state: StateVector, grid: PointerGrid) -> tuple[float, float]:

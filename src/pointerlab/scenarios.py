@@ -153,14 +153,14 @@ def bloch_state(theta: float, phi: float, label: str = "system") -> StateVector:
 
 
 def pauli(matrix: np.ndarray, label: str = "system") -> Operator:
-    return Operator(DimensionSpec.of((label, 2)), matrix, hermitian=True)
+    return Operator(DimensionSpec.of((label, 2)), matrix)
 
 
 PAULI_X, PAULI_Z = pauli(SIGMA_X), pauli(SIGMA_Z)
 PAIR_DIMS = DimensionSpec.of(("s1", 2), ("s2", 2))
 # sigma_x on the pair's first qubit and sigma_z on its second, identity elsewhere.
-PAIR_X = embed(Operator(PAIR_DIMS.subset(["s1"]), SIGMA_X, hermitian=True), PAIR_DIMS)
-PAIR_Z = embed(Operator(PAIR_DIMS.subset(["s2"]), SIGMA_Z, hermitian=True), PAIR_DIMS)
+PAIR_X = embed(Operator(PAIR_DIMS.subset(["s1"]), SIGMA_X), PAIR_DIMS)
+PAIR_Z = embed(Operator(PAIR_DIMS.subset(["s2"]), SIGMA_Z), PAIR_DIMS)
 Phases = list[list[Coupling]]
 
 
@@ -382,7 +382,7 @@ def _simultaneous(run: Run) -> Measured:
     cross = engine.pointer_cross_mean(state, "A", "B")
     exp_a = expectation(a, system).real
     exp_b = expectation(b, system).real
-    anti = Operator(a.dims, a.matrix @ b.matrix + b.matrix @ a.matrix, hermitian=True)
+    anti = Operator(a.dims, a.matrix @ b.matrix + b.matrix @ a.matrix)
     exp_anti = expectation(anti, system).real
 
     def predicted_cross(coupling_a: Coupling, coupling_b: Coupling) -> float:
@@ -566,8 +566,8 @@ def _epr(run: Run) -> Measured:
     """
     cfg, system, verdict = run.cfg, run.system, run.verdict
     coupling_a, coupling_b = run.couplings
-    correlation = Operator(PAIR_DIMS, np.kron(SIGMA_Z, SIGMA_Z), hermitian=True)
-    squared = Operator(PAIR_DIMS, correlation.matrix @ correlation.matrix, hermitian=True)
+    correlation = Operator(PAIR_DIMS, np.kron(SIGMA_Z, SIGMA_Z))
+    squared = Operator(PAIR_DIMS, correlation.matrix @ correlation.matrix)
     corr = expectation(correlation, system).real
     corr_var = expectation(squared, system).real - corr**2
 
@@ -668,8 +668,8 @@ def _sequential(run: Run) -> Measured:
     # Information left in the system right after the first coupling, read
     # through observables that do and do not commute with it.
     after_first = engine.evolve(engine.build_initial(system, [spec_b]), [first])
-    proj_up = Operator(system.dims, np.diag([1, 0]), hermitian=True)
-    proj_plus = Operator(system.dims, np.full((2, 2), 0.5), hermitian=True)
+    proj_up = Operator(system.dims, np.diag([1, 0]))
+    proj_plus = Operator(system.dims, np.full((2, 2), 0.5))
     info_commuting = engine.system_expectation(after_first, proj_up)
     info_before = expectation(proj_up, system).real
 

@@ -9,6 +9,9 @@ States and operators are dense arrays. A state can be large (epr's readout
 state has 4 x 256 x 256 = 262144 amplitudes), but no matrix over a space of
 that size is formed: operators act on small factors, and only the engine's
 dense integrator builds a full product-space matrix, up to its DENSE_LIMIT.
+An Operator is always Hermitian, checked once when built and stored
+exactly Hermitian, so real-weighted sums of kron products of Operator
+matrices are exactly Hermitian too and are never re-checked.
 One structure is kept on purpose.
 A density matrix built from r columns, rho = U U-dagger, remembers U
 (``DensityMatrix.from_factors``). The apparatus and system reductions and
@@ -121,28 +124,27 @@ class DimensionSpec:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square matrix on a labeled product space.
+    """Hermitian matrix on a labeled product space: an observable or a generator.
 
-    Pass ``hermitian=True`` to assert Hermiticity at construction; the claim
-    is checked entrywise against HERMITIAN_INPUT_TOL and remembered.
+    Construction checks the entrywise defect against HERMITIAN_INPUT_TOL,
+    which also refuses NaN and infinite entries, and keeps the exactly
+    Hermitian part (m + m-dagger) / 2; an exact input such as a Pauli matrix
+    keeps its values.
     """
 
     dims: DimensionSpec
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
-        m = _frozen(self.matrix)
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix, dtype=complex)
         n = self.dims.total
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
-        if self.hermitian:
+        with np.errstate(invalid="ignore"):
             defect = hermiticity_defect(m)
-            if not defect <= HERMITIAN_INPUT_TOL:
-                raise ValueError(
-                    f"matrix claimed Hermitian but has defect {defect:.3e}"
-                )
+        if not defect <= HERMITIAN_INPUT_TOL:
+            raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
+        object.__setattr__(self, "matrix", _frozen((m + m.conj().T) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -332,11 +334,7 @@ def kron_states(a: StateVector, b: StateVector) -> StateVector:
 
 
 def kron_operators(a: Operator, b: Operator) -> Operator:
-    return Operator(
-        a.dims.merge(b.dims),
-        np.kron(a.matrix, b.matrix),
-        hermitian=a.hermitian and b.hermitian,
-    )
+    return Operator(a.dims.merge(b.dims), np.kron(a.matrix, b.matrix))
 
 
 def embed(op: Operator, dims: DimensionSpec) -> Operator:
@@ -359,7 +357,7 @@ def embed(op: Operator, dims: DimensionSpec) -> Operator:
     right_sizes = dims.sizes[start + len(own) :]
     right = int(np.prod(right_sizes)) if right_sizes else 1
     m = np.kron(np.kron(np.eye(left), op.matrix), np.eye(right))
-    return Operator(dims, m, hermitian=op.hermitian)
+    return Operator(dims, m)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
@@ -386,17 +384,9 @@ def expectation(op: Operator, state: StateVector) -> complex:
     return complex(v.conj() @ (op.matrix @ v))
 
 
-def eigh(op: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian operator."""
-    defect = hermiticity_defect(op.matrix)
-    if not defect <= HERMITIAN_INPUT_TOL and not op.hermitian:
-        raise ValueError(f"eigh requires a Hermitian operator, defect {defect:.3e}")
-    return np.linalg.eigh(op.matrix)
-
-
 def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
     """exp(-i * scale * H) through the spectral decomposition of H."""
-    w, v = eigh(op)
+    w, v = np.linalg.eigh(op.matrix)
     u = (v * np.exp(-1j * scale * w)) @ v.conj().T
     defect = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
     if not defect <= HERMITIAN_DERIVED_TOL * u.shape[0]:
@@ -404,8 +394,12 @@ def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
     return u
 
 
-def generator_action(op: Operator, scale: float, vector: np.ndarray) -> np.ndarray:
+def generator_action(h: np.ndarray, scale: float, vector: np.ndarray) -> np.ndarray:
     """exp(-i * scale * H) v by a scaled Taylor series, from products H v alone.
+
+    ``h`` must be Hermitian and is not checked here: the engine's dense
+    integrator passes a real-weighted sum of kron products of Operator
+    matrices, which is exactly Hermitian by construction.
 
     The scaled Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
     488 (2011)): s steps with ||scale * H||_1 / s <= TAYLOR_STEP_NORM, each
@@ -417,13 +411,6 @@ def generator_action(op: Operator, scale: float, vector: np.ndarray) -> np.ndarr
     one with NaN or infinite input does, raises ValueError. No eigensolve
     runs and no matrix-matrix product is formed.
     """
-    h = op.matrix
-    if not op.hermitian:
-        defect = hermiticity_defect(h)
-        if not defect <= HERMITIAN_INPUT_TOL:
-            raise ValueError(
-                f"generator action needs a Hermitian operator, defect {defect:.3e}"
-            )
     v = np.asarray(vector, dtype=complex)
     if v.shape != (h.shape[0],):
         raise ValueError(

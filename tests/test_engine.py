@@ -1,11 +1,15 @@
 """Evolution engine: readout formulas, integrator agreement, guard rails."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointerlab import engine as engine_module
+from pointerlab import tensors
 from pointerlab.engine import (
     Coupling,
     OrthogonalPostselection,
@@ -24,9 +28,16 @@ from pointerlab.engine import (
     system_expectation,
     weak_value,
 )
-from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec
+from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, momentum_operator
 from pointerlab.scenarios import SIGMA_X, SIGMA_Z, bloch_state, pauli
-from pointerlab.tensors import partial_trace, pure_density
+from pointerlab.tensors import (
+    DimensionSpec,
+    Operator,
+    StateVector,
+    hermiticity_defect,
+    partial_trace,
+    pure_density,
+)
 
 FINE = PointerGrid(points=256, length=16.0)
 COARSE = PointerGrid(points=16, length=16.0)
@@ -168,6 +179,61 @@ class TestEvolve:
         )
         with pytest.raises(ValueError, match="preserve the norm"):
             evolve(state, [coupling])
+
+
+class TestDenseGenerator:
+    """The dense oracle's generator: an exact Hermitian sum, checked only at factor size."""
+
+    @pytest.mark.parametrize(
+        "grid, labels", [(FINE, ("A",)), (COARSE, ("A", "B"))], ids=["2x256", "2x16x16"]
+    )
+    def test_expm_checks_no_product_space_matrix(self, monkeypatch, grid, labels):
+        state = build_initial(
+            bloch_state(math.pi / 3, 0.0), [PointerSpec(lab, grid) for lab in labels]
+        )
+        couplings = [
+            Coupling(pauli(m), lab, 0.3, 1.0) for m, lab in zip((SIGMA_X, SIGMA_Z), labels)
+        ]
+        checked = []
+
+        def spied(m, _original=tensors.hermiticity_defect):
+            checked.append(m.shape[0])
+            return _original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pointerlab" and hasattr(module, "hermiticity_defect"):
+                monkeypatch.setattr(module, "hermiticity_defect", spied)
+        momentum_operator.cache_clear()  # so the factor checks run inside evolve
+        evolve(state, couplings, "expm")
+        assert state.state.dims.total == 512
+        assert checked, "the spy saw no Hermiticity check at all"
+        assert max(checked) <= max(state.state.dims.sizes)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-1.9, 1.9), min_size=2, max_size=2),
+    )
+    def test_qudit_generator_exact_and_integrators_agree(self, d, pointers, seed, strengths):
+        # spectral radius 1 and |g| < 2 keep every kick inside the 16-point
+        # box's containment margin of L/2 - 6 sigma = 2
+        rng = np.random.default_rng(seed)
+        dims = DimensionSpec.of(("system", d))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        labels = ("A", "B")[:pointers]
+        state = build_initial(
+            StateVector(dims, v / np.linalg.norm(v)), [PointerSpec(lab, COARSE) for lab in labels]
+        )
+        couplings = []
+        for lab, g in zip(labels, strengths):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = m + m.conj().T
+            h = h / np.abs(np.linalg.eigvalsh(h)).max()
+            couplings.append(Coupling(Operator(dims, h), lab, g, 1.0))
+        assert hermiticity_defect(engine_module._dense_generator(state, couplings)) == 0.0
+        assert cross_validate(state, couplings) <= 1e-12
 
 
 class TestCouplingValidation:

@@ -92,10 +92,10 @@ class TestPartialTranspose:
         )
         rho = pure_density(StateVector(QUBIT_PAIR, amps))
         ua = unitary_from_generator(
-            Operator(DimensionSpec.of(("a", 2)), SIGMA_Y, hermitian=True), angle_a
+            Operator(DimensionSpec.of(("a", 2)), SIGMA_Y), angle_a
         )
         ub = unitary_from_generator(
-            Operator(DimensionSpec.of(("b", 2)), SIGMA_X, hermitian=True), angle_b
+            Operator(DimensionSpec.of(("b", 2)), SIGMA_X), angle_b
         )
         u = np.kron(ua, ub)
         rotated = DensityMatrix(QUBIT_PAIR, u @ rho.matrix @ u.conj().T)
@@ -162,10 +162,10 @@ class TestCommutingDecomposition:
         specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
         sys_dims = DimensionSpec.of(("system", 4))
         ca = Coupling(
-            Operator(sys_dims, np.kron(SIGMA_X, np.eye(2)), hermitian=True), "A", 0.5, 1.0
+            Operator(sys_dims, np.kron(SIGMA_X, np.eye(2))), "A", 0.5, 1.0
         )
         cb = Coupling(
-            Operator(sys_dims, np.kron(np.eye(2), SIGMA_Z), hermitian=True), "B", 0.5, 1.0
+            Operator(sys_dims, np.kron(np.eye(2), SIGMA_Z)), "B", 0.5, 1.0
         )
         decomposition = commuting_decomposition(system, specs, ca, cb)
         assert sorted(decomposition.weights) == pytest.approx([0.25] * 4, abs=1e-10)

@@ -10,11 +10,11 @@ from pointerlab.tensors import (
     DimensionSpec,
     Operator,
     StateVector,
-    eigh,
     embed,
     expectation,
     factored_distance,
     generator_action,
+    hermiticity_defect,
     kron_operators,
     kron_states,
     partial_trace,
@@ -68,7 +68,28 @@ class TestDimensionSpec:
 class TestConstructorValidation:
     def test_operator_rejects_false_hermitian_claim(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            Operator(Q, np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
+            Operator(Q, np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)], ids=["nan", "inf", "-inf", "inf-j"]
+    )
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_operator_rejects_nonfinite(self, bad, where):
+        m = SX.copy()
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(ValueError, match="Hermitian"):
+            Operator(Q, m)
+
+    def test_operator_stores_exactly_hermitian_part(self):
+        m = np.array([[0.25, 0.5 + 1e-13], [0.5, -0.25]], dtype=complex)
+        op = Operator(Q, m)
+        assert hermiticity_defect(op.matrix) == 0.0
+        assert op.matrix.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+        assert op.matrix[0, 1] != m[0, 1]
+
+    def test_operator_has_no_hermitian_flag(self):
+        with pytest.raises(TypeError):
+            Operator(Q, SX, hermitian=True)
 
     def test_state_rejects_wrong_norm(self):
         with pytest.raises(ValueError, match="norm"):
@@ -97,7 +118,7 @@ class TestConstructorValidation:
 
 class TestKron:
     def test_sigma_x_kron_sigma_z_frozen(self):
-        got = kron_operators(Operator(Q, SX, hermitian=True), Operator(R, SZ, hermitian=True))
+        got = kron_operators(Operator(Q, SX), Operator(R, SZ))
         expected = np.array(
             [
                 [0, 0, 1, 0],
@@ -150,29 +171,15 @@ class TestPartialTrace:
         assert abs(reduced.trace - 1.0) < 1e-12
 
 
-class TestEigh:
-    def test_sigma_x_frozen(self):
-        w, v = eigh(Operator(Q, SX, hermitian=True))
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-        # eigenvectors up to phase
-        for col, target in zip(v.T, ([1, -1], [1, 1])):
-            overlap = abs(np.vdot(col, np.array(target) / np.sqrt(2)))
-            assert abs(overlap - 1.0) < 1e-12
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eigh(Operator(Q, np.array([[0, 1], [0, 0]], dtype=complex)))
-
-
 class TestUnitaryFromGenerator:
     def test_sigma_z_quarter_turn_frozen(self):
-        u = unitary_from_generator(Operator(Q, SZ, hermitian=True), np.pi / 2)
+        u = unitary_from_generator(Operator(Q, SZ), np.pi / 2)
         np.testing.assert_allclose(u, np.diag([-1j, 1j]), atol=1e-14)
 
     def test_matches_closed_form_rotation(self):
         # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x
         theta = 0.731
-        u = unitary_from_generator(Operator(Q, SX, hermitian=True), theta)
+        u = unitary_from_generator(Operator(Q, SX), theta)
         expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * SX
         np.testing.assert_allclose(u, expected, atol=1e-14)
 
@@ -183,7 +190,7 @@ class TestUnitaryFromGenerator:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = (m + m.conj().T) / 2
         dims = DimensionSpec.of(("x", 4))
-        u = unitary_from_generator(Operator(dims, h, hermitian=True), scale)
+        u = unitary_from_generator(Operator(dims, h), scale)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -203,27 +210,21 @@ class TestGeneratorAction:
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (m + m.conj().T) / 2
         h = h / np.abs(h).sum(axis=0).max()
-        op = Operator(DimensionSpec.of(("x", n)), h, hermitian=True)
+        op = Operator(DimensionSpec.of(("x", n)), h)
         v = _random_state(rng, op.dims).amplitudes
         t = -scale if backwards else scale
         expected = unitary_from_generator(op, t) @ v
-        assert np.abs(generator_action(op, t, v) - expected).max() <= 1e-12
-
-    def test_rejects_nan_generator(self):
-        h = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            generator_action(Operator(Q, h), 0.5, np.array([1.0, 0.0]))
+        assert np.abs(generator_action(op.matrix, t, v) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_vector_trips_the_convergence_guard(self, bad):
-        op = Operator(Q, SX, hermitian=True)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="did not converge"):
-            generator_action(op, 0.5, np.array([1.0, bad]))
+            generator_action(SX, 0.5, np.array([1.0, bad]))
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf])
     def test_rejects_nonfinite_scale(self, scale):
         with pytest.raises(ValueError, match="finite"):
-            generator_action(Operator(Q, SX, hermitian=True), scale, np.array([1.0, 0.0]))
+            generator_action(SX, scale, np.array([1.0, 0.0]))
 
 
 class TestSchmidt:
@@ -271,22 +272,20 @@ class TestDistanceAndExpectation:
 
     def test_expectation_frozen(self):
         plus = StateVector(Q, np.array([1.0, 1.0]) / np.sqrt(2))
-        assert abs(expectation(Operator(Q, SX, hermitian=True), plus) - 1.0) < 1e-14
-        assert abs(expectation(Operator(Q, SZ, hermitian=True), plus)) < 1e-14
+        assert abs(expectation(Operator(Q, SX), plus) - 1.0) < 1e-14
+        assert abs(expectation(Operator(Q, SZ), plus)) < 1e-14
 
 
 class TestEmbed:
     def test_matches_explicit_kron(self):
         dims = DimensionSpec.of(("s", 2), ("A", 4), ("B", 3))
-        op = Operator(DimensionSpec.of(("A", 4)), np.diag([0, 1, 2, 3]).astype(complex), hermitian=True)
+        op = Operator(DimensionSpec.of(("A", 4)), np.diag([0, 1, 2, 3]).astype(complex))
         expected = np.kron(np.kron(np.eye(2), op.matrix), np.eye(3))
         np.testing.assert_array_equal(embed(op, dims).matrix, expected)
 
     def test_rejects_noncontiguous_block(self):
         dims = DimensionSpec.of(("s", 2), ("A", 4), ("B", 3))
-        op = Operator(
-            DimensionSpec.of(("s", 2), ("B", 3)), np.eye(6, dtype=complex), hermitian=True
-        )
+        op = Operator(DimensionSpec.of(("s", 2), ("B", 3)), np.eye(6, dtype=complex))
         with pytest.raises(ValueError, match="contiguous"):
             embed(op, dims)
 

@@ -171,6 +171,14 @@ class TestPartialTrace:
         assert abs(reduced.trace - 1.0) < 1e-12
 
 
+class TestEigh:
+    """The spectral decomposition reaches np.linalg.eigh only through an Operator."""
+
+    def test_rejects_nonhermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            unitary_from_generator(Operator(Q, np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
+
+
 class TestUnitaryFromGenerator:
     def test_sigma_z_quarter_turn_frozen(self):
         u = unitary_from_generator(Operator(Q, SZ), np.pi / 2)

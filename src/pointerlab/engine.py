@@ -8,7 +8,8 @@ can cross-check each other:
 * ``shift``: works in the pointer momentum representation. When all coupled
   observables commute it reduces to exact per-eigenvalue translations; when
   they do not, the generator is block-diagonal over the momentum grid and
-  each small system block is exponentiated exactly.
+  each small system block is exponentiated exactly: a qubit block by the
+  closed-form SU(2) exponential, a larger one by batched ``eigh``.
 * ``expm``: builds the dense generator on the full product space, one
   ``np.kron`` per coupling, and applies exp(-i t H) to the state by a scaled
   Taylor series (``tensors.generator_action``) made of matrix-vector
@@ -247,6 +248,42 @@ def _evolve_commuting(
     return tensor
 
 
+def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
+    """g * k on the coupled pointer's momentum axis, broadcastable over the grid."""
+    k = state.pointer_spec(c.pointer).grid.wavenumbers()
+    shape = [1] * grid_ndim
+    shape[_pointer_axis(state, c.pointer) - 1] = k.size
+    return c.strength * k.reshape(shape)
+
+
+def _qubit_blocks(
+    ft: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
+) -> np.ndarray:
+    """exp(-i t h(k)) on every momentum block of a qubit, in closed form.
+
+    Each block is h(k) = c0 I + c . sigma with real c0, c, so
+    exp(-i t h) = exp(-i t c0) (cos(t|c|) I - i sin(t|c|)/|c| c . sigma).
+    sin(tr)/r is t sinc(tr/pi), which is t at r = 0 with no special case.
+    """
+    c0 = cx = cy = cz = 0.0
+    for c in couplings:
+        a = c.observable.matrix
+        gk = _kick(state, c, ft.ndim - 1)
+        c0 = c0 + gk * ((a[0, 0] + a[1, 1]).real / 2)
+        cz = cz + gk * ((a[0, 0] - a[1, 1]).real / 2)
+        cx = cx + gk * a[0, 1].real
+        cy = cy - gk * a[0, 1].imag
+    r = np.sqrt(cx**2 + cy**2 + cz**2)
+    phase = np.exp(-1j * t * c0)
+    cos = phase * np.cos(t * r)
+    sin = -1j * phase * (t * np.sinc(t * r / np.pi))
+    u0, u1 = ft
+    return np.stack([
+        cos * u0 + sin * (cz * u0 + (cx - 1j * cy) * u1),
+        cos * u1 + sin * ((cx + 1j * cy) * u0 - cz * u1),
+    ])
+
+
 def _evolve_blocks(
     tensor: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
@@ -254,19 +291,17 @@ def _evolve_blocks(
 
     In the pointer momentum representation the generator is diagonal over
     the momentum grid, leaving one small Hermitian system block per grid
-    point; those are exponentiated by batched eigendecomposition.
+    point. Qubit blocks are exponentiated in closed form
+    (``_qubit_blocks``); larger ones by batched eigendecomposition.
     """
     paxes = tuple(range(1, tensor.ndim))
     ft = np.fft.fftn(tensor, axes=paxes)
-    grid_shape = tensor.shape[1:]
     s = tensor.shape[0]
-    h = np.zeros(grid_shape + (s, s), dtype=complex)
+    if s == 2:
+        return np.fft.ifftn(_qubit_blocks(ft, state, couplings, t), axes=paxes)
+    h = np.zeros(tensor.shape[1:] + (s, s), dtype=complex)
     for c in couplings:
-        axis = _pointer_axis(state, c.pointer) - 1
-        k = state.pointer_spec(c.pointer).grid.wavenumbers()
-        shape = [1] * len(grid_shape)
-        shape[axis] = k.size
-        h = h + c.strength * k.reshape(shape)[..., None, None] * c.observable.matrix
+        h = h + _kick(state, c, tensor.ndim - 1)[..., None, None] * c.observable.matrix
     w, v = np.linalg.eigh(h)
     vec = np.moveaxis(ft, 0, -1)[..., None]
     vec = np.swapaxes(v.conj(), -1, -2) @ vec

@@ -29,7 +29,7 @@ from pointerlab.engine import (
     weak_value,
 )
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, momentum_operator
-from pointerlab.scenarios import SIGMA_X, SIGMA_Z, bloch_state, pauli
+from pointerlab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.tensors import (
     DimensionSpec,
     Operator,
@@ -41,6 +41,7 @@ from pointerlab.tensors import (
 
 FINE = PointerGrid(points=256, length=16.0)
 COARSE = PointerGrid(points=16, length=16.0)
+TINY = PointerGrid(points=8, length=16.0)
 
 TAN_PI_8 = 0.41421356237309503
 
@@ -219,21 +220,103 @@ class TestDenseGenerator:
     def test_qudit_generator_exact_and_integrators_agree(self, d, pointers, seed, strengths):
         # spectral radius 1 and |g| < 2 keep every kick inside the 16-point
         # box's containment margin of L/2 - 6 sigma = 2
-        rng = np.random.default_rng(seed)
-        dims = DimensionSpec.of(("system", d))
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        labels = ("A", "B")[:pointers]
-        state = build_initial(
-            StateVector(dims, v / np.linalg.norm(v)), [PointerSpec(lab, COARSE) for lab in labels]
-        )
-        couplings = []
-        for lab, g in zip(labels, strengths):
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            h = m + m.conj().T
-            h = h / np.abs(np.linalg.eigvalsh(h)).max()
-            couplings.append(Coupling(Operator(dims, h), lab, g, 1.0))
+        state, couplings = _random_qudit_case(d, ("A", "B")[:pointers], COARSE, seed, strengths)
         assert hermiticity_defect(engine_module._dense_generator(state, couplings)) == 0.0
         assert cross_validate(state, couplings) <= 1e-12
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-1.9, 1.9), min_size=3, max_size=3),
+    )
+    def test_three_pointers_integrators_agree(self, d, seed, strengths):
+        # three 8-point pointers keep d * 512 within DENSE_LIMIT; the box and
+        # its containment margin are those of the 16-point grid
+        state, couplings = _random_qudit_case(d, ("A", "B", "C"), TINY, seed, strengths)
+        assert cross_validate(state, couplings) <= 1e-12
+
+
+def _random_qudit_case(d, labels, grid, seed, strengths):
+    """A random qudit state and one random Hermitian coupling per pointer.
+
+    Each observable is scaled to spectral radius 1, so a kick is at most |g|.
+    """
+    rng = np.random.default_rng(seed)
+    dims = DimensionSpec.of(("system", d))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    state = build_initial(
+        StateVector(dims, v / np.linalg.norm(v)), [PointerSpec(lab, grid) for lab in labels]
+    )
+    couplings = []
+    for lab, g in zip(labels, strengths):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = m + m.conj().T
+        h = h / np.abs(np.linalg.eigvalsh(h)).max()
+        couplings.append(Coupling(Operator(dims, h), lab, g, 1.0))
+    return state, couplings
+
+
+SPIN1_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+
+class TestQubitBlocks:
+    """Noncommuting qubit couplings: the closed-form SU(2) step, no eigensolve."""
+
+    def test_only_qudit_blocks_are_eigensolved(self, monkeypatch):
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
+        qubit = build_initial(bloch_state(math.pi / 3, 0.0), specs)
+        pair = [Coupling(pauli(SIGMA_X), "A", 0.3), Coupling(pauli(SIGMA_Z), "B", 0.3)]
+        assert evolve(qubit, pair).state.dims.sizes == (2, 256, 256)
+        assert shapes and all(len(shape) <= 2 for shape in shapes)
+
+        shapes.clear()
+        dims = DimensionSpec.of(("system", 3))
+        specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
+        qutrit = build_initial(StateVector(dims, np.ones(3) / math.sqrt(3)), specs)
+        pair = [
+            Coupling(Operator(dims, SPIN1_X), "A", 0.3),
+            Coupling(Operator(dims, SPIN1_Z), "B", 0.3),
+        ]
+        evolve(qutrit, pair)
+        assert [shape for shape in shapes if len(shape) > 2] == [(16, 16, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.5 * np.eye(2) + 0.5 * SIGMA_X, "A", 0.4), (SIGMA_Z, "B", 0.3)],
+            [(SIGMA_Y, "A", 0.4), (SIGMA_Z, "B", 0.3)],
+            [(SIGMA_X, "A", 0.4), (SIGMA_Z, "A", 0.3)],
+            [(SIGMA_X, "A", 0.0), (SIGMA_Z, "B", 0.3)],
+            [(SIGMA_X, "A", 0.4), (SIGMA_Z, "B", -0.3)],
+        ],
+        ids=["trace-part", "sigma-y", "same-pointer", "zero-strength", "opposite-signs"],
+    )
+    def test_edge_cases_match_dense_oracle(self, monkeypatch, pairs):
+        calls = []
+
+        def spied(*args, _original=engine_module._qubit_blocks):
+            calls.append(args[0].shape)
+            return _original(*args)
+
+        monkeypatch.setattr(engine_module, "_qubit_blocks", spied)
+        labels = sorted({label for _, label, _ in pairs})
+        state = build_initial(
+            bloch_state(math.pi / 3, 0.7), [PointerSpec(lab, COARSE) for lab in labels]
+        )
+        couplings = [Coupling(pauli(m), lab, g) for m, lab, g in pairs]
+        assert cross_validate(state, couplings) <= 1e-12
+        assert calls == [state.tensor().shape]
 
 
 class TestCouplingValidation:

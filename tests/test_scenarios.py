@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import pointerlab
@@ -137,6 +138,51 @@ class TestWeakOrders:
         report = default_reports["weak-orders"]
         assert report.readouts["defect_ratio_order1"] == pytest.approx(4.0, abs=0.5)
         assert report.readouts["defect_ratio_order2"] == pytest.approx(8.0, abs=1.0)
+
+    def test_truncation_defects_match_closed_form(self, default_reports):
+        """Defects against the sigma_x / sigma_z block series, summed term by term.
+
+        Per momentum block h = g_a k_a sigma_x + g_b k_b sigma_z squares to
+        |c|^2 I, so the order-n residual is (C_n(u) I - i S(u) h/|c|) psi(k)
+        with u = t |c|, C_n the cosine series less its first n terms and
+        S = sin u - u. The cross term is imaginary and h/|c| is unitary, so
+        the squared defect is the sum of (C_n^2 + S^2) |psi(k)|^2 over the
+        grid. The system state drops out.
+        """
+        report = default_reports["weak-orders"]
+        cfg = report.config
+        grid = cfg.readout_grid()
+        x, k = grid.positions(), grid.wavenumbers()
+
+        def momentum_weight(x0):
+            amp = np.exp(-((x - x0) ** 2) / (4.0 * cfg.sigma**2))
+            return np.abs(np.fft.fft(amp / np.linalg.norm(amp))) ** 2 / grid.points
+
+        weight = np.multiply.outer(momentum_weight(cfg.x0_a), momentum_weight(cfg.x0_b))
+
+        def defects(scale):
+            u = cfg.t * scale * np.hypot.outer(cfg.g_a * k, cfg.g_b * k)
+            cos_tail = {1: np.zeros_like(u), 2: np.zeros_like(u)}
+            sin_tail = np.zeros_like(u)
+            term = np.ones_like(u)  # (-1)^j u^(2j) / (2j)!
+            for j in range(40):
+                for n in cos_tail:
+                    if j >= n:
+                        cos_tail[n] += term
+                if j >= 1:
+                    sin_tail += term * u / (2 * j + 1)
+                term = -term * u * u / ((2 * j + 1) * (2 * j + 2))
+            return [
+                math.sqrt(float(((cos_tail[n] ** 2 + sin_tail**2) * weight).sum()))
+                for n in (1, 2)
+            ]
+
+        (d1, d2), (h1, h2) = defects(1.0), defects(0.5)
+        readouts = report.readouts
+        assert readouts["truncation_defect_order1"] == pytest.approx(d1, rel=2e-12)
+        assert readouts["truncation_defect_order2"] == pytest.approx(d2, rel=2e-12)
+        assert readouts["defect_ratio_order1"] == pytest.approx(d1 / h1, rel=1e-11)
+        assert readouts["defect_ratio_order2"] == pytest.approx(d2 / h2, rel=1e-11)
 
     def test_coupling_strength_ladder(self, default_reports):
         report = default_reports["weak-orders"]

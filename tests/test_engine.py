@@ -46,6 +46,21 @@ TINY = PointerGrid(points=8, length=16.0)
 TAN_PI_8 = 0.41421356237309503
 
 
+@pytest.fixture
+def eigensolve_shapes(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.eigh and eigvalsh, in call order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 def _single(theta=math.pi / 3, g=0.2, grid=FINE, observable=None, x0=0.0):
     system = bloch_state(theta, 0.0)
     spec = PointerSpec("A", grid, x0=x0, sigma=1.0)
@@ -152,16 +167,8 @@ class TestEvolve:
         state, coupling = _single(g=g)
         assert cross_validate(state, [coupling]) <= 1e-12
 
-    def test_dense_path_runs_no_large_eigensolve(self, monkeypatch):
-        shapes = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def recording(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recording)
+    def test_dense_path_runs_no_large_eigensolve(self, eigensolve_shapes):
+        shapes = eigensolve_shapes
         state, coupling = _single()
         evolve(state, [coupling], "expm")
         assert shapes
@@ -264,16 +271,8 @@ SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 class TestQubitBlocks:
     """Noncommuting qubit couplings: the closed-form SU(2) step, no eigensolve."""
 
-    def test_only_qudit_blocks_are_eigensolved(self, monkeypatch):
-        shapes = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def recording(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recording)
+    def test_only_qudit_blocks_are_eigensolved(self, eigensolve_shapes):
+        shapes = eigensolve_shapes
         specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
         qubit = build_initial(bloch_state(math.pi / 3, 0.0), specs)
         pair = [Coupling(pauli(SIGMA_X), "A", 0.3), Coupling(pauli(SIGMA_Z), "B", 0.3)]

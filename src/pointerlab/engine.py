@@ -10,19 +10,20 @@ can cross-check each other:
   they do not, the generator is block-diagonal over the momentum grid and
   each small system block is exponentiated exactly: a qubit block by the
   closed-form SU(2) exponential, a larger one by batched ``eigh``.
-* ``expm``: builds the dense generator on the full product space, one
-  ``np.kron`` per coupling, and applies exp(-i t H) to the state by a scaled
-  Taylor series (``tensors.generator_action``) made of matrix-vector
-  products: no eigensolve, no FFT on the state, no N x N unitary. H is a
-  plain sum of kron products of Operator matrices, which are stored exactly
-  Hermitian, so no N x N matrix is checked or symmetrized. A series step
-  that does not converge within a fixed number of terms, as on NaN,
-  raises. Memory-bound, so it refuses spaces beyond DENSE_LIMIT dimensions,
-  but it shares no code path with ``shift``; only the momentum matrix is
-  built with the FFT library.
+* ``expm``: applies the generator to the state one factor at a time, each
+  A on the system factors and the dense momentum matrix pi on the pointer
+  factor its label names, and exp(-i t H) by a scaled Taylor series
+  (``tensors.generator_action``) made of those products: no eigensolve, no
+  FFT on the state, no product-space matrix. Operator matrices are stored
+  exactly Hermitian, so H is too and nothing is checked or symmetrized. The
+  series is scaled by sum_j |g_j| ||A_j||_1 ||pi_j||_1, which bounds
+  ||H||_1. A series step that does not converge within a fixed number of
+  terms, as on NaN, raises. It refuses spaces beyond DENSE_LIMIT
+  dimensions, and it shares no code path with ``shift``; only the momentum
+  matrix is built with the FFT library.
 
-DENSE_LIMIT bounds only ``expm``. Everything else here, post-selection
-included, works from the amplitudes and never forms an N x N matrix.
+DENSE_LIMIT bounds only ``expm``. Nothing here, post-selection and ``expm``
+included, forms an N x N matrix; everything works from the amplitudes.
 
 Truncated (perturbative) evolution is available separately for order-by-
 order comparisons; the resulting states are flagged and unnormalized.
@@ -32,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -53,7 +53,9 @@ from .tensors import (
 COMMUTATOR_TOL = 1e-10
 # Largest imaginary part a system expectation may carry before it is refused.
 EXPECTATION_IMAG_TOL = 1e-10
-# Largest product-space dimension the dense integrator will accept.
+# Largest product-space dimension the dense integrator will accept. It forms
+# no product-space matrix, but each product costs the dimension times a
+# pointer grid, and the step count grows with the grid's largest momentum.
 DENSE_LIMIT = 4096
 ORTHOGONAL_OVERLAP_TOL = 1e-12
 MIN_POSTSELECT_PROBABILITY = 1e-14
@@ -310,18 +312,37 @@ def _evolve_blocks(
     return np.fft.ifftn(np.moveaxis(vec, -1, 0), axes=paxes)
 
 
-def _dense_generator(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
-    """sum_j g_j kron(A_j, ..., pi_j, ...), exactly Hermitian as its factors are."""
-    mats = []
+def _dense_action(
+    state: UnifiedState, couplings: Sequence[Coupling]
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """v -> H v for H = sum_j g_j kron(A_j, ..., pi_j, ...), and a bound on ||H||_1.
+
+    H is applied one factor at a time and never formed: g A on the leading
+    system factors and the dense momentum matrix pi on the pointer factor
+    that the state's layout names. The 1-norm of a kron product is the
+    product of its factors' 1-norms, so the bound
+    sum_j |g_j| ||A_j||_1 ||pi_j||_1 is exact for one coupling.
+    """
+    dims = state.state.dims
+    terms = []
+    bound = 0.0
     for c in couplings:
-        factors = [c.observable.matrix]
-        for spec in state.pointers:
-            if spec.label == c.pointer:
-                factors.append(momentum_operator(spec.grid, spec.label).matrix)
-            else:
-                factors.append(np.eye(spec.grid.points))
-        mats.append(c.strength * reduce(np.kron, factors))
-    return reduce(np.add, mats)
+        spec = state.pointer_spec(c.pointer)
+        pi = momentum_operator(spec.grid, spec.label).matrix
+        axis = dims.axis(c.pointer)
+        layout = (math.prod(dims.sizes[:axis]), spec.grid.points, -1)
+        ga = c.strength * c.observable.matrix
+        terms.append((ga, pi, layout))
+        bound += np.linalg.norm(ga, 1) * np.linalg.norm(pi, 1)
+
+    def apply_h(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for ga, pi, layout in terms:
+            moved = np.matmul(pi, v.reshape(layout))
+            out += (ga @ moved.reshape(ga.shape[0], -1)).reshape(-1)
+        return out
+
+    return apply_h, bound
 
 
 def _evolve_dense(
@@ -333,8 +354,8 @@ def _evolve_dense(
             f"dense exponential refuses dimension {dim} > {DENSE_LIMIT}; "
             f"use the shift method or a coarser grid"
         )
-    generator = _dense_generator(state, couplings)
-    return generator_action(generator, t, state.state.amplitudes)
+    apply_h, bound = _dense_action(state, couplings)
+    return generator_action(apply_h, bound, t, state.state.amplitudes)
 
 
 def evolve(
@@ -386,14 +407,13 @@ def evolve_sequential(
     return evolve(evolve(state, first_cs, method), second_cs, method)
 
 
-def expand_perturbative(
+def _partial_sums(
     state: UnifiedState, couplings: Sequence[Coupling], order: int
-) -> UnifiedState:
-    """Truncated Dyson series sum_{m<=order} (-i t H)^m / m! applied to the state.
+) -> tuple[tuple[Coupling, ...], list[np.ndarray]]:
+    """The couplings, and the series sum_{m<=n} (-i t H)^m / m! psi for n = 1..order.
 
-    The result is intentionally unnormalized and flagged by provenance;
-    downstream separability analysis refuses it, and readout moments on it
-    are raw quadratic forms.
+    One pass gives every partial sum, so a caller comparing orders does not
+    recompute the lower terms.
     """
     if order not in (1, 2):
         raise ValueError(f"perturbative order must be 1 or 2, got {order}")
@@ -413,15 +433,29 @@ def expand_perturbative(
             out += np.tensordot(c.observable.matrix, kicked, axes=([1], [0]))
         return out
 
-    term = state.tensor()
-    total = term.copy()
+    term = total = state.tensor()
+    sums = []
     for m in range(1, order + 1):
         term = (-1j * t / m) * apply_h(term)
-        total += term
+        total = total + term
+        sums.append(total.reshape(-1))
+    return cs, sums
+
+
+def expand_perturbative(
+    state: UnifiedState, couplings: Sequence[Coupling], order: int
+) -> UnifiedState:
+    """Truncated Dyson series sum_{m<=order} (-i t H)^m / m! applied to the state.
+
+    The result is intentionally unnormalized and flagged by provenance;
+    downstream separability analysis refuses it, and readout moments on it
+    are raw quadratic forms.
+    """
+    cs, sums = _partial_sums(state, couplings, order)
     provenance: Provenance = "first_order" if order == 1 else "second_order"
     return replace(
         state,
-        state=StateVector(state.state.dims, total.reshape(-1), normalized=False),
+        state=StateVector(state.state.dims, sums[-1], normalized=False),
         provenance=provenance,
         history=state.history + (cs,),
     )

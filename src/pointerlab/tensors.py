@@ -7,8 +7,8 @@ operator embeddings never address a subsystem by bare axis position.
 
 States and operators are dense arrays. A state can be large (epr's readout
 state has 4 x 256 x 256 = 262144 amplitudes), but no matrix over a space of
-that size is formed: operators act on small factors, and only the engine's
-dense integrator builds a full product-space matrix, up to its DENSE_LIMIT.
+that size is formed: operators act on small factors, the engine's dense
+integrator included, which applies its generator factor by factor.
 An Operator is always Hermitian, checked once when built and stored
 exactly Hermitian, so real-weighted sums of kron products of Operator
 matrices are exactly Hermitian too and are never re-checked.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -394,12 +394,20 @@ def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
     return u
 
 
-def generator_action(h: np.ndarray, scale: float, vector: np.ndarray) -> np.ndarray:
+def generator_action(
+    apply_h: Callable[[np.ndarray], np.ndarray],
+    norm_bound: float,
+    scale: float,
+    vector: np.ndarray,
+) -> np.ndarray:
     """exp(-i * scale * H) v by a scaled Taylor series, from products H v alone.
 
-    ``h`` must be Hermitian and is not checked here: the engine's dense
+    ``apply_h`` maps a vector to H times it, and ``norm_bound`` is at least
+    ||H||_1. H must be Hermitian and is not checked here: the engine's dense
     integrator passes a real-weighted sum of kron products of Operator
-    matrices, which is exactly Hermitian by construction.
+    matrices, which is exactly Hermitian by construction, applied factor by
+    factor, with the sum of the products of its factors' 1-norms as the
+    bound. A bound above the true norm only adds scaling steps.
 
     The scaled Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
     488 (2011)): s steps with ||scale * H||_1 / s <= TAYLOR_STEP_NORM, each
@@ -412,11 +420,9 @@ def generator_action(h: np.ndarray, scale: float, vector: np.ndarray) -> np.ndar
     runs and no matrix-matrix product is formed.
     """
     v = np.asarray(vector, dtype=complex)
-    if v.shape != (h.shape[0],):
-        raise ValueError(
-            f"vector of shape {v.shape} does not match operator dimension {h.shape[0]}"
-        )
-    norm = abs(scale) * float(np.abs(h).sum(axis=0).max())
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
+    norm = abs(scale) * norm_bound
     if not math.isfinite(norm):
         raise ValueError(f"generator action needs finite scale * ||H||_1, got {norm!r}")
     steps = max(1, math.ceil(norm / TAYLOR_STEP_NORM))
@@ -425,7 +431,12 @@ def generator_action(h: np.ndarray, scale: float, vector: np.ndarray) -> np.ndar
         term = v
         previous = max_abs(term)
         for j in range(1, TAYLOR_TERM_CAP + 1):
-            term = (a / j) * (h @ term)
+            product = apply_h(term)
+            if product.shape != v.shape:
+                raise ValueError(
+                    f"operator maps a vector of shape {v.shape} to shape {product.shape}"
+                )
+            term = (a / j) * product
             v = v + term
             current = max_abs(term)
             if previous + current <= TAYLOR_TOL * max_abs(v):

@@ -185,6 +185,25 @@ class TestWeakOrders:
         assert readouts["defect_ratio_order1"] == pytest.approx(d1 / h1, rel=1e-11)
         assert readouts["defect_ratio_order2"] == pytest.approx(d2 / h2, rel=1e-11)
 
+    def test_truncation_defects_take_one_series_pass(self, monkeypatch):
+        """One order-2 pass per state gives both partial sums: four H products in all.
+
+        Each product runs one FFT per coupling over the readout state; no
+        other step of the scenario transforms an array of that shape with
+        ``np.fft.fft``.
+        """
+        shapes = []
+        original = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        report = run_scenario("weak-orders")
+        n = report.config.readout_grid().points
+        assert shapes.count((2, n, n)) == 4 * 2
+
     def test_coupling_strength_ladder(self, default_reports):
         report = default_reports["weak-orders"]
         assert report.defects["first_order_certificate"] < 1e-8

@@ -217,22 +217,49 @@ class TestGeneratorAction:
         rng = _rng(seed)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (m + m.conj().T) / 2
-        h = h / np.abs(h).sum(axis=0).max()
+        h = h / np.linalg.norm(h, 1)
         op = Operator(DimensionSpec.of(("x", n)), h)
         v = _random_state(rng, op.dims).amplitudes
         t = -scale if backwards else scale
         expected = unitary_from_generator(op, t) @ v
-        assert np.abs(generator_action(op.matrix, t, v) - expected).max() <= 1e-12
+        actual = generator_action(lambda w: op.matrix @ w, 1.0, t, v)
+        assert np.abs(actual - expected).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.floats(0.5, 30.0))
+    def test_loose_norm_bound_gives_the_same_vector(self, n, seed, scale):
+        # four times the true norm only adds scaling steps
+        rng = _rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (m + m.conj().T) / 2
+        v = _random_state(rng, DimensionSpec.of(("x", n))).amplitudes
+        norm = np.linalg.norm(h, 1)
+        exact = generator_action(lambda w: h @ w, norm, scale / norm, v)
+        loose = generator_action(lambda w: h @ w, 4.0 * norm, scale / norm, v)
+        assert np.abs(loose - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "action, vector",
+        [
+            (lambda w: SX @ w, np.ones(3)),
+            (lambda w: SX @ w[:2], np.ones(3)),
+            (lambda w: SX @ w, np.ones((2, 1))),
+        ],
+        ids=["too-long", "image-too-short", "not-a-vector"],
+    )
+    def test_rejects_mismatched_vector(self, action, vector):
+        with pytest.raises(ValueError):
+            generator_action(action, 1.0, 0.5, vector)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_vector_trips_the_convergence_guard(self, bad):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="did not converge"):
-            generator_action(SX, 0.5, np.array([1.0, bad]))
+            generator_action(lambda w: SX @ w, 1.0, 0.5, np.array([1.0, bad]))
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf])
     def test_rejects_nonfinite_scale(self, scale):
         with pytest.raises(ValueError, match="finite"):
-            generator_action(SX, scale, np.array([1.0, 0.0]))
+            generator_action(lambda w: SX @ w, 1.0, scale, np.array([1.0, 0.0]))
 
 
 class TestSchmidt:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pointerlab import engine, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
-from pointerlab.pointer import PointerGrid, PointerSpec
+from pointerlab.pointer import PointerGrid, PointerSpec, gaussian_state
 from pointerlab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.separability import (
     NonCommutingError,
@@ -218,6 +218,52 @@ class TestFirstOrderCertificate:
         assert decomposition.kind == "first-order-product"
         assert len(decomposition.terms) == 1
         assert defect < 1e-8
+
+    @pytest.mark.parametrize("impulse", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+    def test_wrong_candidate_defect_matches_stencil_oracle(self, monkeypatch, theta, impulse):
+        """A candidate shifted 1.1 times too far: the defect equals a dense oracle's.
+
+        The oracle takes the linear coefficients of the truncated reduced
+        state and of the candidate by the five-point stencil, exact through
+        degree four, over dense N x N matrices; half the trace norm of their
+        difference is the defect.
+        """
+        factor = separability._first_order_factor
+        monkeypatch.setattr(
+            separability,
+            "_first_order_factor",
+            lambda spec, shift: factor(spec, 1.1 * shift),
+        )
+        state, couplings, specs = _coarse_pair(theta=theta, impulse_a=impulse)
+        system = state.initial_system
+        _, defect = first_order_product_certificate(system, specs, *couplings)
+
+        def truncated(s):
+            scaled = [
+                Coupling(c.observable, c.pointer, s * c.strength, c.duration) for c in couplings
+            ]
+            return engine.apparatus_density(
+                engine.expand_perturbative(build_initial(system, specs), scaled, 1)
+            ).matrix
+
+        def candidate(s):
+            amp = np.ones(1, dtype=complex)
+            for spec, c in zip(specs, couplings):
+                psi = gaussian_state(spec).amplitudes
+                k = spec.grid.wavenumbers()
+                mean = (system.amplitudes.conj() @ c.observable.matrix @ system.amplitudes).real
+                kicked = np.fft.ifft(k * np.fft.fft(psi))
+                amp = np.kron(amp, psi - 1.1j * s * c.impulse * mean * kicked)
+            return np.outer(amp, amp.conj())
+
+        def linear(f):
+            return (-f(1.0) + 8 * f(0.5) - 8 * f(-0.5) + f(-1.0)) / 6.0
+
+        diff = linear(truncated) - linear(candidate)
+        oracle = np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2
+        assert oracle > 1e-3
+        assert defect == pytest.approx(oracle, abs=1e-12)
 
 
 class TestReadability:

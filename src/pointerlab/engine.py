@@ -407,7 +407,7 @@ def evolve_sequential(
     return evolve(evolve(state, first_cs, method), second_cs, method)
 
 
-def _partial_sums(
+def partial_sums(
     state: UnifiedState, couplings: Sequence[Coupling], order: int
 ) -> tuple[tuple[Coupling, ...], list[np.ndarray]]:
     """The couplings, and the series sum_{m<=n} (-i t H)^m / m! psi for n = 1..order.
@@ -451,7 +451,7 @@ def expand_perturbative(
     downstream separability analysis refuses it, and readout moments on it
     are raw quadratic forms.
     """
-    cs, sums = _partial_sums(state, couplings, order)
+    cs, sums = partial_sums(state, couplings, order)
     provenance: Provenance = "first_order" if order == 1 else "second_order"
     return replace(
         state,

@@ -457,7 +457,7 @@ def _weak_orders(run: Run) -> Measured:
     def truncation_defects(exact: UnifiedState) -> list[float]:
         """Norm of the gap between ``exact`` and its series at orders 1 and 2."""
         initial = engine.build_initial(system, exact.pointers)
-        _, sums = engine._partial_sums(initial, exact.history[0], 2)
+        _, sums = engine.partial_sums(initial, exact.history[0], 2)
         return [float(np.linalg.norm(exact.state.amplitudes - s)) for s in sums]
 
     d1, d2 = truncation_defects(run.state)

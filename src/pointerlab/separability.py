@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .tensors import (
     TRACE_TOL,
     cut_sides,
     factored_distance,
+    half_trace_norm,
     trace_distance,
 )
 
@@ -369,53 +370,42 @@ def first_order_product_certificate(
 
     The candidate is a single product of Gaussians displaced (to first
     order) by impulse times the initial expectation of each observable. The
-    returned defect compares the first-order coefficients of the candidate
-    and of the actual truncated reduced state. Both are polynomials in a
-    common scaling of the two couplings (degree two and four), so the
-    coefficient is extracted exactly by the five-point derivative stencil,
-    which is error-free through degree five; the defect is roundoff-limited
-    rather than small-coupling-limited.
+    returned defect is half the trace norm of the gap between the linear
+    coefficients, in a common scaling s of the two couplings, of the
+    candidate and of the actual truncated reduced state. With rows
+    m_k(s) = m0_k + s m1_k of the truncated amplitudes and
+    chi(s) = chi0 + s chi1 + O(s^2) the candidate, the gap is
+    sum_k (m0_k m1_k-dagger + m1_k m0_k-dagger) - (chi0 chi1-dagger + chi1 chi0-dagger),
+    taken from its 2r + 2 signed columns without forming an N x N matrix;
+    the defect is roundoff-limited rather than small-coupling-limited.
     """
-    by_label = {spec.label: spec for spec in specs}
-    couplings = (coupling_a, coupling_b)
-    expectations = {
-        c.pointer: float(
-            (initial.amplitudes.conj() @ (c.observable.matrix @ initial.amplitudes)).real
-        )
+    if coupling_a.pointer == coupling_b.pointer:
+        raise ValueError("the two couplings must address distinct pointers")
+    couplings = [coupling_a, coupling_b]
+    amps = initial.amplitudes
+    shifts = {
+        c.pointer: c.impulse * float((amps.conj() @ (c.observable.matrix @ amps)).real)
         for c in couplings
     }
-
-    def truncated_reduced(scale: float) -> np.ndarray:
-        scaled = [dc_replace(c, strength=scale * c.strength) for c in couplings]
-        state = engine.build_initial(initial, list(specs))
-        return engine.apparatus_density(
-            engine.expand_perturbative(state, scaled, order=1)
-        ).matrix
-
-    def candidate_reduced(scale: float) -> np.ndarray:
-        amp = np.ones(1, dtype=complex)
-        for spec in specs:
-            c = next(c for c in couplings if c.pointer == spec.label)
-            chi = _first_order_factor(spec, scale * c.impulse * expectations[c.pointer])
-            amp = np.kron(amp, chi.amplitudes)
-        return np.outer(amp, amp.conj())
-
-    def linear_coefficient(f: Callable[[float], np.ndarray]) -> np.ndarray:
-        return (-f(1.0) + 8 * f(0.5) - 8 * f(-0.5) + f(-1.0)) / 6.0
-
-    diff = linear_coefficient(truncated_reduced) - linear_coefficient(candidate_reduced)
-    defect = float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2)
-    term = ProductTerm(
-        weight=1.0,
-        factors={
-            spec.label: _first_order_factor(
-                spec,
-                next(c for c in couplings if c.pointer == spec.label).impulse
-                * expectations[spec.label],
-            )
-            for spec in specs
-        },
-    )
+    factors = {
+        spec.label: _first_order_factor(spec, shifts.get(spec.label, 0.0)) for spec in specs
+    }
+    chi0 = np.ones(1, dtype=complex)
+    chi1 = np.zeros(1, dtype=complex)
+    for spec in specs:
+        psi = gaussian_state(spec).amplitudes
+        chi1 = np.kron(chi1, psi) + np.kron(chi0, factors[spec.label].amplitudes - psi)
+        chi0 = np.kron(chi0, psi)
+    state = engine.build_initial(initial, specs)
+    _, (first,) = engine.partial_sums(state, couplings, 1)
+    m0 = state.matrix()
+    m1 = first.reshape(m0.shape) - m0
+    # u v-dagger + v u-dagger = ((u + v)(u + v)-dagger - (u - v)(u - v)-dagger) / 2
+    columns = np.vstack([m0 + m1, m0 - m1, chi0 + chi1, chi0 - chi1]).T / math.sqrt(2)
+    r = m0.shape[0]
+    signs = np.concatenate([np.ones(r), -np.ones(r), [-1.0, 1.0]])
+    defect = half_trace_norm(columns, signs)
+    term = ProductTerm(weight=1.0, factors=factors)
     return SeparableDecomposition((term,), kind="first-order-product"), defect
 
 

@@ -284,7 +284,7 @@ def _check_floor(h: np.ndarray, tr: complex) -> None:
         raise ValueError(f"density matrix has eigenvalue {low:.3e} below floor")
 
 
-def _half_trace_norm(columns: np.ndarray, signs: np.ndarray) -> float:
+def half_trace_norm(columns: np.ndarray, signs: np.ndarray) -> float:
     """Half the trace norm of U diag(s) U-dagger, from a thin QR of U.
 
     With U = Q R the nonzero spectrum is that of the k x k matrix R S R-dagger,
@@ -316,7 +316,7 @@ def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
     _check_floor(g, tr)
     u = target.factors
     signs = np.concatenate([np.ones(c.shape[1]), -np.ones(u.shape[1])])
-    return _half_trace_norm(np.hstack([c, u]), signs)
+    return half_trace_norm(np.hstack([c, u]), signs)
 
 
 def pure_density(state: StateVector) -> DensityMatrix:

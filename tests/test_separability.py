@@ -219,6 +219,13 @@ class TestFirstOrderCertificate:
         assert len(decomposition.terms) == 1
         assert defect < 1e-8
 
+    def test_same_pointer_rejected(self):
+        state, _, specs = _coarse_pair()
+        ca = Coupling(pauli(SIGMA_X), "A", 0.3, 1.0)
+        cb = Coupling(pauli(SIGMA_Z), "A", 0.3, 1.0)
+        with pytest.raises(ValueError, match="the two couplings must address distinct pointers"):
+            first_order_product_certificate(state.initial_system, specs, ca, cb)
+
     @pytest.mark.parametrize("impulse", [0.05, 0.5, 1.5])
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
     def test_wrong_candidate_defect_matches_stencil_oracle(self, monkeypatch, theta, impulse):

@@ -199,9 +199,7 @@ class Scenario:
     """One experiment as data.
 
     ``phases(cfg, scale)`` gives the coupling phases with all strengths times
-    ``scale``; phases run in turn, the couplings within one at once. With
-    ``report_analysis`` the analysis-grid state, not the readout one, gives
-    the report's Schmidt data, purity and norm check.
+    ``scale``; phases run in turn, the couplings within one at once.
     """
 
     description: str
@@ -209,7 +207,6 @@ class Scenario:
     phases: Callable[[ScenarioConfig, float], Phases]
     measure: Callable[[Run], Measured]
     system: Callable[[float, float], StateVector] = bloch_state
-    report_analysis: bool = False
 
 
 def _sampled_overlap(spec: PointerSpec, d1: float, d2: float) -> float:
@@ -734,7 +731,6 @@ SCENARIOS: dict[str, Scenario] = {
         defaults=ScenarioConfig(g_a=0.05, g_b=0.05),
         phases=_phase(PAULI_X, PAULI_Z),
         measure=_weak_orders,
-        report_analysis=True,
     ),
     "eigenstate": Scenario(
         description="equal-branch coupling: readout stays put while purity dips",
@@ -801,13 +797,12 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
         state, _ = _evolve(system, specs, phases)
         analysis, paths = _evolve(system, analysis_specs, phases, oracle=True)
     verdict = readability_check(analysis, POINTER_CUT) if len(specs) == 2 else None
-    reported = analysis if scenario.report_analysis else state
-    rho = engine.system_density(reported).matrix
+    rho = engine.system_density(state).matrix
     purity = float(np.trace(rho @ rho).real)
-    schmidt_dict = _schmidt_dict(reported)
+    schmidt_dict = _schmidt_dict(state)
     shared_checks = {
         "evolution_paths_agree": paths <= PATHS_TOL,
-        "norm_preserved": abs(reported.state.norm - 1.0) <= NORM_TOL,
+        "norm_preserved": abs(state.state.norm - 1.0) <= NORM_TOL,
     }
     expected_rank = None
     if len(couplings) == 1:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pointerlab.scenarios import SCENARIOS, run_scenario
@@ -26,6 +27,21 @@ def matrix_reads(monkeypatch):
 
     monkeypatch.setattr(DensityMatrix, "matrix", property(spied))
     return formed
+
+
+@pytest.fixture
+def eigensolve_shapes(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.eigh and eigvalsh, in call order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
 
 
 @pytest.fixture

@@ -56,21 +56,6 @@ TINY = PointerGrid(points=8, length=16.0)
 TAN_PI_8 = 0.41421356237309503
 
 
-@pytest.fixture
-def eigensolve_shapes(monkeypatch):
-    """Shapes of the arrays passed to np.linalg.eigh and eigvalsh, in call order."""
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def recording(a, *args, _original=original, **kwargs):
-            shapes.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recording)
-    return shapes
-
-
 def _single(theta=math.pi / 3, g=0.2, grid=FINE, observable=None, x0=0.0):
     system = bloch_state(theta, 0.0)
     spec = PointerSpec("A", grid, x0=x0, sigma=1.0)

@@ -204,6 +204,13 @@ class TestWeakOrders:
         n = report.config.readout_grid().points
         assert shapes.count((2, n, n)) == 4 * 2
 
+    def test_forms_no_apparatus_matrix(self, matrix_reads, eigensolve_shapes):
+        """Only the 2 x 2 system state is read whole, and no eigensolve reaches
+        the 256 dimensions of the two 16-point analysis pointers."""
+        run_scenario("weak-orders")
+        assert matrix_reads and set(matrix_reads) == {2}
+        assert max(shape[-1] for shape in eigensolve_shapes) < 256
+
     def test_coupling_strength_ladder(self, default_reports):
         report = default_reports["weak-orders"]
         assert report.defects["first_order_certificate"] < 1e-8

@@ -375,9 +375,10 @@ def first_order_product_certificate(
     candidate and of the actual truncated reduced state. With rows
     m_k(s) = m0_k + s m1_k of the truncated amplitudes and
     chi(s) = chi0 + s chi1 + O(s^2) the candidate, the gap is
-    sum_k (m0_k m1_k-dagger + m1_k m0_k-dagger) - (chi0 chi1-dagger + chi1 chi0-dagger),
-    taken from its 2r + 2 signed columns without forming an N x N matrix;
-    the defect is roundoff-limited rather than small-coupling-limited.
+    sum_k (m0_k m1_k-dagger + m1_k m0_k-dagger) minus
+    chi0 chi1-dagger + chi1 chi0-dagger, of rank at most 2r + 2; it is taken
+    from signed columns without forming an N x N matrix, so the defect is
+    roundoff-limited rather than small-coupling-limited.
     """
     if coupling_a.pointer == coupling_b.pointer:
         raise ValueError("the two couplings must address distinct pointers")

@@ -223,12 +223,14 @@ class TestFirstOrderCertificate:
         state, _, specs = _coarse_pair()
         ca = Coupling(pauli(SIGMA_X), "A", 0.3, 1.0)
         cb = Coupling(pauli(SIGMA_Z), "A", 0.3, 1.0)
-        with pytest.raises(ValueError, match="the two couplings must address distinct pointers"):
+        with pytest.raises(ValueError, match="must address distinct pointers"):
             first_order_product_certificate(state.initial_system, specs, ca, cb)
 
     @pytest.mark.parametrize("impulse", [0.05, 0.5, 1.5])
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
-    def test_wrong_candidate_defect_matches_stencil_oracle(self, monkeypatch, theta, impulse):
+    def test_wrong_candidate_defect_matches_stencil_oracle(
+        self, monkeypatch, theta, impulse
+    ):
         """A candidate shifted 1.1 times too far: the defect equals a dense oracle's.
 
         The oracle takes the linear coefficients of the truncated reduced
@@ -248,7 +250,8 @@ class TestFirstOrderCertificate:
 
         def truncated(s):
             scaled = [
-                Coupling(c.observable, c.pointer, s * c.strength, c.duration) for c in couplings
+                Coupling(c.observable, c.pointer, s * c.strength, c.duration)
+                for c in couplings
             ]
             return engine.apparatus_density(
                 engine.expand_perturbative(build_initial(system, specs), scaled, 1)

@@ -5,11 +5,17 @@ a system observable A multiplied by the momentum pi of one pointer. Two
 independent integrators are provided and kept deliberately separate so they
 can cross-check each other:
 
-* ``shift``: works in the pointer momentum representation. When all coupled
-  observables commute it reduces to exact per-eigenvalue translations; when
-  they do not, the generator is block-diagonal over the momentum grid and
-  each small system block is exponentiated exactly: a qubit block by the
-  closed-form SU(2) exponential, a larger one by batched ``eigh``.
+* ``shift``: works in the pointer momentum representation. A state with no
+  history is the product ``build_initial`` made, so its spectrum is the
+  system amplitudes times each packet's cached 1-D FFT, and no forward
+  transform runs over the whole tensor; a later phase transforms the state
+  as it stands. When all coupled observables commute, every coupling of the
+  phase applies its exact per-eigenvalue translation between one forward
+  and one inverse transform; when they do not, the generator is
+  block-diagonal over the momentum grid and each small system block is
+  exponentiated exactly: a qubit block by the closed-form SU(2)
+  exponential, assembled in real arithmetic, a larger one by batched
+  ``eigh``.
 * ``expm``: applies the generator to the state one factor at a time, each
   A on the system factors and the dense momentum matrix pi on the pointer
   factor its label names, and exp(-i t H) by a scaled Taylor series
@@ -27,12 +33,15 @@ included, forms an N x N matrix; everything works from the amplitudes.
 
 Truncated (perturbative) evolution is available separately for order-by-
 order comparisons; the resulting states are flagged and unnormalized.
+``partial_sums`` returns the series terms themselves, so one pass serves
+every impulse scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -232,22 +241,70 @@ def _couplings_commute(couplings: Sequence[Coupling]) -> bool:
     )
 
 
-def _evolve_commuting(
-    tensor: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling]
+@lru_cache(maxsize=16)
+def _packet_spectrum(spec: PointerSpec) -> np.ndarray:
+    """1-D FFT of the packet ``build_initial`` prepares for ``spec``, read-only."""
+    ft = np.fft.fft(gaussian_state(spec).amplitudes)
+    ft.setflags(write=False)
+    return ft
+
+
+def _system_map(m: np.ndarray, tensor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The matrix ``m`` applied to the system axis of ``tensor``, written into ``out``."""
+    d = tensor.shape[0]
+    np.matmul(m, tensor.reshape(d, -1), out=out.reshape(d, -1))
+    return out
+
+
+def _spectrum(
+    state: UnifiedState, axes: tuple[int, ...], left: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-eigenvalue Fourier translations, one commuting coupling at a time."""
-    for c in couplings:
+    """A new array: the amplitudes Fourier transformed over the pointer ``axes``,
+    with ``left`` (if given) applied to the system axis.
+
+    A state with no history is the product ``build_initial`` made, so its
+    transform is the system amplitudes times each transformed packet's
+    cached spectrum and each other packet: no transform runs over the whole
+    tensor. Any other state is transformed as it stands.
+    """
+    if state.history:
+        tensor = state.tensor()
+        if left is None:
+            return np.fft.fftn(tensor, axes=axes)
+        tensor = _system_map(left, tensor, np.empty_like(tensor))
+        return np.fft.fftn(tensor, axes=axes, out=tensor)
+    out = state.initial_system.amplitudes
+    if left is not None:
+        out = left @ out
+    for axis, spec in enumerate(state.pointers, 1):
+        factor = _packet_spectrum(spec) if axis in axes else gaussian_state(spec).amplitudes
+        out = np.multiply.outer(out, factor)
+    return out
+
+
+def _evolve_commuting(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
+    """Per-eigenvalue Fourier translations, every coupling between one transform pair.
+
+    Each coupling multiplies its pointer's momentum amplitudes by
+    exp(-i g t a k) in its observable's eigenbasis. The basis changes act on
+    the system axis, so they commute with the transforms over the pointer
+    axes, and consecutive ones merge into one matrix.
+    """
+    axes = tuple(sorted({_pointer_axis(state, c.pointer) for c in couplings}))
+    bases = [np.linalg.eigh(c.observable.matrix) for c in couplings]
+    ft = _spectrum(state, axes, bases[0][1].conj().T)
+    spare = np.empty_like(ft)
+    for i, (c, (w, v)) in enumerate(zip(couplings, bases)):
+        if i:
+            ft, spare = _system_map(v.conj().T @ bases[i - 1][1], ft, spare), ft
         axis = _pointer_axis(state, c.pointer)
         k = state.pointer_spec(c.pointer).grid.wavenumbers()
-        w, v = np.linalg.eigh(c.observable.matrix)
-        tensor = np.tensordot(v.conj().T, tensor, axes=([1], [0]))
-        ft = np.fft.fft(tensor, axis=axis)
         phase = np.exp(-1j * c.impulse * np.multiply.outer(w, k))
-        shape = [1] * tensor.ndim
+        shape = [1] * ft.ndim
         shape[0], shape[axis] = phase.shape
         ft *= phase.reshape(shape)
-        tensor = np.tensordot(v, np.fft.ifft(ft, axis=axis), axes=([1], [0]))
-    return tensor
+    out = _system_map(bases[-1][1], ft, spare)
+    return np.fft.ifftn(out, axes=axes, out=out)
 
 
 def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
@@ -261,33 +318,64 @@ def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
 def _qubit_blocks(
     ft: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
-    """exp(-i t h(k)) on every momentum block of a qubit, in closed form.
+    """exp(-i t h(k)) on every momentum block of a qubit, in closed form, as a new array.
 
     Each block is h(k) = c0 I + c . sigma with real c0, c, so
-    exp(-i t h) = exp(-i t c0) (cos(t|c|) I - i sin(t|c|)/|c| c . sigma).
-    sin(tr)/r is t sinc(tr/pi), which is t at r = 0 with no special case.
+    exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
+    b = -s (cy + i cx) and s = sin(t|c|)/|c|. s is t sinc(t|c|/pi), which is
+    t at |c| = 0 with no special case. Each coefficient is assembled in real
+    arithmetic into one complex buffer, in turn. A component no observable
+    carries stays the scalar 0 and spans no grid; for c0 the factor
+    exp(-i t c0), exactly 1, is then skipped.
     """
-    c0 = cx = cy = cz = 0.0
+    grid = ft.shape[1:]
+    parts = [0.0, 0.0, 0.0, 0.0]
     for c in couplings:
         a = c.observable.matrix
-        gk = _kick(state, c, ft.ndim - 1)
-        c0 = c0 + gk * ((a[0, 0] + a[1, 1]).real / 2)
-        cz = cz + gk * ((a[0, 0] - a[1, 1]).real / 2)
-        cx = cx + gk * a[0, 1].real
-        cy = cy - gk * a[0, 1].imag
-    r = np.sqrt(cx**2 + cy**2 + cz**2)
-    phase = np.exp(-1j * t * c0)
-    cos = phase * np.cos(t * r)
-    sin = -1j * phase * (t * np.sinc(t * r / np.pi))
+        gk = _kick(state, c, len(grid))
+        weights = (
+            (a[0, 0] + a[1, 1]).real / 2,
+            a[0, 1].real,
+            -a[0, 1].imag,
+            (a[0, 0] - a[1, 1]).real / 2,
+        )
+        for i, w in enumerate(weights):
+            if w:
+                parts[i] = parts[i] + gk * w
+    c0, cx, cy, cz = parts
+    tr = np.sqrt(cx * cx + cy * cy + cz * cz)
+    tr *= t
+    s = np.sinc(tr / np.pi)
+    s *= t
     u0, u1 = ft
-    return np.stack([
-        cos * u0 + sin * (cz * u0 + (cx - 1j * cy) * u1),
-        cos * u1 + sin * ((cx + 1j * cy) * u0 - cz * u1),
-    ])
+    out = np.empty_like(ft)
+    coef = np.empty(grid, dtype=complex)
+    # a = cos - i s cz on u0 into row 0, and a* on u1 into row 1
+    np.cos(tr, out=coef.real)
+    np.multiply(s, -cz, out=coef.imag)
+    np.multiply(coef, u0, out=out[0])
+    np.conjugate(coef, out=coef)
+    np.multiply(coef, u1, out=out[1])
+    # b = -s cy - i s cx on u1 into row 0
+    np.multiply(s, -cy, out=coef.real)
+    np.multiply(s, -cx, out=coef.imag)
+    coef *= u1
+    out[0] += coef
+    # -b* = s cy - i s cx on u0 into row 1
+    np.multiply(s, cy, out=coef.real)
+    np.multiply(s, -cx, out=coef.imag)
+    coef *= u0
+    out[1] += coef
+    if isinstance(c0, np.ndarray):
+        # exp(-i t c0)
+        np.cos(t * c0, out=coef.real)
+        np.sin(-t * c0, out=coef.imag)
+        out *= coef
+    return out
 
 
 def _evolve_blocks(
-    tensor: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
+    state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
     """Exact exponential of the full generator, block by momentum block.
 
@@ -296,14 +384,15 @@ def _evolve_blocks(
     point. Qubit blocks are exponentiated in closed form
     (``_qubit_blocks``); larger ones by batched eigendecomposition.
     """
-    paxes = tuple(range(1, tensor.ndim))
-    ft = np.fft.fftn(tensor, axes=paxes)
-    s = tensor.shape[0]
+    paxes = tuple(range(1, 1 + len(state.pointers)))
+    ft = _spectrum(state, paxes)
+    s = ft.shape[0]
     if s == 2:
-        return np.fft.ifftn(_qubit_blocks(ft, state, couplings, t), axes=paxes)
-    h = np.zeros(tensor.shape[1:] + (s, s), dtype=complex)
+        out = _qubit_blocks(ft, state, couplings, t)
+        return np.fft.ifftn(out, axes=paxes, out=out)
+    h = np.zeros(ft.shape[1:] + (s, s), dtype=complex)
     for c in couplings:
-        h = h + _kick(state, c, tensor.ndim - 1)[..., None, None] * c.observable.matrix
+        h = h + _kick(state, c, ft.ndim - 1)[..., None, None] * c.observable.matrix
     w, v = np.linalg.eigh(h)
     vec = np.moveaxis(ft, 0, -1)[..., None]
     vec = np.swapaxes(v.conj(), -1, -2) @ vec
@@ -376,11 +465,10 @@ def evolve(
     if method == "expm":
         amps = _evolve_dense(state, cs, t)
     elif method == "shift":
-        tensor = state.tensor()
         if _couplings_commute(cs):
-            tensor = _evolve_commuting(tensor, state, cs)
+            tensor = _evolve_commuting(state, cs)
         else:
-            tensor = _evolve_blocks(tensor, state, cs, t)
+            tensor = _evolve_blocks(state, cs, t)
         amps = tensor.reshape(-1)
     else:
         raise ValueError(f"unknown evolution method {method!r}")
@@ -410,36 +498,45 @@ def evolve_sequential(
 def partial_sums(
     state: UnifiedState, couplings: Sequence[Coupling], order: int
 ) -> tuple[tuple[Coupling, ...], list[np.ndarray]]:
-    """The couplings, and the series sum_{m<=n} (-i t H)^m / m! psi for n = 1..order.
+    """The couplings, and the series terms T_m = (-i t H)^m psi / m! for m = 1..order.
 
-    One pass gives every partial sum, so a caller comparing orders does not
-    recompute the lower terms.
+    The order-n partial sum is psi + sum_{m<=n} T_m. Scaling every strength
+    by s scales T_m by s^m, so one pass serves every impulse scale: the
+    partial sums at scale s are psi + sum_{m<=n} s^m T_m, and at s = 1/2
+    that rescaling is exact in binary. Each H product transforms the
+    coupled pointer's axis once per coupling, into one reused buffer.
     """
     if order not in (1, 2):
         raise ValueError(f"perturbative order must be 1 or 2, got {order}")
     if state.provenance != "exact":
         raise ValueError("perturbative expansion starts from an exact state")
     cs, t = _validate_couplings(state, couplings)
+    tensor = state.tensor()
+    kicked = np.empty_like(tensor)
+    mixed = np.empty_like(tensor) if len(cs) > 1 else None
 
-    def apply_h(tensor: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(tensor)
-        for c in cs:
+    def apply_h(v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        for i, c in enumerate(cs):
             axis = _pointer_axis(state, c.pointer)
             k = state.pointer_spec(c.pointer).grid.wavenumbers()
-            shape = [1] * tensor.ndim
+            shape = [1] * v.ndim
             shape[axis] = k.size
-            ft = np.fft.fft(tensor, axis=axis) * (c.strength * k.reshape(shape))
-            kicked = np.fft.ifft(ft, axis=axis)
-            out += np.tensordot(c.observable.matrix, kicked, axes=([1], [0]))
+            np.fft.fft(v, axis=axis, out=kicked)
+            np.multiply(kicked, c.strength * k.reshape(shape), out=kicked)
+            np.fft.ifft(kicked, axis=axis, out=kicked)
+            _system_map(c.observable.matrix, kicked, mixed if i else out)
+            if i:
+                out += mixed
         return out
 
-    term = total = state.tensor()
-    sums = []
+    terms = []
+    term = tensor
     for m in range(1, order + 1):
-        term = (-1j * t / m) * apply_h(term)
-        total = total + term
-        sums.append(total.reshape(-1))
-    return cs, sums
+        term = apply_h(term)
+        term *= -1j * t / m
+        terms.append(term.reshape(-1))
+    return cs, terms
 
 
 def expand_perturbative(
@@ -451,11 +548,14 @@ def expand_perturbative(
     downstream separability analysis refuses it, and readout moments on it
     are raw quadratic forms.
     """
-    cs, sums = partial_sums(state, couplings, order)
+    cs, terms = partial_sums(state, couplings, order)
+    total = state.state.amplitudes + terms[0]
+    for term in terms[1:]:
+        total += term
     provenance: Provenance = "first_order" if order == 1 else "second_order"
     return replace(
         state,
-        state=StateVector(state.state.dims, sums[-1], normalized=False),
+        state=StateVector(state.state.dims, total, normalized=False),
         provenance=provenance,
         history=state.history + (cs,),
     )

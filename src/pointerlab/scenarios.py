@@ -451,14 +451,19 @@ def _weak_orders(run: Run) -> Measured:
     system = run.system
     specs = [replace(spec, grid=ANALYSIS_GRID) for spec in run.state.pointers]
 
-    def truncation_defects(exact: UnifiedState) -> list[float]:
-        """Norm of the gap between ``exact`` and its series at orders 1 and 2."""
-        initial = engine.build_initial(system, exact.pointers)
-        _, sums = engine.partial_sums(initial, exact.history[0], 2)
-        return [float(np.linalg.norm(exact.state.amplitudes - s)) for s in sums]
-
-    d1, d2 = truncation_defects(run.state)
-    d1_half, d2_half = truncation_defects(run.at_scale(0.5))
+    # One series pass serves both impulse scales: at scale s the order-m
+    # term is s^m T_m, an exact rescaling at s = 1/2.
+    initial = engine.build_initial(system, run.state.pointers)
+    psi = initial.state.amplitudes
+    gaps = [run.state.state.amplitudes - psi, run.at_scale(0.5).state.amplitudes - psi]
+    _, terms = engine.partial_sums(initial, run.state.history[0], 2)
+    defects = []
+    for m, term in enumerate(terms, 1):
+        gaps[0] -= term
+        term *= 0.5**m
+        gaps[1] -= term
+        defects.append([float(np.linalg.norm(gap)) for gap in gaps])
+    (d1, d1_half), (d2, d2_half) = defects
     # Ratio 0 stands for "both defects at the roundoff floor".
     ratio1 = d1 / d1_half if d1_half > SCALING_FLOOR else 0.0
     ratio2 = d2 / d2_half if d2_half > SCALING_FLOOR else 0.0

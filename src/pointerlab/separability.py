@@ -398,9 +398,9 @@ def first_order_product_certificate(
         chi1 = np.kron(chi1, psi) + np.kron(chi0, factors[spec.label].amplitudes - psi)
         chi0 = np.kron(chi0, psi)
     state = engine.build_initial(initial, specs)
-    _, (first,) = engine.partial_sums(state, couplings, 1)
+    _, (m1,) = engine.partial_sums(state, couplings, 1)
     m0 = state.matrix()
-    m1 = first.reshape(m0.shape) - m0
+    m1 = m1.reshape(m0.shape)
     # u v-dagger + v u-dagger = ((u + v)(u + v)-dagger - (u - v)(u - v)-dagger) / 2
     columns = np.vstack([m0 + m1, m0 - m1, chi0 + chi1, chi0 - chi1]).T / math.sqrt(2)
     r = m0.shape[0]

@@ -46,6 +46,10 @@ EIGENVALUE_FLOOR = -1e-10
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
+# schmidt: a Gram eigenvector fixes its coefficient s to about eps s_max^2 / s,
+# so coefficients below this fraction of the largest are resolved again from
+# their own, smaller Gram matrix.
+SCHMIDT_GRAM_RESOLUTION = 1e-2
 # generator_action: the largest 1-norm of one Taylor step (theta_55 for
 # double precision, Al-Mohy and Higham, Table 3.1), the most terms a step
 # may take, and the relative size at which the series is cut.
@@ -459,19 +463,44 @@ def cut_sides(dims: DimensionSpec, cut: Cut) -> Cut:
     return left, right
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix with no more rows than columns, unsorted.
+
+    With v_i the eigenvectors of the Gram matrix M M-dagger, the rows
+    v_i-dagger M are orthogonal and their norms are the singular values. An
+    eigenvector is fixed only to within roundoff of the largest eigenvalue,
+    so rows below SCHMIDT_GRAM_RESOLUTION of the largest norm may mix among
+    themselves; their span is still right, and their norms come from the
+    same procedure on those rows alone.
+    """
+    _, v = np.linalg.eigh(m @ m.conj().T)
+    rows = v.conj().T @ m
+    s = np.linalg.norm(rows, axis=1)
+    small = s < SCHMIDT_GRAM_RESOLUTION * s.max()
+    if np.count_nonzero(small) > 1:
+        s[small] = _singular_values(rows[small])
+    return s
+
+
 def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     """Schmidt coefficients across a bipartition, descending, plus the rank.
 
     ``cut`` is a pair of label tuples that together partition the factors.
     Rank counts coefficients above SCHMIDT_RANK_TOL; the coefficients of a
-    normalized state square-sum to one.
+    normalized state square-sum to one. They are the singular values of the
+    amplitudes as a (left, right) matrix, taken from the Gram matrix of its
+    smaller side (``_singular_values``). Non-finite amplitudes are refused.
     """
     left, right = cut_sides(state.dims, cut)
+    # A normalized state passed its norm check, which NaN and inf fail.
+    if not (state.normalized or np.isfinite(state.amplitudes).all()):
+        raise ValueError("Schmidt decomposition needs finite amplitudes")
     t = state.tensor()
     order = [state.dims.axis(lab) for lab in left + right]
     t = np.transpose(t, order)
     dl = int(np.prod([state.dims.dim(lab) for lab in left]))
-    coeffs = np.linalg.svd(t.reshape(dl, -1), compute_uv=False)
+    m = t.reshape(dl, -1)
+    coeffs = np.sort(_singular_values(m.T if m.shape[0] > m.shape[1] else m))[::-1]
     rank = int(np.count_nonzero(coeffs > SCHMIDT_RANK_TOL))
     return coeffs, rank
 

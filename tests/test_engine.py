@@ -1,5 +1,6 @@
 """Evolution engine: readout formulas, integrator agreement, guard rails."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -178,7 +179,7 @@ class TestEvolve:
         # a NaN norm must fail the guard, not slip past a '>' comparison
         state, coupling = _single()
         monkeypatch.setattr(
-            engine_module, "_evolve_commuting", lambda tensor, *_: tensor * math.nan
+            engine_module, "_evolve_commuting", lambda state, *_: state.tensor() * math.nan
         )
         with pytest.raises(ValueError, match="preserve the norm"):
             evolve(state, [coupling])
@@ -348,6 +349,34 @@ class TestQubitBlocks:
         evolve(qutrit, pair)
         assert [shape for shape in shapes if len(shape) > 2] == [(16, 16, 3, 3)]
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.2, 1.5))
+    def test_closed_form_matches_batched_eigh(self, seed, projector, t):
+        """Every momentum block against exp(-i t h(k)) from eigh, c0 != 0 included."""
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        # a projector has trace 1; the random Hermitian matrix has any trace
+        first = np.full((2, 2), 0.5) if projector else m + m.conj().T
+        state = build_initial(
+            bloch_state(math.pi / 3, 0.7), [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
+        )
+        couplings = [
+            Coupling(pauli(first), "A", rng.uniform(-1, 1), t),
+            Coupling(pauli(SIGMA_Z), "B", rng.uniform(-1, 1), t),
+        ]
+        ft = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        got = engine_module._qubit_blocks(ft, state, couplings, t)
+        h = sum(
+            engine_module._kick(state, c, 2)[..., None, None] * c.observable.matrix
+            for c in couplings
+        )
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(-1j * t * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        want = np.einsum("...ij,j...->i...", u, ft)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(ft).max()
+        # h(0) = 0, so the k = 0 block is left exactly as it was
+        assert np.array_equal(got[:, 0, 0], ft[:, 0, 0])
+
     @pytest.mark.parametrize(
         "pairs",
         [
@@ -374,6 +403,46 @@ class TestQubitBlocks:
         couplings = [Coupling(pauli(m), lab, g) for m, lab, g in pairs]
         assert cross_validate(state, couplings) <= 1e-12
         assert calls == [state.tensor().shape]
+
+
+class TestProductStart:
+    """A state with no history is transformed from its packets' 1-D spectra."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_spectrum_matches_fftn_of_the_built_tensor(self, d, pointers, seed, data):
+        # the transformed axes are a nonempty subset: the other pointers are uncoupled
+        axes = tuple(sorted(data.draw(st.sets(st.integers(1, pointers), min_size=1))))
+        rotate = data.draw(st.booleans())
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        specs = [
+            PointerSpec(lab, COARSE, x0=rng.uniform(-1.0, 1.0), sigma=rng.uniform(0.5, 1.0))
+            for lab in ("A", "B", "C")[:pointers]
+        ]
+        system = StateVector(DimensionSpec.of(("system", d)), v / np.linalg.norm(v))
+        state = build_initial(system, specs)
+        left = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) if rotate else None
+        want = np.fft.fftn(state.tensor(), axes=axes)
+        if rotate:
+            want = np.tensordot(left, want, axes=([1], [0]))
+        scale = np.abs(want).max()
+        got = engine_module._spectrum(state, axes, left)
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        # the same state with a history is transformed as it stands
+        aged = dataclasses.replace(state, history=((),))
+        assert np.abs(engine_module._spectrum(aged, axes, left) - want).max() <= 1e-14 * scale
+
+    def test_packet_spectra_are_shared_read_only(self):
+        spec = PointerSpec("A", FINE, x0=0.3)
+        spectrum = engine_module._packet_spectrum(spec)
+        assert engine_module._packet_spectrum(spec) is spectrum
+        assert not spectrum.flags.writeable
 
 
 class TestCouplingValidation:

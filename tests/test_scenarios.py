@@ -82,6 +82,38 @@ def test_each_state_evolved_once(monkeypatch):
     assert len(methods) <= 42
 
 
+# np.fft calls per default scenario on arrays at least the size of two
+# readout-grid pointer axes. A state with no history is transformed from its
+# packets' spectra, so a first phase runs only its inverse transform, and
+# every phase runs at most one transform pair; the weak-orders series runs
+# one pair per coupling per H product.
+READOUT_FFT_PASSES = {
+    "weak-noselect": {},
+    "weak-postselect": {},
+    "simultaneous": {"ifftn": 2},
+    "weak-orders": {"ifftn": 2, "fft": 4, "ifft": 4},
+    "eigenstate": {},
+    "epr": {"ifftn": 1},
+    "sequential": {"fftn": 1, "ifftn": 2},
+}
+
+
+@pytest.mark.parametrize("name", list(READOUT_FFT_PASSES))
+def test_readout_grid_fft_passes(monkeypatch, name):
+    n = DEFAULTS[name].readout_grid().points
+    counts = {}
+    for fname in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft"):
+
+        def counted(a, *args, _name=fname, _original=getattr(np.fft, fname), **kwargs):
+            if np.size(a) >= n * n:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fname, counted)
+    run_scenario(name)
+    assert counts == READOUT_FFT_PASSES[name]
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario("weak-unselect")
@@ -186,7 +218,7 @@ class TestWeakOrders:
         assert readouts["defect_ratio_order2"] == pytest.approx(d2 / h2, rel=1e-11)
 
     def test_truncation_defects_take_one_series_pass(self, monkeypatch):
-        """One order-2 pass per state gives both partial sums: four H products in all.
+        """One order-2 pass serves both impulse scales: two H products in all.
 
         Each product runs one FFT per coupling over the readout state; no
         other step of the scenario transforms an array of that shape with
@@ -202,7 +234,7 @@ class TestWeakOrders:
         monkeypatch.setattr(np.fft, "fft", counted)
         report = run_scenario("weak-orders")
         n = report.config.readout_grid().points
-        assert shapes.count((2, n, n)) == 4 * 2
+        assert shapes.count((2, n, n)) == 4
 
     def test_forms_no_apparatus_matrix(self, matrix_reads, eigensolve_shapes):
         """Only the 2 x 2 system state is read whole, and no eigensolve reaches

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointerlab.engine import Coupling, build_initial, evolve
+from pointerlab.pointer import PointerGrid, PointerSpec
+from pointerlab.scenarios import PAIR_DIMS, PAIR_X, PAIR_Z, PAULI_X, PAULI_Z, bloch_state
 from pointerlab.tensors import (
+    SCHMIDT_RANK_TOL,
     DensityMatrix,
     DimensionSpec,
     Operator,
@@ -296,6 +300,58 @@ class TestSchmidt:
             schmidt(state, (("q",), ("q",)))
         with pytest.raises(ValueError, match="partition"):
             schmidt(state, (("q", "r"), ()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_amplitudes(self, bad):
+        amps = np.ones(16, dtype=complex)
+        amps[5] = bad
+        state = StateVector(DimensionSpec.of(("q", 2), ("r", 8)), amps, normalized=False)
+        with pytest.raises(ValueError, match="finite amplitudes"):
+            schmidt(state, (("q",), ("r",)))
+
+
+def _evolved(system, couplings, grid=PointerGrid(points=256, length=16.0)):
+    """The system coupled to one 256-point pointer per coupling."""
+    specs = [PointerSpec(c.pointer, grid) for c in couplings]
+    return evolve(build_initial(system, specs), couplings).state
+
+
+def _clustered(seed: int, coefficients) -> StateVector:
+    """U diag(c) V-dagger on a 4 x 64 cut, with random unitaries U and V."""
+    rng = _rng(seed)
+    c = np.asarray(coefficients, dtype=float)
+    u = _random_unitary(rng, 4)
+    v = _random_unitary(rng, 64)[:, :4]
+    m = (u * (c / np.linalg.norm(c))) @ v.conj().T
+    return StateVector(DimensionSpec.of(("q", 4), ("r", 64)), m.reshape(-1))
+
+
+SINGLET = StateVector(PAIR_DIMS, np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2))
+GRAM_CASES = {
+    "eigenstate-theta0": lambda: _evolved(bloch_state(0.0, 0.0), [Coupling(PAULI_Z, "A", 0.5)]),
+    "g0": lambda: _evolved(bloch_state(np.pi / 3, 0.0), [Coupling(PAULI_X, "A", 0.0)]),
+    "g1e-9": lambda: _evolved(bloch_state(np.pi / 3, 0.0), [Coupling(PAULI_X, "A", 1e-9)]),
+    "two-dials": lambda: _evolved(
+        bloch_state(np.pi / 3, 0.0), [Coupling(PAULI_X, "A", 0.5), Coupling(PAULI_Z, "B", 0.5)]
+    ),
+    "epr-pair": lambda: _evolved(SINGLET, [Coupling(PAIR_X, "A", 0.5), Coupling(PAIR_Z, "B", 0.5)]),
+    "clustered": lambda: _clustered(1, [0.5, 0.5 + 1e-12, 0.5 - 1e-12, 1e-10]),
+    "near-rank-tol": lambda: _clustered(2, [1.0, 1e-9 * (1 + 1e-3), 1e-9 * (1 - 1e-3), 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_gram_route_matches_svd(case):
+    """The Gram-matrix coefficients against np.linalg.svd, the oracle, on every side."""
+    state = GRAM_CASES[case]()
+    labels = state.dims.labels
+    for cut_at in range(1, len(labels)):
+        cut = (labels[:cut_at], labels[cut_at:])
+        coeffs, rank = schmidt(state, cut)
+        m = state.tensor().reshape(state.dims.subset(cut[0]).total, -1)
+        oracle = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(coeffs, oracle, rtol=0, atol=1e-13)
+        assert rank == np.count_nonzero(oracle > SCHMIDT_RANK_TOL)
 
 
 class TestDistanceAndExpectation:

@@ -475,7 +475,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     """
     _, v = np.linalg.eigh(m @ m.conj().T)
     rows = v.conj().T @ m
-    s = np.linalg.norm(rows, axis=1)
+    s = np.sqrt([np.vdot(row, row).real for row in rows])
     small = s < SCHMIDT_GRAM_RESOLUTION * s.max()
     if np.count_nonzero(small) > 1:
         s[small] = _singular_values(rows[small])

@@ -82,11 +82,11 @@ def test_each_state_evolved_once(monkeypatch):
     assert len(methods) <= 42
 
 
-# np.fft calls per default scenario on arrays at least the size of two
-# readout-grid pointer axes. A state with no history is transformed from its
-# packets' spectra, so a first phase runs only its inverse transform, and
-# every phase runs at most one transform pair; the weak-orders series runs
-# one pair per coupling per H product.
+# np.fft calls per default scenario on arrays shaped (system, n, n): two
+# readout-grid pointer axes behind the system. A state with no history is
+# transformed from its packets' spectra, so a first phase runs only its
+# inverse transform, and every phase runs at most one transform pair; the
+# weak-orders series runs one pair per coupling per H product.
 READOUT_FFT_PASSES = {
     "weak-noselect": {},
     "weak-postselect": {},
@@ -105,7 +105,7 @@ def test_readout_grid_fft_passes(monkeypatch, name):
     for fname in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft"):
 
         def counted(a, *args, _name=fname, _original=getattr(np.fft, fname), **kwargs):
-            if np.size(a) >= n * n:
+            if np.ndim(a) == 3 and np.shape(a)[1:] == (n, n):
                 counts[_name] = counts.get(_name, 0) + 1
             return _original(a, *args, **kwargs)
 

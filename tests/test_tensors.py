@@ -288,6 +288,8 @@ class TestSchmidt:
         dims = Q.merge(R)
         state = _random_state(rng, dims)
         coeffs, _ = schmidt(state, (("q",), ("r",)))
+        oracle = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
+        np.testing.assert_allclose(coeffs, oracle, rtol=0, atol=1e-13)
         rotated = np.kron(_random_unitary(rng, 2), _random_unitary(rng, 2)) @ state.amplitudes
         coeffs2, _ = schmidt(StateVector(dims, rotated), (("q",), ("r",)))
         np.testing.assert_allclose(coeffs, coeffs2, atol=1e-10)

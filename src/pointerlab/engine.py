@@ -259,13 +259,13 @@ def _system_map(m: np.ndarray, tensor: np.ndarray, out: np.ndarray) -> np.ndarra
 def _spectrum(
     state: UnifiedState, axes: tuple[int, ...], left: np.ndarray | None = None
 ) -> np.ndarray:
-    """A new array: the amplitudes Fourier transformed over the pointer ``axes``,
-    with ``left`` (if given) applied to the system axis.
+    """The amplitudes Fourier transformed over pointer ``axes``, as a new array.
 
-    A state with no history is the product ``build_initial`` made, so its
-    transform is the system amplitudes times each transformed packet's
-    cached spectrum and each other packet: no transform runs over the whole
-    tensor. Any other state is transformed as it stands.
+    ``left``, if given, is applied to the system axis as well. A state with
+    no history is the product ``build_initial`` made, so its transform is
+    the system amplitudes times each transformed packet's cached spectrum
+    and each other packet: no transform runs over the whole tensor. Any
+    other state is transformed as it stands.
     """
     if state.history:
         tensor = state.tensor()

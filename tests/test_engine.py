@@ -109,6 +109,25 @@ class TestEvolve:
         ]
         assert cross_validate(state, couplings) < 1e-8
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(SIGMA_Z, "A", 0.3), (SIGMA_Z, "A", -0.5)],
+            [(SIGMA_X, "B", 0.3), (SIGMA_X, "A", 0.5), (SIGMA_X, "B", 0.2)],
+            [(SIGMA_Z, "A", 0.4), (np.diag([-1.0, 2.0]), "B", 0.3)],
+        ],
+        ids=["same-pointer", "three-couplings", "different-eigenbases"],
+    )
+    def test_commuting_phase_matches_dense_oracle(self, pairs):
+        """All couplings of a commuting phase share one transform pair, with or without a history."""
+        specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
+        state = build_initial(bloch_state(1.0, 0.3), specs)
+        couplings = [Coupling(pauli(m), lab, g) for m, lab, g in pairs]
+        assert all(commutes(a.observable, b.observable) for a in couplings for b in couplings)
+        assert cross_validate(state, couplings) <= 1e-12
+        aged = evolve(state, [Coupling(pauli(SIGMA_X), "A", 0.4)])
+        assert cross_validate(aged, couplings) <= 1e-12
+
     def test_commuting_pair_cross_moment_frozen(self):
         # identical couplings to |up>: both pointers shift by 0.2, so the
         # joint moment is exactly 0.04

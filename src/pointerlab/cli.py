@@ -24,6 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -56,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; each parse makes a fresh namespace."""
     parser = _Parser(prog="pointerlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -234,8 +237,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         row["error"] = ""
         return row
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(values))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_step, values))
     else:
         rows = [run_step(v) for v in values]

@@ -23,10 +23,11 @@ can cross-check each other:
   FFT on the state, no product-space matrix. Operator matrices are stored
   exactly Hermitian, so H is too and nothing is checked or symmetrized. The
   series is scaled by sum_j |g_j| ||A_j||_1 ||pi_j||_1, which bounds
-  ||H||_1. A series step that does not converge within a fixed number of
-  terms, as on NaN, raises. It refuses spaces beyond DENSE_LIMIT
-  dimensions, and it shares no code path with ``shift``; only the momentum
-  matrix is built with the FFT library.
+  ||H||_1; ||pi||_1 is kept on the cached momentum Operator, so it is
+  computed once per grid. A series step that does not converge within a
+  fixed number of terms, as on NaN, raises. It refuses spaces beyond
+  DENSE_LIMIT dimensions, and it shares no code path with ``shift``; only
+  the momentum matrix is built with the FFT library.
 
 DENSE_LIMIT bounds only ``expm``. Nothing here, post-selection and ``expm``
 included, forms an N x N matrix; everything works from the amplitudes.
@@ -161,13 +162,13 @@ class UnifiedState:
 
 
 def build_initial(system: StateVector, pointers: Sequence[PointerSpec]) -> UnifiedState:
-    """Product of a system state and freshly prepared Gaussian pointers."""
+    """Product of a system state and the pointers' Gaussian packets, cached per spec."""
     specs = tuple(pointers)
     if not specs:
         raise ValueError("at least one pointer is required")
     full = system
     for spec in specs:
-        full = kron_states(full, gaussian_state(spec))
+        full = kron_states(full, _packet(spec))
     return UnifiedState(
         state=full,
         system=system.dims,
@@ -206,8 +207,7 @@ def _updated_bounds(
     """
     bounds = dict(state.shift_bounds)
     for c in couplings:
-        eigs = np.linalg.eigvalsh(c.observable.matrix)
-        kicks = c.impulse * eigs
+        kicks = c.impulse * c.observable.spectrum[0]
         lo, hi = bounds[c.pointer]
         bounds[c.pointer] = (lo + float(kicks.min()), hi + float(kicks.max()))
     for label, (lo, hi) in bounds.items():
@@ -242,9 +242,15 @@ def _couplings_commute(couplings: Sequence[Coupling]) -> bool:
 
 
 @lru_cache(maxsize=16)
+def _packet(spec: PointerSpec) -> StateVector:
+    """The Gaussian packet ``build_initial`` prepares for ``spec``, read-only."""
+    return gaussian_state(spec)
+
+
+@lru_cache(maxsize=16)
 def _packet_spectrum(spec: PointerSpec) -> np.ndarray:
     """1-D FFT of the packet ``build_initial`` prepares for ``spec``, read-only."""
-    ft = np.fft.fft(gaussian_state(spec).amplitudes)
+    ft = np.fft.fft(_packet(spec).amplitudes)
     ft.setflags(write=False)
     return ft
 
@@ -277,7 +283,7 @@ def _spectrum(
     if left is not None:
         out = left @ out
     for axis, spec in enumerate(state.pointers, 1):
-        factor = _packet_spectrum(spec) if axis in axes else gaussian_state(spec).amplitudes
+        factor = _packet_spectrum(spec) if axis in axes else _packet(spec).amplitudes
         out = np.multiply.outer(out, factor)
     return out
 
@@ -291,7 +297,7 @@ def _evolve_commuting(state: UnifiedState, couplings: Sequence[Coupling]) -> np.
     axes, and consecutive ones merge into one matrix.
     """
     axes = tuple(sorted({_pointer_axis(state, c.pointer) for c in couplings}))
-    bases = [np.linalg.eigh(c.observable.matrix) for c in couplings]
+    bases = [c.observable.spectrum for c in couplings]
     ft = _spectrum(state, axes, bases[0][1].conj().T)
     spare = np.empty_like(ft)
     for i, (c, (w, v)) in enumerate(zip(couplings, bases)):
@@ -417,12 +423,12 @@ def _dense_action(
     bound = 0.0
     for c in couplings:
         spec = state.pointer_spec(c.pointer)
-        pi = momentum_operator(spec.grid, spec.label).matrix
+        pi = momentum_operator(spec.grid, spec.label)
         axis = dims.axis(c.pointer)
         layout = (math.prod(dims.sizes[:axis]), spec.grid.points, -1)
         ga = c.strength * c.observable.matrix
-        terms.append((ga, pi, layout))
-        bound += np.linalg.norm(ga, 1) * np.linalg.norm(pi, 1)
+        terms.append((ga, pi.matrix, layout))
+        bound += np.linalg.norm(ga, 1) * pi.norm_1
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)

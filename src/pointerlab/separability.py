@@ -47,6 +47,7 @@ from .tensors import (
     Cut,
     DensityMatrix,
     DimensionSpec,
+    Operator,
     StateVector,
     TRACE_TOL,
     cut_sides,
@@ -234,14 +235,15 @@ def _support_ppt_min(
 
 
 def _joint_eigensystem(
-    a: np.ndarray, b: np.ndarray
+    a: Operator, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common eigenbasis of two commuting Hermitian matrices.
 
-    Diagonalizes ``a``, then ``b`` inside each degenerate eigenspace of
-    ``a``. Returns the paired eigenvalues and the basis columns.
+    Takes the cached eigendecomposition of ``a``, then diagonalizes ``b``
+    inside each degenerate eigenspace of ``a``. Returns the paired
+    eigenvalues and the basis columns.
     """
-    wa, va = np.linalg.eigh(a)
+    wa, va = a.spectrum
     a_vals, b_vals, columns = [], [], []
     i = 0
     while i < len(wa):
@@ -286,7 +288,7 @@ def commuting_decomposition(
     if coupling_a.pointer == coupling_b.pointer:
         raise ValueError("the two couplings must address distinct pointers")
     a_vals, b_vals, basis = _joint_eigensystem(
-        coupling_a.observable.matrix, coupling_b.observable.matrix
+        coupling_a.observable, coupling_b.observable.matrix
     )
     terms = []
     for idx in range(basis.shape[1]):
@@ -329,7 +331,7 @@ def sequential_decomposition(
     spec_second = by_label[second.pointer]
     staged = engine.evolve(engine.build_initial(initial, [spec_first]), [first])
     m = staged.matrix()
-    w, v = np.linalg.eigh(second.observable.matrix)
+    w, v = second.observable.spectrum
     terms = []
     for idx in range(v.shape[1]):
         conditional = v[:, idx].conj() @ m

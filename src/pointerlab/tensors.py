@@ -27,6 +27,14 @@ distance from such a matrix to a certificate or to another factored matrix
 (``factored_distance``) comes from a thin QR of the stacked columns, so no
 N x N eigensolve runs. Matrices supplied whole keep every check, the full
 spectrum included.
+
+Quantities derived from immutable objects are computed once and kept on
+the object: ``DimensionSpec.labels``, ``sizes`` and ``total``, an
+Operator's eigendecomposition (``spectrum``) and 1-norm (``norm_1``), and a
+StateVector's ``norm``. That is safe because these are frozen dataclasses
+whose arrays are read-only, so the source of a cached value cannot change;
+the cached arrays are read-only too, and equality and hashing still read
+the dataclass fields alone.
 """
 
 from __future__ import annotations
@@ -93,17 +101,18 @@ class DimensionSpec:
     def of(cls, *pairs: tuple[str, int]) -> "DimensionSpec":
         return cls(tuple((str(lab), int(dim)) for lab, dim in pairs))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.factors)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.factors)
 
-    @property
+    @cached_property
     def total(self) -> int:
-        return int(np.prod(self.sizes)) if self.factors else 1
+        """Product of the factor dimensions; 1 for no factors."""
+        return math.prod(self.sizes)
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -150,6 +159,19 @@ class Operator:
             raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
         object.__setattr__(self, "matrix", _frozen((m + m.conj().T) / 2.0))
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the matrix, as read-only arrays."""
+        w, v = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+    @cached_property
+    def norm_1(self) -> float:
+        """The matrix 1-norm, the largest absolute column sum."""
+        return float(np.linalg.norm(self.matrix, 1))
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -168,8 +190,9 @@ class StateVector:
             norm = float(np.linalg.norm(v))
             if not abs(norm - 1.0) <= NORM_TOL:
                 raise ValueError(f"state claimed normalized but has norm {norm!r}")
+            self.__dict__["norm"] = norm  # where the cached property looks first
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -280,10 +303,12 @@ def _check_floor(h: np.ndarray, tr: complex) -> None:
     """Spectrum floor of a Hermitian matrix that shares a state's nonzero spectrum.
 
     The floor scales with the trace so unnormalized reductions are judged
-    on their own magnitude.
+    on their own magnitude. A 1 x 1 matrix, the Gram matrix of one column,
+    is its own eigenvalue, so it needs no eigensolve.
     """
     scale = max(1.0, abs(float(tr.real)))
-    low = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0).min())
+    h = (h + h.conj().T) / 2.0
+    low = float(h[0, 0].real) if h.shape == (1, 1) else float(np.linalg.eigvalsh(h).min())
     if not low >= EIGENVALUE_FLOOR * scale:
         raise ValueError(f"density matrix has eigenvalue {low:.3e} below floor")
 
@@ -357,9 +382,8 @@ def embed(op: Operator, dims: DimensionSpec) -> Operator:
     for lab in own:
         if dims.dim(lab) != op.dims.dim(lab):
             raise ValueError(f"dimension mismatch for factor {lab!r}")
-    left = int(np.prod(dims.sizes[:start])) if start else 1
-    right_sizes = dims.sizes[start + len(own) :]
-    right = int(np.prod(right_sizes)) if right_sizes else 1
+    left = math.prod(dims.sizes[:start])
+    right = math.prod(dims.sizes[start + len(own) :])
     m = np.kron(np.kron(np.eye(left), op.matrix), np.eye(right))
     return Operator(dims, m)
 
@@ -498,7 +522,7 @@ def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     t = state.tensor()
     order = [state.dims.axis(lab) for lab in left + right]
     t = np.transpose(t, order)
-    dl = int(np.prod([state.dims.dim(lab) for lab in left]))
+    dl = math.prod(state.dims.dim(lab) for lab in left)
     m = t.reshape(dl, -1)
     coeffs = np.sort(_singular_values(m.T if m.shape[0] > m.shape[1] else m))[::-1]
     rank = int(np.count_nonzero(coeffs > SCHMIDT_RANK_TOL))

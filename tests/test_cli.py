@@ -2,10 +2,20 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import pointerlab
+from pointerlab import cli, engine
 from pointerlab.cli import main
+from pointerlab.pointer import momentum_operator
+from pointerlab.scenarios import SCENARIOS, get_scenario
 
 REPORT_KEYS = {
     "scenario",
@@ -291,3 +301,121 @@ class TestSweep:
             {k: v for k, v in row.items() if k != "runtime_seconds"} for row in rows
         ]
         assert strip(_read_table_csv(serial)) == strip(_read_table_csv(parallel))
+
+    @staticmethod
+    def _spy_pools(monkeypatch):
+        """Worker counts of every ThreadPoolExecutor the sweep constructs."""
+        asked = []
+        real = cli.ThreadPoolExecutor
+
+        def spied(max_workers=None, **kwargs):
+            asked.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", spied)
+        return asked
+
+    def test_single_step_starts_no_pool(self, monkeypatch, capsys):
+        asked = self._spy_pools(monkeypatch)
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--start", "0.1", "--stop", "0.3"]
+        assert main(argv + ["--steps", "1", "--jobs", "4"]) == 0
+        assert asked == []
+        assert "1 steps, all checks passed" in capsys.readouterr().err
+
+    def test_workers_capped_at_step_count(self, monkeypatch, tmp_path):
+        """A cold start: the parallel run fills the packet and momentum caches from
+        several threads, on a grid no other test uses, before the serial one runs."""
+        engine._packet.cache_clear()
+        engine._packet_spectrum.cache_clear()
+        momentum_operator.cache_clear()
+        asked = self._spy_pools(monkeypatch)
+        base = ["sweep", "weak-postselect", "--param", "gA", "--start", "0.01"]
+        base += ["--stop", "0.05", "--steps", "3", "--gridN", "128", "--gridL", "15"]
+        parallel, serial = tmp_path / "parallel.csv", tmp_path / "serial.csv"
+        assert main(base + ["--jobs", "8", "--out", str(parallel)]) == 0
+        assert asked == [3]
+        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert asked == [3]
+        strip = lambda rows: [
+            {k: v for k, v in row.items() if k != "runtime_seconds"} for row in rows
+        ]
+        assert strip(_read_table_csv(parallel)) == strip(_read_table_csv(serial))
+
+    def test_dense_oracle_takes_the_momentum_norm_once(self, monkeypatch, capsys):
+        """||pi||_1 of the 256-point momentum matrix is computed once per grid."""
+        momentum_operator.cache_clear()
+        one_norms = []
+        norm = np.linalg.norm
+
+        def spied(x, ord=None, *args, **kwargs):
+            if ord == 1:
+                one_norms.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spied)
+        argv = ["sweep", "weak-postselect", "--param", "gA", "--start", "1e-3"]
+        assert main(argv + ["--stop", "5e-2", "--steps", "8", "--log"]) == 0
+        assert "8 steps, all checks passed" in capsys.readouterr().err
+        assert one_norms.count((256, 256)) == 1
+        # each step's dense oracle still takes ||g A||_1 afresh
+        assert one_norms.count((2, 2)) == 8
+
+
+def _masked(stream: str) -> str:
+    """Output with its wall times removed: JSON and CSV fields, and verdict seconds."""
+    text = stream.strip()
+    if text.startswith("{"):
+        report = json.loads(text)
+        report.pop("runtime_seconds")
+        return json.dumps(report, sort_keys=True)
+    if text.startswith("step,"):
+        rows = list(csv.DictReader(text.splitlines()))
+        return json.dumps([{k: v for k, v in r.items() if k != "runtime_seconds"} for r in rows])
+    return re.sub(r"\d+\.\d+s\)", "s)", text)
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees another's flags."""
+
+    CALLS = (
+        ["sweep", "weak-noselect", "--gA", "0.05", "--param", "t", "--start", "0.5"]
+        + ["--stop", "1", "--steps", "2", "--jobs", "2"],
+        ["scenario", "run", "weak-noselect", "--gA"],
+        ["scenario", "run", "weak-noselect"],
+    )
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, _masked(out.out), _masked(out.err)
+
+    def test_calls_in_sequence_match_calls_alone(self, capsys):
+        alone = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            alone.append(self._call(argv, capsys))
+        cli._build_parser.cache_clear()
+        together = [self._call(argv, capsys) for argv in self.CALLS]
+        assert cli._build_parser.cache_info().misses == 1
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 1, 0]
+        assert "expected one argument" in together[1][2]
+        config = json.loads(together[2][1])["config"]
+        assert config["g_a"] == get_scenario("weak-noselect").defaults.g_a != 0.05
+        assert config["t"] == get_scenario("weak-noselect").defaults.t
+
+
+def test_module_entry_point_lists_scenarios():
+    src = str(Path(pointerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pointerlab", "scenario", "list"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == list(SCENARIOS)

@@ -31,7 +31,8 @@ from pointerlab.engine import (
     system_expectation,
     weak_value,
 )
-from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, momentum_operator
+from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
+from pointerlab.pointer import momentum_operator
 from pointerlab.scenarios import (
     PAIR_DIMS,
     PAIR_X,
@@ -181,6 +182,23 @@ class TestEvolve:
     def test_integrators_agree_across_the_sweep_ladder(self, g):
         state, coupling = _single(g=g)
         assert cross_validate(state, [coupling]) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["shift", "expm"])
+    @pytest.mark.parametrize("pair", [False, True], ids=["one", "noncommuting-pair"])
+    def test_repeat_evolve_runs_no_eigensolve(self, eigensolve_shapes, method, pair):
+        """Observable spectra are computed once per Operator, not once per evolve."""
+        grid = COARSE if pair else FINE
+        labels = ("A", "B") if pair else ("A",)
+        state = build_initial(bloch_state(1.0, 0.4), [PointerSpec(lab, grid) for lab in labels])
+        couplings = [
+            Coupling(pauli(m), lab, 0.2) for m, lab in zip((SIGMA_X, SIGMA_Z), labels)
+        ]
+        first = evolve(state, couplings, method)
+        assert eigensolve_shapes
+        eigensolve_shapes.clear()
+        again = evolve(state, couplings, method)
+        assert eigensolve_shapes == []
+        np.testing.assert_array_equal(again.state.amplitudes, first.state.amplitudes)
 
     def test_dense_path_runs_no_large_eigensolve(self, eigensolve_shapes):
         shapes = eigensolve_shapes
@@ -462,6 +480,33 @@ class TestProductStart:
         spectrum = engine_module._packet_spectrum(spec)
         assert engine_module._packet_spectrum(spec) is spectrum
         assert not spectrum.flags.writeable
+
+    def test_packets_are_shared_read_only(self):
+        spec = PointerSpec("A", FINE, x0=0.3)
+        packet = engine_module._packet(spec)
+        assert engine_module._packet(spec) is packet
+        with pytest.raises(ValueError, match="read-only"):
+            packet.amplitudes[0] = 1.0
+        np.testing.assert_array_equal(packet.amplitudes, gaussian_state(spec).amplitudes)
+        state = build_initial(bloch_state(0.0, 0.0), [spec])
+        np.testing.assert_array_equal(state.tensor()[0], packet.amplitudes)
+
+    def test_cache_keys_compare_and_hash_as_before(self):
+        """Grids, specs and dims key the caches; filling them moves no key's hash or equality."""
+        grid = PointerGrid(64, 16.0)
+        spec = PointerSpec("A", grid, 0.25)
+        keys = (grid, spec, spec.dims())
+        hashes = tuple(map(hash, keys))
+        build_initial(bloch_state(0.3, 0.0), [spec])
+        engine_module._packet_spectrum(spec)
+        momentum_operator(grid, "A").norm_1
+        keys[2].labels, keys[2].sizes, keys[2].total
+        fresh_grid = PointerGrid(64, 16.0)
+        fresh = (fresh_grid, PointerSpec("A", fresh_grid, 0.25), DimensionSpec.of(("A", 64)))
+        assert tuple(map(hash, keys)) == hashes == tuple(map(hash, fresh))
+        assert keys == fresh
+        assert spec != PointerSpec("A", grid, 0.5) and grid != PointerGrid(64, 12.0)
+        assert engine_module._packet(fresh[1]) is engine_module._packet(spec)
 
 
 class TestCouplingValidation:

@@ -1,5 +1,9 @@
 """Labeled tensor algebra: frozen matrix values plus structural properties."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +72,22 @@ class TestDimensionSpec:
         with pytest.raises(KeyError):
             DimensionSpec.of(("s", 2)).axis("t")
 
+    def test_no_factors_total_one(self):
+        assert DimensionSpec(()).total == 1
+        assert DimensionSpec(()).sizes == ()
+
+    def test_cached_sizes_leave_equality_and_hash_alone(self):
+        # DimensionSpec keys caches, so reading its cached sizes must not move them
+        pairs = (("s", 2), ("A", 16))
+        read, fresh = DimensionSpec.of(*pairs), DimensionSpec.of(*pairs)
+        before = hash(read)
+        assert (read.labels, read.sizes, read.total) == (("s", "A"), (2, 16), 32)
+        assert hash(read) == before == hash(fresh)
+        assert read == fresh and fresh == read
+        assert repr(read) == repr(fresh)
+        assert {read: 1}[fresh] == 1
+        assert read != DimensionSpec.of(("s", 2), ("A", 8))
+
 
 class TestConstructorValidation:
     def test_operator_rejects_false_hermitian_claim(self):
@@ -106,6 +126,27 @@ class TestConstructorValidation:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(Q, m)
+
+    def test_one_dimensional_floor_needs_no_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
+        one = DimensionSpec.of(("q", 1))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(one, np.array([[-0.5]]), normalized=False)
+        DensityMatrix(one, np.array([[0.5]]), normalized=False)
+        column = np.array([[0.6], [0.8j]])
+        assert DensityMatrix.from_factors(Q, column).trace == pytest.approx(1.0)
+        assert calls == []
+
+    def test_state_norm_is_kept(self):
+        v = np.array([0.6, 0.8j])
+        state = StateVector(Q, v)
+        assert state.norm == float(np.linalg.norm(v))
+        assert state.__dict__["norm"] == state.norm
+        loose = StateVector(Q, 2 * v, normalized=False)
+        assert "norm" not in loose.__dict__
+        assert loose.norm == float(np.linalg.norm(2 * v))
 
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -181,6 +222,53 @@ class TestEigh:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             unitary_from_generator(Operator(Q, np.array([[0, 1], [0, 0]], dtype=complex)), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    def test_cached_spectrum_is_eigh_bit_for_bit(self, n):
+        m = _rng(n).normal(size=(n, n)) + 1j * _rng(n + 1).normal(size=(n, n))
+        op = Operator(DimensionSpec.of(("q", n)), m + m.conj().T)
+        w, v = op.spectrum
+        want_w, want_v = np.linalg.eigh(op.matrix)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(v, want_v)
+        assert op.spectrum[0] is w and op.spectrum[1] is v
+        assert op.norm_1 == np.linalg.norm(op.matrix, 1)
+
+    def test_cached_spectrum_is_read_only(self):
+        op = Operator(Q, SX)
+        w, v = op.spectrum
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+        np.testing.assert_array_equal(op.spectrum[0], [-1.0, 1.0])
+
+    def test_cached_values_agree_across_threads(self):
+        """Threads that race to fill the cached values all read the same numbers."""
+        n = 32
+        m = _rng(7).normal(size=(n, n)) + 1j * _rng(8).normal(size=(n, n))
+        op = Operator(DimensionSpec.of(("q", n)), m + m.conj().T)
+        state = StateVector(DimensionSpec.of(("q", n)), m[0], normalized=False)
+        want = np.linalg.eigh(op.matrix)
+        barrier = threading.Barrier(8)
+
+        def read(_):
+            barrier.wait(timeout=10)
+            return op.spectrum, op.norm_1, state.norm, state.dims.total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(read, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        for (w, v), norm_1, norm, total in seen:
+            np.testing.assert_array_equal(w, want[0])
+            np.testing.assert_array_equal(v, want[1])
+            assert norm_1 == np.linalg.norm(op.matrix, 1)
+            assert norm == np.linalg.norm(m[0])
+            assert total == n
 
 
 class TestUnitaryFromGenerator:

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .pointer import CONTAINMENT_SIGMAS, LeakageError, PointerSpec, gaussian_state
-from .pointer import momentum_operator, near_edge
+from .pointer import momentum_operator, near_edge, state_moments
 from .tensors import (
     DensityMatrix,
     DimensionSpec,
@@ -166,11 +166,8 @@ def build_initial(system: StateVector, pointers: Sequence[PointerSpec]) -> Unifi
     specs = tuple(pointers)
     if not specs:
         raise ValueError("at least one pointer is required")
-    full = system
-    for spec in specs:
-        full = kron_states(full, _packet(spec))
     return UnifiedState(
-        state=full,
+        state=kron_states(system, *map(_packet, specs)),
         system=system.dims,
         pointers=specs,
         initial_system=system,
@@ -253,6 +250,26 @@ def _packet_spectrum(spec: PointerSpec) -> np.ndarray:
     ft = np.fft.fft(_packet(spec).amplitudes)
     ft.setflags(write=False)
     return ft
+
+
+@lru_cache(maxsize=16)
+def _packet_moments(spec: PointerSpec) -> tuple[float, float]:
+    """Measured position mean and spread of the packet ``build_initial`` prepares."""
+    return state_moments(_packet(spec), spec.grid)
+
+
+@lru_cache(maxsize=32)
+def _kicked_packet(spec: PointerSpec, kicks: int) -> np.ndarray:
+    """pi^kicks on the packet ``build_initial`` prepares, pi the pointer momentum, read-only.
+
+    One inverse transform of k^kicks times the cached spectrum; no kick is
+    the packet itself.
+    """
+    if kicks == 0:
+        return _packet(spec).amplitudes
+    out = np.fft.ifft(spec.grid.wavenumbers() ** kicks * _packet_spectrum(spec))
+    out.setflags(write=False)
+    return out
 
 
 def _system_map(m: np.ndarray, tensor: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -481,9 +498,13 @@ def evolve(
     norm = float(np.linalg.norm(amps))
     if not abs(norm - state.state.norm) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
+    # The copy stays: without it scenario-suite peak RSS measured about 2 MB higher.
+    evolved = StateVector._owning(
+        state.state.dims, amps.copy(), normalized=state.state.normalized, norm=norm
+    )
     return replace(
         state,
-        state=StateVector(state.state.dims, amps, normalized=state.state.normalized),
+        state=evolved,
         history=state.history + (cs,),
         shift_bounds=bounds,
     )
@@ -509,14 +530,19 @@ def partial_sums(
     The order-n partial sum is psi + sum_{m<=n} T_m. Scaling every strength
     by s scales T_m by s^m, so one pass serves every impulse scale: the
     partial sums at scale s are psi + sum_{m<=n} s^m T_m, and at s = 1/2
-    that rescaling is exact in binary. Each H product transforms the
-    coupled pointer's axis once per coupling, into one reused buffer.
+    that rescaling is exact in binary. A state with no history is the
+    product ``build_initial`` made, so its terms are sums of outer products
+    of small factors (``_product_terms``). On any other state each H
+    product transforms the coupled pointer's axis once per coupling, into
+    one reused buffer.
     """
     if order not in (1, 2):
         raise ValueError(f"perturbative order must be 1 or 2, got {order}")
     if state.provenance != "exact":
         raise ValueError("perturbative expansion starts from an exact state")
     cs, t = _validate_couplings(state, couplings)
+    if not state.history:
+        return cs, _product_terms(state, cs, t, order)
     tensor = state.tensor()
     kicked = np.empty_like(tensor)
     mixed = np.empty_like(tensor) if len(cs) > 1 else None
@@ -543,6 +569,43 @@ def partial_sums(
         term *= -1j * t / m
         terms.append(term.reshape(-1))
     return cs, terms
+
+
+def _product_terms(
+    state: UnifiedState, cs: tuple[Coupling, ...], t: float, order: int
+) -> list[np.ndarray]:
+    """T_1..T_order on the product state ``build_initial`` made, as sums of outer products.
+
+    Each g A pi of H acts on the system factor and one packet, so T_m is a
+    sum over how its m kicks fall on the pointers. For each way, the system
+    vector gathers every ordered product of the g A with those kicks,
+    applied to the system amplitudes, times -i t / j at step j, and pointer
+    i contributes its packet kicked n_i times (``_kicked_packet``). Only
+    the packets' 1-D transforms run, once per spec and kick count.
+    """
+    index = {spec.label: i for i, spec in enumerate(state.pointers)}
+    layer = {(0,) * len(index): state.initial_system.amplitudes}
+    terms = []
+    for m in range(1, order + 1):
+        grown: dict[tuple[int, ...], np.ndarray] = {}
+        for kicks, vector in layer.items():
+            for c in cs:
+                key = list(kicks)
+                key[index[c.pointer]] += 1
+                key = tuple(key)
+                mapped = (-1j * t / m * c.strength) * (c.observable.matrix @ vector)
+                grown[key] = grown.get(key, 0) + mapped
+        layer = grown
+        total = None
+        for kicks, vector in layer.items():
+            factors = [_kicked_packet(s, n) for s, n in zip(state.pointers, kicks)]
+            product = reduce(np.multiply.outer, factors, vector)
+            if total is None:
+                total = product
+            else:
+                total += product
+        terms.append(total.reshape(-1))
+    return terms
 
 
 def expand_perturbative(

@@ -52,11 +52,26 @@ class PointerGrid:
         return self.length / self.points
 
     def positions(self) -> np.ndarray:
-        return self.center - self.length / 2 + self.spacing * np.arange(self.points)
+        """Site coordinates, read-only; computed once per grid."""
+        return _positions(self)
 
     def wavenumbers(self) -> np.ndarray:
-        """Discrete momenta, in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
+        """Discrete momenta, in FFT ordering, read-only; computed once per grid."""
+        return _wavenumbers(self)
+
+
+@lru_cache(maxsize=16)
+def _positions(grid: PointerGrid) -> np.ndarray:
+    x = grid.center - grid.length / 2 + grid.spacing * np.arange(grid.points)
+    x.setflags(write=False)
+    return x
+
+
+@lru_cache(maxsize=16)
+def _wavenumbers(grid: PointerGrid) -> np.ndarray:
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    k.setflags(write=False)
+    return k
 
 
 def near_edge(center: float, spread: float, grid: PointerGrid) -> bool:
@@ -165,16 +180,25 @@ def translate(state: StateVector, a: float, grid: PointerGrid) -> StateVector:
     """
     if state.dims.total != grid.points or len(state.dims.factors) != 1:
         raise ValueError("translate expects a single-factor state on this grid")
-    mean, std = state_moments(state, grid)
+    shifted = shifted_amplitudes(
+        np.fft.fft(state.amplitudes), state_moments(state, grid), a, grid
+    )
+    return StateVector(state.dims, shifted, normalized=state.normalized)
+
+
+def shifted_amplitudes(
+    spectrum: np.ndarray, moments: tuple[float, float], a: float, grid: PointerGrid
+) -> np.ndarray:
+    """The packet with 1-D FFT ``spectrum`` shifted by ``a``: one inverse transform.
+
+    ``moments`` are the packet's measured mean and spread; the shifted
+    packet must keep CONTAINMENT_SIGMAS spreads inside the box, and a NaN
+    shift fails that test.
+    """
+    mean, std = moments
     if near_edge(mean + a, std, grid):
         raise LeakageError(
             f"translation by {a} would move the packet to within "
             f"{CONTAINMENT_SIGMAS} spreads of the box edge"
         )
-    shifted = _translate_raw(state.amplitudes, a, grid)
-    return StateVector(state.dims, shifted, normalized=state.normalized)
-
-
-def _translate_raw(amplitudes: np.ndarray, a: float, grid: PointerGrid) -> np.ndarray:
-    phase = np.exp(-1j * grid.wavenumbers() * a)
-    return np.fft.ifft(phase * np.fft.fft(amplitudes))
+    return np.fft.ifft(np.exp(-1j * grid.wavenumbers() * a) * spectrum)

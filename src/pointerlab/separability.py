@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace as dc_replace
+from functools import reduce
 from typing import Literal, Sequence
 
 import numpy as np
 
 from . import engine
 from .engine import COMMUTATOR_TOL, Coupling, UnifiedState
-from .pointer import PointerSpec, gaussian_state, translate
+from .pointer import PointerSpec, shifted_amplitudes
 from .tensors import (
     Cut,
     DensityMatrix,
@@ -119,14 +120,12 @@ class SeparableDecomposition:
         return tuple(t.weight for t in self.terms)
 
     def _columns(self, dims: DimensionSpec) -> np.ndarray:
-        """One column per term: the Kronecker product of its factors in ``dims`` order."""
-        columns = []
-        for term in self.terms:
-            amp = np.ones(1, dtype=complex)
-            for label in dims.labels:
-                amp = np.kron(amp, term.factors[label].amplitudes)
-            columns.append(amp)
-        return np.stack(columns, axis=1)
+        """One column per term: the outer product of its factors in ``dims`` order."""
+        columns = [
+            reduce(np.multiply.outer, [term.factors[label].amplitudes for label in dims.labels])
+            for term in self.terms
+        ]
+        return np.stack(columns, axis=-1).reshape(dims.total, len(columns))
 
     def reconstruct(self, dims: DimensionSpec, normalized: bool = True) -> DensityMatrix:
         """Assemble the density matrix the decomposition claims to equal."""
@@ -263,7 +262,15 @@ def _joint_eigensystem(
 
 
 def _translated_gaussian(spec: PointerSpec, shift: float) -> StateVector:
-    return translate(gaussian_state(spec), shift, spec.grid)
+    """``translate(gaussian_state(spec), shift, spec.grid)`` from the engine's cached packet.
+
+    One inverse transform of the phase times the packet's cached spectrum,
+    with ``translate``'s containment test on the packet's cached moments.
+    """
+    amps = shifted_amplitudes(
+        engine._packet_spectrum(spec), engine._packet_moments(spec), shift, spec.grid
+    )
+    return StateVector._owning(spec.dims(), amps)
 
 
 def commuting_decomposition(
@@ -342,7 +349,7 @@ def sequential_decomposition(
             ProductTerm(
                 weight=weight,
                 factors={
-                    spec_first.label: StateVector(
+                    spec_first.label: StateVector._owning(
                         spec_first.dims(), conditional / np.sqrt(weight)
                     ),
                     spec_second.label: _translated_gaussian(
@@ -355,11 +362,13 @@ def sequential_decomposition(
 
 
 def _first_order_factor(spec: PointerSpec, shift: float) -> StateVector:
-    """Gaussian displaced to first order: (1 - i * shift * momentum) psi."""
-    psi = gaussian_state(spec).amplitudes
-    k = spec.grid.wavenumbers()
-    kicked = np.fft.ifft(k * np.fft.fft(psi))
-    return StateVector(spec.dims(), psi - 1j * shift * kicked, normalized=False)
+    """Gaussian displaced to first order: (1 - i * shift * momentum) psi.
+
+    psi and momentum times psi are the engine's cached packet and kicked packet.
+    """
+    psi = engine._packet(spec).amplitudes
+    kicked = engine._kicked_packet(spec, 1)
+    return StateVector._owning(spec.dims(), psi - 1j * shift * kicked, normalized=False)
 
 
 def first_order_product_certificate(
@@ -396,9 +405,10 @@ def first_order_product_certificate(
     chi0 = np.ones(1, dtype=complex)
     chi1 = np.zeros(1, dtype=complex)
     for spec in specs:
-        psi = gaussian_state(spec).amplitudes
-        chi1 = np.kron(chi1, psi) + np.kron(chi0, factors[spec.label].amplitudes - psi)
-        chi0 = np.kron(chi0, psi)
+        psi = engine._packet(spec).amplitudes
+        delta = factors[spec.label].amplitudes - psi
+        chi1 = (np.multiply.outer(chi1, psi) + np.multiply.outer(chi0, delta)).reshape(-1)
+        chi0 = np.multiply.outer(chi0, psi).reshape(-1)
     state = engine.build_initial(initial, specs)
     _, (m1,) = engine.partial_sums(state, couplings, 1)
     m0 = state.matrix()
@@ -448,9 +458,7 @@ def _certificate_route(
     initial = state.initial_system
     specs = state.pointers
     if not state.history:
-        term = ProductTerm(
-            weight=1.0, factors={s.label: gaussian_state(s) for s in specs}
-        )
+        term = ProductTerm(weight=1.0, factors={s.label: engine._packet(s) for s in specs})
         return "uncoupled-product", SeparableDecomposition((term,), kind="uncoupled")
     if len(state.history) == 1 and len(state.history[0]) == 2 and len(specs) == 2:
         ca, cb = state.history[0]

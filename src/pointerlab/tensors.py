@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -175,20 +175,54 @@ class Operator:
 
 @dataclass(frozen=True)
 class StateVector:
+    """Amplitudes on a labeled product space, copied and frozen when built.
+
+    A state claimed normalized has its norm checked against NORM_TOL, which
+    also refuses NaN and infinite amplitudes, and keeps that norm.
+    """
+
     dims: DimensionSpec
     amplitudes: np.ndarray
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        v = _frozen(self.amplitudes).reshape(-1)
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes).reshape(-1))
+        self._check(None)
+
+    @classmethod
+    def _owning(
+        cls,
+        dims: DimensionSpec,
+        amplitudes: np.ndarray,
+        normalized: bool = True,
+        norm: float | None = None,
+    ) -> "StateVector":
+        """A state that takes over ``amplitudes``, a fresh complex array nothing else holds.
+
+        The array is made read-only in place instead of copied. ``norm``, if
+        given, is its norm as the caller already took it, kept instead of
+        taken again; a normalized claim is checked against NORM_TOL either way.
+        """
+        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        v.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amplitudes", v)
+        object.__setattr__(state, "normalized", normalized)
+        state._check(norm)
+        return state
+
+    def _check(self, norm: float | None) -> None:
+        """Amplitude count and normalized claim; keeps ``norm``, taking it if needed."""
+        v = self.amplitudes
         if v.size != self.dims.total:
             raise ValueError(
                 f"amplitude count {v.size} does not match dims total {self.dims.total}"
             )
-        if self.normalized:
+        if norm is None and self.normalized:
             norm = float(np.linalg.norm(v))
-            if not abs(norm - 1.0) <= NORM_TOL:
+        if norm is not None:
+            if self.normalized and not abs(norm - 1.0) <= NORM_TOL:
                 raise ValueError(f"state claimed normalized but has norm {norm!r}")
             self.__dict__["norm"] = norm  # where the cached property looks first
 
@@ -353,12 +387,21 @@ def pure_density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(state.dims, np.outer(v, v.conj()), normalized=state.normalized)
 
 
-def kron_states(a: StateVector, b: StateVector) -> StateVector:
-    dims = a.dims.merge(b.dims)
-    return StateVector(
-        dims,
-        np.kron(a.amplitudes, b.amplitudes),
-        normalized=a.normalized and b.normalized,
+def kron_states(*states: StateVector) -> StateVector:
+    """Tensor product of the states, in order, from one outer-product chain.
+
+    The result owns the product array, read-only; no intermediate state is
+    made. Its norm is the product of the factors' cached norms, and it is
+    claimed normalized when every factor is, a claim still checked against
+    NORM_TOL.
+    """
+    if not states:
+        raise ValueError("kron_states needs at least one state")
+    return StateVector._owning(
+        DimensionSpec(tuple(f for s in states for f in s.dims.factors)),
+        reduce(np.multiply.outer, [s.amplitudes for s in states]),
+        normalized=all(s.normalized for s in states),
+        norm=math.prod(s.norm for s in states),
     )
 
 

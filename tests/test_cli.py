@@ -1,6 +1,7 @@
 """Command line interface: formats, exit codes, config precedence."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -409,13 +410,50 @@ class TestParserReuse:
         assert config["t"] == get_scenario("weak-noselect").defaults.t
 
 
-def test_module_entry_point_lists_scenarios():
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports pointerlab from this checkout."""
     src = str(Path(pointerlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pointerlab", "scenario", "list"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_module_entry_point_lists_scenarios():
+    proc = _run_python("-m", "pointerlab", "scenario", "list")
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[0] for line in proc.stdout.splitlines()] == list(SCENARIOS)
+
+
+LADDER_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "separability_ladder.py"
+
+
+class TestSeparabilityLadderScript:
+    def test_three_rungs_commuting_control_stays_separable(self):
+        proc = _run_python(str(LADDER_SCRIPT), "--rungs", "3")
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split() == ["impulse", "noncommuting", "ppt", "min", "commuting"]
+        assert len(rows) == 3
+        assert [row.split()[-1] for row in rows] == ["separable"] * 3
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--strongest", "nan"], "finite"),
+            (["--strongest", "inf"], "finite"),
+            (["--strongest", "2.5"], "box edge"),
+            (["--strongest", "-2.5"], "box edge"),
+            (["--rungs", "0"], "at least 1"),
+            (["--rungs", "-2"], "at least 1"),
+        ],
+    )
+    def test_refuses_bad_ladders_where_they_enter(self, capsys, argv, reason):
+        spec = importlib.util.spec_from_file_location("separability_ladder", LADDER_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and reason in err

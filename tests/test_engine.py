@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestEvolve:
         state, coupling = _single()
         with pytest.raises(ValueError, match="method"):
             evolve(state, [coupling], "magic")
+
+    @pytest.mark.parametrize("method", ["shift", "expm"])
+    def test_result_norm_taken_once(self, monkeypatch, method):
+        state, coupling = _single(grid=COARSE)
+        sizes = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        evolved = evolve(state, [coupling], method)
+        assert sizes.count(state.state.dims.total) == 1
+        assert evolved.state.norm == norm(evolved.state.amplitudes)
 
     def test_norm_guard_catches_nan(self, monkeypatch):
         # a NaN norm must fail the guard, not slip past a '>' comparison
@@ -474,6 +490,62 @@ class TestProductStart:
         # the same state with a history is transformed as it stands
         aged = dataclasses.replace(state, history=((),))
         assert np.abs(engine_module._spectrum(aged, axes, left) - want).max() <= 1e-14 * scale
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.data(),
+    )
+    def test_series_matches_dense_action(self, d, pointers, seed, order, data):
+        """Product-start T_m against m applications of the dense oracle's H.
+
+        Couplings land on any pointer, two on one included, and pointers
+        without a coupling keep their bare packet.
+        """
+        labels = ("A", "B", "C")[:pointers]
+        on = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+        rng = np.random.default_rng(seed)
+        dims = DimensionSpec.of(("system", d))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        grid = TINY if pointers == 3 else COARSE
+        specs = [
+            PointerSpec(lab, grid, x0=rng.uniform(-1.0, 1.0), sigma=rng.uniform(0.5, 1.0))
+            for lab in labels
+        ]
+        state = build_initial(StateVector(dims, v / np.linalg.norm(v)), specs)
+        t = rng.uniform(0.5, 1.5)
+        couplings = []
+        for lab in on:
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            couplings.append(Coupling(Operator(dims, m + m.conj().T), lab, rng.uniform(-1, 1), t))
+        with (
+            mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft,
+            mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft,
+        ):
+            _, terms = engine_module.partial_sums(state, couplings, order)
+        # only the packets' 1-D transforms run, never one over the state
+        calls = fft.call_args_list + ifft.call_args_list
+        assert all(np.ndim(call.args[0]) == 1 for call in calls)
+        apply_h, _ = engine_module._dense_action(state, couplings)
+        want = state.state.amplitudes
+        for m, term in enumerate(terms, 1):
+            want = apply_h(want) * (-1j * t / m)
+            assert np.abs(term - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(terms) == order
+
+    def test_build_is_the_kron_chain_read_only(self):
+        system = bloch_state(0.7, 0.2)
+        specs = [PointerSpec("A", COARSE, x0=0.3), PointerSpec("B", FINE, x0=-0.2, sigma=0.8)]
+        state = build_initial(system, specs)
+        want = system.amplitudes
+        for spec in specs:
+            want = np.kron(want, gaussian_state(spec).amplitudes)
+        np.testing.assert_array_equal(state.state.amplitudes, want)
+        assert not state.state.amplitudes.flags.writeable
+        assert state.state.dims.labels[1:] == ("A", "B")
 
     def test_packet_spectra_are_shared_read_only(self):
         spec = PointerSpec("A", FINE, x0=0.3)

@@ -38,6 +38,24 @@ class TestGrid:
             grid.wavenumbers(), base * np.array([0, 1, 2, 3, -4, -3, -2, -1]), atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "grid",
+        [PointerGrid(8, 4.0), PointerGrid(16, 16.0, center=0.75), FINE],
+        ids=["8", "16-offcenter", "256"],
+    )
+    def test_arrays_computed_once_read_only(self, grid):
+        x, k = grid.positions(), grid.wavenumbers()
+        assert not x.flags.writeable and not k.flags.writeable
+        np.testing.assert_array_equal(
+            x, grid.center - grid.length / 2 + grid.spacing * np.arange(grid.points)
+        )
+        np.testing.assert_array_equal(
+            k, 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+        )
+        # an equal grid shares the arrays
+        twin = PointerGrid(grid.points, grid.length, grid.center)
+        assert twin.positions() is x and twin.wavenumbers() is k
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             PointerGrid(points=12)

@@ -86,12 +86,13 @@ def test_each_state_evolved_once(monkeypatch):
 # readout-grid pointer axes behind the system. A state with no history is
 # transformed from its packets' spectra, so a first phase runs only its
 # inverse transform, and every phase runs at most one transform pair; the
-# weak-orders series runs one pair per coupling per H product.
+# weak-orders series starts from the product state, so it is built from the
+# packets' 1-D transforms and runs none.
 READOUT_FFT_PASSES = {
     "weak-noselect": {},
     "weak-postselect": {},
     "simultaneous": {"ifftn": 2},
-    "weak-orders": {"ifftn": 2, "fft": 4, "ifft": 4},
+    "weak-orders": {"ifftn": 2},
     "eigenstate": {},
     "epr": {"ifftn": 1},
     "sequential": {"fftn": 1, "ifftn": 2},
@@ -218,12 +219,18 @@ class TestWeakOrders:
         assert readouts["defect_ratio_order2"] == pytest.approx(d2 / h2, rel=1e-11)
 
     def test_truncation_defects_take_one_series_pass(self, monkeypatch):
-        """One order-2 pass serves both impulse scales: two H products in all.
+        """One order-2 series pass serves both impulse scales.
 
-        Each product runs one FFT per coupling over the readout state; no
-        other step of the scenario transforms an array of that shape with
-        ``np.fft.fft``.
+        It starts from the product state, so it is built from the packets'
+        1-D transforms: no ``np.fft.fft`` runs over the readout state.
         """
+        passes = []
+        partial_sums = engine.partial_sums
+
+        def counted_sums(state, couplings, order):
+            passes.append((state.state.dims.sizes, order))
+            return partial_sums(state, couplings, order)
+
         shapes = []
         original = np.fft.fft
 
@@ -231,10 +238,13 @@ class TestWeakOrders:
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
+        monkeypatch.setattr(engine, "partial_sums", counted_sums)
         monkeypatch.setattr(np.fft, "fft", counted)
         report = run_scenario("weak-orders")
         n = report.config.readout_grid().points
-        assert shapes.count((2, n, n)) == 4
+        # the other pass is the first-order certificate's, on the analysis grid
+        assert [order for sizes, order in passes if sizes == (2, n, n)] == [2]
+        assert (2, n, n) not in shapes
 
     def test_forms_no_apparatus_matrix(self, matrix_reads, eigensolve_shapes):
         """Only the 2 x 2 system state is read whole, and no eigensolve reaches

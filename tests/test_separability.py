@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointerlab import engine, separability
+from pointerlab import engine, pointer, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
-from pointerlab.pointer import PointerGrid, PointerSpec, gaussian_state
+from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
+from pointerlab.pointer import translate
 from pointerlab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.separability import (
     NonCommutingError,
@@ -274,6 +275,76 @@ class TestFirstOrderCertificate:
         oracle = np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2)).sum() / 2
         assert oracle > 1e-3
         assert defect == pytest.approx(oracle, abs=1e-12)
+
+
+CACHED_SPECS = [
+    PointerSpec("A", COARSE, x0=0.4, sigma=0.8),
+    PointerSpec("B", PointerGrid(points=256, length=16.0), x0=-0.3),
+]
+
+
+class TestCachedFactors:
+    """Certificate factors come from the engine's cached packets, bit for bit."""
+
+    @pytest.mark.parametrize("spec", CACHED_SPECS, ids=["16", "256"])
+    @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
+    def test_translated_packet_is_translate_bit_for_bit(self, spec, shift):
+        got = separability._translated_gaussian(spec, shift)
+        want = translate(gaussian_state(spec), shift, spec.grid)
+        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+        assert got.dims == want.dims and got.normalized
+        assert not got.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("spec", CACHED_SPECS, ids=["16", "256"])
+    @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
+    def test_first_order_factor_is_the_uncached_one_bit_for_bit(self, spec, shift):
+        psi = gaussian_state(spec).amplitudes
+        k = spec.grid.wavenumbers()
+        want = psi - 1j * shift * np.fft.ifft(k * np.fft.fft(psi))
+        got = separability._first_order_factor(spec, shift)
+        np.testing.assert_array_equal(got.amplitudes, want)
+        assert not got.normalized and not got.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("shift", [2.5, -2.5, math.nan, math.inf])
+    def test_translation_out_of_the_box_refused(self, shift):
+        with pytest.raises(LeakageError, match=f"translation by {shift} .* edge"):
+            separability._translated_gaussian(PointerSpec("A", COARSE), shift)
+
+    def test_verdicts_rebuild_no_packet_after_first_use(self, monkeypatch):
+        """Once a spec's packet is cached, a verdict prepares, translates and krons nothing."""
+
+        def records(theta, impulse):
+            start, _, _ = _coarse_pair(theta)
+            z, x = pauli(SIGMA_Z), pauli(SIGMA_X)
+            return (
+                evolve(start, [Coupling(z, "A", impulse), Coupling(z, "B", impulse)]),
+                evolve_sequential(start, Coupling(z, "A", impulse), Coupling(x, "B", impulse)),
+                start,
+            )
+
+        for record in records(0.8, 0.4):
+            assert readability_check(record, CUT_POINTERS).status == "separable"
+        calls = []
+        for module in (pointer, engine, separability):
+            for name in ("gaussian_state", "translate"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    monkeypatch.setattr(
+                        module,
+                        name,
+                        lambda *a, _name=name, _original=original: calls.append(_name)
+                        or _original(*a),
+                    )
+        kron = np.kron
+        monkeypatch.setattr(np, "kron", lambda *a: calls.append("kron") or kron(*a))
+        verdicts = [readability_check(r, CUT_POINTERS) for r in records(2.1, 0.9)]
+        assert [v.method for v in verdicts] == [
+            "commuting-eigenbasis",
+            "sequential-branches",
+            "uncoupled-product",
+        ]
+        assert all(v.status == "separable" for v in verdicts)
+        assert calls == []
 
 
 class TestReadability:

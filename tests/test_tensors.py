@@ -1,5 +1,6 @@
 """Labeled tensor algebra: frozen matrix values plus structural properties."""
 
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -187,6 +188,39 @@ class TestKron:
         a = StateVector(Q, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="duplicate"):
             kron_states(a, a)
+
+    @pytest.mark.parametrize("sizes", [(2, 16), (3, 8, 16), (4, 8, 8, 8)])
+    def test_product_chain_is_the_kron_chain_bit_for_bit(self, sizes):
+        rng = _rng(len(sizes))
+        labels = ("s", "A", "B", "C")
+        states = [_random_state(rng, DimensionSpec.of((lab, n))) for lab, n in zip(labels, sizes)]
+        joint = kron_states(*states)
+        want = states[0].amplitudes
+        for state in states[1:]:
+            want = np.kron(want, state.amplitudes)
+        np.testing.assert_array_equal(joint.amplitudes, want)
+        assert joint.dims.sizes == sizes and joint.normalized
+        assert not joint.amplitudes.flags.writeable
+        # the norm is the product of the factors' kept norms, not taken again
+        assert joint.__dict__["norm"] == math.prod(state.norm for state in states)
+
+    def test_normalized_claim_still_checked(self):
+        # each factor passes its own check; their product is off by 1.4e-10
+        v = np.array([1.0 + 0.7e-10, 0.0])
+        a, b = StateVector(Q, v), StateVector(R, v)
+        with pytest.raises(ValueError, match="claimed normalized"):
+            kron_states(a, b)
+        loose = kron_states(StateVector(Q, 2 * v, normalized=False), b)
+        assert not loose.normalized and loose.norm == pytest.approx(2.0)
+
+    def test_caller_arrays_are_still_copied(self):
+        v = np.array([0.6, 0.8j])
+        state = StateVector(Q, v)
+        v[0] = 5.0
+        assert state.amplitudes[0] == 0.6
+        alone = kron_states(state)
+        np.testing.assert_array_equal(alone.amplitudes, state.amplitudes)
+        assert alone.dims == state.dims and not alone.amplitudes.flags.writeable
 
 
 class TestPartialTrace:

@@ -35,7 +35,14 @@ included, forms an N x N matrix; everything works from the amplitudes.
 Truncated (perturbative) evolution is available separately for order-by-
 order comparisons; the resulting states are flagged and unnormalized.
 ``partial_sums`` returns the series terms themselves, so one pass serves
-every impulse scale.
+every impulse scale. On a state with no history the terms are sums of
+outer products of the observables applied to the system vector and the
+packets kicked by their momentum, so no FFT runs over the state.
+
+Product states come from cached factors: ``build_initial`` takes each
+pointer's packet from a per-``PointerSpec`` cache, which also holds its
+1-D spectrum, measured moments and momentum kicks, and forms the product
+with ``tensors.kron_states``, which copies nothing.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ pointers. Two complementary tools live here:
 Certificates are never taken on faith: each one is reconstructed and
 compared against the actual reduced state, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
-artifacts.
+artifacts. Their product factors come from the engine's cached packets:
+a translated packet is one inverse FFT of a phase times the packet's
+cached spectrum, checked for containment on its cached moments, and each
+term's column is an outer product of its factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row

@@ -35,6 +35,12 @@ StateVector's ``norm``. That is safe because these are frozen dataclasses
 whose arrays are read-only, so the source of a cached value cannot change;
 the cached arrays are read-only too, and equality and hashing still read
 the dataclass fields alone.
+
+A StateVector copies the amplitudes it is given. Product states are the
+exception: ``kron_states`` forms the product of its factors in one
+outer-product chain, which the new state owns read-only, and takes its
+norm as the product of the factors' kept norms, so the engine builds every
+product state from its cached factors with no copy and no second norm pass.
 """
 
 from __future__ import annotations

@@ -22,12 +22,15 @@ can cross-check each other:
   (``tensors.generator_action``) made of those products: no eigensolve, no
   FFT on the state, no product-space matrix. Operator matrices are stored
   exactly Hermitian, so H is too and nothing is checked or symmetrized. The
-  series is scaled by sum_j |g_j| ||A_j||_1 ||pi_j||_1, which bounds
-  ||H||_1; ||pi||_1 is kept on the cached momentum Operator, so it is
-  computed once per grid. A series step that does not converge within a
-  fixed number of terms, as on NaN, raises. It refuses spaces beyond
-  DENSE_LIMIT dimensions, and it shares no code path with ``shift``; only
-  the momentum matrix is built with the FFT library.
+  series is scaled by sum_j |g_j| ||A_j||_2 ||pi_j||_2, which bounds
+  ||H||_2 and equals it for one coupling: ||A||_2 is the largest
+  |eigenvalue| of the observable's cached spectrum and ||pi||_2 the largest
+  |k| of the grid's cached wavenumbers, so no eigensolve of pi runs. The
+  products and the series run in buffers owned by one evolution, so no
+  term allocates. A series step that does not converge within a fixed
+  number of terms, as on NaN, raises. It refuses spaces beyond DENSE_LIMIT
+  dimensions, and it shares no code path with ``shift``; only the momentum
+  matrix is built with the FFT library.
 
 DENSE_LIMIT bounds only ``expm``. Nothing here, post-selection and ``expm``
 included, forms an N x N matrix; everything works from the amplitudes.
@@ -219,7 +222,7 @@ def _updated_bounds(
         for bound in (lo, hi):
             if near_edge(spec.x0 + bound, spec.sigma, spec.grid):
                 raise LeakageError(
-                    f"pointer {label!r}: accumulated shift {bound:+.3f} would put "
+                    f"pointer {label!r}: accumulated shift {bound:+.6g} would put "
                     f"the packet within {CONTAINMENT_SIGMAS} spreads of the box edge"
                 )
     return bounds
@@ -434,13 +437,20 @@ def _evolve_blocks(
 def _dense_action(
     state: UnifiedState, couplings: Sequence[Coupling]
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """v -> H v for H = sum_j g_j kron(A_j, ..., pi_j, ...), and a bound on ||H||_1.
+    """v -> H v for H = sum_j g_j kron(A_j, ..., pi_j, ...), and a bound on ||H||_2.
 
-    H is applied one factor at a time and never formed: g A on the leading
-    system factors and the dense momentum matrix pi on the pointer factor
-    that the state's layout names. The 1-norm of a kron product is the
-    product of its factors' 1-norms, so the bound
-    sum_j |g_j| ||A_j||_1 ||pi_j||_1 is exact for one coupling.
+    H is applied one factor at a time and never formed: the dense momentum
+    matrix pi on the pointer factor that the state's layout names, then g A
+    on the leading system factors. The spectral norm of a kron product is the
+    product of its factors' spectral norms, so the bound
+    sum_j |g_j| ||A_j||_2 ||pi_j||_2 is exact for one coupling and bounds H
+    by the triangle inequality for several. ||A||_2 is the largest |eigenvalue|
+    of the observable's cached spectrum; pi is F-dagger diag(k) F, so ||pi||_2
+    is the largest |k| of the grid's cached wavenumbers and no eigensolve runs.
+
+    The products go into buffers owned by this one call, so concurrent
+    evolutions share nothing; each call of the returned function overwrites
+    and returns the same output buffer, which must not be passed back in.
     """
     dims = state.state.dims
     terms = []
@@ -452,13 +462,18 @@ def _dense_action(
         layout = (math.prod(dims.sizes[:axis]), spec.grid.points, -1)
         ga = c.strength * c.observable.matrix
         terms.append((ga, pi.matrix, layout))
-        bound += np.linalg.norm(ga, 1) * pi.norm_1
+        bound += abs(c.strength) * max_abs(c.observable.spectrum[0]) * max_abs(
+            spec.grid.wavenumbers()
+        )
+    moved, scaled, out = (np.empty(dims.total, dtype=complex) for _ in range(3))
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for ga, pi, layout in terms:
-            moved = np.matmul(pi, v.reshape(layout))
-            out += (ga @ moved.reshape(ga.shape[0], -1)).reshape(-1)
+        for i, (ga, pi, layout) in enumerate(terms):
+            np.matmul(pi, v.reshape(layout), out=moved.reshape(layout))
+            rows = (ga.shape[0], -1)
+            np.matmul(ga, moved.reshape(rows), out=(scaled if i else out).reshape(rows))
+            if i:
+                np.add(out, scaled, out=out)
         return out
 
     return apply_h, bound

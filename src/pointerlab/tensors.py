@@ -30,8 +30,7 @@ spectrum included.
 
 Quantities derived from immutable objects are computed once and kept on
 the object: ``DimensionSpec.labels``, ``sizes`` and ``total``, an
-Operator's eigendecomposition (``spectrum``) and 1-norm (``norm_1``), and a
-StateVector's ``norm``. That is safe because these are frozen dataclasses
+Operator's eigendecomposition (``spectrum``), and a StateVector's ``norm``. That is safe because these are frozen dataclasses
 whose arrays are read-only, so the source of a cached value cannot change;
 the cached arrays are read-only too, and equality and hashing still read
 the dataclass fields alone.
@@ -64,7 +63,7 @@ SCHMIDT_RANK_TOL = 1e-9
 # so coefficients below this fraction of the largest are resolved again from
 # their own, smaller Gram matrix.
 SCHMIDT_GRAM_RESOLUTION = 1e-2
-# generator_action: the largest 1-norm of one Taylor step (theta_55 for
+# generator_action: the largest norm of one Taylor step (theta_55 for
 # double precision, Al-Mohy and Higham, Table 3.1), the most terms a step
 # may take, and the relative size at which the series is cut.
 TAYLOR_STEP_NORM = 9.9
@@ -172,11 +171,6 @@ class Operator:
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
-
-    @cached_property
-    def norm_1(self) -> float:
-        """The matrix 1-norm, the largest absolute column sum."""
-        return float(np.linalg.norm(self.matrix, 1))
 
 
 @dataclass(frozen=True)
@@ -480,43 +474,55 @@ def generator_action(
     """exp(-i * scale * H) v by a scaled Taylor series, from products H v alone.
 
     ``apply_h`` maps a vector to H times it, and ``norm_bound`` is at least
-    ||H||_1. H must be Hermitian and is not checked here: the engine's dense
+    ||H||_2. H must be Hermitian and is not checked here: the engine's dense
     integrator passes a real-weighted sum of kron products of Operator
     matrices, which is exactly Hermitian by construction, applied factor by
-    factor, with the sum of the products of its factors' 1-norms as the
-    bound. A bound above the true norm only adds scaling steps.
+    factor, with the sum of the products of its factors' spectral norms as
+    the bound. A bound above the true norm only adds scaling steps.
+    ``apply_h`` may return the same buffer on every call; its result is read
+    before the next call, and ``apply_h`` never receives that buffer.
 
     The scaled Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
-    488 (2011)): s steps with ||scale * H||_1 / s <= TAYLOR_STEP_NORM, each
+    488 (2011)): s steps with ||scale * H||_2 / s <= TAYLOR_STEP_NORM, each
     summing the series until two successive terms fall below TAYLOR_TOL of
     the partial sum in the max norm. Term j of a step is at most
-    TAYLOR_STEP_NORM^j / j! times the step's input, 7e-23 at TAYLOR_TERM_CAP,
-    while a unitary step keeps at least 1/sqrt(N) of its input's max norm, so
-    finite input converges before the cap. A step that reaches the cap, as
-    one with NaN or infinite input does, raises ValueError. No eigensolve
-    runs and no matrix-matrix product is formed.
+    TAYLOR_STEP_NORM^j / j! times the 2-norm of the step's input, 7e-23 at
+    TAYLOR_TERM_CAP, in the max norm too, while a unitary step keeps that
+    2-norm and so at least 1/sqrt(N) of it in the max norm; finite input
+    therefore converges before the cap. A step that
+    reaches the cap, as one with NaN or infinite input does, raises
+    ValueError. No eigensolve runs and no matrix-matrix product is formed.
+
+    The input is copied once and never written; the result is a fresh array.
+    The series runs in that copy and one term buffer, so no term allocates.
     """
-    v = np.asarray(vector, dtype=complex)
+    v = np.array(vector, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = abs(scale) * norm_bound
     if not math.isfinite(norm):
-        raise ValueError(f"generator action needs finite scale * ||H||_1, got {norm!r}")
+        raise ValueError(f"generator action needs finite scale * ||H||_2, got {norm!r}")
     steps = max(1, math.ceil(norm / TAYLOR_STEP_NORM))
     a = -1j * scale / steps
+    term = np.empty_like(v)
+    magnitude = np.empty(v.shape)
+
+    def largest(x: np.ndarray) -> float:
+        return float(np.abs(x, out=magnitude).max(initial=0.0))
+
     for _ in range(steps):
-        term = v
-        previous = max_abs(term)
+        np.copyto(term, v)
+        previous = largest(term)
         for j in range(1, TAYLOR_TERM_CAP + 1):
             product = apply_h(term)
             if product.shape != v.shape:
                 raise ValueError(
                     f"operator maps a vector of shape {v.shape} to shape {product.shape}"
                 )
-            term = (a / j) * product
-            v = v + term
-            current = max_abs(term)
-            if previous + current <= TAYLOR_TOL * max_abs(v):
+            np.multiply(product, a / j, out=term)
+            v += term
+            current = largest(term)
+            if previous + current <= TAYLOR_TOL * largest(v):
                 break
             previous = current
         else:

@@ -133,6 +133,27 @@ class TestRun:
         assert "coupling strength must be finite, got nan" in err
         assert "converge" not in err
 
+    @pytest.mark.parametrize(
+        "flags, shift",
+        [(["--gA", "1e200"], "-1e+200"), (["--gA", "1e308", "--t", "2"], "-inf")],
+        ids=["huge", "overflow"],
+    )
+    def test_leakage_message_stays_one_short_line(self, flags, shift, capsys):
+        assert main(["scenario", "run", "weak-noselect", *flags]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert f"pointer 'A': accumulated shift {shift} would put" in err
+
+    def test_leakage_message_stays_short_in_sweep_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--start", "1e199"]
+        assert main(argv + ["--stop", "1e200", "--steps", "2", "--out", str(out)]) == 2
+        rows = _read_table_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"].startswith("pointer 'A': accumulated shift -1e+")
+            assert len(row["error"]) < 200
+
     def test_nonfinite_angle_named(self, capsys):
         assert main(["scenario", "run", "weak-noselect", "--thetaI", "nan"]) == 1
         err = capsys.readouterr().err
@@ -343,23 +364,30 @@ class TestSweep:
         assert strip(_read_table_csv(parallel)) == strip(_read_table_csv(serial))
 
     def test_dense_oracle_takes_the_momentum_norm_once(self, monkeypatch, capsys):
-        """||pi||_1 of the 256-point momentum matrix is computed once per grid."""
+        """||pi||_2 comes from the grid's cached wavenumbers: no 1-norm, no eigensolve of pi."""
         momentum_operator.cache_clear()
-        one_norms = []
+        one_norms, eigensolves = [], []
         norm = np.linalg.norm
 
-        def spied(x, ord=None, *args, **kwargs):
+        def spied_norm(x, ord=None, *args, **kwargs):
             if ord == 1:
                 one_norms.append(np.shape(x))
             return norm(x, ord, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "norm", spied)
+        monkeypatch.setattr(np.linalg, "norm", spied_norm)
+        for name in ("eigh", "eigvalsh"):
+
+            def spied(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                eigensolves.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spied)
         argv = ["sweep", "weak-postselect", "--param", "gA", "--start", "1e-3"]
         assert main(argv + ["--stop", "5e-2", "--steps", "8", "--log"]) == 0
         assert "8 steps, all checks passed" in capsys.readouterr().err
-        assert one_norms.count((256, 256)) == 1
-        # each step's dense oracle still takes ||g A||_1 afresh
-        assert one_norms.count((2, 2)) == 8
+        assert one_norms == []
+        assert eigensolves, "the spy saw no eigensolve at all"
+        assert (256, 256) not in eigensolves
 
 
 def _masked(stream: str) -> str:

@@ -50,6 +50,7 @@ from pointerlab.tensors import (
     StateVector,
     partial_trace,
     pure_density,
+    unitary_from_generator,
 )
 
 FINE = PointerGrid(points=256, length=16.0)
@@ -310,6 +311,36 @@ class TestDenseGenerator:
         _assert_action_matches_kron(state, couplings, seed)
         assert cross_validate(state, couplings) <= 1e-12
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.8, 1.9), min_size=2, max_size=2),
+        st.lists(st.booleans(), min_size=2, max_size=2),
+    )
+    def test_expm_matches_kron_spectral_oracle(self, d, pointers, seed, sizes, flips):
+        """exp(-itH) v by the Taylor steps against eigh of the kron-built H.
+
+        The grids are fine enough that the spectral-norm bound, not the
+        impulse alone, forces at least two scaling steps: one 64-point pointer
+        has ||pi||_2 = 4 pi, two 16-point ones on a box of 8 have 2 pi each.
+        The narrow packets keep every kick inside the containment margin.
+        """
+        labels = ("A", "B")[:pointers]
+        strengths = [-g if flip else g for g, flip in zip(sizes, flips)]
+        if pointers == 1:
+            case = _random_qudit_case(d, labels, PointerGrid(64, 16.0), seed, strengths)
+        else:
+            case = _random_qudit_case(d, labels, PointerGrid(16, 8.0), seed, strengths, 0.3)
+        state, couplings = case
+        _, bound = engine_module._dense_action(state, couplings)
+        assert math.ceil(bound / tensors.TAYLOR_STEP_NORM) >= 2
+        h = Operator(state.state.dims, _explicit_generator(state, couplings))
+        expected = unitary_from_generator(h, 1.0) @ state.state.amplitudes
+        actual = evolve(state, couplings, "expm").state.amplitudes
+        assert np.abs(actual - expected).max() <= 1e-12
+
     def test_expm_allocates_no_product_space_matrix(self):
         # the kron of the 4 x 16 x 16 analysis state is a 16 MB matrix; the
         # factor-wise products stay near the 16 kB state
@@ -342,21 +373,48 @@ def _explicit_generator(state, couplings):
     return h
 
 
+def _spectral_norm(state, couplings, h):
+    """||H||_2 from the factors, certified on the kron-built h.
+
+    Each pointer's momentum matrix is diagonalized by its own ``eigh``, pi =
+    Q diag(mu) Q-dagger, so the kron of those Q takes H to blocks over the
+    joint momentum grid: sum_j g_j mu_j A_j, with mu_j the eigenvalue of
+    coupling j's pointer. ||H||_2 is the largest |eigenvalue| of those
+    system-sized blocks, and the eigenvector that attains it, kron'ed with
+    the pointers' eigenvectors, must be an eigenvector of h itself.
+    """
+    labels = [spec.label for spec in state.pointers]
+    bases = [np.linalg.eigh(momentum_operator(spec.grid, spec.label).matrix) for spec in state.pointers]
+    d = state.system.total
+    blocks = np.zeros(tuple(len(mu) for mu, _ in bases) + (d, d), dtype=complex)
+    for c in couplings:
+        axis = labels.index(c.pointer)
+        mu = bases[axis][0].reshape((-1,) + (1,) * (blocks.ndim - axis - 1))
+        blocks = blocks + mu * (c.strength * c.observable.matrix)
+    w, v = np.linalg.eigh(blocks)
+    where = np.unravel_index(np.abs(w).argmax(), w.shape)
+    x = v[where[:-1]][:, where[-1]]
+    for (_, q), i in zip(bases, where[:-1]):
+        x = np.kron(x, q[:, i])
+    assert np.abs(h @ x - w[where] * x).max() <= 1e-12 * abs(w[where])
+    return abs(w[where])
+
+
 def _assert_action_matches_kron(state, couplings, seed):
-    """The dense oracle's factor-wise H v and norm bound against the kron-built H."""
+    """The dense oracle's factor-wise H v and spectral-norm bound against the kron-built H."""
     h = _explicit_generator(state, couplings)
     apply_h, bound = engine_module._dense_action(state, couplings)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     expected = h @ v
     assert np.abs(apply_h(v) - expected).max() <= 1e-13 * np.abs(expected).max()
-    norm = np.linalg.norm(h, 1)
+    norm = _spectral_norm(state, couplings, h)
     assert bound >= norm * (1.0 - 1e-12)
     if len(couplings) == 1:
         assert bound == pytest.approx(norm, rel=1e-12)
 
 
-def _random_qudit_case(d, labels, grid, seed, strengths):
+def _random_qudit_case(d, labels, grid, seed, strengths, sigma=1.0):
     """A random qudit state and one random Hermitian coupling per pointer.
 
     Each observable is scaled to spectral radius 1, so a kick is at most |g|.
@@ -364,9 +422,8 @@ def _random_qudit_case(d, labels, grid, seed, strengths):
     rng = np.random.default_rng(seed)
     dims = DimensionSpec.of(("system", d))
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    state = build_initial(
-        StateVector(dims, v / np.linalg.norm(v)), [PointerSpec(lab, grid) for lab in labels]
-    )
+    specs = [PointerSpec(lab, grid, sigma=sigma) for lab in labels]
+    state = build_initial(StateVector(dims, v / np.linalg.norm(v)), specs)
     couplings = []
     for lab, g in zip(labels, strengths):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -571,7 +628,7 @@ class TestProductStart:
         hashes = tuple(map(hash, keys))
         build_initial(bloch_state(0.3, 0.0), [spec])
         engine_module._packet_spectrum(spec)
-        momentum_operator(grid, "A").norm_1
+        momentum_operator(grid, "A").spectrum
         keys[2].labels, keys[2].sizes, keys[2].total
         fresh_grid = PointerGrid(64, 16.0)
         fresh = (fresh_grid, PointerSpec("A", fresh_grid, 0.25), DimensionSpec.of(("A", 64)))

@@ -150,6 +150,15 @@ class TestOperators:
         assert not op.matrix.flags.writeable
         assert momentum_operator(FINE, "B").dims.labels == ("B",)
 
+    @pytest.mark.parametrize("points", [8, 16, 64, 256])
+    @pytest.mark.parametrize("length", [8.0, 30.0])
+    def test_momentum_spectral_norm_is_largest_wavenumber(self, points, length):
+        # the dense integrator bounds ||pi||_2 by max|k| and never eigensolves pi
+        grid = PointerGrid(points=points, length=length)
+        largest = np.abs(grid.wavenumbers()).max()
+        norm = np.linalg.norm(momentum_operator(grid, "A").matrix, 2)
+        assert norm == pytest.approx(largest, rel=1e-12, abs=0.0)
+
     def test_momentum_squares_to_spectral_values(self):
         # acting on a plane wave returns its wavenumber
         grid = PointerGrid(points=16, length=8.0)

@@ -34,6 +34,26 @@ def test_registry_and_defaults_line_up():
     assert len(SCENARIOS) == 7
 
 
+@pytest.mark.parametrize("name, most", [("eigenstate", 103), ("weak-noselect", 50)])
+def test_dense_oracle_products_at_defaults(name, most, monkeypatch):
+    """The spectral-norm bound keeps the oracle's H v products per default run down."""
+    products = []
+    dense_action = engine._dense_action
+
+    def counted(state, couplings):
+        apply_h, bound = dense_action(state, couplings)
+
+        def apply_counted(v):
+            products.append(v.shape)
+            return apply_h(v)
+
+        return apply_counted, bound
+
+    monkeypatch.setattr(engine, "_dense_action", counted)
+    assert run_scenario(name).passed
+    assert 0 < len(products) <= most
+
+
 def test_all_defaults_pass(default_reports):
     failed = {
         name: [k for k, ok in report.checks.items() if not ok]

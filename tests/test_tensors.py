@@ -266,7 +266,6 @@ class TestEigh:
         np.testing.assert_array_equal(w, want_w)
         np.testing.assert_array_equal(v, want_v)
         assert op.spectrum[0] is w and op.spectrum[1] is v
-        assert op.norm_1 == np.linalg.norm(op.matrix, 1)
 
     def test_cached_spectrum_is_read_only(self):
         op = Operator(Q, SX)
@@ -288,7 +287,7 @@ class TestEigh:
 
         def read(_):
             barrier.wait(timeout=10)
-            return op.spectrum, op.norm_1, state.norm, state.dims.total
+            return op.spectrum, state.norm, state.dims.total
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -297,10 +296,9 @@ class TestEigh:
                 seen = list(pool.map(read, range(8), timeout=30))
         finally:
             sys.setswitchinterval(interval)
-        for (w, v), norm_1, norm, total in seen:
+        for (w, v), norm, total in seen:
             np.testing.assert_array_equal(w, want[0])
             np.testing.assert_array_equal(v, want[1])
-            assert norm_1 == np.linalg.norm(op.matrix, 1)
             assert norm == np.linalg.norm(m[0])
             assert total == n
 
@@ -339,7 +337,7 @@ class TestGeneratorAction:
         st.booleans(),
     )
     def test_matches_spectral_oracle(self, n, seed, scale, backwards):
-        # ||H||_1 = 1, so ||scale * H||_1 / 9.9 forces 3 to 7 scaling steps
+        # ||H||_2 <= ||H||_1 = 1, so the bound 1 forces 3 to 7 scaling steps
         rng = _rng(seed)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (m + m.conj().T) / 2
@@ -350,6 +348,43 @@ class TestGeneratorAction:
         expected = unitary_from_generator(op, t) @ v
         actual = generator_action(lambda w: op.matrix @ w, 1.0, t, v)
         assert np.abs(actual - expected).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.floats(20.0, 60.0))
+    def test_spectral_norm_bound_matches_spectral_oracle(self, n, seed, scale):
+        # the bound is ||H||_2 itself, the least the contract allows: 3 to 7 steps
+        rng = _rng(seed)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (m + m.conj().T) / 2
+        h = h / np.linalg.norm(h, 2)
+        op = Operator(DimensionSpec.of(("x", n)), h)
+        v = _random_state(rng, op.dims).amplitudes
+        expected = unitary_from_generator(op, scale) @ v
+        actual = generator_action(lambda w: op.matrix @ w, 1.0, scale, v)
+        assert np.abs(actual - expected).max() <= 1e-12
+
+    def test_input_untouched_and_result_fresh(self):
+        """A read-only input is never written, and each call returns its own array."""
+        rng = _rng(11)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        h = (m + m.conj().T) / 2
+        out = np.empty(8, dtype=complex)
+
+        def apply_h(w):
+            # returns the same buffer each time, as the engine's dense action does
+            return np.matmul(h, w, out=out)
+
+        v = _random_state(rng, DimensionSpec.of(("x", 8))).amplitudes
+        assert not v.flags.writeable
+        before = v.copy()
+        first = generator_action(apply_h, np.linalg.norm(h, 2), 25.0, v)
+        kept = first.copy()
+        second = generator_action(apply_h, np.linalg.norm(h, 2), -3.0, v)
+        np.testing.assert_array_equal(v, before)
+        np.testing.assert_array_equal(first, kept)
+        assert first is not v and second is not v and first is not out
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and first.flags.owndata
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.floats(0.5, 30.0))

@@ -443,10 +443,11 @@ def _dense_action(
     matrix pi on the pointer factor that the state's layout names, then g A
     on the leading system factors. The spectral norm of a kron product is the
     product of its factors' spectral norms, so the bound
-    sum_j |g_j| ||A_j||_2 ||pi_j||_2 is exact for one coupling and bounds H
-    by the triangle inequality for several. ||A||_2 is the largest |eigenvalue|
-    of the observable's cached spectrum; pi is F-dagger diag(k) F, so ||pi||_2
-    is the largest |k| of the grid's cached wavenumbers and no eigensolve runs.
+    sum_j |g_j| ||A_j||_2 ||pi_j||_2 is exact for one coupling and bounds
+    ||H||_2 by the triangle inequality for several. ||A||_2 is the largest
+    |eigenvalue| of the observable's cached spectrum; pi is F-dagger diag(k)
+    F, so ||pi||_2 is the largest |k| of the grid's cached wavenumbers and no
+    eigensolve runs.
 
     The products go into buffers owned by this one call, so concurrent
     evolutions share nothing; each call of the returned function overwrites

@@ -30,10 +30,11 @@ spectrum included.
 
 Quantities derived from immutable objects are computed once and kept on
 the object: ``DimensionSpec.labels``, ``sizes`` and ``total``, an
-Operator's eigendecomposition (``spectrum``), and a StateVector's ``norm``. That is safe because these are frozen dataclasses
-whose arrays are read-only, so the source of a cached value cannot change;
-the cached arrays are read-only too, and equality and hashing still read
-the dataclass fields alone.
+Operator's eigendecomposition (``spectrum``), and a StateVector's ``norm``.
+That is safe because these are frozen dataclasses whose arrays are
+read-only, so the source of a cached value cannot change; the cached arrays
+are read-only too, and equality and hashing still read the dataclass fields
+alone.
 
 A StateVector copies the amplitudes it is given. Product states are the
 exception: ``kron_states`` forms the product of its factors in one
@@ -489,9 +490,9 @@ def generator_action(
     TAYLOR_STEP_NORM^j / j! times the 2-norm of the step's input, 7e-23 at
     TAYLOR_TERM_CAP, in the max norm too, while a unitary step keeps that
     2-norm and so at least 1/sqrt(N) of it in the max norm; finite input
-    therefore converges before the cap. A step that
-    reaches the cap, as one with NaN or infinite input does, raises
-    ValueError. No eigensolve runs and no matrix-matrix product is formed.
+    therefore converges before the cap. A step that reaches the cap, as one
+    with NaN or infinite input does, raises ValueError. No eigensolve runs
+    and no matrix-matrix product is formed.
 
     The input is copied once and never written; the result is a fresh array.
     The series runs in that copy and one term buffer, so no term allocates.

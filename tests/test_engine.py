@@ -384,7 +384,10 @@ def _spectral_norm(state, couplings, h):
     the pointers' eigenvectors, must be an eigenvector of h itself.
     """
     labels = [spec.label for spec in state.pointers]
-    bases = [np.linalg.eigh(momentum_operator(spec.grid, spec.label).matrix) for spec in state.pointers]
+    bases = [
+        np.linalg.eigh(momentum_operator(spec.grid, spec.label).matrix)
+        for spec in state.pointers
+    ]
     d = state.system.total
     blocks = np.zeros(tuple(len(mu) for mu, _ in bases) + (d, d), dtype=complex)
     for c in couplings:

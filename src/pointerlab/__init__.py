@@ -13,11 +13,8 @@ from .engine import (
     UnifiedState,
     apparatus_density,
     build_initial,
-    cross_validate,
     evolve,
     evolve_sequential,
-    expand_perturbative,
-    initial_info_expectation,
     pointer_cross_mean,
     pointer_mean,
     postselect,
@@ -32,7 +29,6 @@ from .pointer import (
     gaussian_leakage,
     gaussian_state,
     momentum_operator,
-    position_operator,
     translate,
 )
 from .separability import (
@@ -63,13 +59,10 @@ from .tensors import (
     Operator,
     StateVector,
     expectation,
-    kron_operators,
     kron_states,
     partial_trace,
-    pure_density,
     schmidt,
     trace_distance,
-    unitary_from_generator,
 )
 
 __version__ = "0.1.0"

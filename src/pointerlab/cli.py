@@ -200,11 +200,11 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
             raise ValueError(f"--{flag} must be finite, got {value!r}")
     if args.steps < 1:
         raise ValueError("sweep needs at least one step")
+    if args.log and (args.start <= 0 or args.stop <= 0):
+        raise ValueError("geometric spacing needs positive endpoints")
     if args.steps == 1:
         return [args.start]
     if args.log:
-        if args.start <= 0 or args.stop <= 0:
-            raise ValueError("geometric spacing needs positive endpoints")
         ratio = (args.stop / args.start) ** (1.0 / (args.steps - 1))
         return [args.start * ratio**i for i in range(args.steps)]
     step = (args.stop - args.start) / (args.steps - 1)

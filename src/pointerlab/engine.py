@@ -35,12 +35,12 @@ can cross-check each other:
 DENSE_LIMIT bounds only ``expm``. Nothing here, post-selection and ``expm``
 included, forms an N x N matrix; everything works from the amplitudes.
 
-Truncated (perturbative) evolution is available separately for order-by-
-order comparisons; the resulting states are flagged and unnormalized.
-``partial_sums`` returns the series terms themselves, so one pass serves
-every impulse scale. On a state with no history the terms are sums of
-outer products of the observables applied to the system vector and the
-packets kicked by their momentum, so no FFT runs over the state.
+For order-by-order comparisons ``partial_sums`` returns the terms of the
+truncated series themselves, not a state: the order-n truncation is the
+state plus the first n terms, and one pass serves every impulse scale. On
+a state with no history the terms are sums of outer products of the
+observables applied to the system vector and the packets kicked by their
+momentum, so no FFT runs over the state.
 
 Product states come from cached factors: ``build_initial`` takes each
 pointer's packet from a per-``PointerSpec`` cache, which also holds its
@@ -80,7 +80,6 @@ DENSE_LIMIT = 4096
 ORTHOGONAL_OVERLAP_TOL = 1e-12
 MIN_POSTSELECT_PROBABILITY = 1e-14
 
-Provenance = Literal["exact", "first_order", "second_order"]
 EvolutionMethod = Literal["shift", "expm"]
 
 
@@ -147,9 +146,8 @@ class UnifiedState:
     state: StateVector
     system: DimensionSpec
     pointers: tuple[PointerSpec, ...]
-    provenance: Provenance = "exact"
+    initial_system: StateVector
     history: tuple[tuple[Coupling, ...], ...] = ()
-    initial_system: StateVector | None = None
     shift_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def pointer_spec(self, label: str) -> PointerSpec:
@@ -504,8 +502,6 @@ def evolve(
     Containment and norm preservation are enforced; the returned state
     records the phase in its history.
     """
-    if state.provenance != "exact":
-        raise ValueError("only exact states can be evolved further")
     cs, t = _validate_couplings(state, couplings)
     bounds = _updated_bounds(state, cs)
     if method == "expm":
@@ -561,8 +557,6 @@ def partial_sums(
     """
     if order not in (1, 2):
         raise ValueError(f"perturbative order must be 1 or 2, got {order}")
-    if state.provenance != "exact":
-        raise ValueError("perturbative expansion starts from an exact state")
     cs, t = _validate_couplings(state, couplings)
     if not state.history:
         return cs, _product_terms(state, cs, t, order)
@@ -631,39 +625,13 @@ def _product_terms(
     return terms
 
 
-def expand_perturbative(
-    state: UnifiedState, couplings: Sequence[Coupling], order: int
-) -> UnifiedState:
-    """Truncated Dyson series sum_{m<=order} (-i t H)^m / m! applied to the state.
-
-    The result is intentionally unnormalized and flagged by provenance;
-    downstream separability analysis refuses it, and readout moments on it
-    are raw quadratic forms.
-    """
-    cs, terms = partial_sums(state, couplings, order)
-    total = state.state.amplitudes + terms[0]
-    for term in terms[1:]:
-        total += term
-    provenance: Provenance = "first_order" if order == 1 else "second_order"
-    return replace(
-        state,
-        state=StateVector(state.state.dims, total, normalized=False),
-        provenance=provenance,
-        history=state.history + (cs,),
-    )
-
-
 def apparatus_density(state: UnifiedState) -> DensityMatrix:
     """Reduced density matrix of all pointers, system traced out."""
-    return DensityMatrix.from_factors(
-        state.pointer_dims(), state.matrix().T, normalized=state.provenance == "exact"
-    )
+    return DensityMatrix.from_factors(state.pointer_dims(), state.matrix().T)
 
 
 def system_density(state: UnifiedState) -> DensityMatrix:
-    return DensityMatrix.from_factors(
-        state.system, state.matrix(), normalized=state.provenance == "exact"
-    )
+    return DensityMatrix.from_factors(state.system, state.matrix())
 
 
 def _position_weights(state: UnifiedState, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -677,9 +645,8 @@ def _position_weights(state: UnifiedState, label: str) -> tuple[np.ndarray, np.n
 def pointer_mean(state: UnifiedState, label: str) -> float:
     """Raw first position moment <psi| x |psi> of one pointer.
 
-    Equal to the mean position for normalized states; on truncated states
-    the quadratic form is returned as is, which is what order-by-order
-    comparisons need.
+    Equal to the mean position for normalized states; on an unnormalized
+    state the quadratic form is returned as is, not divided by the norm.
     """
     weights, x = _position_weights(state, label)
     return float(weights @ x)
@@ -723,8 +690,6 @@ def postselect(state: UnifiedState, final: StateVector) -> Postselection:
     """
     if final.dims != state.system:
         raise ValueError("post-selection state must live on the system factors")
-    if state.provenance != "exact":
-        raise ValueError("post-selection expects an exact evolved state")
     m = state.matrix()
     v = final.amplitudes.conj() @ m
     probability = float(np.vdot(v, v).real)
@@ -745,18 +710,6 @@ def postselect(state: UnifiedState, final: StateVector) -> Postselection:
     return Postselection(probability, apparatus, unnorm, normalized)
 
 
-def initial_info_expectation(
-    state: UnifiedState, couplings: Sequence[Coupling], observable: Operator
-) -> float:
-    """System expectation of ``observable`` after evolving under ``couplings``.
-
-    When the observable commutes with every coupled observable this equals
-    its pre-interaction expectation: the interaction then only dephases
-    within eigenspaces the observable cannot resolve.
-    """
-    return system_expectation(evolve(state, couplings), observable)
-
-
 def system_expectation(state: UnifiedState, observable: Operator) -> float:
     """tr(A rho_system) of a system observable A."""
     rho = system_density(state).matrix
@@ -764,12 +717,3 @@ def system_expectation(state: UnifiedState, observable: Operator) -> float:
     if not (abs(value.imag) <= EXPECTATION_IMAG_TOL and math.isfinite(value.real)):
         raise ValueError(f"expectation is not a finite real number: {value!r}")
     return float(value.real)
-
-
-def cross_validate(state: UnifiedState, couplings: Sequence[Coupling]) -> float:
-    """Largest amplitude difference between the two independent integrators."""
-    via_shift = evolve(state, couplings, "shift")
-    via_dense = evolve(state, couplings, "expm")
-    return float(
-        np.abs(via_shift.state.amplitudes - via_dense.state.amplitudes).max()
-    )

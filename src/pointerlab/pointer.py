@@ -137,11 +137,6 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
     return StateVector(spec.dims(), amp)
 
 
-def position_operator(grid: PointerGrid, label: str) -> Operator:
-    dims = DimensionSpec.of((label, grid.points))
-    return Operator(dims, np.diag(grid.positions().astype(complex)))
-
-
 @lru_cache(maxsize=8)
 def momentum_operator(grid: PointerGrid, label: str) -> Operator:
     """Momentum as a dense matrix, built spectrally: F† diag(k) F.

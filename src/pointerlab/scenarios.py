@@ -280,7 +280,7 @@ def _expected_branch_rank(system: StateVector, coupling: Coupling) -> int | None
     """
     if abs(coupling.impulse) < 1e-8:
         return None
-    branches = np.linalg.eigh(coupling.observable.matrix)[1].conj().T @ system.amplitudes
+    branches = coupling.observable.spectrum[1].conj().T @ system.amplitudes
     populated = int(np.count_nonzero(np.abs(branches) ** 2 > 1e-12))
     return populated if populated >= 1 else None
 
@@ -397,7 +397,7 @@ def _simultaneous(run: Run) -> Measured:
     # Simultaneous noncommuting couplings disturb each other's readout at
     # second order in the other impulse; the shift formula is held to that
     # quantified allowance instead of being asserted blindly.
-    eig_a, eig_b = np.linalg.eigvalsh(a.matrix), np.linalg.eigvalsh(b.matrix)
+    eig_a, eig_b = a.spectrum[0], b.spectrum[0]
     spread_a, spread_b = float(np.ptp(eig_a)), float(np.ptp(eig_b))
     norm_a, norm_b = float(np.abs(eig_a).max()), float(np.abs(eig_b).max())
     allow_a = max(READOUT_TOL, abs(ia) * norm_a * (ib * spread_b) ** 2 / (8 * cfg.sigma**2))
@@ -518,7 +518,7 @@ def _eigenstate(run: Run) -> Measured:
     mean_a = engine.pointer_mean(run.state, "A")
     pred_a = run.cfg.x0_a + impulse * expectation(coupling.observable, run.system).real
 
-    eigvals, eigvecs = np.linalg.eigh(coupling.observable.matrix)
+    eigvals, eigvecs = coupling.observable.spectrum
     p0, p1 = (float(w) for w in np.abs(eigvecs.conj().T @ run.system.amplitudes) ** 2)
     split = impulse * float(eigvals[1] - eigvals[0])
     # The branch overlap from its continuum closed form and from sampled packets.
@@ -580,7 +580,7 @@ def _epr(run: Run) -> Measured:
 
     # Independent weight prediction: populations of the product eigenvectors
     # of the two local observables.
-    va, vb = np.linalg.eigh(SIGMA_X)[1], np.linalg.eigh(SIGMA_Z)[1]
+    va, vb = PAULI_X.spectrum[1], PAULI_Z.spectrum[1]
     populations = (
         float(abs(np.kron(va[:, i], vb[:, j]).conj() @ system.amplitudes) ** 2)
         for i in range(2)
@@ -638,7 +638,7 @@ def _sequential(run: Run) -> Measured:
     # first observable's eigenbasis survive only up to the overlap of the
     # correspondingly displaced first-pointer packets. The overlaps come
     # from directly sampled packets, independent of the Fourier engine.
-    wb, vb = np.linalg.eigh(first_obs.matrix)
+    wb, vb = first_obs.spectrum
     amps_b = vb.conj().T @ system.amplitudes
     a_in_b = vb.conj().T @ second_obs.matrix @ vb
     damped_sum = 0.0

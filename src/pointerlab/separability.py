@@ -427,8 +427,6 @@ def first_order_product_certificate(
 
 def _replica(state: UnifiedState, points: int) -> UnifiedState:
     """Re-run the recorded history on an independent grid resolution."""
-    if state.initial_system is None:
-        raise ValueError("state carries no initial system data to rebuild from")
     specs = tuple(
         PointerSpec(
             label=s.label,
@@ -456,8 +454,6 @@ def _certificate_route(
     state: UnifiedState,
 ) -> tuple[str, SeparableDecomposition] | None:
     """Pick the constructive decomposition the recorded history supports."""
-    if state.initial_system is None:
-        return None
     initial = state.initial_system
     specs = state.pointers
     if not state.history:
@@ -490,29 +486,24 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
     Tries a constructive product decomposition first, validating it against
     the reduced state on the state's own grid and again on a resolution no
     pointer of the state uses. When no decomposition route applies, falls
-    back to the partial-transpose witness. Truncated states are refused:
-    their reduced matrices are not states and the analysis would be
-    meaningless.
+    back to the partial-transpose witness. A single pointer has nothing to
+    separate and is reported separable at once. Any cut must name exactly
+    the state's pointers, and is checked before any work.
     """
-    if state.provenance != "exact":
-        raise ValueError(
-            f"readability analysis refuses {state.provenance} states; "
-            f"evolve exactly instead"
-        )
     labels = state.pointer_dims().labels
     if cut is None:
-        if len(labels) < 2:
-            cut = ((labels[0],), ())
-        else:
-            cut = ((labels[0],), tuple(labels[1:]))
-    rho = engine.apparatus_density(state)
+        cut = (labels[:1], labels[1:])
     if len(labels) < 2:
+        if sorted((*cut[0], *cut[1])) != list(labels):
+            raise ValueError(f"cut {cut} does not name the pointers {labels}")
         return SeparabilityVerdict(
             status="separable",
             cut=cut,
             method="single-apparatus",
             notes=("single pointer, nothing to separate",),
         )
+    cut_sides(state.pointer_dims(), cut)
+    rho = engine.apparatus_density(state)
     notes: list[str] = []
     route = _certificate_route(state)
     if route is not None:

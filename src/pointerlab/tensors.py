@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -136,9 +136,6 @@ class DimensionSpec:
         if missing:
             raise KeyError(f"labels {sorted(missing)} not in {self.labels}")
         return DimensionSpec(tuple(f for f in self.factors if f[0] in want))
-
-    def merge(self, other: "DimensionSpec") -> "DimensionSpec":
-        return DimensionSpec(self.factors + other.factors)
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,7 @@ class DensityMatrix:
 
     Construction verifies Hermiticity, spectrum above EIGENVALUE_FLOOR and,
     unless ``normalized=False``, unit trace. Unnormalized matrices appear as
-    post-selected or truncated reductions whose trace carries meaning.
+    post-selected reductions, whose trace is the selection probability.
 
     ``factors`` holds the columns U when the matrix was built by
     ``from_factors`` as U U-dagger, and is None for a matrix supplied whole,
@@ -383,11 +380,6 @@ def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
     return half_trace_norm(np.hstack([c, u]), signs)
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    v = state.amplitudes
-    return DensityMatrix(state.dims, np.outer(v, v.conj()), normalized=state.normalized)
-
-
 def kron_states(*states: StateVector) -> StateVector:
     """Tensor product of the states, in order, from one outer-product chain.
 
@@ -404,10 +396,6 @@ def kron_states(*states: StateVector) -> StateVector:
         normalized=all(s.normalized for s in states),
         norm=math.prod(s.norm for s in states),
     )
-
-
-def kron_operators(a: Operator, b: Operator) -> Operator:
-    return Operator(a.dims.merge(b.dims), np.kron(a.matrix, b.matrix))
 
 
 def embed(op: Operator, dims: DimensionSpec) -> Operator:
@@ -454,16 +442,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
 def expectation(op: Operator, state: StateVector) -> complex:
     v = state.amplitudes
     return complex(v.conj() @ (op.matrix @ v))
-
-
-def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:
-    """exp(-i * scale * H) through the spectral decomposition of H."""
-    w, v = np.linalg.eigh(op.matrix)
-    u = (v * np.exp(-1j * scale * w)) @ v.conj().T
-    defect = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
-    if not defect <= HERMITIAN_DERIVED_TOL * u.shape[0]:
-        raise ValueError(f"generated matrix is not unitary, defect {defect:.3e}")
-    return u
 
 
 def generator_action(

@@ -288,16 +288,18 @@ class TestSweep:
         assert "cannot sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "start, stop, jobs, message",
+        "start, stop, jobs, steps, message",
         [
-            ("nan", "0.2", "1", "--start must be finite, got nan"),
-            ("0.1", "inf", "1", "--stop must be finite, got inf"),
-            ("0.1", "0.2", "0", "--jobs must be at least 1, got 0"),
-            ("0.1", "0.2", "-3", "--jobs must be at least 1, got -3"),
+            ("nan", "0.2", "1", "2", "--start must be finite, got nan"),
+            ("0.1", "inf", "1", "2", "--stop must be finite, got inf"),
+            ("0.1", "0.2", "0", "2", "--jobs must be at least 1, got 0"),
+            ("0.1", "0.2", "-3", "2", "--jobs must be at least 1, got -3"),
+            ("-0.1", "-0.1", "1", "2", "geometric spacing needs positive endpoints"),
+            ("-0.1", "-0.1", "1", "1", "geometric spacing needs positive endpoints"),
         ],
     )
-    def test_bad_sweep_flags_exit_one(self, start, stop, jobs, message, capsys):
-        argv = ["sweep", "weak-noselect", "--param", "gA", "--steps", "2"]
+    def test_bad_sweep_flags_exit_one(self, start, stop, jobs, steps, message, capsys):
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--steps", steps, "--log"]
         argv += ["--start", start, "--stop", stop, "--jobs", jobs]
         assert main(argv) == 1
         assert message in capsys.readouterr().err

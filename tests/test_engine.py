@@ -20,11 +20,9 @@ from pointerlab.engine import (
     apparatus_density,
     build_initial,
     commutes,
-    cross_validate,
     evolve,
     evolve_sequential,
-    expand_perturbative,
-    initial_info_expectation,
+    partial_sums,
     pointer_cross_mean,
     pointer_mean,
     postselect,
@@ -49,9 +47,9 @@ from pointerlab.tensors import (
     Operator,
     StateVector,
     partial_trace,
-    pure_density,
-    unitary_from_generator,
 )
+
+from helpers import cross_validate, pure_density, unitary_from_generator
 
 FINE = PointerGrid(points=256, length=16.0)
 COARSE = PointerGrid(points=16, length=16.0)
@@ -75,7 +73,6 @@ class TestBuildInitial:
         assert state.state.dims.labels == ("system", "A", "B")
         assert abs(state.state.norm - 1.0) < 1e-12
         assert state.shift_bounds == {"A": (0.0, 0.0), "B": (0.0, 0.0)}
-        assert state.provenance == "exact"
         assert state.history == ()
 
     def test_needs_a_pointer(self):
@@ -659,35 +656,22 @@ class TestCommutes:
         assert not commutes(pauli(SIGMA_X), pauli(SIGMA_Z))
 
 
-class TestPerturbative:
-    def test_flags_and_norm(self):
-        state, coupling = _single()
-        truncated = expand_perturbative(state, [coupling], 1)
-        assert truncated.provenance == "first_order"
-        assert not truncated.state.normalized
-        # the truncated series overshoots the unit sphere at second order
-        assert truncated.state.norm > 1.0
+def _truncated(state, couplings, order):
+    """The order-``order`` truncation psi + T_1 + ... of the series, as amplitudes."""
+    _, terms = partial_sums(state, couplings, order)
+    return sum(terms, state.state.amplitudes)
 
-    def test_second_order_label(self):
+
+class TestPerturbative:
+    def test_truncation_overshoots_the_norm(self):
         state, coupling = _single()
-        assert expand_perturbative(state, [coupling], 2).provenance == "second_order"
+        # the truncated series overshoots the unit sphere at second order
+        assert np.linalg.norm(_truncated(state, [coupling], 1)) > 1.0
 
     def test_rejects_other_orders(self):
         state, coupling = _single()
         with pytest.raises(ValueError, match="order"):
-            expand_perturbative(state, [coupling], 3)
-
-    def test_truncated_states_cannot_evolve_further(self):
-        state, coupling = _single()
-        truncated = expand_perturbative(state, [coupling], 1)
-        with pytest.raises(ValueError, match="exact"):
-            evolve(truncated, [coupling])
-
-    def test_truncated_states_cannot_be_postselected(self):
-        state, coupling = _single()
-        truncated = expand_perturbative(state, [coupling], 1)
-        with pytest.raises(ValueError, match="exact"):
-            postselect(truncated, bloch_state(math.pi / 4, 0.0))
+            partial_sums(state, [coupling], 3)
 
     def test_truncation_error_scales_with_order(self):
         state, coupling_full = _single(g=0.1)
@@ -695,8 +679,7 @@ class TestPerturbative:
 
         def defect(st, c, order):
             exact = evolve(st, [c])
-            trunc = expand_perturbative(st, [c], order)
-            return float(np.linalg.norm(exact.state.amplitudes - trunc.state.amplitudes))
+            return float(np.linalg.norm(exact.state.amplitudes - _truncated(st, [c], order)))
 
         r1 = defect(state, coupling_full, 1) / defect(state_half, coupling_half, 1)
         r2 = defect(state, coupling_full, 2) / defect(state_half, coupling_half, 2)
@@ -823,29 +806,22 @@ class TestInitialInfo:
     def test_commuting_observable_sees_no_change(self):
         state, coupling = _single(theta=math.pi / 3, g=0.5)
         proj_up = pauli(np.array([[1, 0], [0, 0]], dtype=complex))
-        value = initial_info_expectation(state, [coupling], proj_up)
+        value = system_expectation(evolve(state, [coupling]), proj_up)
         assert abs(value - math.cos(math.pi / 6) ** 2) < 1e-12
 
     def test_noncommuting_observable_is_dephased(self):
         state, coupling = _single(theta=math.pi / 3, g=0.5)
         proj_plus = pauli(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-        value = initial_info_expectation(state, [coupling], proj_plus)
+        value = system_expectation(evolve(state, [coupling]), proj_plus)
         initial = 0.5 * (1.0 + math.sin(math.pi / 3))
         assert abs(value - initial) > 1e-3
 
-    def test_one_evolution_serves_both_readouts(self):
-        state, coupling = _single(theta=math.pi / 3, g=0.5)
-        evolved = evolve(state, [coupling])
-        for matrix in ([[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]):
-            observable = pauli(np.array(matrix, dtype=complex))
-            value = system_expectation(evolved, observable)
-            assert value == initial_info_expectation(state, [coupling], observable)
-
     def test_nan_expectation_rejected(self, monkeypatch):
         state, coupling = _single(theta=math.pi / 3, g=0.5)
+        evolved = evolve(state, [coupling])
         proj_up = pauli(np.array([[1, 0], [0, 0]], dtype=complex))
         for entry in (complex(np.nan, np.nan), complex(np.nan, 0.0)):
             rho = type("Rho", (), {"matrix": np.full((2, 2), entry)})
             monkeypatch.setattr(engine_module, "system_density", lambda state: rho)
             with pytest.raises(ValueError, match="not a finite real number"):
-                initial_info_expectation(state, [coupling], proj_up)
+                system_expectation(evolved, proj_up)

@@ -15,11 +15,12 @@ from pointerlab.pointer import (
     gaussian_leakage,
     gaussian_state,
     momentum_operator,
-    position_operator,
     state_moments,
     translate,
 )
-from pointerlab.tensors import hermiticity_defect, unitary_from_generator
+from pointerlab.tensors import hermiticity_defect
+
+from helpers import unitary_from_generator
 
 FINE = PointerGrid(points=256, length=16.0)
 
@@ -136,11 +137,6 @@ class TestGaussianPreparation:
 
 
 class TestOperators:
-    def test_position_is_diagonal_in_grid_order(self):
-        grid = PointerGrid(points=8, length=4.0)
-        op = position_operator(grid, "A")
-        np.testing.assert_array_equal(np.diag(op.matrix).real, grid.positions())
-
     def test_momentum_is_hermitian(self):
         assert hermiticity_defect(momentum_operator(FINE, "A").matrix) == 0.0
 

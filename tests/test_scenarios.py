@@ -9,7 +9,7 @@ import pytest
 
 import pointerlab
 from pointerlab import cli, engine, pointer, scenarios, separability, tensors
-from pointerlab.scenarios import DEFAULTS, SCENARIOS, ScenarioConfig, run_scenario
+from pointerlab.scenarios import DEFAULTS, SCENARIOS, run_scenario
 
 REPORT_KEYS = {
     "scenario",
@@ -133,6 +133,25 @@ def test_readout_grid_fft_passes(monkeypatch, name):
         monkeypatch.setattr(np.fft, fname, counted)
     run_scenario(name)
     assert counts == READOUT_FFT_PASSES[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_steps_read_cached_spectra(monkeypatch, name):
+    """No scenario step eigensolves a coupled observable again: each reads ``spectrum``."""
+    operators = (scenarios.PAULI_X, scenarios.PAULI_Z, scenarios.PAIR_X, scenarios.PAIR_Z)
+    matrices = [op.matrix for op in operators] + [scenarios.SIGMA_X, scenarios.SIGMA_Z]
+    for op in operators:
+        op.spectrum
+    again = []
+    for fname in ("eigh", "eigvalsh"):
+
+        def spied(a, *args, _original=getattr(np.linalg, fname), **kwargs):
+            again.extend(m for m in matrices if a is m)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fname, spied)
+    run_scenario(name)
+    assert again == []
 
 
 def test_unknown_scenario_rejected():

@@ -27,9 +27,9 @@ from pointerlab.tensors import (
     DimensionSpec,
     Operator,
     StateVector,
-    pure_density,
-    unitary_from_generator,
 )
+
+from helpers import pure_density, unitary_from_generator
 
 COARSE = PointerGrid(points=16, length=16.0)
 QUBIT_PAIR = DimensionSpec.of(("a", 2), ("b", 2))
@@ -254,9 +254,10 @@ class TestFirstOrderCertificate:
                 Coupling(c.observable, c.pointer, s * c.strength, c.duration)
                 for c in couplings
             ]
-            return engine.apparatus_density(
-                engine.expand_perturbative(build_initial(system, specs), scaled, 1)
-            ).matrix
+            initial = build_initial(system, specs)
+            _, (term,) = engine.partial_sums(initial, scaled, 1)
+            m = (initial.state.amplitudes + term).reshape(system.dims.total, -1)
+            return m.T @ m.conj()
 
         def candidate(s):
             amp = np.ones(1, dtype=complex)
@@ -399,11 +400,26 @@ class TestReadability:
         assert verdict.status == "separable"
         assert verdict.method == "single-apparatus"
 
-    def test_refuses_truncated_states(self):
-        state, couplings, _ = _coarse_pair(impulse_a=0.1)
-        truncated = engine.expand_perturbative(state, couplings, 1)
-        with pytest.raises(ValueError, match="refuses"):
-            readability_check(truncated)
+    @pytest.mark.parametrize("cut", [(("X",), ("Y",)), (("A", "B"), ()), ((), ())])
+    def test_single_pointer_refuses_a_foreign_cut(self, cut, monkeypatch):
+        state = build_initial(bloch_state(math.pi / 3, 0.0), [PointerSpec("A", COARSE)])
+        with pytest.raises(ValueError, match="does not name the pointers"):
+            readability_check(state, cut)
+        # the verdict comes before any apparatus state is built
+        monkeypatch.setattr(engine, "apparatus_density", None)
+        for own in ((("A",), ()), ((), ("A",))):
+            verdict = readability_check(state, own)
+            assert (verdict.status, verdict.method, verdict.cut) == (
+                "separable", "single-apparatus", own
+            )
+
+    def test_two_pointers_refuse_a_foreign_cut_before_any_certificate(self, monkeypatch):
+        state, couplings, _ = _coarse_pair(obs_a=SIGMA_Z, impulse_a=0.3)
+        state = evolve(state, couplings)
+        monkeypatch.setattr(engine, "apparatus_density", None)
+        monkeypatch.setattr(separability, "_certificate_route", None)
+        with pytest.raises(ValueError, match="partition"):
+            readability_check(state, (("A",), ("X",)))
 
     @pytest.mark.parametrize("kind", ["uncoupled", "commuting", "sequential", "noncommuting"])
     def test_readout_grid_verdict_matches_analysis_grid(self, kind, matrix_reads):

@@ -24,20 +24,20 @@ from pointerlab.tensors import (
     factored_distance,
     generator_action,
     hermiticity_defect,
-    kron_operators,
     kron_states,
     partial_trace,
-    pure_density,
     schmidt,
     trace_distance,
-    unitary_from_generator,
 )
+
+from helpers import pure_density, unitary_from_generator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 Q = DimensionSpec.of(("q", 2))
 R = DimensionSpec.of(("r", 2))
+QR = DimensionSpec(Q.factors + R.factors)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -163,20 +163,6 @@ class TestConstructorValidation:
 
 
 class TestKron:
-    def test_sigma_x_kron_sigma_z_frozen(self):
-        got = kron_operators(Operator(Q, SX), Operator(R, SZ))
-        expected = np.array(
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, -1],
-                [1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ],
-            dtype=complex,
-        )
-        assert got.dims.labels == ("q", "r")
-        np.testing.assert_array_equal(got.matrix, expected)
-
     def test_kron_states_index_order(self):
         a = StateVector(Q, np.array([1.0, 0.0]))
         b = StateVector(R, np.array([0.0, 1.0]))
@@ -225,7 +211,7 @@ class TestKron:
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
-        dims = Q.merge(R)
+        dims = QR
         bell = StateVector(dims, np.array([1, 0, 0, 1]) / np.sqrt(2))
         reduced = partial_trace(pure_density(bell), keep=["q"])
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
@@ -425,7 +411,7 @@ class TestGeneratorAction:
 
 class TestSchmidt:
     def test_bell_frozen(self):
-        dims = Q.merge(R)
+        dims = QR
         bell = StateVector(dims, np.array([1, 0, 0, 1]) / np.sqrt(2))
         coeffs, rank = schmidt(bell, (("q",), ("r",)))
         assert rank == 2
@@ -442,7 +428,7 @@ class TestSchmidt:
     @given(st.integers(0, 2**32 - 1))
     def test_coefficients_invariant_under_local_unitaries(self, seed):
         rng = _rng(seed)
-        dims = Q.merge(R)
+        dims = QR
         state = _random_state(rng, dims)
         coeffs, _ = schmidt(state, (("q",), ("r",)))
         oracle = np.linalg.svd(state.amplitudes.reshape(2, 2), compute_uv=False)
@@ -453,7 +439,7 @@ class TestSchmidt:
         assert abs(np.sum(coeffs**2) - 1.0) < 1e-10
 
     def test_cut_must_partition(self):
-        dims = Q.merge(R)
+        dims = QR
         state = _random_state(_rng(0), dims)
         with pytest.raises(ValueError, match="partition"):
             schmidt(state, (("q",), ("q",)))

@@ -23,31 +23,18 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 from typing import Any, Sequence
 
 from .scenarios import SCENARIOS, ScenarioConfig, get_scenario, run_scenario
 
-# CLI flag name -> (ScenarioConfig field, parser)
+# CLI flag name -> (ScenarioConfig field, parser), from each field's metadata
 _FLAG_FIELDS: dict[str, tuple[str, Any]] = {
-    "gA": ("g_a", float),
-    "gB": ("g_b", float),
-    "t": ("t", float),
-    "thetaI": ("theta_i", float),
-    "phiI": ("phi_i", float),
-    "thetaF": ("theta_f", float),
-    "phiF": ("phi_f", float),
-    "x0A": ("x0_a", float),
-    "x0B": ("x0_b", float),
-    "sigma": ("sigma", float),
-    "gridN": ("grid_points", int),
-    "gridL": ("grid_length", float),
+    f.metadata["flag"]: (f.name, type(f.default)) for f in fields(ScenarioConfig)
 }
-_SWEEPABLE = {
-    name for name, (_, parser) in _FLAG_FIELDS.items() if parser is float
-}
+_SWEEPABLE = {name for name, (_, parser) in _FLAG_FIELDS.items() if parser is float}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -37,8 +37,9 @@ included, forms an N x N matrix; everything works from the amplitudes.
 
 For order-by-order comparisons ``partial_sums`` returns the terms of the
 truncated series themselves, not a state: the order-n truncation is the
-state plus the first n terms, and one pass serves every impulse scale. On
-a state with no history the terms are sums of outer products of the
+state plus the first n terms, and one pass serves every impulse scale. The
+series expands only the product state ``build_initial`` made, and refuses
+a state with history. Its terms are sums of outer products of the
 observables applied to the system vector and the packets kicked by their
 momentum, so no FFT runs over the state.
 
@@ -139,16 +140,19 @@ class UnifiedState:
     one entry per evolution call). ``shift_bounds`` tracks the accumulated
     interval of possible pointer displacements per label, used to refuse
     evolutions that could wrap the periodic box. ``initial_system`` is the
-    pre-interaction system state; separability certificates rebuild reduced
-    states from it on independent grids.
+    pre-interaction system state, whose dims are ``system``; separability
+    certificates rebuild reduced states from it on independent grids.
     """
 
     state: StateVector
-    system: DimensionSpec
     pointers: tuple[PointerSpec, ...]
     initial_system: StateVector
     history: tuple[tuple[Coupling, ...], ...] = ()
     shift_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    @property
+    def system(self) -> DimensionSpec:
+        return self.initial_system.dims
 
     def pointer_spec(self, label: str) -> PointerSpec:
         for spec in self.pointers:
@@ -176,7 +180,6 @@ def build_initial(system: StateVector, pointers: Sequence[PointerSpec]) -> Unifi
         raise ValueError("at least one pointer is required")
     return UnifiedState(
         state=kron_states(system, *map(_packet, specs)),
-        system=system.dims,
         pointers=specs,
         initial_system=system,
         shift_bounds={spec.label: (0.0, 0.0) for spec in specs},
@@ -543,55 +546,14 @@ def evolve_sequential(
 
 def partial_sums(
     state: UnifiedState, couplings: Sequence[Coupling], order: int
-) -> tuple[tuple[Coupling, ...], list[np.ndarray]]:
-    """The couplings, and the series terms T_m = (-i t H)^m psi / m! for m = 1..order.
+) -> list[np.ndarray]:
+    """The series terms T_m = (-i t H)^m psi / m! for m = 1..order, on a product state.
 
     The order-n partial sum is psi + sum_{m<=n} T_m. Scaling every strength
     by s scales T_m by s^m, so one pass serves every impulse scale: the
     partial sums at scale s are psi + sum_{m<=n} s^m T_m, and at s = 1/2
-    that rescaling is exact in binary. A state with no history is the
-    product ``build_initial`` made, so its terms are sums of outer products
-    of small factors (``_product_terms``). On any other state each H
-    product transforms the coupled pointer's axis once per coupling, into
-    one reused buffer.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"perturbative order must be 1 or 2, got {order}")
-    cs, t = _validate_couplings(state, couplings)
-    if not state.history:
-        return cs, _product_terms(state, cs, t, order)
-    tensor = state.tensor()
-    kicked = np.empty_like(tensor)
-    mixed = np.empty_like(tensor) if len(cs) > 1 else None
-
-    def apply_h(v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for i, c in enumerate(cs):
-            axis = _pointer_axis(state, c.pointer)
-            k = state.pointer_spec(c.pointer).grid.wavenumbers()
-            shape = [1] * v.ndim
-            shape[axis] = k.size
-            np.fft.fft(v, axis=axis, out=kicked)
-            np.multiply(kicked, c.strength * k.reshape(shape), out=kicked)
-            np.fft.ifft(kicked, axis=axis, out=kicked)
-            _system_map(c.observable.matrix, kicked, mixed if i else out)
-            if i:
-                out += mixed
-        return out
-
-    terms = []
-    term = tensor
-    for m in range(1, order + 1):
-        term = apply_h(term)
-        term *= -1j * t / m
-        terms.append(term.reshape(-1))
-    return cs, terms
-
-
-def _product_terms(
-    state: UnifiedState, cs: tuple[Coupling, ...], t: float, order: int
-) -> list[np.ndarray]:
-    """T_1..T_order on the product state ``build_initial`` made, as sums of outer products.
+    that rescaling is exact in binary. ``state`` must have no history: it
+    is the product ``build_initial`` made, and an evolved state is refused.
 
     Each g A pi of H acts on the system factor and one packet, so T_m is a
     sum over how its m kicks fall on the pointers. For each way, the system
@@ -600,6 +562,11 @@ def _product_terms(
     i contributes its packet kicked n_i times (``_kicked_packet``). Only
     the packets' 1-D transforms run, once per spec and kick count.
     """
+    if order not in (1, 2):
+        raise ValueError(f"perturbative order must be 1 or 2, got {order}")
+    if state.history:
+        raise ValueError("the perturbative series expands only a state with no history")
+    cs, t = _validate_couplings(state, couplings)
     index = {spec.label: i for i, spec in enumerate(state.pointers)}
     layer = {(0,) * len(index): state.initial_system.amplitudes}
     terms = []

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .tensors import (
     NORM_TOL,
     Operator,
     StateVector,
-    embed,
     expectation,
     schmidt,
 )
@@ -62,21 +61,9 @@ CUBIC_RATIO = 7.5
 SCALING_FLOOR = 1e-12
 
 
-# ScenarioConfig's real-valued fields and what each one is, for the message
-# that refuses a non-finite value.
-_NUMERIC_FIELDS = {
-    "g_a": "coupling strength",
-    "g_b": "coupling strength",
-    "t": "coupling duration",
-    "theta_i": "Bloch angle",
-    "phi_i": "Bloch angle",
-    "theta_f": "Bloch angle",
-    "phi_f": "Bloch angle",
-    "x0_a": "pointer offset",
-    "x0_b": "pointer offset",
-    "sigma": "pointer spread",
-    "grid_length": "grid length",
-}
+def _setting(default: float, flag: str, role: str) -> Any:
+    """A ScenarioConfig field, with its CLI flag and what it is for its error message."""
+    return field(default=default, metadata={"flag": flag, "role": role})
 
 
 @dataclass(frozen=True)
@@ -85,28 +72,30 @@ class ScenarioConfig:
 
     ``g_a``/``g_b`` are coupling strengths, ``t`` the shared interaction
     time. Angles are Bloch coordinates of the initial and post-selection
-    states. ``grid_points`` and ``grid_length`` give the readout grid. A
-    non-finite real value is refused at construction, with the field's name.
+    states. ``grid_points`` and ``grid_length`` give the readout grid. Each
+    field's metadata holds its CLI flag and its role; a non-finite value is
+    refused at construction, with the field's name and role.
     """
 
-    g_a: float = 0.2
-    g_b: float = 0.0
-    t: float = 1.0
-    theta_i: float = math.pi / 3
-    phi_i: float = 0.0
-    theta_f: float = math.pi / 4
-    phi_f: float = 0.0
-    x0_a: float = 0.0
-    x0_b: float = 0.0
-    sigma: float = 1.0
-    grid_points: int = 256
-    grid_length: float = 16.0
+    g_a: float = _setting(0.2, "gA", "coupling strength")
+    g_b: float = _setting(0.0, "gB", "coupling strength")
+    t: float = _setting(1.0, "t", "coupling duration")
+    theta_i: float = _setting(math.pi / 3, "thetaI", "Bloch angle")
+    phi_i: float = _setting(0.0, "phiI", "Bloch angle")
+    theta_f: float = _setting(math.pi / 4, "thetaF", "Bloch angle")
+    phi_f: float = _setting(0.0, "phiF", "Bloch angle")
+    x0_a: float = _setting(0.0, "x0A", "pointer offset")
+    x0_b: float = _setting(0.0, "x0B", "pointer offset")
+    sigma: float = _setting(1.0, "sigma", "pointer spread")
+    grid_points: int = _setting(256, "gridN", "grid size")
+    grid_length: float = _setting(16.0, "gridL", "grid length")
 
     def __post_init__(self) -> None:
-        for name, role in _NUMERIC_FIELDS.items():
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ValueError(f"{name}: {role} must be finite, got {value!r}")
+                role = f.metadata["role"]
+                raise ValueError(f"{f.name}: {role} must be finite, got {value!r}")
 
     def readout_grid(self) -> PointerGrid:
         return PointerGrid(points=self.grid_points, length=self.grid_length)
@@ -159,8 +148,8 @@ def pauli(matrix: np.ndarray, label: str = "system") -> Operator:
 PAULI_X, PAULI_Z = pauli(SIGMA_X), pauli(SIGMA_Z)
 PAIR_DIMS = DimensionSpec.of(("s1", 2), ("s2", 2))
 # sigma_x on the pair's first qubit and sigma_z on its second, identity elsewhere.
-PAIR_X = embed(Operator(PAIR_DIMS.subset(["s1"]), SIGMA_X), PAIR_DIMS)
-PAIR_Z = embed(Operator(PAIR_DIMS.subset(["s2"]), SIGMA_Z), PAIR_DIMS)
+PAIR_X = Operator(PAIR_DIMS, np.kron(SIGMA_X, np.eye(2)))
+PAIR_Z = Operator(PAIR_DIMS, np.kron(np.eye(2), SIGMA_Z))
 Phases = list[list[Coupling]]
 
 
@@ -168,19 +157,26 @@ Phases = list[list[Coupling]]
 class Run:
     """What the runner hands to a scenario's ``measure`` step.
 
-    ``couplings`` are every phase's, in order; ``state`` is the readout-grid
-    state after them, and ``at_scale(s)`` the same with all strengths times s.
+    ``state`` is the readout-grid state after every phase, and
+    ``at_scale(s)`` the same with all strengths times s; ``system`` and
+    ``couplings`` (every phase's, in order) are read from ``state``.
     ``purity`` and ``expected_rank`` are the reported state's.
     """
 
     cfg: ScenarioConfig
-    system: StateVector
-    couplings: tuple[Coupling, ...]
     state: UnifiedState
     at_scale: Callable[[float], UnifiedState]
     verdict: SeparabilityVerdict | None
     purity: float
     expected_rank: int | None
+
+    @property
+    def system(self) -> StateVector:
+        return self.state.initial_system
+
+    @property
+    def couplings(self) -> tuple[Coupling, ...]:
+        return tuple(c for phase in self.state.history for c in phase)
 
 
 @dataclass(frozen=True)
@@ -456,7 +452,7 @@ def _weak_orders(run: Run) -> Measured:
     initial = engine.build_initial(system, run.state.pointers)
     psi = initial.state.amplitudes
     gaps = [run.state.state.amplitudes - psi, run.at_scale(0.5).state.amplitudes - psi]
-    _, terms = engine.partial_sums(initial, run.state.history[0], 2)
+    terms = engine.partial_sums(initial, run.state.history[0], 2)
     defects = []
     for m, term in enumerate(terms, 1):
         gaps[0] -= term
@@ -819,9 +815,7 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
     def at_scale(scale: float) -> UnifiedState:
         return _evolve(system, specs, scenario.phases(cfg, scale))[0]
 
-    measured = scenario.measure(
-        Run(cfg, system, couplings, state, at_scale, verdict, purity, expected_rank)
-    )
+    measured = scenario.measure(Run(cfg, state, at_scale, verdict, purity, expected_rank))
     return ScenarioReport(
         scenario=name,
         config=cfg,

@@ -413,7 +413,7 @@ def first_order_product_certificate(
         chi1 = (np.multiply.outer(chi1, psi) + np.multiply.outer(chi0, delta)).reshape(-1)
         chi0 = np.multiply.outer(chi0, psi).reshape(-1)
     state = engine.build_initial(initial, specs)
-    _, (m1,) = engine.partial_sums(state, couplings, 1)
+    (m1,) = engine.partial_sums(state, couplings, 1)
     m0 = state.matrix()
     m1 = m1.reshape(m0.shape)
     # u v-dagger + v u-dagger = ((u + v)(u + v)-dagger - (u - v)(u - v)-dagger) / 2

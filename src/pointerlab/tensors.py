@@ -2,8 +2,8 @@
 
 Hilbert spaces in this package are explicit tensor products of named
 factors, for example ``(("system", 2), ("A", 256))``. Every state and
-operator carries its factor layout, so partial traces, bipartite cuts and
-operator embeddings never address a subsystem by bare axis position.
+operator carries its factor layout, so partial traces and bipartite cuts
+never address a subsystem by bare axis position.
 
 States and operators are dense arrays. A state can be large (epr's readout
 state has 4 x 256 x 256 = 262144 amplitudes), but no matrix over a space of
@@ -396,28 +396,6 @@ def kron_states(*states: StateVector) -> StateVector:
         normalized=all(s.normalized for s in states),
         norm=math.prod(s.norm for s in states),
     )
-
-
-def embed(op: Operator, dims: DimensionSpec) -> Operator:
-    """Extend an operator by identity onto the remaining factors of ``dims``.
-
-    The operator's own factors must appear in ``dims`` as a contiguous block
-    in the same order; that is the only layout this package ever needs.
-    """
-    own = op.dims.labels
-    labels = dims.labels
-    for start in range(len(labels) - len(own) + 1):
-        if labels[start : start + len(own)] == own:
-            break
-    else:
-        raise ValueError(f"factors {own} are not a contiguous block of {labels}")
-    for lab in own:
-        if dims.dim(lab) != op.dims.dim(lab):
-            raise ValueError(f"dimension mismatch for factor {lab!r}")
-    left = math.prod(dims.sizes[:start])
-    right = math.prod(dims.sizes[start + len(own) :])
-    m = np.kron(np.kron(np.eye(left), op.matrix), np.eye(right))
-    return Operator(dims, m)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:

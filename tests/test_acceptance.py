@@ -310,7 +310,7 @@ def test_c10_truncation_error_orders(acceptance_verdict):
     def defect(impulse: float, order: int) -> float:
         state, couplings = _noncommuting_pair(impulse, COARSE, theta=math.pi / 3)
         exact = evolve(state, couplings)
-        _, terms = partial_sums(state, couplings, order)
+        terms = partial_sums(state, couplings, order)
         truncated = sum(terms, state.state.amplitudes)
         return float(np.linalg.norm(exact.state.amplitudes - truncated))
 

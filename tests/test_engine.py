@@ -582,7 +582,7 @@ class TestProductStart:
             mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft,
             mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft,
         ):
-            _, terms = engine_module.partial_sums(state, couplings, order)
+            terms = engine_module.partial_sums(state, couplings, order)
         # only the packets' 1-D transforms run, never one over the state
         calls = fft.call_args_list + ifft.call_args_list
         assert all(np.ndim(call.args[0]) == 1 for call in calls)
@@ -658,7 +658,7 @@ class TestCommutes:
 
 def _truncated(state, couplings, order):
     """The order-``order`` truncation psi + T_1 + ... of the series, as amplitudes."""
-    _, terms = partial_sums(state, couplings, order)
+    terms = partial_sums(state, couplings, order)
     return sum(terms, state.state.amplitudes)
 
 
@@ -672,6 +672,13 @@ class TestPerturbative:
         state, coupling = _single()
         with pytest.raises(ValueError, match="order"):
             partial_sums(state, [coupling], 3)
+
+    def test_expands_only_the_product_state(self):
+        state, coupling = _single()
+        terms = partial_sums(state, [coupling], 2)
+        assert isinstance(terms, list) and len(terms) == 2
+        with pytest.raises(ValueError, match="no history"):
+            partial_sums(evolve(state, [coupling]), [coupling], 1)
 
     def test_truncation_error_scales_with_order(self):
         state, coupling_full = _single(g=0.1)

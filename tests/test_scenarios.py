@@ -159,6 +159,27 @@ def test_unknown_scenario_rejected():
         run_scenario("weak-unselect")
 
 
+class TestScalingCheck:
+    """Defect pairs just either side of each two-point scaling threshold."""
+
+    @staticmethod
+    def _check(drop, ratio, defect=1e-6):
+        return scenarios._scaling_check(defect, defect / drop, ratio)
+
+    def test_quadratic_ratio(self):
+        assert self._check(3.6, scenarios.QUADRATIC_RATIO)
+        assert not self._check(3.4, scenarios.QUADRATIC_RATIO)
+
+    def test_cubic_ratio(self):
+        assert self._check(7.6, scenarios.CUBIC_RATIO)
+        assert not self._check(7.4, scenarios.CUBIC_RATIO)
+
+    def test_floor(self):
+        """A defect that does not drop passes only at the roundoff floor."""
+        assert self._check(1.0, scenarios.QUADRATIC_RATIO, defect=1e-12)
+        assert not self._check(1.0, scenarios.QUADRATIC_RATIO, defect=2e-12)
+
+
 class TestWeakNoselect:
     def test_mean_frozen(self, default_reports):
         # impulse 0.2 times <sigma_z> = 1/2 at theta = pi/3
@@ -305,6 +326,21 @@ class TestEigenstate:
         expected = 0.5 * (1.0 + math.exp(-0.25))
         assert report.readouts["purity"] == pytest.approx(expected, abs=1e-6)
         assert report.readouts["mean_a"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("offset, ok", [(0.0, True), (5e-7, True), (2e-6, False)])
+    def test_purity_checks_near_their_tolerance(self, offset, ok):
+        """A purity off by just more than PURITY_TOL fails both purity checks."""
+        cfg = DEFAULTS["eigenstate"]
+        spec = pointer.PointerSpec("A", cfg.readout_grid(), cfg.x0_a, cfg.sigma)
+        system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
+        phases = SCENARIOS["eigenstate"].phases(cfg, 1.0)
+        state, _ = scenarios._evolve(system, [spec], phases)
+        rho = engine.system_density(state).matrix
+        purity = float(np.trace(rho @ rho).real) + offset
+        run = scenarios.Run(cfg, state, None, None, purity, None)
+        checks = scenarios._eigenstate(run).checks
+        assert checks["purity_matches_formula"] is ok
+        assert checks["purity_matches_sampled_overlap"] is ok
 
     def test_true_eigenstate_input_stays_sharp(self):
         cfg = dataclasses.replace(DEFAULTS["eigenstate"], theta_i=math.pi / 2)

@@ -127,6 +127,18 @@ class TestDecompositionContainer:
                 (ProductTerm(0.4, {"A": factor}), ProductTerm(0.4, {"A": factor}))
             )
 
+    def test_weight_sum_tolerance(self):
+        """Weights summing to 1 + 2e-10 are refused, and to 1 + 5e-11 accepted."""
+        factor = gaussian_state(PointerSpec("A", COARSE))
+        near = SeparableDecomposition(
+            (ProductTerm(0.5 + 5e-11, {"A": factor}), ProductTerm(0.5, {"A": factor}))
+        )
+        assert sum(near.weights) != 1.0
+        with pytest.raises(ValueError, match="sum"):
+            SeparableDecomposition(
+                (ProductTerm(0.5 + 2e-10, {"A": factor}), ProductTerm(0.5, {"A": factor}))
+            )
+
     def test_negative_weight_rejected(self):
         spec = PointerSpec("A", COARSE)
         from pointerlab.pointer import gaussian_state
@@ -255,7 +267,7 @@ class TestFirstOrderCertificate:
                 for c in couplings
             ]
             initial = build_initial(system, specs)
-            _, (term,) = engine.partial_sums(initial, scaled, 1)
+            (term,) = engine.partial_sums(initial, scaled, 1)
             m = (initial.state.amplitudes + term).reshape(system.dims.total, -1)
             return m.T @ m.conj()
 

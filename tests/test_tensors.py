@@ -19,7 +19,6 @@ from pointerlab.tensors import (
     DimensionSpec,
     Operator,
     StateVector,
-    embed,
     expectation,
     factored_distance,
     generator_action,
@@ -510,20 +509,6 @@ class TestDistanceAndExpectation:
         plus = StateVector(Q, np.array([1.0, 1.0]) / np.sqrt(2))
         assert abs(expectation(Operator(Q, SX), plus) - 1.0) < 1e-14
         assert abs(expectation(Operator(Q, SZ), plus)) < 1e-14
-
-
-class TestEmbed:
-    def test_matches_explicit_kron(self):
-        dims = DimensionSpec.of(("s", 2), ("A", 4), ("B", 3))
-        op = Operator(DimensionSpec.of(("A", 4)), np.diag([0, 1, 2, 3]).astype(complex))
-        expected = np.kron(np.kron(np.eye(2), op.matrix), np.eye(3))
-        np.testing.assert_array_equal(embed(op, dims).matrix, expected)
-
-    def test_rejects_noncontiguous_block(self):
-        dims = DimensionSpec.of(("s", 2), ("A", 4), ("B", 3))
-        op = Operator(DimensionSpec.of(("s", 2), ("B", 3)), np.eye(6, dtype=complex))
-        with pytest.raises(ValueError, match="contiguous"):
-            embed(op, dims)
 
 
 class TestFactoredDensity:

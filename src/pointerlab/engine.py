@@ -5,17 +5,23 @@ a system observable A multiplied by the momentum pi of one pointer. Two
 independent integrators are provided and kept deliberately separate so they
 can cross-check each other:
 
-* ``shift``: works in the pointer momentum representation. A state with no
-  history is the product ``build_initial`` made, so its spectrum is the
-  system amplitudes times each packet's cached 1-D FFT, and no forward
-  transform runs over the whole tensor; a later phase transforms the state
-  as it stands. When all coupled observables commute, every coupling of the
-  phase applies its exact per-eigenvalue translation between one forward
-  and one inverse transform; when they do not, the generator is
+* ``shift``: works in the pointer momentum representation. When all
+  coupled observables commute and the state has no history, each coupling
+  is split over its observable's eigenvectors into rank-1 projectors, each
+  times a rigid translation of its pointer, and the result is written once
+  as a sum over branches: a system vector times one 1-D factor per
+  pointer, a batched inverse FFT of the packet's cached spectrum times its
+  phase (``_branch_sum``). A later phase, or one whose pointer would have
+  more branches than grid points, applies every coupling's exact
+  per-eigenvalue translation between one forward and one inverse
+  transform. When the observables do not commute, the generator is
   block-diagonal over the momentum grid and each small system block is
   exponentiated exactly: a qubit block by the closed-form SU(2)
-  exponential, assembled in real arithmetic, a larger one by batched
-  ``eigh``.
+  exponential, assembled in real arithmetic in place, a larger one by
+  batched ``eigh``. A state with no history is the product
+  ``build_initial`` made, so its spectrum is the system amplitudes times
+  each packet's cached 1-D FFT, and no forward transform runs over the
+  whole tensor.
 * ``expm``: applies the generator to the state one factor at a time, each
   A on the system factors and the dense momentum matrix pi on the pointer
   factor its label names, and exp(-i t H) by a scaled Taylor series
@@ -39,21 +45,25 @@ For order-by-order comparisons ``partial_sums`` returns the terms of the
 truncated series themselves, not a state: the order-n truncation is the
 state plus the first n terms, and one pass serves every impulse scale. The
 series expands only the product state ``build_initial`` made, and refuses
-a state with history. Its terms are sums of outer products of the
-observables applied to the system vector and the packets kicked by their
-momentum, so no FFT runs over the state.
+a state with history. Each term is one ``_branch_sum`` over kick patterns
+of the observables applied to the system vector times the packets kicked
+by their momentum, so no FFT runs over the state.
 
-Product states come from cached factors: ``build_initial`` takes each
-pointer's packet from a per-``PointerSpec`` cache, which also holds its
-1-D spectrum, measured moments and momentum kicks, and forms the product
-with ``tensors.kron_states``, which copies nothing.
+Product states come from cached factors and are formed only when read:
+``build_initial`` keeps the system state and each pointer's packet from a
+per-``PointerSpec`` cache, which also holds its 1-D spectrum, measured
+moments and momentum kicks. ``UnifiedState.state`` forms their product
+with ``tensors.kron_states`` on first read and keeps it; the shift
+integrator and the series read the factors instead, and ``evolve`` takes
+the product's norm and layout from them, so a readout-grid array is
+written only where a result needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -69,6 +79,7 @@ from .tensors import (
     generator_action,
     kron_states,
     max_abs,
+    product_dims,
 )
 
 COMMUTATOR_TOL = 1e-10
@@ -142,17 +153,36 @@ class UnifiedState:
     evolutions that could wrap the periodic box. ``initial_system`` is the
     pre-interaction system state, whose dims are ``system``; separability
     certificates rebuild reduced states from it on independent grids.
+
+    ``state`` holds the amplitudes. Before any phase the state is the
+    product of ``initial_system`` and the pointers' cached packets, formed
+    by ``kron_states`` on first read and kept; the shift integrator and the
+    perturbative series start from those factors and never read it.
+    ``_evolved`` is the state an evolution left, None for the product.
     """
 
-    state: StateVector
     pointers: tuple[PointerSpec, ...]
     initial_system: StateVector
     history: tuple[tuple[Coupling, ...], ...] = ()
     shift_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
+    _evolved: StateVector | None = field(default=None, repr=False)
 
     @property
     def system(self) -> DimensionSpec:
         return self.initial_system.dims
+
+    @cached_property
+    def state(self) -> StateVector:
+        """The amplitudes as a state; the product is formed here, on first read."""
+        if self._evolved is not None:
+            return self._evolved
+        return kron_states(*self._factors())
+
+    def _factors(self) -> tuple[StateVector, ...]:
+        """The state as tensor factors: itself once evolved, else the system and its packets."""
+        if self._evolved is not None:
+            return (self._evolved,)
+        return (self.initial_system, *map(_packet, self.pointers))
 
     def pointer_spec(self, label: str) -> PointerSpec:
         for spec in self.pointers:
@@ -174,12 +204,16 @@ class UnifiedState:
 
 
 def build_initial(system: StateVector, pointers: Sequence[PointerSpec]) -> UnifiedState:
-    """Product of a system state and the pointers' Gaussian packets, cached per spec."""
+    """Product of a system state and the pointers' Gaussian packets, cached per spec.
+
+    No amplitudes are formed here: ``state`` forms the product on first read.
+    """
     specs = tuple(pointers)
     if not specs:
         raise ValueError("at least one pointer is required")
+    for spec in specs:
+        _packet(spec)  # a packet that leaks out of its box is refused here
     return UnifiedState(
-        state=kron_states(system, *map(_packet, specs)),
         pointers=specs,
         initial_system=system,
         shift_bounds={spec.label: (0.0, 0.0) for spec in specs},
@@ -283,6 +317,14 @@ def _kicked_packet(spec: PointerSpec, kicks: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _kicked_packets(spec: PointerSpec, most: int) -> np.ndarray:
+    """The packet kicked 0, 1, ..., ``most`` times, one per row, read-only."""
+    out = np.stack([_kicked_packet(spec, n) for n in range(most + 1)])
+    out.setflags(write=False)
+    return out
+
+
 def _system_map(m: np.ndarray, tensor: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The matrix ``m`` applied to the system axis of ``tensor``, written into ``out``."""
     d = tensor.shape[0]
@@ -316,14 +358,81 @@ def _spectrum(
     return out
 
 
-def _evolve_commuting(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
-    """Per-eigenvalue Fourier translations, every coupling between one transform pair.
+def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_b core[b] (x) factors[0][b_1] (x) ... (x) factors[-1][b_k], as a fresh array.
 
-    Each coupling multiplies its pointer's momentum amplitudes by
-    exp(-i g t a k) in its observable's eigenbasis. The basis changes act on
-    the system axis, so they commute with the transforms over the pointer
-    axes, and consecutive ones merge into one matrix.
+    ``core`` is (B_1, ..., B_k, d): one system vector per branch b, whose
+    index has one entry b_p per pointer, and ``factors[p]`` is (B_p, N_p),
+    one 1-D pointer factor per entry. The result is (d, N_1, ..., N_k). The
+    pointers are contracted in turn, each by one matrix product, the last
+    written straight into the result; with every B_p <= N_p no temporary is
+    as large as the result.
     """
+    t = core
+    *inner, last = factors
+    for f in inner:
+        t = (t.reshape(len(f), -1).T @ f).reshape(t.shape[1:] + f.shape[1:])
+    out = np.empty(t.shape[1:] + last.shape[1:], dtype=complex)
+    np.matmul(t.reshape(len(last), -1).T, last, out=out.reshape(-1, last.shape[1]))
+    return out
+
+
+def _commuting_branches(
+    state: UnifiedState, couplings: Sequence[Coupling]
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """A commuting phase on the product state as ``_branch_sum`` branches.
+
+    Each coupling is a sum over its observable's cached eigenvectors v of
+    the rank-1 projector v v-dagger times the translation of its pointer by
+    the impulse times v's eigenvalue. The projectors sum to the identity
+    whatever the degeneracy, so this is exact, and the couplings commute,
+    so the phase is the product of those sums. A branch picks one
+    eigenvector per coupling: its system vector is the projectors applied
+    to the system amplitudes in turn, and its factor on a pointer is one
+    inverse transform of the packet's cached spectrum times the phase of
+    its couplings' summed kicks, batched over the pointer's branches.
+    Returns None when a pointer would have more branches, d to the power
+    of its couplings, than grid points.
+    """
+    d = state.system.total
+    core = state.initial_system.amplitudes
+    shape, factors = [], []
+    for spec in state.pointers:
+        on = [c for c in couplings if c.pointer == spec.label]
+        if d ** len(on) > spec.grid.points:
+            return None
+        kicks = np.zeros(())
+        for c in on:
+            w, v = c.observable.spectrum
+            # core[..., a, :] = v_a (v_a-dagger core)
+            core = (core @ v.conj())[..., None] * v.T
+            kicks = np.add.outer(kicks, c.impulse * w)
+        shape.append(kicks.size)
+        if on:
+            k = spec.grid.wavenumbers()
+            phase = np.exp(-1j * np.multiply.outer(kicks.reshape(-1), k))
+            phase *= _packet_spectrum(spec)
+            factors.append(np.fft.ifft(phase, out=phase))
+        else:
+            factors.append(_packet(spec).amplitudes[None])
+    return core.reshape(shape + [d]), factors
+
+
+def _evolve_commuting(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
+    """Per-eigenvalue translations of a commuting phase.
+
+    The product state is written once from its branches
+    (``_commuting_branches``) unless a pointer has too many. Otherwise
+    every coupling multiplies its pointer's momentum amplitudes by
+    exp(-i g t a k) in its observable's eigenbasis, all between one forward
+    and one inverse transform. The basis changes act on the system axis,
+    so they commute with the transforms over the pointer axes, and
+    consecutive ones merge into one matrix.
+    """
+    if not state.history:
+        branches = _commuting_branches(state, couplings)
+        if branches is not None:
+            return _branch_sum(*branches)
     axes = tuple(sorted({_pointer_axis(state, c.pointer) for c in couplings}))
     bases = [c.observable.spectrum for c in couplings]
     ft = _spectrum(state, axes, bases[0][1].conj().T)
@@ -352,15 +461,17 @@ def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
 def _qubit_blocks(
     ft: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
-    """exp(-i t h(k)) on every momentum block of a qubit, in closed form, as a new array.
+    """exp(-i t h(k)) on every momentum block of a qubit, in closed form, in place.
 
     Each block is h(k) = c0 I + c . sigma with real c0, c, so
     exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
     b = -s (cy + i cx) and s = sin(t|c|)/|c|. s is t sinc(t|c|/pi), which is
     t at |c| = 0 with no special case. Each coefficient is assembled in real
-    arithmetic into one complex buffer, in turn. A component no observable
-    carries stays the scalar 0 and spans no grid; for c0 the factor
-    exp(-i t c0), exactly 1, is then skipped.
+    arithmetic into one complex buffer, in turn, and ``ft``, which the
+    caller owns, is overwritten row by row and returned; one spare row keeps
+    the first input row for the second. A component no observable carries
+    stays the scalar 0 and spans no grid; for c0 the factor exp(-i t c0),
+    exactly 1, is then skipped.
     """
     grid = ft.shape[1:]
     parts = [0.0, 0.0, 0.0, 0.0]
@@ -382,30 +493,30 @@ def _qubit_blocks(
     s = np.sinc(tr / np.pi)
     s *= t
     u0, u1 = ft
-    out = np.empty_like(ft)
+    first = u0.copy()
     coef = np.empty(grid, dtype=complex)
-    # a = cos - i s cz on u0 into row 0, and a* on u1 into row 1
+    # a = cos - i s cz on u0, then b = -s cy - i s cx on u1, into row 0
     np.cos(tr, out=coef.real)
     np.multiply(s, -cz, out=coef.imag)
-    np.multiply(coef, u0, out=out[0])
-    np.conjugate(coef, out=coef)
-    np.multiply(coef, u1, out=out[1])
-    # b = -s cy - i s cx on u1 into row 0
+    np.multiply(coef, u0, out=u0)
     np.multiply(s, -cy, out=coef.real)
     np.multiply(s, -cx, out=coef.imag)
     coef *= u1
-    out[0] += coef
-    # -b* = s cy - i s cx on u0 into row 1
+    u0 += coef
+    # a* on u1, then -b* = s cy - i s cx on the first row, into row 1
+    np.cos(tr, out=coef.real)
+    np.multiply(s, cz, out=coef.imag)
+    np.multiply(coef, u1, out=u1)
     np.multiply(s, cy, out=coef.real)
     np.multiply(s, -cx, out=coef.imag)
-    coef *= u0
-    out[1] += coef
+    coef *= first
+    u1 += coef
     if isinstance(c0, np.ndarray):
         # exp(-i t c0)
         np.cos(t * c0, out=coef.real)
         np.sin(-t * c0, out=coef.imag)
-        out *= coef
-    return out
+        ft *= coef
+    return ft
 
 
 def _evolve_blocks(
@@ -517,18 +628,24 @@ def evolve(
         amps = tensor.reshape(-1)
     else:
         raise ValueError(f"unknown evolution method {method!r}")
+    # The product's norm, claim and layout are its factors', as kron_states
+    # takes them, so reading them forms nothing.
+    factors = state._factors()
     norm = float(np.linalg.norm(amps))
-    if not abs(norm - state.state.norm) <= NORM_TOL:
+    if not abs(norm - math.prod(f.norm for f in factors)) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
     # The copy stays: without it scenario-suite peak RSS measured about 2 MB higher.
     evolved = StateVector._owning(
-        state.state.dims, amps.copy(), normalized=state.state.normalized, norm=norm
+        product_dims(*(f.dims for f in factors)),
+        amps.copy(),
+        normalized=all(f.normalized for f in factors),
+        norm=norm,
     )
     return replace(
         state,
-        state=evolved,
         history=state.history + (cs,),
         shift_bounds=bounds,
+        _evolved=evolved,
     )
 
 
@@ -559,8 +676,9 @@ def partial_sums(
     sum over how its m kicks fall on the pointers. For each way, the system
     vector gathers every ordered product of the g A with those kicks,
     applied to the system amplitudes, times -i t / j at step j, and pointer
-    i contributes its packet kicked n_i times (``_kicked_packet``). Only
-    the packets' 1-D transforms run, once per spec and kick count.
+    i contributes its packet kicked n_i times (``_kicked_packets``). Each
+    term is written once, by one ``_branch_sum`` over the kick patterns.
+    Only the packets' 1-D transforms run, once per spec and kick count.
     """
     if order not in (1, 2):
         raise ValueError(f"perturbative order must be 1 or 2, got {order}")
@@ -580,15 +698,12 @@ def partial_sums(
                 mapped = (-1j * t / m * c.strength) * (c.observable.matrix @ vector)
                 grown[key] = grown.get(key, 0) + mapped
         layer = grown
-        total = None
+        # the branches: a system vector per kick pattern, zero off the patterns
+        core = np.zeros((m + 1,) * len(index) + (state.system.total,), dtype=complex)
         for kicks, vector in layer.items():
-            factors = [_kicked_packet(s, n) for s, n in zip(state.pointers, kicks)]
-            product = reduce(np.multiply.outer, factors, vector)
-            if total is None:
-                total = product
-            else:
-                total += product
-        terms.append(total.reshape(-1))
+            core[kicks] = vector
+        factors = [_kicked_packets(spec, m) for spec in state.pointers]
+        terms.append(_branch_sum(core, factors).reshape(-1))
     return terms
 
 

@@ -435,6 +435,32 @@ def _simultaneous(run: Run) -> Measured:
     )
 
 
+def _truncation_defects(run: Run) -> list[list[float]]:
+    """Norms of the order-1 and order-2 truncation gaps, at full and half impulse.
+
+    One series pass serves both impulse scales: at scale s the order-m term
+    is s^m T_m, an exact rescaling at s = 1/2. The half-scale state is
+    evolved before the product state is formed, and both are dropped once
+    the gaps exist: the series' two terms then join only the readout state
+    and the two gaps, and none of them outlives the call.
+    """
+    pointers = run.state.pointers
+    half = run.at_scale(0.5).state.amplitudes
+    psi = engine.build_initial(run.system, pointers).state.amplitudes
+    gaps = [run.state.state.amplitudes - psi, half - psi]
+    del half, psi
+    terms = engine.partial_sums(
+        engine.build_initial(run.system, pointers), run.state.history[0], 2
+    )
+    defects = []
+    for m, term in enumerate(terms, 1):
+        gaps[0] -= term
+        term *= 0.5**m
+        gaps[1] -= term
+        defects.append([float(np.linalg.norm(gap)) for gap in gaps])
+    return defects
+
+
 def _weak_orders(run: Run) -> Measured:
     """Order-by-order control of the weak expansion.
 
@@ -446,20 +472,7 @@ def _weak_orders(run: Run) -> Measured:
     """
     system = run.system
     specs = [replace(spec, grid=ANALYSIS_GRID) for spec in run.state.pointers]
-
-    # One series pass serves both impulse scales: at scale s the order-m
-    # term is s^m T_m, an exact rescaling at s = 1/2.
-    initial = engine.build_initial(system, run.state.pointers)
-    psi = initial.state.amplitudes
-    gaps = [run.state.state.amplitudes - psi, run.at_scale(0.5).state.amplitudes - psi]
-    terms = engine.partial_sums(initial, run.state.history[0], 2)
-    defects = []
-    for m, term in enumerate(terms, 1):
-        gaps[0] -= term
-        term *= 0.5**m
-        gaps[1] -= term
-        defects.append([float(np.linalg.norm(gap)) for gap in gaps])
-    (d1, d1_half), (d2, d2_half) = defects
+    (d1, d1_half), (d2, d2_half) = _truncation_defects(run)
     # Ratio 0 stands for "both defects at the roundoff floor".
     ratio1 = d1 / d1_half if d1_half > SCALING_FLOOR else 0.0
     ratio2 = d2 / d2_half if d2_half > SCALING_FLOOR else 0.0

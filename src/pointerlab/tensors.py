@@ -14,7 +14,9 @@ exactly Hermitian, so real-weighted sums of kron products of Operator
 matrices are exactly Hermitian too and are never re-checked.
 One structure is kept on purpose.
 A density matrix built from r columns, rho = U U-dagger, remembers U
-(``DensityMatrix.from_factors``). The apparatus and system reductions and
+(``DensityMatrix.from_factors``), as a read-only view when the columns are
+read-only down to their base, as a state's amplitudes are, and as a copy
+otherwise. The apparatus and system reductions and
 the post-selected apparatus are built that way; the apparatus state has
 rank at most the system dimension. Such a matrix is checked from U alone:
 its trace as the squared Frobenius norm of U, which also refuses NaN and
@@ -38,16 +40,18 @@ alone.
 
 A StateVector copies the amplitudes it is given. Product states are the
 exception: ``kron_states`` forms the product of its factors in one
-outer-product chain, which the new state owns read-only, and takes its
-norm as the product of the factors' kept norms, so the engine builds every
-product state from its cached factors with no copy and no second norm pass.
+outer-product chain, which the new state owns read-only down to its base,
+takes its norm as the product of the factors' kept norms, and takes its
+layout from ``product_dims``, one cached DimensionSpec per factor layout,
+so the engine forms every product state from its cached factors with no
+copy, no second norm pass and no recomputed sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,10 +68,13 @@ SCHMIDT_RANK_TOL = 1e-9
 # so coefficients below this fraction of the largest are resolved again from
 # their own, smaller Gram matrix.
 SCHMIDT_GRAM_RESOLUTION = 1e-2
-# generator_action: the largest norm of one Taylor step (theta_55 for
-# double precision, Al-Mohy and Higham, Table 3.1), the most terms a step
-# may take, and the relative size at which the series is cut.
-TAYLOR_STEP_NORM = 9.9
+# generator_action: the largest norm theta of one Taylor step, the most
+# terms a step may take, and the relative size at which the series is cut.
+# A step's terms grow to about theta^j / j! before they cancel, so its
+# rounding is about u e^theta of its input, u = 2^-53: 4.5e-14 at theta = 6,
+# where the truncation-optimal theta_55 = 9.9 (Al-Mohy and Higham, Table
+# 3.1) gives 2.2e-12, more than a whole evolution may lose.
+TAYLOR_STEP_NORM = 6.0
 TAYLOR_TERM_CAP = 60
 TAYLOR_TOL = 2.0**-53
 
@@ -197,12 +204,14 @@ class StateVector:
     ) -> "StateVector":
         """A state that takes over ``amplitudes``, a fresh complex array nothing else holds.
 
-        The array is made read-only in place instead of copied. ``norm``, if
+        The array is made read-only in place instead of copied, so the
+        amplitudes are read-only down to their base. ``norm``, if
         given, is its norm as the caller already took it, kept instead of
         taken again; a normalized claim is checked against NORM_TOL either way.
         """
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        v.setflags(write=False)
+        a = np.asarray(amplitudes, dtype=complex)
+        a.setflags(write=False)
+        v = a.reshape(-1)
         state = object.__new__(cls)
         object.__setattr__(state, "dims", dims)
         object.__setattr__(state, "amplitudes", v)
@@ -290,12 +299,15 @@ class DensityMatrix:
     ) -> "DensityMatrix":
         """U U-dagger from the columns U, which the result keeps as ``factors``.
 
+        Complex columns that are read-only down to their base, such as a
+        state's amplitudes, are kept as a view; any others are copied.
+
         The trace is checked as the squared Frobenius norm of U, and the
         spectrum floor on the smaller of the r x r Gram matrix and the matrix
         itself; both share their nonzero spectrum. The N x N matrix is formed
         and its Hermiticity checked only when ``matrix`` is first read.
         """
-        u = _frozen(columns)
+        u = columns.view() if _unwritable(columns) else _frozen(columns)
         if u.ndim != 2 or u.shape[0] != dims.total:
             raise ValueError(
                 f"columns of shape {u.shape} do not match dims total {dims.total}"
@@ -309,6 +321,17 @@ class DensityMatrix:
         m.setflags(write=False)
         _check_hermitian(m)
         return m
+
+
+def _unwritable(a: object) -> bool:
+    """Whether ``a`` is a complex array that no array under it can write."""
+    if not (isinstance(a, np.ndarray) and a.dtype == complex):
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -380,18 +403,25 @@ def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
     return half_trace_norm(np.hstack([c, u]), signs)
 
 
+@lru_cache(maxsize=32)
+def product_dims(*specs: DimensionSpec) -> DimensionSpec:
+    """The layout of a tensor product over ``specs``, in order, one object per layout."""
+    return DimensionSpec(tuple(f for spec in specs for f in spec.factors))
+
+
 def kron_states(*states: StateVector) -> StateVector:
     """Tensor product of the states, in order, from one outer-product chain.
 
     The result owns the product array, read-only; no intermediate state is
-    made. Its norm is the product of the factors' cached norms, and it is
-    claimed normalized when every factor is, a claim still checked against
-    NORM_TOL.
+    made. Its layout is the cached ``product_dims`` of the factors', so its
+    sizes are computed once per layout. Its norm is the product of the
+    factors' cached norms, and it is claimed normalized when every factor
+    is, a claim still checked against NORM_TOL.
     """
     if not states:
         raise ValueError("kron_states needs at least one state")
     return StateVector._owning(
-        DimensionSpec(tuple(f for s in states for f in s.dims.factors)),
+        product_dims(*(s.dims for s in states)),
         reduce(np.multiply.outer, [s.amplitudes for s in states]),
         normalized=all(s.normalized for s in states),
         norm=math.prod(s.norm for s in states),
@@ -442,11 +472,14 @@ def generator_action(
     The scaled Taylor action of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
     488 (2011)): s steps with ||scale * H||_2 / s <= TAYLOR_STEP_NORM, each
     summing the series until two successive terms fall below TAYLOR_TOL of
-    the partial sum in the max norm. Term j of a step is at most
-    TAYLOR_STEP_NORM^j / j! times the 2-norm of the step's input, 7e-23 at
-    TAYLOR_TERM_CAP, in the max norm too, while a unitary step keeps that
-    2-norm and so at least 1/sqrt(N) of it in the max norm; finite input
-    therefore converges before the cap. A step that reaches the cap, as one
+    the partial sum in the max norm. That max is taken only once its upper
+    bound, the step input's max plus every term's since, lets the cut pass,
+    so the series stops at the same term as if it were taken after each.
+    Term j of a step is at most TAYLOR_STEP_NORM^j / j! times the 2-norm of
+    the step's input, 6e-36 at TAYLOR_TERM_CAP, in the max norm too, while
+    a unitary step keeps that 2-norm and so at least 1/sqrt(N) of it in the
+    max norm; finite input therefore converges before the cap. A step that
+    reaches the cap, as one
     with NaN or infinite input does, raises ValueError. No eigensolve runs
     and no matrix-matrix product is formed.
 
@@ -470,6 +503,7 @@ def generator_action(
     for _ in range(steps):
         np.copyto(term, v)
         previous = largest(term)
+        ceiling = previous
         for j in range(1, TAYLOR_TERM_CAP + 1):
             product = apply_h(term)
             if product.shape != v.shape:
@@ -479,7 +513,11 @@ def generator_action(
             np.multiply(product, a / j, out=term)
             v += term
             current = largest(term)
-            if previous + current <= TAYLOR_TOL * largest(v):
+            ceiling += current
+            # max|v| <= ceiling up to rounding, which the factor 2 covers
+            # many times over, so the exact max runs only where it can pass
+            tail = previous + current
+            if tail <= 2.0 * TAYLOR_TOL * ceiling and tail <= TAYLOR_TOL * largest(v):
                 break
             previous = current
         else:

@@ -475,7 +475,7 @@ class TestQubitBlocks:
             Coupling(pauli(SIGMA_Z), "B", rng.uniform(-1, 1), t),
         ]
         ft = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
-        got = engine_module._qubit_blocks(ft, state, couplings, t)
+        got = engine_module._qubit_blocks(ft.copy(), state, couplings, t)
         h = sum(
             engine_module._kick(state, c, 2)[..., None, None] * c.observable.matrix
             for c in couplings
@@ -636,6 +636,121 @@ class TestProductStart:
         assert keys == fresh
         assert spec != PointerSpec("A", grid, 0.5) and grid != PointerGrid(64, 12.0)
         assert engine_module._packet(fresh[1]) is engine_module._packet(spec)
+
+
+def _commuting_family(rng, d, count):
+    """``count`` commuting observables on C^d, with eigenvalues in {-1, 0, 1}.
+
+    All are diagonal in one random basis, so their spectra are mostly
+    degenerate, and each one's own ``eigh`` may pick any basis inside its
+    repeated eigenspaces, not the shared one.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    dims = DimensionSpec.of(("system", d))
+    return [
+        Operator(dims, (q * rng.choice([-1.0, 0.0, 1.0], size=d)) @ q.conj().T)
+        for _ in range(count)
+    ]
+
+
+class TestCommutingBranches:
+    """A commuting phase on the product state, written from its branches' 1-D factors."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_branches_match_dense_oracle_and_transform_pair(self, d, pointers, seed, data):
+        """Degenerate commuting spectra, two couplings on one pointer included.
+
+        A pointer whose branch count d^(couplings on it) exceeds its grid
+        points sends the phase to the transform pair instead.
+        """
+        labels = ("A", "B", "C")[:pointers]
+        on = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+        rng = np.random.default_rng(seed)
+        grid = TINY if pointers == 3 else COARSE
+        specs = [PointerSpec(lab, grid, x0=rng.uniform(-0.1, 0.1)) for lab in labels]
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        system = StateVector(DimensionSpec.of(("system", d)), v / np.linalg.norm(v))
+        state = build_initial(system, specs)
+        # offsets and kicks on one pointer sum to less than the containment margin of 2
+        couplings = [
+            Coupling(op, lab, rng.uniform(-0.6, 0.6))
+            for op, lab in zip(_commuting_family(rng, d, len(on)), on)
+        ]
+        branched = all(d ** on.count(lab) <= grid.points for lab in labels)
+        with mock.patch.object(
+            engine_module, "_branch_sum", wraps=engine_module._branch_sum
+        ) as spy:
+            assert cross_validate(state, couplings) <= 1e-12
+        assert spy.called == branched
+        if branched:
+            # the same product state, marked as having a history, takes the transform pair
+            aged = dataclasses.replace(state, history=((),))
+            got = engine_module._evolve_commuting(state, couplings)
+            want = engine_module._evolve_commuting(aged, couplings)
+            assert np.abs(got - want).max() <= 1e-15
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_branch_sum_is_the_sum_of_outer_products(self, branches, d, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(4, 9, size=len(branches))
+        core = rng.normal(size=(*branches, d)) + 1j * rng.normal(size=(*branches, d))
+        factors = [
+            rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n))
+            for b, n in zip(branches, sizes)
+        ]
+        want = np.zeros((d, *sizes), dtype=complex)
+        for index in np.ndindex(*branches):
+            want += reduce(
+                np.multiply.outer, [f[b] for f, b in zip(factors, index)], core[index]
+            )
+        got = engine_module._branch_sum(core, factors)
+        assert got.shape == want.shape and got.flags.writeable
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestLazyProduct:
+    """A state with no history forms its amplitudes only when they are read."""
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(SIGMA_Z, "A"), (SIGMA_Z, "B")], [(SIGMA_X, "A"), (SIGMA_Z, "B")]],
+        ids=["commuting", "noncommuting"],
+    )
+    def test_shift_and_series_leave_the_product_unformed(self, pairs):
+        specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
+        initial = build_initial(bloch_state(1.0, 0.3), specs)
+        couplings = [Coupling(pauli(m), lab, 0.3) for m, lab in pairs]
+        evolved = evolve(initial, couplings)
+        partial_sums(initial, couplings, 2)
+        assert "state" not in vars(initial)
+        assert evolved.state.dims is initial.state.dims
+        assert evolved.state.normalized and abs(evolved.state.norm - 1.0) < 1e-12
+
+    def test_product_formed_once_read_only(self):
+        specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
+        initial = build_initial(bloch_state(1.0, 0.3), specs)
+        first = initial.state
+        assert initial.state is first
+        assert not first.amplitudes.flags.writeable
+        again = build_initial(bloch_state(1.0, 0.3), specs).state
+        np.testing.assert_array_equal(again.amplitudes, first.amplitudes)
+        assert again.dims is first.dims
+
+    def test_leaking_packet_refused_when_built(self):
+        with pytest.raises(LeakageError, match="out-of-box"):
+            # inside the containment margin, but its tails leave the box
+            build_initial(bloch_state(0.0, 0.0), [PointerSpec("A", TINY, x0=1.9)])
 
 
 class TestCouplingValidation:

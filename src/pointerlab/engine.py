@@ -22,21 +22,28 @@ can cross-check each other:
   ``build_initial`` made, so its spectrum is the system amplitudes times
   each packet's cached 1-D FFT, and no forward transform runs over the
   whole tensor.
-* ``expm``: applies the generator to the state one factor at a time, each
-  A on the system factors and the dense momentum matrix pi on the pointer
-  factor its label names, and exp(-i t H) by a scaled Taylor series
-  (``tensors.generator_action``) made of those products: no eigensolve, no
-  FFT on the state, no product-space matrix. Operator matrices are stored
-  exactly Hermitian, so H is too and nothing is checked or symmetrized. The
-  series is scaled by sum_j |g_j| ||A_j||_2 ||pi_j||_2, which bounds
-  ||H||_2 and equals it for one coupling: ||A||_2 is the largest
-  |eigenvalue| of the observable's cached spectrum and ||pi||_2 the largest
-  |k| of the grid's cached wavenumbers, so no eigensolve of pi runs. The
-  products and the series run in buffers owned by one evolution, so no
-  term allocates. A series step that does not converge within a fixed
-  number of terms, as on NaN, raises. It refuses spaces beyond DENSE_LIMIT
-  dimensions, and it shares no code path with ``shift``; only the momentum
-  matrix is built with the FFT library.
+* ``expm``: applies the generator to the state one factor at a time and
+  exp(-i t H) by a scaled Taylor series (``tensors.generator_action``) made
+  of those products: no eigensolve, no product-space matrix, and no FFT
+  anywhere in the dense oracle. The momentum is taken in closed form,
+  pi = -i D + (k_N / N) s s^T, with D the real, antisymmetric Fourier
+  differentiation matrix (Trefethen, Spectral Methods in MATLAB, ch. 3;
+  ``pointer.differentiation_matrix``), k_N the Nyquist wavenumber and
+  s_n = (-1)^n its mode. Per coupling, D goes on the real view of the
+  pointer factor its label names, one real product at half the flops of a
+  complex one; the rank-1 Nyquist term is added in place; and g A, with
+  the -i of pi folded in, goes on the system factors. No complex N x N
+  matrix is formed. Operator matrices are stored exactly Hermitian and D
+  is exactly antisymmetric, so H is exactly Hermitian and nothing is
+  checked or symmetrized at product-space size. The series is scaled by
+  sum_j |g_j| ||A_j||_2 ||pi_j||_2, which bounds ||H||_2 and equals it for
+  one coupling: ||A||_2 is the largest |eigenvalue| of the observable's
+  cached spectrum and ||pi||_2 the largest |k| of the grid's cached
+  wavenumbers, so no eigensolve of pi runs. The products and the series
+  run in buffers owned by one evolution, so no term allocates. A series
+  step that does not converge within a fixed number of terms, as on NaN,
+  raises. It refuses spaces beyond DENSE_LIMIT dimensions, and it shares
+  no code path with ``shift``.
 
 DENSE_LIMIT bounds only ``expm``. Nothing here, post-selection and ``expm``
 included, forms an N x N matrix; everything works from the amplitudes.
@@ -69,7 +76,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .pointer import CONTAINMENT_SIGMAS, LeakageError, PointerSpec, gaussian_state
-from .pointer import momentum_operator, near_edge, state_moments
+from .pointer import differentiation_matrix, near_edge, state_moments
 from .tensors import (
     DensityMatrix,
     DimensionSpec,
@@ -551,15 +558,19 @@ def _dense_action(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """v -> H v for H = sum_j g_j kron(A_j, ..., pi_j, ...), and a bound on ||H||_2.
 
-    H is applied one factor at a time and never formed: the dense momentum
-    matrix pi on the pointer factor that the state's layout names, then g A
-    on the leading system factors. The spectral norm of a kron product is the
-    product of its factors' spectral norms, so the bound
-    sum_j |g_j| ||A_j||_2 ||pi_j||_2 is exact for one coupling and bounds
-    ||H||_2 by the triangle inequality for several. ||A||_2 is the largest
-    |eigenvalue| of the observable's cached spectrum; pi is F-dagger diag(k)
-    F, so ||pi||_2 is the largest |k| of the grid's cached wavenumbers and no
-    eigensolve runs.
+    H is applied one factor at a time and never formed. The momentum is
+    pi = -i D + (k_N / N) s s^T (``pointer.momentum_operator``), with D the
+    grid's real ``differentiation_matrix``, k_N the Nyquist wavenumber and
+    s_n = (-1)^n. Per coupling, D goes on the real view of the pointer
+    factor that the state's layout names, one real matrix product; i k_N / N
+    s (s^T v) is added in place; and -i g A, the -i of pi folded into g A,
+    goes on the leading system factors. No complex N x N matrix and no FFT
+    is involved. The spectral norm of a kron product is the product of its
+    factors' spectral norms, so the bound sum_j |g_j| ||A_j||_2 ||pi_j||_2
+    is exact for one coupling and bounds ||H||_2 by the triangle inequality
+    for several. ||A||_2 is the largest |eigenvalue| of the observable's
+    cached spectrum and ||pi||_2 the largest |k| of the grid's cached
+    wavenumbers, so no eigensolve runs.
 
     The products go into buffers owned by this one call, so concurrent
     evolutions share nothing; each call of the returned function overwrites
@@ -570,19 +581,24 @@ def _dense_action(
     bound = 0.0
     for c in couplings:
         spec = state.pointer_spec(c.pointer)
-        pi = momentum_operator(spec.grid, spec.label)
-        axis = dims.axis(c.pointer)
-        layout = (math.prod(dims.sizes[:axis]), spec.grid.points, -1)
-        ga = c.strength * c.observable.matrix
-        terms.append((ga, pi.matrix, layout))
-        bound += abs(c.strength) * max_abs(c.observable.spectrum[0]) * max_abs(
-            spec.grid.wavenumbers()
-        )
+        n = spec.grid.points
+        k = spec.grid.wavenumbers()
+        pre = math.prod(dims.sizes[: dims.axis(c.pointer)])
+        layout = (pre, n, dims.total // (pre * n))
+        nyquist = (1j * k[n // 2] / n) * (-1.0) ** np.arange(n)  # i k_N / N s
+        projection = np.empty((pre, 1, layout[2]), dtype=complex)
+        ga = -1j * c.strength * c.observable.matrix
+        terms.append((layout, differentiation_matrix(spec.grid), nyquist, projection, ga))
+        bound += abs(c.strength) * max_abs(c.observable.spectrum[0]) * max_abs(k)
     moved, scaled, out = (np.empty(dims.total, dtype=complex) for _ in range(3))
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        for i, (ga, pi, layout) in enumerate(terms):
-            np.matmul(pi, v.reshape(layout), out=moved.reshape(layout))
+        for i, (layout, d, nyquist, projection, ga) in enumerate(terms):
+            v3, m3 = v.reshape(layout), moved.reshape(layout)
+            np.matmul(d, v3.view(float), out=m3.view(float))
+            np.matmul(nyquist, v3, out=projection[:, 0])
+            m3[:, ::2] += projection
+            m3[:, 1::2] -= projection
             rows = (ga.shape[0], -1)
             np.matmul(ga, moved.reshape(rows), out=(scaled if i else out).reshape(rows))
             if i:

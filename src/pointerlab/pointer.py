@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensors import DimensionSpec, HERMITIAN_DERIVED_TOL, Operator, StateVector
-from .tensors import hermiticity_defect
+from .tensors import DimensionSpec, Operator, StateVector, antisymmetry_defect
 
 # A packet is "contained" when this many standard deviations on either side
 # of its center fit inside the box.
@@ -138,22 +138,49 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
 
 
 @lru_cache(maxsize=8)
-def momentum_operator(grid: PointerGrid, label: str) -> Operator:
-    """Momentum as a dense matrix, built spectrally: F† diag(k) F.
+def differentiation_matrix(grid: PointerGrid) -> np.ndarray:
+    """The grid's Fourier differentiation matrix D, real and read-only; built once per grid.
 
-    The raw product picks up roundoff asymmetry of order N*eps*k_max, so the
-    result is symmetrized; the discarded asymmetry is checked against
-    HERMITIAN_DERIVED_TOL. Results are cached per (grid, label): the
-    Operator is frozen and its matrix read-only, so callers can share it.
+    D[m, n] = (pi/L) (-1)^(m-n) cot(pi (m-n) / N) off the diagonal and 0 on
+    it (Trefethen, Spectral Methods in MATLAB, ch. 3): d/dx on every grid
+    mode but the Nyquist one, which it annihilates. An entry depends on
+    (m - n) mod N alone, so D is the Toeplitz matrix of one length-N
+    generator c[d], copied out of a sliding window over it with no index
+    arrays. Only half of c is computed and the rest is its negative mirror,
+    so c is exactly odd and D + D.T is exactly 0, which is checked here.
     """
     n = grid.points
-    f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
-    raw = f.conj().T @ (grid.wavenumbers()[:, None] * f)
-    defect = hermiticity_defect(raw)
-    if not defect <= HERMITIAN_DERIVED_TOL:
-        raise ValueError(f"spectral momentum asymmetry {defect:.3e}")
-    dims = DimensionSpec.of((label, n))
-    return Operator(dims, (raw + raw.conj().T) / 2.0)
+    d = np.arange(1, n // 2)
+    half = (np.pi / grid.length) * (-1.0) ** d / np.tan(np.pi * d / n)
+    c = np.concatenate(([0.0], half, [0.0], -half[::-1]))
+    # D[m, n] = toeplitz[m - n + N - 1]
+    toeplitz = np.concatenate((c[1:], c))
+    out = sliding_window_view(toeplitz[::-1], n)[::-1].copy()
+    defect = antisymmetry_defect(out)
+    if defect != 0.0:
+        raise ValueError(f"differentiation matrix antisymmetry defect {defect:.3e}")
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
+def momentum_operator(grid: PointerGrid, label: str) -> Operator:
+    """Momentum as a dense matrix, in closed form: pi = -i D + (k_N / N) s s^T.
+
+    D is the grid's ``differentiation_matrix``, k_N the Nyquist wavenumber
+    ``grid.wavenumbers()[N // 2]`` and s_n = (-1)^n its mode, so pi takes
+    every grid plane wave to its wavenumber times itself, as F-dagger
+    diag(k) F does, and ||pi||_2 is the largest |k|. No FFT runs. The real
+    part is symmetric and the imaginary part antisymmetric, both exactly, so
+    the matrix is exactly Hermitian. Results are cached per (grid, label):
+    the Operator is frozen and its matrix read-only, so callers can share it.
+    """
+    n = grid.points
+    s = (-1.0) ** np.arange(n)
+    m = np.empty((n, n), dtype=complex)
+    np.multiply.outer(s, grid.wavenumbers()[n // 2] / n * s, out=m.real)
+    np.negative(differentiation_matrix(grid), out=m.imag)
+    return Operator(DimensionSpec.of((label, n)), m)
 
 
 def state_moments(state: StateVector, grid: PointerGrid) -> tuple[float, float]:

@@ -59,6 +59,13 @@ PURITY_TOL = 1e-6
 QUADRATIC_RATIO = 3.5
 CUBIC_RATIO = 7.5
 SCALING_FLOOR = 1e-12
+# epr: largest gap between a certificate weight and its joint eigenvector
+# population. A choice, equal to WEIGHT_SUM_TOL: both are the same branch
+# populations taken two ways, which agree to roundoff near 1e-16.
+EPR_WEIGHT_TOL = 1e-10
+# epr: largest |<zz> + 1| and Var(zz) of a sharp anticorrelation. A choice:
+# on the anticorrelated subspace both are roundoff of a four-amplitude sum.
+SHARP_CORRELATION_TOL = 1e-12
 
 
 def _setting(default: float, flag: str, role: str) -> Any:
@@ -599,7 +606,7 @@ def _epr(run: Run) -> Measured:
     certificate = verdict.certificate
     cert_weights = sorted(certificate.weights) if certificate is not None else []
     weights_match = len(cert_weights) == len(predicted_weights) and all(
-        abs(x - y) <= 1e-10 for x, y in zip(cert_weights, predicted_weights)
+        abs(x - y) <= EPR_WEIGHT_TOL for x, y in zip(cert_weights, predicted_weights)
     )
 
     defects = {
@@ -613,8 +620,8 @@ def _epr(run: Run) -> Measured:
         predictions={"mean_a": pred_a, "mean_b": pred_b, "correlation": -1.0},
         defects=defects,
         checks={
-            "anticorrelation_sharp": defects["correlation"] <= 1e-12
-            and defects["correlation_variance"] <= 1e-12,
+            "anticorrelation_sharp": defects["correlation"] <= SHARP_CORRELATION_TOL
+            and defects["correlation_variance"] <= SHARP_CORRELATION_TOL,
             "mean_a_matches": defects["mean_a"] <= EIGEN_READOUT_TOL,
             "mean_b_matches": defects["mean_b"] <= EIGEN_READOUT_TOL,
             "record_separable": verdict.status == "separable"

@@ -96,6 +96,23 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
 
 
+def antisymmetry_defect(m: np.ndarray) -> float:
+    """Largest entrywise |m + m.T| of a real square matrix, a 64 x 64 block at a time.
+
+    No temporary is larger than one block, whatever the size of ``m``.
+    """
+    edges = range(0, len(m), 64)
+    return max(
+        (
+            max_abs(m[i : i + 64, j : j + 64] + m[j : j + 64, i : i + 64].T)
+            for i in edges
+            for j in edges
+            if i <= j
+        ),
+        default=0.0,
+    )
+
+
 @dataclass(frozen=True)
 class DimensionSpec:
     """Ordered list of (label, dimension) factors of a tensor-product space."""
@@ -463,9 +480,10 @@ def generator_action(
     ``apply_h`` maps a vector to H times it, and ``norm_bound`` is at least
     ||H||_2. H must be Hermitian and is not checked here: the engine's dense
     integrator passes a real-weighted sum of kron products of Operator
-    matrices, which is exactly Hermitian by construction, applied factor by
-    factor, with the sum of the products of its factors' spectral norms as
-    the bound. A bound above the true norm only adds scaling steps.
+    matrices and closed-form momenta, which is exactly Hermitian by
+    construction, applied factor by factor, with the sum of the products of
+    its factors' spectral norms as the bound. A bound above the true norm
+    only adds scaling steps.
     ``apply_h`` may return the same buffer on every call; its result is read
     before the next call, and ``apply_h`` never receives that buffer.
 

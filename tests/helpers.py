@@ -1,17 +1,39 @@
 """Oracles the tests check the package against, kept apart from the code they check."""
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from pointerlab.engine import Coupling, UnifiedState, evolve
+from pointerlab.pointer import PointerGrid
 from pointerlab.tensors import (
     HERMITIAN_DERIVED_TOL,
     DensityMatrix,
+    DimensionSpec,
     Operator,
     StateVector,
+    hermiticity_defect,
     max_abs,
 )
+
+
+def spectral_momentum(grid: PointerGrid, label: str) -> Operator:
+    """Momentum as a dense matrix, built spectrally: F-dagger diag(k) F.
+
+    The oracle for the closed form ``pointer.momentum_operator`` builds. The
+    raw product picks up roundoff asymmetry of order N*eps*k_max, so the
+    result is symmetrized; the discarded asymmetry is checked against
+    HERMITIAN_DERIVED_TOL.
+    """
+    n = grid.points
+    f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+    raw = f.conj().T @ (grid.wavenumbers()[:, None] * f)
+    defect = hermiticity_defect(raw)
+    if not defect <= HERMITIAN_DERIVED_TOL:
+        raise ValueError(f"spectral momentum asymmetry {defect:.3e}")
+    dims = DimensionSpec.of((label, n))
+    return Operator(dims, (raw + raw.conj().T) / 2.0)
 
 
 def unitary_from_generator(op: Operator, scale: float) -> np.ndarray:

@@ -31,7 +31,7 @@ from pointerlab.engine import (
     weak_value,
 )
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
-from pointerlab.pointer import momentum_operator
+from pointerlab.pointer import differentiation_matrix, momentum_operator
 from pointerlab.scenarios import (
     PAIR_DIMS,
     PAIR_X,
@@ -250,18 +250,19 @@ class TestDenseGenerator:
             Coupling(pauli(m), lab, 0.3, 1.0) for m, lab in zip((SIGMA_X, SIGMA_Z), labels)
         ]
         checked = []
+        for check in ("hermiticity_defect", "antisymmetry_defect"):
 
-        def spied(m, _original=tensors.hermiticity_defect):
-            checked.append(m.shape[0])
-            return _original(m)
+            def spied(m, _original=getattr(tensors, check)):
+                checked.append(m.shape[0])
+                return _original(m)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "pointerlab" and hasattr(module, "hermiticity_defect"):
-                monkeypatch.setattr(module, "hermiticity_defect", spied)
-        momentum_operator.cache_clear()  # so the factor checks run inside evolve
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "pointerlab" and hasattr(module, check):
+                    monkeypatch.setattr(module, check, spied)
+        differentiation_matrix.cache_clear()  # so the factor checks run inside evolve
         evolve(state, couplings, "expm")
         assert state.state.dims.total == 512
-        assert checked, "the spy saw no Hermiticity check at all"
+        assert checked, "the spy saw no symmetry check at all"
         assert max(checked) <= max(state.state.dims.sizes)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -337,6 +338,60 @@ class TestDenseGenerator:
         expected = unitary_from_generator(h, 1.0) @ state.state.amplitudes
         actual = evolve(state, couplings, "expm").state.amplitudes
         assert np.abs(actual - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid, labels", [(FINE, ("A",)), (COARSE, ("A", "B"))], ids=["2x256", "2x16x16"]
+    )
+    def test_expm_runs_no_fft_transform(self, monkeypatch, grid, labels):
+        """The dense oracle shares no FFT with the shift integrator it checks.
+
+        Every transform in numpy.fft is spied on; fftfreq, behind the grid's
+        cached wavenumbers, is not a transform. The shift run afterwards
+        shows that the spy sees the transforms it is meant to see.
+        """
+        state = build_initial(
+            bloch_state(math.pi / 3, 0.0), [PointerSpec(lab, grid) for lab in labels]
+        )
+        couplings = [
+            Coupling(pauli(m), lab, 0.3, 1.0) for m, lab in zip((SIGMA_X, SIGMA_Z), labels)
+        ]
+        transforms = []
+        for name in np.fft.__all__:
+            if not name.endswith(("freq", "shift")):
+
+                def spied(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                    transforms.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.fft, name, spied)
+        differentiation_matrix.cache_clear()
+        momentum_operator.cache_clear()
+        engine_module._packet_spectrum.cache_clear()
+        evolve(state, couplings, "expm")
+        assert transforms == []
+        evolve(state, couplings, "shift")
+        assert transforms, "the spy saw no transform in the shift integrator either"
+
+    def test_expm_working_set_at_the_dense_limit(self):
+        """One dense evolve of a qubit on 2048 points, the most DENSE_LIMIT admits.
+
+        From a cleared cache it holds D, 2048^2 reals or 32 MiB, and state-
+        sized buffers: the oracle's three, the Taylor series' copy, term and
+        magnitudes, and evolve's copy. Twelve states bound them. With the
+        FFT-built complex momentum the peak was about 320 MiB.
+        """
+        grid = PointerGrid(points=2048, length=64.0)
+        state, coupling = _single(grid=grid)
+        state_bytes = state.state.amplitudes.nbytes
+        differentiation_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            evolve(state, [coupling], "expm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            differentiation_matrix.cache_clear()
+        assert peak <= grid.points**2 * 8 + 12 * state_bytes
 
     def test_expm_allocates_no_product_space_matrix(self):
         # the kron of the 4 x 16 x 16 analysis state is a 16 MB matrix; the

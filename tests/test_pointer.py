@@ -20,7 +20,7 @@ from pointerlab.pointer import (
 )
 from pointerlab.tensors import hermiticity_defect
 
-from helpers import unitary_from_generator
+from helpers import spectral_momentum, unitary_from_generator
 
 FINE = PointerGrid(points=256, length=16.0)
 
@@ -156,12 +156,33 @@ class TestOperators:
         assert norm == pytest.approx(largest, rel=1e-12, abs=0.0)
 
     def test_momentum_squares_to_spectral_values(self):
-        # acting on a plane wave returns its wavenumber
+        # acting on a plane wave returns its wavenumber, at every grid
+        # wavenumber, the Nyquist one included
         grid = PointerGrid(points=16, length=8.0)
-        k = grid.wavenumbers()[3]
-        wave = np.exp(1j * k * grid.positions()) / 4.0
-        out = momentum_operator(grid, "A").matrix @ wave
-        np.testing.assert_allclose(out, k * wave, atol=1e-12)
+        k = grid.wavenumbers()
+        waves = np.exp(1j * np.multiply.outer(grid.positions(), k)) / 4.0
+        out = momentum_operator(grid, "A").matrix @ waves
+        np.testing.assert_allclose(out, waves * k, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [8, 16, 64, 256])
+    @pytest.mark.parametrize("length", [8.0, 30.0])
+    def test_closed_form_matches_spectral_oracle(self, points, length):
+        grid = PointerGrid(points=points, length=length)
+        closed = momentum_operator(grid, "A").matrix
+        spectral = spectral_momentum(grid, "A").matrix
+        largest = np.abs(grid.wavenumbers()).max()
+        assert np.abs(closed - spectral).max() <= 1e-12 * largest
+
+    @pytest.mark.parametrize("points", [8, 16, 64, 256])
+    def test_differentiation_matrix_is_exactly_antisymmetric(self, points):
+        grid = PointerGrid(points=points, length=30.0)
+        d = pointer.differentiation_matrix(grid)
+        assert d.dtype == np.float64 and d.shape == (points, points)
+        assert np.all(d + d.T == 0.0)
+        assert pointer.differentiation_matrix(grid) is d
+        assert not d.flags.writeable
+        # the real, antisymmetric part of the momentum, with no Nyquist term
+        np.testing.assert_array_equal(momentum_operator(grid, "A").matrix.imag, -d)
 
 
 class TestTranslate:

@@ -404,6 +404,61 @@ class TestEpr:
         weights = report.readability["weights"]
         assert sorted(weights) == pytest.approx([0.5, 0.5], abs=1e-10)
 
+    @pytest.fixture(scope="class")
+    def epr_run(self):
+        """The default run as the runner hands it to ``_epr``."""
+        cfg = DEFAULTS["epr"]
+        system = scenarios._pair_state(cfg.theta_i, cfg.phi_i)
+        phases = SCENARIOS["epr"].phases(cfg, 1.0)
+        specs = [
+            pointer.PointerSpec(lab, cfg.readout_grid(), x0, cfg.sigma)
+            for lab, x0 in (("A", cfg.x0_a), ("B", cfg.x0_b))
+        ]
+        state, _ = scenarios._evolve(system, specs, phases)
+        analysis = [dataclasses.replace(s, grid=scenarios.ANALYSIS_GRID) for s in specs]
+        verdict = separability.readability_check(
+            scenarios._evolve(system, analysis, phases)[0], scenarios.POINTER_CUT
+        )
+        return scenarios.Run(cfg, state, None, verdict, 1.0, None)
+
+    @staticmethod
+    def _failed(run):
+        return {name for name, ok in scenarios._epr(run).checks.items() if not ok}
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"weights_match_populations"})])
+    def test_weights_check_near_its_tolerance(self, epr_run, scale, failed):
+        """Two certificate weights moved apart by a multiple of EPR_WEIGHT_TOL, total kept."""
+        shift = scale * scenarios.EPR_WEIGHT_TOL
+        certificate = epr_run.verdict.certificate
+        first, second, *rest = certificate.terms
+        terms = (
+            dataclasses.replace(first, weight=first.weight + shift),
+            dataclasses.replace(second, weight=second.weight - shift),
+            *rest,
+        )
+        moved = dataclasses.replace(certificate, terms=terms)
+        verdict = dataclasses.replace(epr_run.verdict, certificate=moved)
+        assert self._failed(dataclasses.replace(epr_run, verdict=verdict)) == failed
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"anticorrelation_sharp"})])
+    def test_anticorrelation_check_near_its_tolerance(self, epr_run, scale, failed):
+        """An |up, up> amplitude that gives Var(zz) a multiple of SHARP_CORRELATION_TOL.
+
+        With weight e^2 there, <zz> = (e^2 - 1) / (1 + e^2), so Var(zz) is
+        4 e^2 / (1 + e^2)^2 and |<zz> + 1| half of that. The amplitude is i
+        times the phase of the |down, up> one, so <sigma_x (x) 1> stays 0;
+        the other readouts and the populations move by e^2 only.
+        """
+        variance = scale * scenarios.SHARP_CORRELATION_TOL
+        e = math.sqrt(variance) / 2
+        amplitudes = epr_run.system.amplitudes.copy()
+        amplitudes[0] = 1j * e * amplitudes[2] / abs(amplitudes[2])
+        system = tensors.StateVector(
+            scenarios.PAIR_DIMS, amplitudes / np.linalg.norm(amplitudes)
+        )
+        state = dataclasses.replace(epr_run.state, initial_system=system)
+        assert self._failed(dataclasses.replace(epr_run, state=state)) == failed
+
 
 class TestSequential:
     def test_second_stage_mean_frozen(self, default_reports):

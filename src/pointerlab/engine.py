@@ -5,23 +5,23 @@ a system observable A multiplied by the momentum pi of one pointer. Two
 independent integrators are provided and kept deliberately separate so they
 can cross-check each other:
 
-* ``shift``: works in the pointer momentum representation. When all
-  coupled observables commute and the state has no history, each coupling
-  is split over its observable's eigenvectors into rank-1 projectors, each
-  times a rigid translation of its pointer, and the result is written once
-  as a sum over branches: a system vector times one 1-D factor per
-  pointer, a batched inverse FFT of the packet's cached spectrum times its
-  phase (``_branch_sum``). A later phase, or one whose pointer would have
-  more branches than grid points, applies every coupling's exact
-  per-eigenvalue translation between one forward and one inverse
-  transform. When the observables do not commute, the generator is
-  block-diagonal over the momentum grid and each small system block is
-  exponentiated exactly: a qubit block by the closed-form SU(2)
-  exponential, assembled in real arithmetic in place, a larger one by
-  batched ``eigh``. A state with no history is the product
-  ``build_initial`` made, so its spectrum is the system amplitudes times
-  each packet's cached 1-D FFT, and no forward transform runs over the
-  whole tensor.
+* ``shift``: works in the pointer momentum representation. A state in
+  branch form is a sum over branches, each a system vector times one 1-D
+  factor per pointer (``_branch_sum``'s inputs); the product state
+  ``build_initial`` made is the one-branch case. A commuting phase on such
+  a state keeps that form: each coupling is split over its observable's
+  eigenvectors into rank-1 projectors, each times a rigid translation of
+  its pointer, so it splits every branch's system vector by those
+  projectors and translates its pointer's factor rows, one batched 1-D
+  FFT pair over them (the product's first transform is its packet's
+  cached spectrum). A noncommuting phase, or a commuting one on a state
+  without branch form or whose pointer would have more branches than grid
+  points, runs on the momentum blocks: the generator is block-diagonal
+  over the momentum grid and each small system block is exponentiated
+  exactly, a qubit block by the closed-form SU(2) exponential, assembled
+  in real arithmetic in place, a larger one by batched ``eigh``. The
+  spectrum of a state in branch form is written from its factor rows'
+  1-D transforms, so no forward transform runs over the whole tensor.
 * ``expm``: applies the generator to the state one factor at a time and
   exp(-i t H) by a scaled Taylor series (``tensors.generator_action``) made
   of those products: no eigensolve, no product-space matrix, and no FFT
@@ -56,14 +56,23 @@ a state with history. Each term is one ``_branch_sum`` over kick patterns
 of the observables applied to the system vector times the packets kicked
 by their momentum, so no FFT runs over the state.
 
-Product states come from cached factors and are formed only when read:
-``build_initial`` keeps the system state and each pointer's packet from a
-per-``PointerSpec`` cache, which also holds its 1-D spectrum, measured
-moments and momentum kicks. ``UnifiedState.state`` forms their product
-with ``tensors.kron_states`` on first read and keeps it; the shift
-integrator and the series read the factors instead, and ``evolve`` takes
-the product's norm and layout from them, so a readout-grid array is
-written only where a result needs it.
+States stay factored until their amplitudes are read: ``build_initial``
+keeps the system state and each pointer's packet from a per-``PointerSpec``
+cache, which also holds its 1-D spectrum, measured moments and momentum
+kicks, and a commuting phase keeps the branch form. ``UnifiedState.state``
+forms the amplitudes on first read and keeps them: the product with
+``tensors.kron_states``, a branch form with ``_branch_sum``. ``evolve``
+takes the layout from the factors and checks a branch form's norm from
+its factor rows' Gram matrices, so it forms nothing. The readouts the
+scenarios take (norm, system density and purity, Schmidt coefficients,
+position expectations) read ``UnifiedState.record``: a thin QR of each
+pointer's factor rows, F^T = Q R, puts the state in the orthonormal bases
+Q as a small core, the branch core contracted with every R (a Tucker form
+with orthonormal factors; De Lathauwer, De Moor and Vandewalle, SIAM J.
+Matrix Anal. Appl. 21, 1253 (2000)). A state without branch form is its
+own core, and so is one whose amplitudes were already formed. So a
+readout-grid array is written only where a result needs the amplitudes
+themselves: the dense oracle, post-selection and the apparatus density.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ from .tensors import (
     kron_states,
     max_abs,
     product_dims,
+    schmidt_values,
 )
 
 COMMUTATOR_TOL = 1e-10
@@ -150,6 +160,19 @@ class Postselection:
     normalized_mean: dict[str, float]
 
 
+@dataclass(frozen=True, eq=False)
+class _Branches:
+    """sum_b core[b] (x) factors[0][b_1] (x) ... (x) factors[-1][b_k], and its norm.
+
+    ``core`` is (B_1, ..., B_k, d) and ``factors[p]`` is (B_p, N_p), as
+    ``_branch_sum`` takes them; every B_p is at most N_p.
+    """
+
+    core: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    norm: float
+
+
 @dataclass
 class UnifiedState:
     """System plus pointers, with enough context to audit where it came from.
@@ -161,35 +184,78 @@ class UnifiedState:
     pre-interaction system state, whose dims are ``system``; separability
     certificates rebuild reduced states from it on independent grids.
 
-    ``state`` holds the amplitudes. Before any phase the state is the
-    product of ``initial_system`` and the pointers' cached packets, formed
-    by ``kron_states`` on first read and kept; the shift integrator and the
-    perturbative series start from those factors and never read it.
-    ``_evolved`` is the state an evolution left, None for the product.
+    ``_evolved`` is what the last evolution left: None for the product of
+    ``initial_system`` and the pointers' cached packets, a ``_Branches``
+    after a commuting phase on a state in branch form, else the amplitudes.
+    ``branches`` is the branch form, the product being its one-branch case;
+    the shift integrator and the perturbative series start from it.
+    ``state`` forms the amplitudes on first read and keeps them, and
+    ``record`` holds the compressed core that the readouts read, so a state
+    in branch form that is only read out is never written out.
     """
 
     pointers: tuple[PointerSpec, ...]
     initial_system: StateVector
     history: tuple[tuple[Coupling, ...], ...] = ()
     shift_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    _evolved: StateVector | None = field(default=None, repr=False)
+    _evolved: StateVector | _Branches | None = field(default=None, repr=False)
 
     @property
     def system(self) -> DimensionSpec:
         return self.initial_system.dims
 
     @cached_property
-    def state(self) -> StateVector:
-        """The amplitudes as a state; the product is formed here, on first read."""
-        if self._evolved is not None:
-            return self._evolved
-        return kron_states(*self._factors())
+    def dims(self) -> DimensionSpec:
+        """The layout of the amplitudes, taken from the factors: reading it forms nothing."""
+        return product_dims(self.system, *(_packet(spec).dims for spec in self.pointers))
 
-    def _factors(self) -> tuple[StateVector, ...]:
-        """The state as tensor factors: itself once evolved, else the system and its packets."""
-        if self._evolved is not None:
-            return (self._evolved,)
-        return (self.initial_system, *map(_packet, self.pointers))
+    @cached_property
+    def branches(self) -> _Branches | None:
+        """The state in branch form, or None once a phase left that form."""
+        if self._evolved is None:
+            packets = [_packet(spec) for spec in self.pointers]
+            core = self.initial_system.amplitudes.reshape((1,) * len(packets) + (-1,))
+            norm = math.prod(f.norm for f in (self.initial_system, *packets))
+            return _Branches(core, tuple(p.amplitudes[None] for p in packets), norm)
+        return self._evolved if isinstance(self._evolved, _Branches) else None
+
+    @property
+    def norm(self) -> float:
+        """The norm of the amplitudes, read without forming them."""
+        form = self.branches
+        return self.state.norm if form is None else form.norm
+
+    @cached_property
+    def state(self) -> StateVector:
+        """The amplitudes as a state, formed here on first read."""
+        if isinstance(self._evolved, StateVector):
+            return self._evolved
+        if self._evolved is None:
+            return kron_states(self.initial_system, *map(_packet, self.pointers))
+        form = self._evolved
+        return StateVector._owning(
+            self.dims,
+            _branch_sum(form.core, form.factors),
+            normalized=self.initial_system.normalized,
+        )
+
+    @cached_property
+    def record(self) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
+        """The amplitudes as a core (d, r_1, ..., r_k) in one orthonormal basis per pointer.
+
+        In branch form a thin QR of each pointer's factor rows, F^T = Q R,
+        gives the basis Q, (N_p, r_p), and the core is the branch core
+        contracted with every R, so the state is the core with each pointer
+        axis taken through its Q. Without branch form, or once ``state`` has
+        formed them, the amplitudes are their own core and every basis is
+        the identity, given as None: reading amplitudes that exist costs
+        less than the QR.
+        """
+        form = self.branches
+        if form is None or "state" in vars(self):
+            return self.tensor(), (None,) * len(self.pointers)
+        qr = [np.linalg.qr(rows.T) for rows in form.factors]
+        return _branch_sum(form.core, [r.T for _, r in qr]), tuple(q for q, _ in qr)
 
     def pointer_spec(self, label: str) -> PointerSpec:
         for spec in self.pointers:
@@ -198,7 +264,7 @@ class UnifiedState:
         raise KeyError(f"no pointer labeled {label!r}")
 
     def pointer_dims(self) -> DimensionSpec:
-        return self.state.dims.subset([s.label for s in self.pointers])
+        return self.dims.subset([s.label for s in self.pointers])
 
     def tensor(self) -> np.ndarray:
         """Amplitudes as (system, pointer_1, ..., pointer_k)."""
@@ -332,37 +398,29 @@ def _kicked_packets(spec: PointerSpec, most: int) -> np.ndarray:
     return out
 
 
-def _system_map(m: np.ndarray, tensor: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The matrix ``m`` applied to the system axis of ``tensor``, written into ``out``."""
-    d = tensor.shape[0]
-    np.matmul(m, tensor.reshape(d, -1), out=out.reshape(d, -1))
-    return out
+def _row_spectra(state: UnifiedState, index: int, rows: np.ndarray) -> np.ndarray:
+    """The 1-D transforms of pointer ``index``'s factor rows; the product's is its cached one."""
+    if state._evolved is None:
+        return _packet_spectrum(state.pointers[index])[None]
+    return np.fft.fft(rows)
 
 
-def _spectrum(
-    state: UnifiedState, axes: tuple[int, ...], left: np.ndarray | None = None
-) -> np.ndarray:
+def _spectrum(state: UnifiedState, axes: tuple[int, ...]) -> np.ndarray:
     """The amplitudes Fourier transformed over pointer ``axes``, as a new array.
 
-    ``left``, if given, is applied to the system axis as well. A state with
-    no history is the product ``build_initial`` made, so its transform is
-    the system amplitudes times each transformed packet's cached spectrum
-    and each other packet: no transform runs over the whole tensor. Any
-    other state is transformed as it stands.
+    A state in branch form is transformed branch by branch: ``_branch_sum``
+    of the core with the transformed pointers' factor rows replaced by their
+    1-D transforms, so no transform runs over the whole tensor. Any other
+    state is transformed as it stands.
     """
-    if state.history:
-        tensor = state.tensor()
-        if left is None:
-            return np.fft.fftn(tensor, axes=axes)
-        tensor = _system_map(left, tensor, np.empty_like(tensor))
-        return np.fft.fftn(tensor, axes=axes, out=tensor)
-    out = state.initial_system.amplitudes
-    if left is not None:
-        out = left @ out
-    for axis, spec in enumerate(state.pointers, 1):
-        factor = _packet_spectrum(spec) if axis in axes else _packet(spec).amplitudes
-        out = np.multiply.outer(out, factor)
-    return out
+    form = state.branches
+    if form is None:
+        return np.fft.fftn(state.tensor(), axes=axes)
+    factors = [
+        _row_spectra(state, i, rows) if i + 1 in axes else rows
+        for i, rows in enumerate(form.factors)
+    ]
+    return _branch_sum(form.core, factors)
 
 
 def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -384,77 +442,72 @@ def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _commuting_branches(
-    state: UnifiedState, couplings: Sequence[Coupling]
-) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """A commuting phase on the product state as ``_branch_sum`` branches.
+def _gram_norm(core: np.ndarray, factors: Sequence[np.ndarray]) -> float:
+    """The norm of ``_branch_sum(core, factors)``, from the factor rows' Gram matrices.
+
+    ||psi||^2 = sum_{b, b'} core[b']-dagger core[b] prod_p <f_{b'_p}|f_{b_p}>:
+    the core contracted with each pointer's Gram matrix F F-dagger in turn,
+    as ``_branch_sum`` contracts it with the rows, then against the core.
+    A few B x B products, exact, and NaN for NaN input.
+    """
+    t = core
+    for f in factors:
+        # np.dot: the operands are a few B x B, where it dispatches faster than @
+        gram = np.dot(f, f.conj().T)
+        t = np.dot(t.reshape(len(f), -1).T, gram).reshape(t.shape[1:] + (len(f),))
+    d = t.shape[0]
+    # t is (d, B_1, ..., B_k) now; the form is real, so either side may be conjugated
+    return math.sqrt(abs(np.vdot(t.reshape(d, -1), core.reshape(-1, d).T).real))
+
+
+def _evolve_commuting(
+    state: UnifiedState, couplings: Sequence[Coupling], t: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | np.ndarray:
+    """A commuting phase, as the new branch form where the state has one.
 
     Each coupling is a sum over its observable's cached eigenvectors v of
     the rank-1 projector v v-dagger times the translation of its pointer by
     the impulse times v's eigenvalue. The projectors sum to the identity
     whatever the degeneracy, so this is exact, and the couplings commute,
-    so the phase is the product of those sums. A branch picks one
-    eigenvector per coupling: its system vector is the projectors applied
-    to the system amplitudes in turn, and its factor on a pointer is one
-    inverse transform of the packet's cached spectrum times the phase of
-    its couplings' summed kicks, batched over the pointer's branches.
-    Returns None when a pointer would have more branches, d to the power
-    of its couplings, than grid points.
+    so the phase is the product of those sums. Each coupling therefore
+    splits every branch's system vector by its projectors, a new branch
+    axis beside its pointer's, and that pointer's factor for an old row and
+    a choice of eigenvectors is the old row translated by the couplings'
+    summed kicks: one transform of the rows, a phase per kick, and one
+    inverse transform, batched over the new rows. Returns ``(core,
+    factors)`` as ``_branch_sum`` takes them. A state without branch form,
+    or a pointer that would have more branches than grid points, goes to
+    ``_evolve_blocks``, which is exact for any couplings.
     """
+    form = state.branches
     d = state.system.total
-    core = state.initial_system.amplitudes
-    shape, factors = [], []
-    for spec in state.pointers:
-        on = [c for c in couplings if c.pointer == spec.label]
-        if d ** len(on) > spec.grid.points:
-            return None
+    on = [[c for c in couplings if c.pointer == spec.label] for spec in state.pointers]
+    if form is None or any(
+        len(rows) * d ** len(cs) > spec.grid.points
+        for spec, rows, cs in zip(state.pointers, form.factors, on)
+    ):
+        return _evolve_blocks(state, couplings, t)
+    core = form.core
+    # each pointer's branch axis, then the axes its couplings append, in turn
+    axes, factors = [], []
+    for index, (spec, rows, cs) in enumerate(zip(state.pointers, form.factors, on)):
+        axes.append(index)
+        if not cs:
+            factors.append(rows)
+            continue
         kicks = np.zeros(())
-        for c in on:
+        for c in cs:
             w, v = c.observable.spectrum
             # core[..., a, :] = v_a (v_a-dagger core)
             core = (core @ v.conj())[..., None] * v.T
+            axes.append(core.ndim - 2)
             kicks = np.add.outer(kicks, c.impulse * w)
-        shape.append(kicks.size)
-        if on:
-            k = spec.grid.wavenumbers()
-            phase = np.exp(-1j * np.multiply.outer(kicks.reshape(-1), k))
-            phase *= _packet_spectrum(spec)
-            factors.append(np.fft.ifft(phase, out=phase))
-        else:
-            factors.append(_packet(spec).amplitudes[None])
-    return core.reshape(shape + [d]), factors
-
-
-def _evolve_commuting(state: UnifiedState, couplings: Sequence[Coupling]) -> np.ndarray:
-    """Per-eigenvalue translations of a commuting phase.
-
-    The product state is written once from its branches
-    (``_commuting_branches``) unless a pointer has too many. Otherwise
-    every coupling multiplies its pointer's momentum amplitudes by
-    exp(-i g t a k) in its observable's eigenbasis, all between one forward
-    and one inverse transform. The basis changes act on the system axis,
-    so they commute with the transforms over the pointer axes, and
-    consecutive ones merge into one matrix.
-    """
-    if not state.history:
-        branches = _commuting_branches(state, couplings)
-        if branches is not None:
-            return _branch_sum(*branches)
-    axes = tuple(sorted({_pointer_axis(state, c.pointer) for c in couplings}))
-    bases = [c.observable.spectrum for c in couplings]
-    ft = _spectrum(state, axes, bases[0][1].conj().T)
-    spare = np.empty_like(ft)
-    for i, (c, (w, v)) in enumerate(zip(couplings, bases)):
-        if i:
-            ft, spare = _system_map(v.conj().T @ bases[i - 1][1], ft, spare), ft
-        axis = _pointer_axis(state, c.pointer)
-        k = state.pointer_spec(c.pointer).grid.wavenumbers()
-        phase = np.exp(-1j * c.impulse * np.multiply.outer(w, k))
-        shape = [1] * ft.ndim
-        shape[0], shape[axis] = phase.shape
-        ft *= phase.reshape(shape)
-    out = _system_map(bases[-1][1], ft, spare)
-    return np.fft.ifftn(out, axes=axes, out=out)
+        phase = np.exp(-1j * np.multiply.outer(kicks.reshape(-1), spec.grid.wavenumbers()))
+        moved = _row_spectra(state, index, rows)[:, None] * phase
+        moved = moved.reshape(-1, spec.grid.points)
+        factors.append(np.fft.ifft(moved, out=moved))
+    shape = [len(f) for f in factors] + [d]
+    return core.transpose(axes + [core.ndim - 1]).reshape(shape), tuple(factors)
 
 
 def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
@@ -472,8 +525,8 @@ def _qubit_blocks(
 
     Each block is h(k) = c0 I + c . sigma with real c0, c, so
     exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
-    b = -s (cy + i cx) and s = sin(t|c|)/|c|. s is t sinc(t|c|/pi), which is
-    t at |c| = 0 with no special case. Each coefficient is assembled in real
+    b = -s (cy + i cx) and s = sin(t|c|)/|c|, which is t at |c| = 0. One
+    cosine and one sine run over the grid. Each coefficient is assembled in real
     arithmetic into one complex buffer, in turn, and ``ft``, which the
     caller owns, is overwritten row by row and returned; one spare row keeps
     the first input row for the second. A component no observable carries
@@ -495,15 +548,19 @@ def _qubit_blocks(
             if w:
                 parts[i] = parts[i] + gk * w
     c0, cx, cy, cz = parts
-    tr = np.sqrt(cx * cx + cy * cy + cz * cz)
-    tr *= t
-    s = np.sinc(tr / np.pi)
-    s *= t
+    norm = np.sqrt(cx * cx + cy * cy + cz * cz)
+    # s = sin(t |c|) / |c|, and t where |c| = 0; a grid even if no part spans one
+    s = np.multiply(norm, t, out=np.empty(grid))
+    cos = np.cos(s)
+    np.sin(s, out=s)
+    np.divide(s, norm, out=s, where=norm != 0)
+    np.copyto(s, t, where=norm == 0)
+    del norm
     u0, u1 = ft
     first = u0.copy()
     coef = np.empty(grid, dtype=complex)
     # a = cos - i s cz on u0, then b = -s cy - i s cx on u1, into row 0
-    np.cos(tr, out=coef.real)
+    np.copyto(coef.real, cos)
     np.multiply(s, -cz, out=coef.imag)
     np.multiply(coef, u0, out=u0)
     np.multiply(s, -cy, out=coef.real)
@@ -511,7 +568,7 @@ def _qubit_blocks(
     coef *= u1
     u0 += coef
     # a* on u1, then -b* = s cy - i s cx on the first row, into row 1
-    np.cos(tr, out=coef.real)
+    np.copyto(coef.real, cos)
     np.multiply(s, cz, out=coef.imag)
     np.multiply(coef, u1, out=u1)
     np.multiply(s, cy, out=coef.real)
@@ -576,7 +633,7 @@ def _dense_action(
     evolutions share nothing; each call of the returned function overwrites
     and returns the same output buffer, which must not be passed back in.
     """
-    dims = state.state.dims
+    dims = state.dims
     terms = []
     bound = 0.0
     for c in couplings:
@@ -611,7 +668,7 @@ def _dense_action(
 def _evolve_dense(
     state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
-    dim = state.state.dims.total
+    dim = state.dims.total
     if dim > DENSE_LIMIT:
         raise ValueError(
             f"dense exponential refuses dimension {dim} > {DENSE_LIMIT}; "
@@ -630,33 +687,36 @@ def evolve(
 
     All couplings in the phase act simultaneously and must share a duration.
     Containment and norm preservation are enforced; the returned state
-    records the phase in its history.
+    records the phase in its history. A commuting phase on a state in branch
+    form returns a state in branch form, whose norm is checked from its
+    factor rows' Gram matrices and whose amplitudes are formed only when
+    read; any other phase returns the amplitudes.
     """
     cs, t = _validate_couplings(state, couplings)
     bounds = _updated_bounds(state, cs)
     if method == "expm":
-        amps = _evolve_dense(state, cs, t)
+        result = _evolve_dense(state, cs, t)
     elif method == "shift":
         if _couplings_commute(cs):
-            tensor = _evolve_commuting(state, cs)
+            result = _evolve_commuting(state, cs, t)
         else:
-            tensor = _evolve_blocks(state, cs, t)
-        amps = tensor.reshape(-1)
+            result = _evolve_blocks(state, cs, t)
     else:
         raise ValueError(f"unknown evolution method {method!r}")
-    # The product's norm, claim and layout are its factors', as kron_states
-    # takes them, so reading them forms nothing.
-    factors = state._factors()
-    norm = float(np.linalg.norm(amps))
-    if not abs(norm - math.prod(f.norm for f in factors)) <= NORM_TOL:
+    if isinstance(result, tuple):
+        norm = _gram_norm(*result)
+    else:
+        amps = result.reshape(-1)
+        norm = float(np.linalg.norm(amps))
+    if not abs(norm - state.norm) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
-    # The copy stays: without it scenario-suite peak RSS measured about 2 MB higher.
-    evolved = StateVector._owning(
-        product_dims(*(f.dims for f in factors)),
-        amps.copy(),
-        normalized=all(f.normalized for f in factors),
-        norm=norm,
-    )
+    if isinstance(result, tuple):
+        evolved = _Branches(*result, norm)
+    else:
+        # The copy stays: without it scenario-suite peak RSS measured about 2 MB higher.
+        evolved = StateVector._owning(
+            state.dims, amps.copy(), normalized=state.initial_system.normalized, norm=norm
+        )
     return replace(
         state,
         history=state.history + (cs,),
@@ -729,15 +789,52 @@ def apparatus_density(state: UnifiedState) -> DensityMatrix:
 
 
 def system_density(state: UnifiedState) -> DensityMatrix:
-    return DensityMatrix.from_factors(state.system, state.matrix())
+    """Reduced density matrix of the system, C C-dagger from the core C of ``record``."""
+    core, _ = state.record
+    return DensityMatrix.from_factors(state.system, core.reshape(state.system.total, -1))
 
 
-def _position_weights(state: UnifiedState, label: str) -> tuple[np.ndarray, np.ndarray]:
-    tensor = state.tensor()
-    axis = _pointer_axis(state, label)
-    other = tuple(i for i in range(tensor.ndim) if i != axis)
-    weights = np.abs(tensor) ** 2
-    return weights.sum(axis=other), state.pointer_spec(label).grid.positions()
+def system_schmidt(state: UnifiedState) -> tuple[np.ndarray, int]:
+    """Schmidt coefficients across system | pointers, descending, and the rank.
+
+    The bases of ``record`` are orthonormal, so the coefficients are the
+    singular values of its core as a (system, pointers) matrix, padded with
+    zeros to the count the full amplitudes would give.
+    """
+    core, _ = state.record
+    d = state.system.total
+    return schmidt_values(core.reshape(d, -1), min(d, state.dims.total // d))
+
+
+def pointer_expectation(state: UnifiedState, weights: dict[str, np.ndarray]) -> float:
+    """<psi| (x)_p diag(w_p) |psi>, with w_p a weight per grid site of pointer p.
+
+    Pointers without weights take the identity. Read from ``record``: the
+    weights act as they are on an identity axis and as Q-dagger diag(w) Q,
+    r_p x r_p, on one in the basis Q. Position moments take w = x; a
+    probability and mean conditioned on a region of one pointer take its
+    indicator. On an unnormalized state the quadratic form is returned as
+    is, not divided by the norm.
+    """
+    core, bases = state.record
+    out, diagonal = core, 1.0
+    for label, w in weights.items():
+        axis = _pointer_axis(state, label)
+        q = bases[axis - 1]
+        if q is None:
+            shape = [1] * core.ndim
+            shape[axis] = -1
+            diagonal = diagonal * w.reshape(shape)
+        else:
+            m = q.conj().T @ (w[:, None] * q)
+            out = np.swapaxes(np.swapaxes(out, axis, -1) @ m.T, axis, -1)
+    if out is core:
+        # diagonal weights alone: |core|^2 once, in real arithmetic, against them
+        density = np.abs(core)
+        density *= density
+        axes = list(range(core.ndim))
+        return float(np.einsum(density, axes, np.broadcast_to(diagonal, core.shape), axes, []))
+    return float(np.vdot(core, out * diagonal).real)
 
 
 def pointer_mean(state: UnifiedState, label: str) -> float:
@@ -746,25 +843,16 @@ def pointer_mean(state: UnifiedState, label: str) -> float:
     Equal to the mean position for normalized states; on an unnormalized
     state the quadratic form is returned as is, not divided by the norm.
     """
-    weights, x = _position_weights(state, label)
-    return float(weights @ x)
+    return pointer_expectation(state, {label: state.pointer_spec(label).grid.positions()})
 
 
 def pointer_cross_mean(state: UnifiedState, label_a: str, label_b: str) -> float:
     """Raw correlator <psi| x_a x_b |psi> of two distinct pointers."""
     if label_a == label_b:
         raise ValueError("cross moment needs two distinct pointers")
-    tensor = state.tensor()
-    ax_a = _pointer_axis(state, label_a)
-    ax_b = _pointer_axis(state, label_b)
-    weights = np.abs(tensor) ** 2
-    other = tuple(i for i in range(tensor.ndim) if i not in (ax_a, ax_b))
-    w2 = weights.sum(axis=other)
-    if ax_a > ax_b:
-        w2 = w2.T
-    xa = state.pointer_spec(label_a).grid.positions()
-    xb = state.pointer_spec(label_b).grid.positions()
-    return float(xa @ w2 @ xb)
+    return pointer_expectation(
+        state, {lab: state.pointer_spec(lab).grid.positions() for lab in (label_a, label_b)}
+    )
 
 
 def weak_value(observable: Operator, initial: StateVector, final: StateVector) -> WeakValue:

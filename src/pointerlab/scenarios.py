@@ -40,7 +40,6 @@ from .tensors import (
     Operator,
     StateVector,
     expectation,
-    schmidt,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -66,6 +65,22 @@ EPR_WEIGHT_TOL = 1e-10
 # epr: largest |<zz> + 1| and Var(zz) of a sharp anticorrelation. A choice:
 # on the anticorrelated subspace both are roundoff of a four-amplitude sum.
 SHARP_CORRELATION_TOL = 1e-12
+# sequential: the conditioned-readout check runs only where a drag is
+# expected, when the first observable's second-largest branch population is
+# at least CONDITIONING_MIN_POPULATION and the second pointer's predicted
+# shift |impulse * <A>| at least CONDITIONING_MIN_SHIFT. Choices: at the
+# defaults they are 0.25 and 0.43, and below them the drag can sit under
+# CONDITIONED_SHIFT_MIN.
+CONDITIONING_MIN_POPULATION = 0.05
+CONDITIONING_MIN_SHIFT = 0.01
+# sequential: smallest move of the conditioned second readout, off its
+# unconditioned mean, that counts as a drag. A choice, five orders above
+# READOUT_TOL and well below the default drag of 0.064.
+CONDITIONED_SHIFT_MIN = 1e-3
+# sequential: largest change of a commuting observable's expectation by the
+# first coupling. A choice: the change is roundoff of a 2 x 2 density
+# (3e-16 at the defaults), and this matches NORM_TOL.
+INFO_PRESERVED_TOL = 1e-10
 
 
 def _setting(default: float, flag: str, role: str) -> Any:
@@ -267,7 +282,7 @@ def _verdict_dict(verdict: SeparabilityVerdict) -> dict[str, object]:
 
 def _schmidt_dict(state: UnifiedState) -> dict[str, object]:
     pointer_labels = tuple(s.label for s in state.pointers)
-    coeffs, rank = schmidt(state.state, (state.system.labels, pointer_labels))
+    coeffs, rank = engine.system_schmidt(state)
     return {
         "cut": [list(state.system.labels), list(pointer_labels)],
         "rank": int(rank),
@@ -670,14 +685,17 @@ def _sequential(run: Run) -> Measured:
     allow_a = READOUT_TOL + (0.0 if predicted_gap <= READOUT_TOL else 1.2 * predicted_gap)
 
     # Conditioning on the first pointer landing above its starting center.
-    weights = np.abs(state.tensor()[:, :, spec_b.grid.positions() > cfg.x0_b]) ** 2
-    cond_prob = float(weights.sum())
-    cond_mean_a = float((weights.sum(axis=(0, 2)) @ spec_a.grid.positions()) / cond_prob)
+    above = {"B": (spec_b.grid.positions() > cfg.x0_b).astype(float)}
+    cond_prob = engine.pointer_expectation(state, above)
+    cond_mean_a = engine.pointer_expectation(
+        state, {**above, "A": spec_a.grid.positions()}
+    ) / cond_prob
     deviation = abs(cond_mean_a - mean_a)
     conditioning_active = (
         not engine.commutes(first_obs, second_obs)
-        and float(np.sort(np.abs(amps_b) ** 2)[-2]) >= 0.05
-        and abs(expectation(second_obs, system).real * second.impulse) >= 0.01
+        and float(np.sort(np.abs(amps_b) ** 2)[-2]) >= CONDITIONING_MIN_POPULATION
+        and abs(expectation(second_obs, system).real * second.impulse)
+        >= CONDITIONING_MIN_SHIFT
     )
     notes = ["first coupling acts on pointer B, second on pointer A"]
     if not conditioning_active:
@@ -719,8 +737,10 @@ def _sequential(run: Run) -> Measured:
             "mean_b_matches": defects["mean_b"] <= READOUT_TOL,
             "mean_a_matches_damped_form": defects["mean_a_damped"] <= READOUT_TOL,
             "first_order_form_within_dephasing": defects["mean_a_first_order"] <= allow_a,
-            "conditioned_readout_shifts": not conditioning_active or deviation > 1e-3,
-            "initial_info_preserved": defects["info_commuting"] <= 1e-10,
+            "conditioned_readout_shifts": (
+                not conditioning_active or deviation > CONDITIONED_SHIFT_MIN
+            ),
+            "initial_info_preserved": defects["info_commuting"] <= INFO_PRESERVED_TOL,
             "record_separable": verdict.status == "separable"
             and (verdict.certificate_error or 1.0) <= separability.CERTIFICATE_TOL,
         },
@@ -823,7 +843,7 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
     schmidt_dict = _schmidt_dict(state)
     shared_checks = {
         "evolution_paths_agree": paths <= PATHS_TOL,
-        "norm_preserved": abs(state.state.norm - 1.0) <= NORM_TOL,
+        "norm_preserved": abs(state.norm - 1.0) <= NORM_TOL,
     }
     expected_rank = None
     if len(couplings) == 1:

@@ -574,14 +574,28 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     return s
 
 
+def schmidt_values(m: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """Singular values of ``m``, descending and padded with zeros to ``count``, and the rank.
+
+    Rank counts values above SCHMIDT_RANK_TOL. They are taken from the Gram
+    matrix of the smaller side (``_singular_values``). ``count`` is at
+    least min(m.shape): a matrix that is the amplitudes in orthonormal
+    bases of smaller subspaces has the same nonzero values, and the
+    padding restores the count of the whole space.
+    """
+    coeffs = np.sort(_singular_values(m.T if m.shape[0] > m.shape[1] else m))[::-1]
+    if coeffs.size < count:
+        coeffs = np.concatenate([coeffs, np.zeros(count - coeffs.size)])
+    return coeffs, int(np.count_nonzero(coeffs > SCHMIDT_RANK_TOL))
+
+
 def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     """Schmidt coefficients across a bipartition, descending, plus the rank.
 
     ``cut`` is a pair of label tuples that together partition the factors.
-    Rank counts coefficients above SCHMIDT_RANK_TOL; the coefficients of a
-    normalized state square-sum to one. They are the singular values of the
-    amplitudes as a (left, right) matrix, taken from the Gram matrix of its
-    smaller side (``_singular_values``). Non-finite amplitudes are refused.
+    The coefficients of a normalized state square-sum to one. They are the
+    singular values of the amplitudes as a (left, right) matrix
+    (``schmidt_values``). Non-finite amplitudes are refused.
     """
     left, right = cut_sides(state.dims, cut)
     # A normalized state passed its norm check, which NaN and inf fail.
@@ -592,9 +606,7 @@ def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     t = np.transpose(t, order)
     dl = math.prod(state.dims.dim(lab) for lab in left)
     m = t.reshape(dl, -1)
-    coeffs = np.sort(_singular_values(m.T if m.shape[0] > m.shape[1] else m))[::-1]
-    rank = int(np.count_nonzero(coeffs > SCHMIDT_RANK_TOL))
-    return coeffs, rank
+    return schmidt_values(m, min(m.shape))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -15,7 +15,7 @@ import pytest
 import pointerlab
 from pointerlab import cli, engine
 from pointerlab.cli import main
-from pointerlab.pointer import momentum_operator
+from pointerlab.pointer import differentiation_matrix, momentum_operator
 from pointerlab.scenarios import SCENARIOS, get_scenario
 
 REPORT_KEYS = {
@@ -347,11 +347,12 @@ class TestSweep:
         assert "1 steps, all checks passed" in capsys.readouterr().err
 
     def test_workers_capped_at_step_count(self, monkeypatch, tmp_path):
-        """A cold start: the parallel run fills the packet and momentum caches from
-        several threads, on a grid no other test uses, before the serial one runs."""
+        """A cold start: the parallel run fills the packet caches and the dense
+        oracle's differentiation matrix from several threads, on a grid no other
+        test uses, before the serial one runs."""
         engine._packet.cache_clear()
         engine._packet_spectrum.cache_clear()
-        momentum_operator.cache_clear()
+        differentiation_matrix.cache_clear()
         asked = self._spy_pools(monkeypatch)
         base = ["sweep", "weak-postselect", "--param", "gA", "--start", "0.01"]
         base += ["--stop", "0.05", "--steps", "3", "--gridN", "128", "--gridL", "15"]

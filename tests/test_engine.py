@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointerlab import engine as engine_module
@@ -119,7 +119,7 @@ class TestEvolve:
         ids=["same-pointer", "three-couplings", "different-eigenbases"],
     )
     def test_commuting_phase_matches_dense_oracle(self, pairs):
-        """All couplings of a commuting phase share one transform pair, with or without a history."""
+        """A commuting phase in branch form, and after a noncommuting one on the momentum blocks."""
         specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
         state = build_initial(bloch_state(1.0, 0.3), specs)
         couplings = [Coupling(pauli(m), lab, g) for m, lab, g in pairs]
@@ -213,6 +213,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize("method", ["shift", "expm"])
     def test_result_norm_taken_once(self, monkeypatch, method):
+        """One norm pass over the result's amplitudes: in evolve, or, for a branch
+        form, whose norm evolve takes from Gram matrices, when they are formed."""
         state, coupling = _single(grid=COARSE)
         sizes = []
         norm = np.linalg.norm
@@ -223,8 +225,9 @@ class TestEvolve:
 
         monkeypatch.setattr(np.linalg, "norm", counted)
         evolved = evolve(state, [coupling], method)
-        assert sizes.count(state.state.dims.total) == 1
-        assert evolved.state.norm == norm(evolved.state.amplitudes)
+        amplitudes = evolved.state.amplitudes
+        assert sizes.count(amplitudes.size) == 1
+        assert evolved.state.norm == norm(amplitudes)
 
     def test_norm_guard_catches_nan(self, monkeypatch):
         # a NaN norm must fail the guard, not slip past a '>' comparison
@@ -583,7 +586,7 @@ class TestProductStart:
     def test_spectrum_matches_fftn_of_the_built_tensor(self, d, pointers, seed, data):
         # the transformed axes are a nonempty subset: the other pointers are uncoupled
         axes = tuple(sorted(data.draw(st.sets(st.integers(1, pointers), min_size=1))))
-        rotate = data.draw(st.booleans())
+        branched = data.draw(st.booleans())
         rng = np.random.default_rng(seed)
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         specs = [
@@ -592,16 +595,22 @@ class TestProductStart:
         ]
         system = StateVector(DimensionSpec.of(("system", d)), v / np.linalg.norm(v))
         state = build_initial(system, specs)
-        left = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) if rotate else None
+        if branched:
+            # a commuting phase keeps the branch form, with d rows per pointer
+            observables = _commuting_family(rng, d, pointers)
+            state = evolve(
+                state,
+                [Coupling(op, s.label, rng.uniform(-0.5, 0.5)) for op, s in zip(observables, specs)],
+            )
+            assert state.branches is not None and state.history
         want = np.fft.fftn(state.tensor(), axes=axes)
-        if rotate:
-            want = np.tensordot(left, want, axes=([1], [0]))
         scale = np.abs(want).max()
-        got = engine_module._spectrum(state, axes, left)
+        got = engine_module._spectrum(state, axes)
         assert np.abs(got - want).max() <= 1e-14 * scale
-        # the same state with a history is transformed as it stands
-        aged = dataclasses.replace(state, history=((),))
-        assert np.abs(engine_module._spectrum(aged, axes, left) - want).max() <= 1e-14 * scale
+        # the same amplitudes without branch form are transformed as they stand
+        formed = dataclasses.replace(state, _evolved=state.state)
+        assert formed.branches is None
+        assert np.abs(engine_module._spectrum(formed, axes) - want).max() <= 1e-14 * scale
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -718,11 +727,12 @@ class TestCommutingBranches:
         st.integers(0, 2**32 - 1),
         st.data(),
     )
-    def test_branches_match_dense_oracle_and_transform_pair(self, d, pointers, seed, data):
+    def test_branches_match_dense_oracle_and_momentum_blocks(self, d, pointers, seed, data):
         """Degenerate commuting spectra, two couplings on one pointer included.
 
         A pointer whose branch count d^(couplings on it) exceeds its grid
-        points sends the phase to the transform pair instead.
+        points sends the phase to the momentum blocks instead, which also
+        serve a commuting phase on a state without branch form.
         """
         labels = ("A", "B", "C")[:pointers]
         on = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
@@ -739,15 +749,15 @@ class TestCommutingBranches:
         ]
         branched = all(d ** on.count(lab) <= grid.points for lab in labels)
         with mock.patch.object(
-            engine_module, "_branch_sum", wraps=engine_module._branch_sum
+            engine_module, "_evolve_blocks", wraps=engine_module._evolve_blocks
         ) as spy:
             assert cross_validate(state, couplings) <= 1e-12
-        assert spy.called == branched
+        assert spy.called != branched
         if branched:
-            # the same product state, marked as having a history, takes the transform pair
-            aged = dataclasses.replace(state, history=((),))
-            got = engine_module._evolve_commuting(state, couplings)
-            want = engine_module._evolve_commuting(aged, couplings)
+            # the same product state as amplitudes takes the momentum blocks
+            formed = dataclasses.replace(state, _evolved=state.state)
+            got = evolve(state, couplings).state.amplitudes
+            want = engine_module._evolve_commuting(formed, couplings, 1.0).reshape(-1)
             assert np.abs(got - want).max() <= 1e-15
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -772,6 +782,103 @@ class TestCommutingBranches:
         got = engine_module._branch_sum(core, factors)
         assert got.shape == want.shape and got.flags.writeable
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _readouts(state):
+    """Every readout the scenarios take from a state's record, by name."""
+    labels = [spec.label for spec in state.pointers]
+    positions = {lab: state.pointer_spec(lab).grid.positions() for lab in labels}
+    coeffs, rank = engine_module.system_schmidt(state)
+    out = {
+        "norm": state.norm,
+        "system_density": system_density(state).matrix,
+        "schmidt": coeffs,
+        "rank": rank,
+    }
+    for lab in labels:
+        out[f"mean_{lab}"] = pointer_mean(state, lab)
+    for a, b in zip(labels, labels[1:]):
+        out[f"cross_{a}{b}"] = pointer_cross_mean(state, a, b)
+        # conditioned on pointer b landing above its grid's center
+        above = {b: (positions[b] > 0.0).astype(float)}
+        probability = engine_module.pointer_expectation(state, above)
+        conditioned = engine_module.pointer_expectation(state, {**above, a: positions[a]})
+        out[f"conditioned_{a}"] = conditioned / probability
+    return out
+
+
+class TestFactoredRecord:
+    """Commuting phases keep the branch form; the readouts read its compressed core."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    # a commuting phase on a state already in branch form
+    @example(d=2, pointers=2, seed=1, phases=[(False, [0]), (False, [1, 0])])
+    # a commuting phase after a noncommuting one
+    @example(d=3, pointers=2, seed=2, phases=[(True, [0, 1]), (False, [1])])
+    # more branches than grid points: 3^2 rows on an 8-point pointer
+    @example(d=3, pointers=3, seed=3, phases=[(False, [2]), (False, [0, 0])])
+    def test_record_matches_dense_oracle_and_formed_readouts(self, d, pointers, seed, phases):
+        """Each phase against the dense oracle from the same input, and the
+        compressed readouts against the same readouts on the formed amplitudes.
+
+        A phase is (noncommuting, pointer indices); a noncommuting one has at
+        least two couplings with random Hermitian observables.
+        """
+        rng = np.random.default_rng(seed)
+        labels = ("A", "B", "C")[:pointers]
+        grid = TINY if pointers == 3 else COARSE
+        specs = [PointerSpec(lab, grid, x0=rng.uniform(-0.1, 0.1)) for lab in labels]
+        dims = DimensionSpec.of(("system", d))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        state = build_initial(StateVector(dims, v / np.linalg.norm(v)), specs)
+        rows = [1] * pointers  # branch rows per pointer, None once the form is left
+        for noncommuting, on in phases:
+            on = [labels[i % pointers] for i in on]
+            if noncommuting:
+                on = on if len(on) > 1 else on * 2
+                observables = []
+                for _ in on:
+                    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                    m = m + m.conj().T
+                    observables.append(Operator(dims, m / np.abs(np.linalg.eigvalsh(m)).max()))
+            else:
+                observables = _commuting_family(rng, d, len(on))
+            # at most 9 kicks of 0.2 on one pointer stay inside its margin of 2
+            phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
+            dense = evolve(state, phase, "expm")
+            state = evolve(state, phase)
+            grown = None if rows is None or noncommuting else [
+                n * d ** on.count(lab) for n, lab in zip(rows, labels)
+            ]
+            rows = grown if grown and max(grown) <= grid.points else None
+            form = state.branches
+            assert (form is None) == (rows is None)
+            if form is not None:
+                assert [len(f) for f in form.factors] == rows
+            gap = np.abs(state.state.amplitudes - dense.state.amplitudes).max()
+            assert gap <= 1e-12
+        # a fresh copy forms nothing, so its readouts take the compressed core
+        lazy = dataclasses.replace(state)
+        assert (lazy.record[1][0] is None) == (rows is None)
+        formed = dataclasses.replace(state, _evolved=state.state)
+        got, want = _readouts(lazy), _readouts(formed)
+        assert got["rank"] == want["rank"]
+        for name, value in want.items():
+            assert np.abs(got[name] - value).max() <= 1e-13, name
+        # and the Schmidt coefficients as tensors.schmidt takes them from the amplitudes
+        cut = (dims.labels, labels)
+        coeffs, rank = tensors.schmidt(state.state, cut)
+        assert rank == got["rank"] and np.abs(coeffs - got["schmidt"]).max() <= 1e-13
 
 
 class TestLazyProduct:
@@ -888,9 +995,18 @@ class TestDensities:
     def test_densities_keep_their_factors(self):
         state, coupling = _single(grid=COARSE)
         evolved = evolve(state, [coupling])
+        # a branch form nobody formed keeps its compressed core, whose Gram
+        # matrix is m m-dagger; formed amplitudes are their own core
+        core = system_density(evolved).factors
         m = evolved.matrix()
         np.testing.assert_array_equal(apparatus_density(evolved).factors, m.T)
-        np.testing.assert_array_equal(system_density(evolved).factors, m)
+        assert core.shape == (2, 2)
+        np.testing.assert_allclose(core @ core.conj().T, m @ m.conj().T, atol=1e-15)
+        formed = dataclasses.replace(evolved, _evolved=evolved.state)
+        np.testing.assert_array_equal(system_density(formed).factors, m)
+        again = evolve(state, [coupling])
+        again.state  # a branch form read once is its amplitudes from then on
+        np.testing.assert_array_equal(system_density(again).factors, m)
         selected = postselect(evolved, bloch_state(math.pi / 4, 0.0)).apparatus
         assert selected.factors.shape == (COARSE.points, 1)
         v = bloch_state(math.pi / 4, 0.0).amplitudes.conj() @ m

@@ -1,6 +1,7 @@
 """End-to-end scenario reports: frozen spot values and report plumbing."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -105,11 +106,11 @@ def test_each_state_evolved_once(monkeypatch):
 
 # np.fft calls per default scenario on arrays shaped (system, n, n): two
 # readout-grid pointer axes behind the system. A commuting phase on a state
-# with no history is written from its branches' 1-D factors and runs none;
-# a noncommuting one is transformed from its packets' spectra, so it runs
-# only its inverse transform; a phase on a state with history runs at most
-# one transform pair. The weak-orders series starts from the product state,
-# so it is built from the packets' 1-D transforms and runs none.
+# in branch form keeps that form and transforms only its 1-D factor rows,
+# so sequential's two phases run none; a noncommuting one is transformed
+# from its packets' spectra, so it runs only its inverse transform. The
+# weak-orders series starts from the product state, so it is built from
+# the packets' 1-D transforms and runs none.
 READOUT_FFT_PASSES = {
     "weak-noselect": {},
     "weak-postselect": {},
@@ -117,7 +118,7 @@ READOUT_FFT_PASSES = {
     "weak-orders": {"ifftn": 2},
     "eigenstate": {},
     "epr": {},
-    "sequential": {"fftn": 1, "ifftn": 1},
+    "sequential": {},
 }
 
 
@@ -140,15 +141,16 @@ def test_readout_grid_fft_passes(monkeypatch, name):
 # Peak traced allocation over one default run, above where it started, in
 # readout states: system dimension x 256 x 256 amplitudes, 2 MiB (4 MiB for
 # epr's pair). Measured at numpy 2.4: simultaneous 3.55, weak-orders 5.02,
-# epr 2.01 and sequential 3.07 states. The product state is never formed
-# for the shift integrator, a commuting phase is written once from its
-# branches, and a state's amplitudes are viewed, not copied, by its
-# reduced densities.
+# epr 0.115 and sequential 0.117 states. The product state is never formed
+# for the shift integrator, a state's amplitudes are viewed, not copied, by
+# its reduced densities, and epr's and sequential's commuting records stay
+# in branch form, read out from their compressed cores, so their peaks are
+# the 16-point analysis states'.
 WORKING_SET_STATES = {
     "simultaneous": 3.6,
     "weak-orders": 5.1,
-    "epr": 2.025,
-    "sequential": 3.1,
+    "epr": 0.12,
+    "sequential": 0.12,
 }
 
 
@@ -166,6 +168,38 @@ def test_readout_working_set(name):
     finally:
         tracemalloc.stop()
     assert (peak - start) / state_bytes <= WORKING_SET_STATES[name]
+
+
+@pytest.mark.parametrize("name", ["epr", "sequential"])
+def test_commuting_records_never_formed(monkeypatch, name):
+    """Default epr and sequential runs write no readout-grid array.
+
+    Every amplitude array a state forms goes through ``UnifiedState.state``,
+    and every one the engine writes from branches through ``_branch_sum``;
+    both are spied on. Only the analysis states are formed.
+    """
+    n = DEFAULTS[name].readout_grid().points
+    formed, written = [], []
+    state = engine.UnifiedState.__dict__["state"]
+
+    def spied_state(self):
+        formed.append(tuple(spec.grid.points for spec in self.pointers))
+        return state.func(self)
+
+    spied = functools.cached_property(spied_state)
+    spied.__set_name__(engine.UnifiedState, "state")
+    monkeypatch.setattr(engine.UnifiedState, "state", spied)
+    branch_sum = engine._branch_sum
+
+    def spied_sum(core, factors):
+        out = branch_sum(core, factors)
+        written.append(out.shape)
+        return out
+
+    monkeypatch.setattr(engine, "_branch_sum", spied_sum)
+    assert run_scenario(name).passed
+    assert formed and all(n not in points for points in formed)
+    assert written and all(n not in shape for shape in written)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -384,6 +418,23 @@ class TestEigenstate:
         assert report.schmidt["rank"] == 1
 
 
+def _two_pointer_run(name, cfg):
+    """The Run that ``run_scenario`` hands to a two-pointer scenario's ``measure``."""
+    scenario = SCENARIOS[name]
+    system = scenario.system(cfg.theta_i, cfg.phi_i)
+    phases = scenario.phases(cfg, 1.0)
+    specs = [
+        pointer.PointerSpec(lab, cfg.readout_grid(), x0, cfg.sigma)
+        for lab, x0 in (("A", cfg.x0_a), ("B", cfg.x0_b))
+    ]
+    state, _ = scenarios._evolve(system, specs, phases)
+    analysis = [dataclasses.replace(s, grid=scenarios.ANALYSIS_GRID) for s in specs]
+    verdict = separability.readability_check(
+        scenarios._evolve(system, analysis, phases)[0], scenarios.POINTER_CUT
+    )
+    return scenarios.Run(cfg, state, None, verdict, 1.0, None)
+
+
 class TestEpr:
     def test_anticorrelation_frozen(self, default_reports):
         report = default_reports["epr"]
@@ -407,19 +458,7 @@ class TestEpr:
     @pytest.fixture(scope="class")
     def epr_run(self):
         """The default run as the runner hands it to ``_epr``."""
-        cfg = DEFAULTS["epr"]
-        system = scenarios._pair_state(cfg.theta_i, cfg.phi_i)
-        phases = SCENARIOS["epr"].phases(cfg, 1.0)
-        specs = [
-            pointer.PointerSpec(lab, cfg.readout_grid(), x0, cfg.sigma)
-            for lab, x0 in (("A", cfg.x0_a), ("B", cfg.x0_b))
-        ]
-        state, _ = scenarios._evolve(system, specs, phases)
-        analysis = [dataclasses.replace(s, grid=scenarios.ANALYSIS_GRID) for s in specs]
-        verdict = separability.readability_check(
-            scenarios._evolve(system, analysis, phases)[0], scenarios.POINTER_CUT
-        )
-        return scenarios.Run(cfg, state, None, verdict, 1.0, None)
+        return _two_pointer_run("epr", DEFAULTS["epr"])
 
     @staticmethod
     def _failed(run):
@@ -482,3 +521,63 @@ class TestSequential:
         readability = default_reports["sequential"].readability
         assert readability["status"] == "separable"
         assert readability["method"] == "sequential-branches"
+
+    @staticmethod
+    def _failed(cfg=DEFAULTS["sequential"]):
+        run = _two_pointer_run("sequential", cfg)
+        return {name for name, ok in scenarios._sequential(run).checks.items() if not ok}
+
+    @staticmethod
+    def _drag(monkeypatch, offset):
+        """Puts the conditioned mean of A at its unconditioned mean plus ``offset``."""
+        original = engine.pointer_expectation
+
+        def moved(state, weights):
+            if set(weights) == {"A", "B"}:
+                mean_a = original(state, {"A": weights["A"]})
+                return original(state, {"B": weights["B"]}) * (mean_a + offset)
+            return original(state, weights)
+
+        monkeypatch.setattr(engine, "pointer_expectation", moved)
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, {"conditioned_readout_shifts"}), (2.0, set())])
+    def test_conditioned_shift_near_its_threshold(self, monkeypatch, scale, failed):
+        """A drag of a multiple of CONDITIONED_SHIFT_MIN counts only above it."""
+        self._drag(monkeypatch, scale * scenarios.CONDITIONED_SHIFT_MIN)
+        assert self._failed() == failed
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"conditioned_readout_shifts"})])
+    def test_population_gate_near_its_threshold(self, monkeypatch, scale, failed):
+        """With no drag, the check is idle below CONDITIONING_MIN_POPULATION and fails above.
+
+        The sigma_z branch populations are cos^2(theta/2) and sin^2(theta/2).
+        """
+        theta = 2 * math.asin(math.sqrt(scale * scenarios.CONDITIONING_MIN_POPULATION))
+        self._drag(monkeypatch, 0.0)
+        assert self._failed(dataclasses.replace(DEFAULTS["sequential"], theta_i=theta)) == failed
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"conditioned_readout_shifts"})])
+    def test_shift_gate_near_its_threshold(self, monkeypatch, scale, failed):
+        """With no drag, the check is idle below CONDITIONING_MIN_SHIFT and fails above.
+
+        The second coupling's predicted shift is g_a t <sigma_x>, with
+        <sigma_x> = sin(theta) at the default phi = 0.
+        """
+        cfg = DEFAULTS["sequential"]
+        g_a = scale * scenarios.CONDITIONING_MIN_SHIFT / (cfg.t * math.sin(cfg.theta_i))
+        self._drag(monkeypatch, 0.0)
+        assert self._failed(dataclasses.replace(cfg, g_a=g_a)) == failed
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"initial_info_preserved"})])
+    def test_info_check_near_its_tolerance(self, monkeypatch, scale, failed):
+        """A commuting readout after the first coupling off by a multiple of INFO_PRESERVED_TOL."""
+        original = engine.system_expectation
+
+        def moved(state, observable):
+            value = original(state, observable)
+            if np.array_equal(observable.matrix, np.diag([1.0, 0.0])):
+                value += scale * scenarios.INFO_PRESERVED_TOL
+            return value
+
+        monkeypatch.setattr(engine, "system_expectation", moved)
+        assert self._failed() == failed

@@ -32,14 +32,11 @@ from .pointer import (
     translate,
 )
 from .separability import (
-    NonCommutingError,
     SeparabilityVerdict,
     SeparableDecomposition,
-    commuting_decomposition,
     first_order_product_certificate,
     ppt_min_eigenvalue,
     readability_check,
-    sequential_decomposition,
 )
 from .scenarios import (
     DEFAULTS,

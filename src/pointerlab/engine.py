@@ -58,8 +58,8 @@ by their momentum, so no FFT runs over the state.
 
 States stay factored until their amplitudes are read: ``build_initial``
 keeps the system state and each pointer's packet from a per-``PointerSpec``
-cache, which also holds its 1-D spectrum, measured moments and momentum
-kicks, and a commuting phase keeps the branch form. ``UnifiedState.state``
+cache, which also holds its 1-D spectrum and momentum kicks, and a
+commuting phase keeps the branch form. ``UnifiedState.state``
 forms the amplitudes on first read and keeps them: the product with
 ``tensors.kron_states``, a branch form with ``_branch_sum``. ``evolve``
 takes the layout from the factors and checks a branch form's norm from
@@ -85,7 +85,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .pointer import CONTAINMENT_SIGMAS, LeakageError, PointerSpec, gaussian_state
-from .pointer import differentiation_matrix, near_edge, state_moments
+from .pointer import differentiation_matrix, near_edge
 from .tensors import (
     DensityMatrix,
     DimensionSpec,
@@ -368,12 +368,6 @@ def _packet_spectrum(spec: PointerSpec) -> np.ndarray:
     ft = np.fft.fft(_packet(spec).amplitudes)
     ft.setflags(write=False)
     return ft
-
-
-@lru_cache(maxsize=16)
-def _packet_moments(spec: PointerSpec) -> tuple[float, float]:
-    """Measured position mean and spread of the packet ``build_initial`` prepares."""
-    return state_moments(_packet(spec), spec.grid)
 
 
 @lru_cache(maxsize=32)

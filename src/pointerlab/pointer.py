@@ -198,29 +198,15 @@ def translate(state: StateVector, a: float, grid: PointerGrid) -> StateVector:
 
     Containment is judged from the measured mean and spread of the state:
     after the shift, CONTAINMENT_SIGMAS standard deviations on both sides
-    must stay inside the box.
+    must stay inside the box, and a NaN shift fails that test.
     """
     if state.dims.total != grid.points or len(state.dims.factors) != 1:
         raise ValueError("translate expects a single-factor state on this grid")
-    shifted = shifted_amplitudes(
-        np.fft.fft(state.amplitudes), state_moments(state, grid), a, grid
-    )
-    return StateVector(state.dims, shifted, normalized=state.normalized)
-
-
-def shifted_amplitudes(
-    spectrum: np.ndarray, moments: tuple[float, float], a: float, grid: PointerGrid
-) -> np.ndarray:
-    """The packet with 1-D FFT ``spectrum`` shifted by ``a``: one inverse transform.
-
-    ``moments`` are the packet's measured mean and spread; the shifted
-    packet must keep CONTAINMENT_SIGMAS spreads inside the box, and a NaN
-    shift fails that test.
-    """
-    mean, std = moments
+    mean, std = state_moments(state, grid)
     if near_edge(mean + a, std, grid):
         raise LeakageError(
             f"translation by {a} would move the packet to within "
             f"{CONTAINMENT_SIGMAS} spreads of the box edge"
         )
-    return np.fft.ifft(np.exp(-1j * grid.wavenumbers() * a) * spectrum)
+    shifted = np.fft.ifft(np.exp(-1j * grid.wavenumbers() * a) * np.fft.fft(state.amplitudes))
+    return StateVector(state.dims, shifted, normalized=state.normalized)

@@ -81,6 +81,27 @@ CONDITIONED_SHIFT_MIN = 1e-3
 # first coupling. A choice: the change is roundoff of a 2 x 2 density
 # (3e-16 at the defaults), and this matches NORM_TOL.
 INFO_PRESERVED_TOL = 1e-10
+# Predicted Schmidt rank of one coupling: none below an impulse of
+# RANK_MIN_IMPULSE, else the branches populated above RANK_MIN_POPULATION.
+# Choices: at RANK_MIN_IMPULSE a half-populated qubit's second Schmidt
+# coefficient is about 4e-9, above SCHMIDT_RANK_TOL (1e-9).
+RANK_MIN_IMPULSE = 1e-8
+RANK_MIN_POPULATION = 1e-12
+# simultaneous: the joint-moment factorization check runs only where the
+# predicted gap |<x_a x_b> - <x_a><x_b>| exceeds FACTORIZATION_GAP_MIN, and
+# then needs a measured gap above FACTORIZATION_GAP_TOL. Choices: the gap is
+# 1.1e-3 at the defaults, and the gate is twice the tolerance, so an active
+# check has a gap to find.
+FACTORIZATION_GAP_MIN = 2e-6
+FACTORIZATION_GAP_TOL = 1e-6
+# weak-orders: the halving ratios of the order-1 and order-2 truncation
+# defects must lie within ORDER1_RATIO_SLACK of 4 and ORDER2_RATIO_SLACK of 8.
+# Choices: at the defaults they are 3.99969 and 7.99944, off by O(g^2).
+ORDER1_RATIO_SLACK = 0.5
+ORDER2_RATIO_SLACK = 1.0
+# weak-orders: largest |ppt_min| of the impulse-1e-3 probe that counts as
+# vanishing. A choice: the probe reads -4.7e-11, about -0.047 g^3.
+WEAK_PPT_TOL = 1e-8
 
 
 def _setting(default: float, flag: str, role: str) -> Any:
@@ -293,13 +314,13 @@ def _schmidt_dict(state: UnifiedState) -> dict[str, object]:
 def _expected_branch_rank(system: StateVector, coupling: Coupling) -> int | None:
     """Predicted Schmidt rank for one coupling, or None when too marginal.
 
-    Branches with population below 1e-12 stay invisible; an impulse below
-    1e-8 cannot split the pointer beyond the rank tolerance.
+    Only branches populated above RANK_MIN_POPULATION count, and an impulse
+    below RANK_MIN_IMPULSE predicts nothing.
     """
-    if abs(coupling.impulse) < 1e-8:
+    if abs(coupling.impulse) < RANK_MIN_IMPULSE:
         return None
     branches = coupling.observable.spectrum[1].conj().T @ system.amplitudes
-    populated = int(np.count_nonzero(np.abs(branches) ** 2 > 1e-12))
+    populated = int(np.count_nonzero(np.abs(branches) ** 2 > RANK_MIN_POPULATION))
     return populated if populated >= 1 else None
 
 
@@ -430,8 +451,8 @@ def _simultaneous(run: Run) -> Measured:
         "cross_moment_half_impulse": abs(cross_half - predicted_cross(*half.history[0])),
     }
     # The factorization check needs a predicted gap to look for.
-    gap_active = abs(pred_cross - pred_a * pred_b) > 2e-6
-    nonfactor = not gap_active or abs(cross - mean_a * mean_b) > 1e-6
+    gap_active = abs(pred_cross - pred_a * pred_b) > FACTORIZATION_GAP_MIN
+    nonfactor = not gap_active or abs(cross - mean_a * mean_b) > FACTORIZATION_GAP_TOL
     notes = [f"backaction allowances: mean_a {allow_a:.3e}, mean_b {allow_b:.3e}"]
     if not gap_active:
         notes.insert(0, "joint moment predicted to factorize here; gap check idle")
@@ -523,12 +544,13 @@ def _weak_orders(run: Run) -> Measured:
         predictions={"defect_ratio_order1": 4.0, "defect_ratio_order2": 8.0},
         defects={"first_order_certificate": cert_defect},
         checks={
-            "order1_defect_scales_quadratically": floor1 or 3.5 <= ratio1 <= 4.5,
-            "order2_defect_scales_cubically": floor2 or 7.0 <= ratio2 <= 9.0,
+            "order1_defect_scales_quadratically": floor1
+            or abs(ratio1 - 4.0) <= ORDER1_RATIO_SLACK,
+            "order2_defect_scales_cubically": floor2 or abs(ratio2 - 8.0) <= ORDER2_RATIO_SLACK,
             "first_order_record_is_product": cert_defect <= separability.CERTIFICATE_TOL,
             "exact_record_not_separable": run.verdict.status != "separable",
             "strong_coupling_entangled": ppt_strong < separability.ENTANGLEMENT_THRESHOLD,
-            "weak_limit_ppt_vanishes": abs(ppt_weak) < 1e-8,
+            "weak_limit_ppt_vanishes": abs(ppt_weak) < WEAK_PPT_TOL,
         },
         notes=[
             f"certificate kind: {certificate.kind}",

@@ -6,19 +6,27 @@ whether the reduced apparatus density matrix is separable across the
 pointers. Two complementary tools live here:
 
 * constructive certificates: explicit convex decompositions into product
-  states, available in the physically transparent cases (commuting
-  observables, sequential couplings, first order in the coupling);
+  states. One rule reads them off the state's branch form, sum_b c_b (x)
+  f_{b_1} (x) g_{b_2} (x) ..., whatever history made it (``engine``): with
+  equal factor rows merged, the apparatus state is sum_{b, b'} <c_b'|c_b>
+  |F_b><F_b'|, F_b the product of b's rows. Where the Gram matrix of the
+  cores is diagonal it is a mixture of the products F_b; where, for two
+  pointers, it has no entry between different rows of one pointer, it is
+  sum_i |f_i><f_i| (x) rho_i, each rho_i a few-branch mixture split into
+  pure states by one small ``eigh``. A separate first-order product
+  certificate serves the truncated expansion;
 * the partial-transpose criterion (Peres, PRL 77, 1413 (1996); Horodecki,
   Horodecki and Horodecki, PLA 223, 1 (1996)), whose negative eigenvalues
   witness entanglement when no decomposition exists.
 
 Certificates are never taken on faith: each one is reconstructed and
-compared against the actual reduced state, and then revalidated on a grid
+compared against the actual reduced state, from the state's own apparatus
+columns rather than its branch form, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
-artifacts. Their product factors come from the engine's cached packets:
-a translated packet is one inverse FFT of a phase times the packet's
-cached spectrum, checked for containment on its cached moments, and each
-term's column is an outer product of its factors.
+artifacts. A state without branch form whose phases all commute, as one
+evolved by ``"expm"``, is read through its history re-run by the shift
+integrator on its own grids. Each term's column is an outer product of its
+factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
@@ -45,13 +53,12 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import engine
-from .engine import COMMUTATOR_TOL, Coupling, UnifiedState
-from .pointer import PointerSpec, shifted_amplitudes
+from .engine import Coupling, UnifiedState
+from .pointer import PointerSpec
 from .tensors import (
     Cut,
     DensityMatrix,
     DimensionSpec,
-    Operator,
     StateVector,
     TRACE_TOL,
     cut_sides,
@@ -75,10 +82,13 @@ REVALIDATION_POINTS = 32
 # orders below |ENTANGLEMENT_THRESHOLD|.
 SUPPORT_CUTOFF = 1e-13
 SUPPORT_BOUND_TOL = 1e-10
-
-
-class NonCommutingError(ValueError):
-    """A decomposition route that needs commuting observables got ones that don't."""
+# The certificate rule counts two factor rows of one pointer as equal when
+# they differ by at most BRANCH_TOL times the largest row norm, and a core
+# Gram entry as zero when its modulus is at most BRANCH_TOL times the trace.
+# A choice: both stand at roundoff, near 1e-16, wherever the branches are
+# equal or orthogonal, and a certificate is validated against the state
+# anyway, so the constant only decides which route is tried.
+BRANCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -236,134 +246,6 @@ def _support_ppt_min(
     return low, bound
 
 
-def _joint_eigensystem(
-    a: Operator, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common eigenbasis of two commuting Hermitian matrices.
-
-    Takes the cached eigendecomposition of ``a``, then diagonalizes ``b``
-    inside each degenerate eigenspace of ``a``. Returns the paired
-    eigenvalues and the basis columns.
-    """
-    wa, va = a.spectrum
-    a_vals, b_vals, columns = [], [], []
-    i = 0
-    while i < len(wa):
-        j = i
-        while j < len(wa) and wa[j] - wa[i] <= COMMUTATOR_TOL:
-            j += 1
-        block = va[:, i:j]
-        sub = block.conj().T @ b @ block
-        wb, ub = np.linalg.eigh((sub + sub.conj().T) / 2)
-        vecs = block @ ub
-        for col in range(j - i):
-            a_vals.append(wa[i:j].mean() if j - i > 1 else wa[i])
-            b_vals.append(wb[col])
-            columns.append(vecs[:, col])
-        i = j
-    return np.array(a_vals), np.array(b_vals), np.array(columns).T
-
-
-def _translated_gaussian(spec: PointerSpec, shift: float) -> StateVector:
-    """``translate(gaussian_state(spec), shift, spec.grid)`` from the engine's cached packet.
-
-    One inverse transform of the phase times the packet's cached spectrum,
-    with ``translate``'s containment test on the packet's cached moments.
-    """
-    amps = shifted_amplitudes(
-        engine._packet_spectrum(spec), engine._packet_moments(spec), shift, spec.grid
-    )
-    return StateVector._owning(spec.dims(), amps)
-
-
-def commuting_decomposition(
-    initial: StateVector,
-    specs: Sequence[PointerSpec],
-    coupling_a: Coupling,
-    coupling_b: Coupling,
-) -> SeparableDecomposition:
-    """Product decomposition for two commuting simultaneous couplings.
-
-    In a joint eigenbasis both pointers undergo rigid shifts, so the reduced
-    apparatus state is the mixture of shifted Gaussian products weighted by
-    the initial populations of the joint eigenvectors.
-    """
-    if not engine.commutes(coupling_a.observable, coupling_b.observable):
-        raise NonCommutingError(
-            "commuting decomposition asked for observables that do not commute"
-        )
-    by_label = {spec.label: spec for spec in specs}
-    spec_a = by_label[coupling_a.pointer]
-    spec_b = by_label[coupling_b.pointer]
-    if coupling_a.pointer == coupling_b.pointer:
-        raise ValueError("the two couplings must address distinct pointers")
-    a_vals, b_vals, basis = _joint_eigensystem(
-        coupling_a.observable, coupling_b.observable.matrix
-    )
-    terms = []
-    for idx in range(basis.shape[1]):
-        weight = float(abs(basis[:, idx].conj() @ initial.amplitudes) ** 2)
-        if weight < WEIGHT_PRUNE:
-            continue
-        terms.append(
-            ProductTerm(
-                weight=weight,
-                factors={
-                    spec_a.label: _translated_gaussian(
-                        spec_a, coupling_a.impulse * float(a_vals[idx])
-                    ),
-                    spec_b.label: _translated_gaussian(
-                        spec_b, coupling_b.impulse * float(b_vals[idx])
-                    ),
-                },
-            )
-        )
-    return SeparableDecomposition(tuple(terms), kind="commuting-eigenbasis")
-
-
-def sequential_decomposition(
-    initial: StateVector,
-    specs: Sequence[PointerSpec],
-    first: Coupling,
-    second: Coupling,
-) -> SeparableDecomposition:
-    """Product decomposition for two couplings applied one after the other.
-
-    Expanding in the eigenbasis of the second observable, its pointer picks
-    up a rigid shift per eigenvalue while the first pointer is left in the
-    matching conditional state. The mixture over eigenvalues is exactly the
-    reduced apparatus state, commuting or not, at any coupling strength.
-    """
-    if first.pointer == second.pointer:
-        raise ValueError("the two couplings must address distinct pointers")
-    by_label = {spec.label: spec for spec in specs}
-    spec_first = by_label[first.pointer]
-    spec_second = by_label[second.pointer]
-    staged = engine.evolve(engine.build_initial(initial, [spec_first]), [first])
-    m = staged.matrix()
-    w, v = second.observable.spectrum
-    terms = []
-    for idx in range(v.shape[1]):
-        conditional = v[:, idx].conj() @ m
-        weight = float(np.vdot(conditional, conditional).real)
-        if weight < WEIGHT_PRUNE:
-            continue
-        terms.append(
-            ProductTerm(
-                weight=weight,
-                factors={
-                    spec_first.label: StateVector._owning(
-                        spec_first.dims(), conditional / np.sqrt(weight)
-                    ),
-                    spec_second.label: _translated_gaussian(
-                        spec_second, second.impulse * float(w[idx])
-                    ),
-                },
-            )
-        )
-    return SeparableDecomposition(tuple(terms), kind="sequential-branches")
-
-
 def _first_order_factor(spec: PointerSpec, shift: float) -> StateVector:
     """Gaussian displaced to first order: (1 - i * shift * momentum) psi.
 
@@ -425,17 +307,14 @@ def first_order_product_certificate(
     return SeparableDecomposition((term,), kind="first-order-product"), defect
 
 
-def _replica(state: UnifiedState, points: int) -> UnifiedState:
-    """Re-run the recorded history on an independent grid resolution."""
-    specs = tuple(
-        PointerSpec(
-            label=s.label,
-            grid=dc_replace(s.grid, points=points),
-            x0=s.x0,
-            sigma=s.sigma,
-        )
-        for s in state.pointers
-    )
+def _replica(state: UnifiedState, points: int | None = None) -> UnifiedState:
+    """Re-run the recorded history by the shift integrator on ``points`` sites per pointer.
+
+    ``points`` None keeps every pointer's own grid.
+    """
+    specs = state.pointers
+    if points is not None:
+        specs = tuple(dc_replace(s, grid=dc_replace(s.grid, points=points)) for s in specs)
     rebuilt = engine.build_initial(state.initial_system, specs)
     for phase in state.history:
         rebuilt = engine.evolve(rebuilt, phase)
@@ -450,33 +329,108 @@ def _revalidation_points(state: UnifiedState) -> int:
     return points
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each vector along the last axis of ``rows``."""
+    return np.einsum("...n,...n->...", rows, rows.conj()).real
+
+
+def _merged_rows(
+    core: np.ndarray, factors: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The branch form with each pointer's equal factor rows merged, their cores summed.
+
+    A row is merged into the first row within BRANCH_TOL of the largest
+    row norm, provided that row is merged into no earlier one.
+    """
+    merged = []
+    for axis, rows in enumerate(factors):
+        if len(rows) > 1:
+            gaps = _squared_norms(rows[:, None] - rows[None])
+            own = np.arange(len(rows))
+            first = np.argmax(gaps <= BRANCH_TOL**2 * _squared_norms(rows).max(), axis=1)
+            first = np.where(first[first] == first, first, own)
+            keep = np.flatnonzero(first == own)
+            if len(keep) < len(rows):
+                sums = (first == keep[:, None]).astype(float)
+                core = np.moveaxis(np.tensordot(sums, core, (1, axis)), 0, axis)
+                rows = rows[keep]
+        merged.append(rows)
+    return core, merged
+
+
+def _decomposition(
+    state: UnifiedState, weights: np.ndarray, factors: Sequence[np.ndarray], kind: str
+) -> SeparableDecomposition:
+    """Terms of ``weights``, term k's factor for pointer p row k of ``factors[p]``, normalized."""
+    states = []
+    for spec, rows in zip(state.pointers, factors):
+        unit = rows / np.sqrt(_squared_norms(rows))[:, None]
+        unit.setflags(write=False)
+        norms = np.sqrt(_squared_norms(unit))
+        dims = spec.dims()
+        states.append([StateVector._owning(dims, u, norm=float(n)) for u, n in zip(unit, norms)])
+    labels = [spec.label for spec in state.pointers]
+    terms = tuple(
+        ProductTerm(float(w), dict(zip(labels, term))) for w, term in zip(weights, zip(*states))
+    )
+    return SeparableDecomposition(terms, kind=kind)
+
+
 def _certificate_route(
     state: UnifiedState,
 ) -> tuple[str, SeparableDecomposition] | None:
-    """Pick the constructive decomposition the recorded history supports."""
-    initial = state.initial_system
-    specs = state.pointers
-    if not state.history:
-        term = ProductTerm(weight=1.0, factors={s.label: engine._packet(s) for s in specs})
-        return "uncoupled-product", SeparableDecomposition((term,), kind="uncoupled")
-    if len(state.history) == 1 and len(state.history[0]) == 2 and len(specs) == 2:
-        ca, cb = state.history[0]
-        if ca.pointer != cb.pointer and engine.commutes(ca.observable, cb.observable):
-            return (
-                "commuting-eigenbasis",
-                commuting_decomposition(initial, specs, ca, cb),
-            )
-    if (
-        len(state.history) == 2
-        and all(len(phase) == 1 for phase in state.history)
-        and len(specs) == 2
-    ):
-        (first,), (second,) = state.history
-        if first.pointer != second.pointer:
-            return (
-                "sequential-branches",
-                sequential_decomposition(initial, specs, first, second),
-            )
+    """A separable decomposition read off the branch form, and its label, or None.
+
+    The state is sum_b c_b (x) F_b, F_b the product of branch b's factor
+    rows, so the apparatus state is sum_{b, b'} G[b', b] |F_b><F_b'| with
+    G[b', b] = <c_b'|c_b>. Equal rows are merged first, and entries of G at
+    or below BRANCH_TOL times its trace are set to 0. A diagonal G gives one
+    term per populated branch. Otherwise, for two pointers, a G with no
+    entry between different rows i of one pointer gives, per row i in
+    order, |f_i><f_i| (x) sum_{jj'} G[ij', ij] |g_j><g_j'| of the other
+    pointer's rows g_j, split into pure terms by one batched ``eigh``. Any
+    other G gives no certificate. A state without branch form is read
+    through its history re-run on its own grids when every phase commutes,
+    since only those keep the form. Terms below WEIGHT_PRUNE are dropped.
+    """
+    form = state.branches
+    if form is None and all(engine._couplings_commute(phase) for phase in state.history):
+        form = _replica(state).branches
+    if form is None:
+        return None
+    core, rows = _merged_rows(form.core, form.factors)
+    shape = core.shape[:-1]
+    flat = core.reshape(-1, core.shape[-1])
+    gram = flat.conj() @ flat.T
+    gram[np.abs(gram) <= BRANCH_TOL * np.trace(gram).real] = 0.0
+    diagonal = np.diagonal(gram).real
+    if np.count_nonzero(gram) == np.count_nonzero(diagonal):
+        weights = diagonal.reshape(shape) * reduce(np.multiply.outer, map(_squared_norms, rows))
+        kept = np.nonzero(weights >= WEIGHT_PRUNE)
+        factors = [r[i] for r, i in zip(rows, kept)]
+        method, kind = "commuting-eigenbasis", "commuting-eigenbasis"
+        if len(diagonal) == 1:
+            method, kind = "uncoupled-product", "uncoupled"
+        return method, _decomposition(state, weights[kept], factors, kind)
+    if len(shape) != 2:
+        return None
+    blocks = gram.reshape(shape + shape)
+    for p in (0, 1):
+        g = blocks if p == 0 else blocks.transpose(1, 0, 3, 2)
+        # g[i, j, i', j'] = <c_ij|c_i'j'>, with i this pointer's row and j the other's
+        if np.count_nonzero(g) != np.count_nonzero(np.einsum("ijik->ijk", g)):
+            continue
+        own = np.arange(len(g))
+        # the coefficient of |g_j><g_j'| in row i's group is <c_ij'|c_ij> = g[i, j', i, j]
+        w, u = np.linalg.eigh(g[own, :, own, :].transpose(0, 2, 1))
+        vectors = np.swapaxes(u, 1, 2) @ rows[1 - p]
+        weights = w * _squared_norms(rows[p])[:, None] * _squared_norms(vectors)
+        i, m = kept = np.nonzero(weights >= WEIGHT_PRUNE)
+        factors = [rows[p][i], vectors[i, m]]
+        if p == 1:
+            factors.reverse()
+        kind = "sequential-branches"
+        return kind, _decomposition(state, weights[kept], factors, kind)
     return None
 
 

@@ -61,3 +61,18 @@ def pure_density(state: StateVector) -> DensityMatrix:
     """|psi><psi| supplied whole, so it takes the dense checks and dense routes."""
     v = state.amplitudes
     return DensityMatrix(state.dims, np.outer(v, v.conj()), normalized=state.normalized)
+
+
+def commuting_family(rng: np.random.Generator, d: int, count: int) -> list[Operator]:
+    """``count`` commuting observables on C^d, with eigenvalues in {-1, 0, 1}.
+
+    All are diagonal in one random basis, so their spectra are mostly
+    degenerate, and each one's own ``eigh`` may pick any basis inside its
+    repeated eigenspaces, not the shared one.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    dims = DimensionSpec.of(("system", d))
+    return [
+        Operator(dims, (q * rng.choice([-1.0, 0.0, 1.0], size=d)) @ q.conj().T)
+        for _ in range(count)
+    ]

@@ -31,7 +31,7 @@ from pointerlab.scenarios import (
     pauli,
     run_scenario,
 )
-from pointerlab.separability import readability_check, sequential_decomposition
+from pointerlab.separability import readability_check
 from pointerlab.tensors import schmidt
 
 FINE = PointerGrid(points=256, length=16.0)
@@ -253,12 +253,7 @@ def test_c08_sequential_couplings(acceptance_verdict):
         Coupling(pauli(SIGMA_Z), "B", 0.5, 1.0),
         Coupling(pauli(SIGMA_X), "A", 0.5, 1.0),
     )
-    decomposition = sequential_decomposition(
-        system,
-        specs,
-        Coupling(pauli(SIGMA_Z), "B", 0.5, 1.0),
-        Coupling(pauli(SIGMA_X), "A", 0.5, 1.0),
-    )
+    decomposition = readability_check(seq_state).certificate
     cert_defect = decomposition.validate(engine.apparatus_density(seq_state))
 
     # a probe commuting with both stages reads the initial expectation

@@ -49,7 +49,7 @@ from pointerlab.tensors import (
     partial_trace,
 )
 
-from helpers import cross_validate, pure_density, unitary_from_generator
+from helpers import commuting_family, cross_validate, pure_density, unitary_from_generator
 
 FINE = PointerGrid(points=256, length=16.0)
 COARSE = PointerGrid(points=16, length=16.0)
@@ -597,7 +597,7 @@ class TestProductStart:
         state = build_initial(system, specs)
         if branched:
             # a commuting phase keeps the branch form, with d rows per pointer
-            observables = _commuting_family(rng, d, pointers)
+            observables = commuting_family(rng, d, pointers)
             state = evolve(
                 state,
                 [Coupling(op, s.label, rng.uniform(-0.5, 0.5)) for op, s in zip(observables, specs)],
@@ -702,21 +702,6 @@ class TestProductStart:
         assert engine_module._packet(fresh[1]) is engine_module._packet(spec)
 
 
-def _commuting_family(rng, d, count):
-    """``count`` commuting observables on C^d, with eigenvalues in {-1, 0, 1}.
-
-    All are diagonal in one random basis, so their spectra are mostly
-    degenerate, and each one's own ``eigh`` may pick any basis inside its
-    repeated eigenspaces, not the shared one.
-    """
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    dims = DimensionSpec.of(("system", d))
-    return [
-        Operator(dims, (q * rng.choice([-1.0, 0.0, 1.0], size=d)) @ q.conj().T)
-        for _ in range(count)
-    ]
-
-
 class TestCommutingBranches:
     """A commuting phase on the product state, written from its branches' 1-D factors."""
 
@@ -745,7 +730,7 @@ class TestCommutingBranches:
         # offsets and kicks on one pointer sum to less than the containment margin of 2
         couplings = [
             Coupling(op, lab, rng.uniform(-0.6, 0.6))
-            for op, lab in zip(_commuting_family(rng, d, len(on)), on)
+            for op, lab in zip(commuting_family(rng, d, len(on)), on)
         ]
         branched = all(d ** on.count(lab) <= grid.points for lab in labels)
         with mock.patch.object(
@@ -852,7 +837,7 @@ class TestFactoredRecord:
                     m = m + m.conj().T
                     observables.append(Operator(dims, m / np.abs(np.linalg.eigvalsh(m)).max()))
             else:
-                observables = _commuting_family(rng, d, len(on))
+                observables = commuting_family(rng, d, len(on))
             # at most 9 kicks of 0.2 on one pointer stay inside its margin of 2
             phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
             dense = evolve(state, phase, "expm")

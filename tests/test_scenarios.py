@@ -259,6 +259,30 @@ class TestWeakNoselect:
         assert report.schmidt["rank"] == 2
         assert report.purity < 1.0 - 1e-6
 
+    @pytest.mark.parametrize("scale, rank", [(0.5, None), (2.0, 2)])
+    def test_rank_impulse_gate_near_its_value(self, scale, rank):
+        """The rank is predicted only from an impulse of RANK_MIN_IMPULSE on.
+
+        Both sides read Schmidt rank 2, so the check holds either way; the
+        gate decides only whether it is idle, which the report's note says.
+        """
+        g_a = scale * scenarios.RANK_MIN_IMPULSE
+        cfg = dataclasses.replace(DEFAULTS["weak-noselect"], g_a=g_a)
+        coupling = engine.Coupling(scenarios.PAULI_Z, "A", cfg.g_a, cfg.t)
+        system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
+        assert scenarios._expected_branch_rank(system, coupling) == rank
+        report = run_scenario("weak-noselect", cfg)
+        assert report.passed and report.schmidt["rank"] == 2
+        marginal = "coupling too marginal to pin the Schmidt rank" in report.notes
+        assert marginal == (rank is None)
+
+    @pytest.mark.parametrize("scale, rank", [(0.5, 1), (2.0, 2)])
+    def test_rank_population_gate_near_its_value(self, scale, rank):
+        """A sigma_z branch of population a multiple of RANK_MIN_POPULATION counts above it."""
+        theta = 2 * math.asin(math.sqrt(scale * scenarios.RANK_MIN_POPULATION))
+        coupling = engine.Coupling(scenarios.PAULI_Z, "A", 0.2)
+        assert scenarios._expected_branch_rank(scenarios.bloch_state(theta, 0.0), coupling) == rank
+
 
 class TestWeakPostselect:
     def test_probability_frozen(self, default_reports):
@@ -291,6 +315,53 @@ class TestSimultaneous:
         assert report.readouts["cross_moment"] == pytest.approx(
             report.predictions["cross_moment"], abs=1e-3
         )
+
+    @staticmethod
+    def _failed(monkeypatch, gap, cfg=DEFAULTS["simultaneous"]):
+        """Failed checks with the full-impulse <x_a x_b> put at <x_a><x_b> + ``gap``.
+
+        The half-impulse cross moment is left as it is, so the scaling check
+        sees a larger full-impulse defect and still holds.
+        """
+        original = engine.pointer_cross_mean
+        calls = []
+
+        def planted(state, label_a, label_b):
+            calls.append(label_a)
+            if len(calls) > 1:
+                return original(state, label_a, label_b)
+            means = engine.pointer_mean(state, "A") * engine.pointer_mean(state, "B")
+            return means + gap
+
+        monkeypatch.setattr(engine, "pointer_cross_mean", planted)
+        report = run_scenario("simultaneous", cfg)
+        assert len(calls) == 2
+        return {name for name, ok in report.checks.items() if not ok}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "scale, failed", [(0.5, {"joint_moment_nonfactorizing"}), (2.0, set())]
+    )
+    def test_factorization_check_near_its_tolerance(self, monkeypatch, scale, sign, failed):
+        """A measured gap of a multiple of FACTORIZATION_GAP_TOL counts only above it."""
+        gap = sign * scale * scenarios.FACTORIZATION_GAP_TOL
+        assert self._failed(monkeypatch, gap) == failed
+
+    @pytest.mark.parametrize(
+        "scale, failed", [(0.5, set()), (2.0, {"joint_moment_nonfactorizing"})]
+    )
+    def test_factorization_gate_near_its_threshold(self, monkeypatch, scale, failed):
+        """With no measured gap, the check is idle below FACTORIZATION_GAP_MIN and fails above.
+
+        For sigma_x on A and sigma_z on B at equal impulse g the predicted
+        gap is g^2 <sigma_x><sigma_z>, with <sigma_x> = sin(theta) and
+        <sigma_z> = cos(theta) at the default phi = 0.
+        """
+        cfg = DEFAULTS["simultaneous"]
+        product = math.sin(cfg.theta_i) * math.cos(cfg.theta_i)
+        g = math.sqrt(scale * scenarios.FACTORIZATION_GAP_MIN / product) / cfg.t
+        cfg = dataclasses.replace(cfg, g_a=g, g_b=g)
+        assert self._failed(monkeypatch, 0.0, cfg) == failed
 
 
 class TestWeakOrders:
@@ -385,6 +456,52 @@ class TestWeakOrders:
         assert report.defects["first_order_certificate"] < 1e-8
         assert report.readouts["ppt_min_strong_coupling"] < -1e-4
         assert abs(report.readouts["ppt_min_weak_coupling"]) < 1e-8
+
+    @pytest.fixture(scope="class")
+    def orders_run(self):
+        """The default run as the runner hands it to ``_weak_orders``."""
+        return _two_pointer_run("weak-orders", DEFAULTS["weak-orders"])
+
+    @staticmethod
+    def _failed(run):
+        return {name for name, ok in scenarios._weak_orders(run).checks.items() if not ok}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "order, scale, failed",
+        [
+            (1, 0.5, set()),
+            (1, 2.0, {"order1_defect_scales_quadratically"}),
+            (2, 0.5, set()),
+            (2, 2.0, {"order2_defect_scales_cubically"}),
+        ],
+    )
+    def test_ratio_windows_near_their_slack(
+        self, orders_run, monkeypatch, order, scale, sign, failed
+    ):
+        """One halving ratio off its prediction by a multiple of its slack, the other exact."""
+        slack = {1: scenarios.ORDER1_RATIO_SLACK, 2: scenarios.ORDER2_RATIO_SLACK}[order]
+        ratios = {1: 4.0, 2: 8.0}
+        ratios[order] += sign * scale * slack
+        defects = [[1e-3, 1e-3 / ratios[1]], [1e-5, 1e-5 / ratios[2]]]
+        monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: defects)
+        assert self._failed(orders_run) == failed
+
+    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"weak_limit_ppt_vanishes"})])
+    def test_weak_ppt_near_its_tolerance(self, orders_run, monkeypatch, scale, failed):
+        """The weak probe, the second witness taken, reads -scale * WEAK_PPT_TOL."""
+        original = separability.ppt_min_eigenvalue
+        calls = []
+
+        def planted(rho, cut):
+            calls.append(cut)
+            return original(rho, cut) if len(calls) == 1 else -scale * scenarios.WEAK_PPT_TOL
+
+        monkeypatch.setattr(separability, "ppt_min_eigenvalue", planted)
+        exact = [[1e-3, 1e-3 / 4.0], [1e-5, 1e-5 / 8.0]]
+        monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: exact)
+        assert self._failed(orders_run) == failed
+        assert len(calls) == 2
 
 
 class TestEigenstate:

@@ -1,35 +1,34 @@
 """Separability of the apparatus record: witness, certificates, routing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointerlab import engine, pointer, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
 from pointerlab.pointer import translate
-from pointerlab.scenarios import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
+from pointerlab.scenarios import PAIR_X, PAIR_Z, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.separability import (
-    NonCommutingError,
     ProductTerm,
     SeparableDecomposition,
-    commuting_decomposition,
     first_order_product_certificate,
     ppt_min_eigenvalue,
     readability_check,
-    sequential_decomposition,
 )
 from pointerlab.tensors import (
     DensityMatrix,
     DimensionSpec,
     Operator,
     StateVector,
+    partial_trace,
 )
 
-from helpers import pure_density, unitary_from_generator
+from helpers import commuting_family, pure_density, unitary_from_generator
 
 COARSE = PointerGrid(points=16, length=16.0)
 QUBIT_PAIR = DimensionSpec.of(("a", 2), ("b", 2))
@@ -159,11 +158,9 @@ class TestCommutingDecomposition:
         state, couplings, specs = _coarse_pair(
             theta=math.pi / 2, impulse_a=0.5, obs_a=SIGMA_Z, obs_b=SIGMA_Z
         )
-        decomposition = commuting_decomposition(
-            state.initial_system, specs, couplings[0], couplings[1]
-        )
-        assert sorted(decomposition.weights) == pytest.approx([0.5, 0.5], abs=1e-12)
         evolved = evolve(state, couplings)
+        decomposition = readability_check(evolved).certificate
+        assert sorted(decomposition.weights) == pytest.approx([0.5, 0.5], abs=1e-12)
         rho = engine.apparatus_density(evolved)
         assert decomposition.validate(rho) < 1e-10
 
@@ -180,34 +177,37 @@ class TestCommutingDecomposition:
         cb = Coupling(
             Operator(sys_dims, np.kron(np.eye(2), SIGMA_Z)), "B", 0.5, 1.0
         )
-        decomposition = commuting_decomposition(system, specs, ca, cb)
+        evolved = evolve(build_initial(system, specs), [ca, cb])
+        decomposition = readability_check(evolved).certificate
         assert sorted(decomposition.weights) == pytest.approx([0.25] * 4, abs=1e-10)
 
     def test_noncommuting_inputs_rejected(self):
-        state, couplings, specs = _coarse_pair(impulse_a=0.3)
-        with pytest.raises(NonCommutingError):
-            commuting_decomposition(
-                state.initial_system, specs, couplings[0], couplings[1]
-            )
+        state, couplings, _ = _coarse_pair(impulse_a=0.3)
+        assert readability_check(evolve(state, couplings)).certificate is None
 
-    def test_same_pointer_rejected(self):
-        state, _, specs = _coarse_pair()
+    def test_same_pointer_couplings_certified(self):
+        # two commuting couplings on one pointer leave the other uncoupled
+        state, _, _ = _coarse_pair(theta=math.pi / 3)
         ca = Coupling(pauli(SIGMA_Z), "A", 0.3, 1.0)
         cb = Coupling(pauli(SIGMA_Z), "A", 0.3, 1.0)
-        with pytest.raises(ValueError, match="distinct"):
-            commuting_decomposition(state.initial_system, specs, ca, cb)
+        verdict = readability_check(evolve(state, [ca, cb]))
+        assert (verdict.status, verdict.method) == ("separable", "commuting-eigenbasis")
+        assert verdict.certificate.weights == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
 class TestSequentialDecomposition:
     def test_branch_weights_frozen(self):
-        # |up> split by a sigma_x readout: both branches carry weight 1/2
+        # |up> split by a sigma_x readout: both branches carry weight 1/2. The
+        # sigma_z record is sharp, so the cores are orthogonal and the rule
+        # reads the record as a mixture of products, one per branch.
         system = bloch_state(0.0, 0.0)
         specs = [PointerSpec("B", COARSE), PointerSpec("A", COARSE)]
         first = Coupling(pauli(SIGMA_Z), "B", 0.5, 1.0)
         second = Coupling(pauli(SIGMA_X), "A", 0.5, 1.0)
-        decomposition = sequential_decomposition(system, specs, first, second)
+        evolved = evolve_sequential(build_initial(system, specs), first, second)
+        decomposition = readability_check(evolved).certificate
         assert sorted(decomposition.weights) == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert decomposition.kind == "sequential-branches"
+        assert decomposition.kind == "commuting-eigenbasis"
 
     def test_reconstruction_matches_engine(self):
         # exact at strong coupling and for noncommuting observables
@@ -218,7 +218,7 @@ class TestSequentialDecomposition:
         state = build_initial(system, specs)
         evolved = evolve_sequential(state, first, second)
         rho = engine.apparatus_density(evolved)
-        decomposition = sequential_decomposition(system, specs, first, second)
+        decomposition = readability_check(evolved).certificate
         assert decomposition.validate(rho) < 1e-8
 
 
@@ -297,16 +297,7 @@ CACHED_SPECS = [
 
 
 class TestCachedFactors:
-    """Certificate factors come from the engine's cached packets, bit for bit."""
-
-    @pytest.mark.parametrize("spec", CACHED_SPECS, ids=["16", "256"])
-    @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
-    def test_translated_packet_is_translate_bit_for_bit(self, spec, shift):
-        got = separability._translated_gaussian(spec, shift)
-        want = translate(gaussian_state(spec), shift, spec.grid)
-        np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
-        assert got.dims == want.dims and got.normalized
-        assert not got.amplitudes.flags.writeable
+    """First-order factors come from the engine's cached packets, bit for bit."""
 
     @pytest.mark.parametrize("spec", CACHED_SPECS, ids=["16", "256"])
     @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
@@ -321,7 +312,7 @@ class TestCachedFactors:
     @pytest.mark.parametrize("shift", [2.5, -2.5, math.nan, math.inf])
     def test_translation_out_of_the_box_refused(self, shift):
         with pytest.raises(LeakageError, match=f"translation by {shift} .* edge"):
-            separability._translated_gaussian(PointerSpec("A", COARSE), shift)
+            translate(gaussian_state(PointerSpec("A", COARSE)), shift, COARSE)
 
     def test_verdicts_rebuild_no_packet_after_first_use(self, monkeypatch):
         """Once a spec's packet is cached, a verdict prepares, translates and krons nothing."""
@@ -460,7 +451,7 @@ def _simultaneous_record(points, kind):
 
 
 def _record(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA_Z):
-    """Two-dial record on a ``points`` grid and the certificate its route builds."""
+    """Two-dial record on a ``points`` grid and the certificate its verdict carries."""
     grid = PointerGrid(points=points, length=16.0)
     system = bloch_state(theta, 0.3)
     specs = [PointerSpec("A", grid), PointerSpec("B", grid)]
@@ -469,12 +460,9 @@ def _record(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA
     initial = build_initial(system, specs)
     if sequential:
         state = evolve_sequential(initial, ca, cb)
-        certificate = sequential_decomposition(system, specs, ca, cb)
     else:
         state = evolve(initial, [ca, cb])
-        certificate = None
-        if engine.commutes(ca.observable, cb.observable):
-            certificate = commuting_decomposition(system, specs, ca, cb)
+    certificate = readability_check(state, CUT_POINTERS).certificate
     return engine.apparatus_density(state), certificate
 
 
@@ -689,3 +677,196 @@ class TestRevalidationGrid:
         assert verdict.status == "separable"
         assert grids == [expected]
         assert verdict.notes[0].startswith(f"revalidated at {expected} points: ")
+
+
+X, Z = pauli(SIGMA_X), pauli(SIGMA_Z)
+
+
+def _history(phases, order="AB", phi=0.4, method="shift"):
+    """A record of ``phases``, each a list of (observable, pointer), at impulse 0.5.
+
+    ``order`` is the order of the pointers in the state, and so in its branch form.
+    """
+    specs = [PointerSpec(lab, COARSE) for lab in order]
+    state = build_initial(bloch_state(math.pi / 3, phi), specs)
+    for phase in phases:
+        state = evolve(state, [Coupling(op, lab, 0.5) for op, lab in phase], method)
+    return state
+
+
+def _dense_oracles(state, certificate):
+    """The certificate rebuilt densely against the dense partial trace, and the dense PPT."""
+    dims = state.pointer_dims()
+    want = partial_trace(pure_density(state.state), dims.labels)
+    got = certificate.reconstruct(dims)
+    assert np.abs(got.matrix - want.matrix).max() <= 1e-12
+    ppt = ppt_min_eigenvalue(_dense(got), (dims.labels[:1], dims.labels[1:]))
+    assert ppt >= separability.ENTANGLEMENT_THRESHOLD
+
+
+# the histories the rule certifies, with the label it reads off their branch form
+CERTIFIED = {
+    "zA zB": ([[(Z, "A"), (Z, "B")]], "commuting-eigenbasis"),
+    "zA, xB": ([[(Z, "A")], [(X, "B")]], "sequential-branches"),
+    "zB, xA": ([[(Z, "B")], [(X, "A")]], "sequential-branches"),
+    "zA, zB, zA": ([[(Z, "A")], [(Z, "B")], [(Z, "A")]], "commuting-eigenbasis"),
+    "xA, zB, zB": ([[(X, "A")], [(Z, "B")], [(Z, "B")]], "sequential-branches"),
+    "xA, zB zB": ([[(X, "A")], [(Z, "B"), (Z, "B")]], "sequential-branches"),
+}
+
+
+def _planted(core, factors):
+    """A two-pointer state on COARSE grids whose branch form is ``(core, factors)``."""
+    system = StateVector(DimensionSpec.of(("system", core.shape[-1])), np.eye(core.shape[-1])[0])
+    state = build_initial(system, [PointerSpec("A", COARSE), PointerSpec("B", COARSE)])
+    form = engine._Branches(core, tuple(factors), engine._gram_norm(core, factors))
+    return dataclasses.replace(state, _evolved=form)
+
+
+def _rows(*shifts):
+    """The COARSE packet translated by each of ``shifts``, one per row."""
+    packet = gaussian_state(PointerSpec("A", COARSE))
+    return np.stack([translate(packet, a, COARSE).amplitudes for a in shifts])
+
+
+class TestCertificateRule:
+    """One rule reads a certificate off the branch form, whatever history made it."""
+
+    @pytest.mark.parametrize("phi", [0.7, 2.3])
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_complex_phase_records_on_both_sides_of_the_cut(self, name, order, phi):
+        """A complex initial phase makes each group's coefficient matrix complex, so
+        it differs from its transpose; either pointer may come first in the form."""
+        phases, method = CERTIFIED[name]
+        state = _history(phases, order, phi=phi)
+        for cut in (CUT_POINTERS, CUT_POINTERS[::-1]):
+            verdict = readability_check(state, cut)
+            assert (verdict.status, verdict.method) == ("separable", method)
+            assert verdict.certificate.kind == method
+            assert verdict.certificate_error <= 1e-14
+            assert verdict.notes[0].startswith("revalidated at 32 points: ")
+        _dense_oracles(state, verdict.certificate)
+
+    def test_histories_pinned(self):
+        """Three-phase histories, one with two couplings in a phase, certified at roundoff."""
+        for name in ("zA, zB, zA", "xA, zB, zB", "xA, zB zB"):
+            phases, method = CERTIFIED[name]
+            verdict = readability_check(_history(phases), CUT_POINTERS)
+            assert (verdict.status, verdict.method) == ("separable", method), name
+            assert verdict.certificate_error <= 1e-15, name
+            replica = float(verdict.notes[0].rsplit(" ", 1)[1])
+            assert replica <= 1e-15, name
+
+    def test_alternating_history_stays_entangled(self):
+        """sigma_x, sigma_z, sigma_x: the cores overlap across the rows of both pointers."""
+        state = _history([[(X, "A")], [(Z, "B")], [(X, "A")]])
+        assert separability._certificate_route(state) is None
+        verdict = readability_check(state, CUT_POINTERS)
+        assert (verdict.status, verdict.certificate) == ("entangled", None)
+        assert verdict.ppt_min == pytest.approx(-1.878217892980567e-02, abs=1e-10)
+
+    @pytest.mark.parametrize("method", ["shift", "expm"])
+    def test_noncommuting_ladder_never_certified(self, method):
+        for impulse in np.geomspace(1e-4, 1.5, 12):
+            state, couplings, _ = _coarse_pair(theta=math.pi / 3, impulse_a=impulse)
+            state = evolve(state, couplings, method)
+            assert state.branches is None
+            assert separability._certificate_route(state) is None, impulse
+            assert readability_check(state, CUT_POINTERS).certificate is None, impulse
+
+    @pytest.mark.parametrize("name", ["zA zB", "zA, xB", "zA, zB, zA"])
+    def test_expm_record_read_through_a_rerun(self, name):
+        phases, method = CERTIFIED[name]
+        state = _history(phases, method="expm")
+        assert state.branches is None
+        verdict = readability_check(state, CUT_POINTERS)
+        assert (verdict.status, verdict.method) == ("separable", method)
+        assert verdict.certificate_error <= 1e-12
+
+    @pytest.mark.parametrize("scale, method", [(0.5, "commuting-eigenbasis"), (2.0, None)])
+    def test_gram_entry_near_branch_tol(self, scale, method):
+        """A Gram entry of a multiple of BRANCH_TOL times the trace, between the
+        cores of branches on different rows of both pointers, counts only above it."""
+        core = np.zeros((2, 2, 4), dtype=complex)
+        core.reshape(4, 4)[:] = 0.5 * np.eye(4)
+        # <c_00|c_11> = 0.5 * delta, and the trace is 1 + delta^2, 1 in double precision
+        core[1, 1, 0] = 2 * scale * separability.BRANCH_TOL
+        rows = _rows(-0.5, 0.5)
+        route = separability._certificate_route(_planted(core, [rows, rows]))
+        assert (route and route[0]) == method
+
+    @pytest.mark.parametrize("scale, method", [(0.5, "sequential-branches"), (2.0, None)])
+    def test_row_difference_near_branch_tol(self, scale, method):
+        """Two rows of pointer A that differ by a multiple of BRANCH_TOL of their norm.
+
+        The state is f (x) (g + h) (x) u, a product, written as the branches
+        (f, g) and (f', h) with one core u. Merged, A has one row and the
+        Gram matrix no entry between A's rows; unmerged, its one entry joins
+        different rows of both pointers.
+        """
+        rows_a = _rows(0.0, 0.0)
+        rows_a[1] *= 1 + scale * separability.BRANCH_TOL
+        rows_b = _rows(-0.5, 0.5)
+        core = np.zeros((2, 2, 2), dtype=complex)
+        core[0, 0, 0] = core[1, 1, 0] = 1 / np.linalg.norm(rows_b.sum(axis=0))
+        route = separability._certificate_route(_planted(core, [rows_a, rows_b]))
+        assert (route and route[0]) == method
+        if route is not None:
+            assert route[1].weights == pytest.approx([1.0], abs=1e-12)
+
+    def test_row_chain_merges_into_its_first_row_only(self):
+        """Rows f, f' and f'' a step of 0.8 BRANCH_TOL apart: f' is within the
+        tolerance of both neighbours and merges into f, and f'', 1.6 BRANCH_TOL
+        from f, keeps its own row instead of following f' into f."""
+        rows_a = _rows(0.0, 0.0, 0.0)
+        rows_a[1:] *= 1 + 0.8 * separability.BRANCH_TOL * np.array([[1.0], [2.0]])
+        core = np.eye(3, dtype=complex)[:, None, :] / math.sqrt(3)
+        method, certificate = separability._certificate_route(
+            _planted(core, [rows_a, _rows(0.0)])
+        )
+        assert method == "commuting-eigenbasis"
+        # f'' carries its norm, 1 + 1.6 BRANCH_TOL, into its weight
+        assert certificate.weights == pytest.approx([2 / 3, 1 / 3], abs=1e-11)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.sampled_from("AB"), min_size=1, max_size=3)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    # epr's phase: PAIR_X on A and PAIR_Z on B, rows in identical pairs
+    @example(d=4, seed=1, phases=[(True, ["A", "B"])])
+    # a degenerate qutrit read by A, then by B twice in one phase
+    @example(d=3, seed=2, phases=[(False, ["A"]), (False, ["B", "B"])])
+    def test_property_certificates_match_dense_oracles(self, d, seed, phases):
+        """1-3 commuting phases on two pointers, with degenerate spectra.
+
+        A phase is (pair observables, pointers); on d = 4 the first picks
+        PAIR_X or PAIR_Z per coupling instead of a random commuting family.
+        Whenever a certificate is issued, it rebuilds the dense partial trace
+        and its dense partial transpose is nonnegative.
+        """
+        rng = np.random.default_rng(seed)
+        dims = DimensionSpec.of(("system", d))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        state = build_initial(
+            StateVector(dims, v / np.linalg.norm(v)),
+            [PointerSpec("A", COARSE), PointerSpec("B", COARSE)],
+        )
+        for pair, on in phases:
+            if pair and d == 4:
+                pick = rng.integers(2, size=len(on))
+                observables = [Operator(dims, (PAIR_X, PAIR_Z)[i].matrix) for i in pick]
+            else:
+                observables = commuting_family(rng, d, len(on))
+            # at most 9 kicks of 0.2 on one pointer stay inside its margin of 2
+            phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
+            state = evolve(state, phase)
+        verdict = readability_check(state, CUT_POINTERS)
+        if verdict.certificate is not None:
+            _dense_oracles(state, verdict.certificate)

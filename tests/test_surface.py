@@ -9,9 +9,18 @@ import pointerlab
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 REMOVED = {
-    "engine": ("expand_perturbative", "initial_info_expectation", "cross_validate"),
+    "engine": (
+        "expand_perturbative", "initial_info_expectation", "cross_validate", "_packet_moments",
+    ),
     "tensors": ("kron_operators", "pure_density", "unitary_from_generator"),
-    "pointer": ("position_operator",),
+    "pointer": ("position_operator", "shifted_amplitudes"),
+    "separability": (
+        "commuting_decomposition",
+        "sequential_decomposition",
+        "_joint_eigensystem",
+        "_translated_gaussian",
+        "NonCommutingError",
+    ),
 }
 
 

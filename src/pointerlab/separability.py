@@ -23,10 +23,11 @@ Certificates are never taken on faith: each one is reconstructed and
 compared against the actual reduced state, from the state's own apparatus
 columns rather than its branch form, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
-artifacts. A state without branch form whose phases all commute, as one
-evolved by ``"expm"``, is read through its history re-run by the shift
-integrator on its own grids. Each term's column is an outer product of its
-factors.
+artifacts, and fine enough to hold the state's branch rows. A state
+without branch form whose phases all commute and whose rows fit its grids,
+as one evolved by ``"expm"``, is read through its history re-run by the
+shift integrator on its own grids. Each term's column is an outer product
+of its factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
@@ -74,7 +75,7 @@ CERTIFICATE_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_PRUNE = 1e-14
 # Grid resolution used to revalidate certificates independently, doubled
-# until it differs from every pointer's own grid.
+# until it differs from every pointer's own grid and holds its branch rows.
 REVALIDATION_POINTS = 32
 # The compressed partial-transpose witness drops support directions whose
 # singular value is below SUPPORT_CUTOFF of the largest, and refuses to
@@ -321,10 +322,28 @@ def _replica(state: UnifiedState, points: int | None = None) -> UnifiedState:
     return rebuilt
 
 
+def _branch_rows(state: UnifiedState) -> list[int]:
+    """The factor rows the shift integrator gives each pointer for the history.
+
+    Each coupling splits its pointer's rows by the d rank-1 eigenprojectors
+    of its observable, whatever the grid, so a pointer coupled k times ends
+    with d**k rows; ``engine`` keeps the branch form only while every
+    pointer's rows fit its grid.
+    """
+    d = state.system.total
+    return [
+        d ** sum(c.pointer == spec.label for phase in state.history for c in phase)
+        for spec in state.pointers
+    ]
+
+
 def _revalidation_points(state: UnifiedState) -> int:
-    """REVALIDATION_POINTS, doubled until no pointer of ``state`` uses that grid."""
+    """REVALIDATION_POINTS, doubled until no pointer of ``state`` uses that grid
+    and it holds every pointer's branch rows, so that the replica of a state
+    in branch form has one too."""
     points = REVALIDATION_POINTS
-    while any(spec.grid.points == points for spec in state.pointers):
+    rows = max(_branch_rows(state))
+    while points < rows or any(spec.grid.points == points for spec in state.pointers):
         points *= 2
     return points
 
@@ -390,11 +409,16 @@ def _certificate_route(
     order, |f_i><f_i| (x) sum_{jj'} G[ij', ij] |g_j><g_j'| of the other
     pointer's rows g_j, split into pure terms by one batched ``eigh``. Any
     other G gives no certificate. A state without branch form is read
-    through its history re-run on its own grids when every phase commutes,
-    since only those keep the form. Terms below WEIGHT_PRUNE are dropped.
+    through its history re-run on its own grids when every phase commutes
+    and every pointer's rows fit its grid, since only those keep the form.
+    Terms below WEIGHT_PRUNE are dropped.
     """
     form = state.branches
-    if form is None and all(engine._couplings_commute(phase) for phase in state.history):
+    if (
+        form is None
+        and all(engine._couplings_commute(phase) for phase in state.history)
+        and all(n <= spec.grid.points for n, spec in zip(_branch_rows(state), state.pointers))
+    ):
         form = _replica(state).branches
     if form is None:
         return None

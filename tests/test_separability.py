@@ -679,6 +679,36 @@ class TestRevalidationGrid:
         assert verdict.notes[0].startswith(f"revalidated at {expected} points: ")
 
 
+    @pytest.mark.parametrize("points, expected", [(256, 64), (64, 128)])
+    @pytest.mark.parametrize("d, count", [(2, 6), (4, 3)])
+    def test_revalidation_grid_holds_the_branch_rows(self, d, count, points, expected):
+        """64 rows on pointer A, more than the 32-point grid holds: the replica
+        is built where they fit, so it keeps a branch form as the state does."""
+        grid = PointerGrid(points=points, length=16.0)
+        specs = [PointerSpec("A", grid), PointerSpec("B", grid)]
+        observable = pauli(SIGMA_Z) if d == 2 else PAIR_Z
+        v = np.arange(1, d + 1) + 0.5j
+        state = build_initial(StateVector(observable.dims, v / np.linalg.norm(v)), specs)
+        for _ in range(count):
+            state = evolve(state, [Coupling(observable, "A", 0.2)])
+        assert [len(rows) for rows in state.branches.factors] == [64, 1]
+        verdict = readability_check(state, CUT_POINTERS)
+        assert verdict.status == "separable"
+        assert verdict.notes[0].startswith(f"revalidated at {expected} points: ")
+
+    def test_no_rerun_for_rows_beyond_the_grid(self, monkeypatch):
+        """Five sigma_z couplings give 32 rows, more than a 16-point grid holds,
+        so the state has no branch form and neither would its re-run."""
+        monkeypatch.setattr(separability, "_replica", None)
+        specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
+        state = build_initial(bloch_state(math.pi / 3, 0.4), specs)
+        for _ in range(5):
+            state = evolve(state, [Coupling(pauli(SIGMA_Z), "A", 0.2)])
+        assert state.branches is None
+        assert separability._branch_rows(state) == [32, 1]
+        assert separability._certificate_route(state) is None
+
+
 X, Z = pauli(SIGMA_X), pauli(SIGMA_Z)
 
 
@@ -833,6 +863,7 @@ class TestCertificateRule:
     @given(
         st.sampled_from([2, 3, 4]),
         st.integers(0, 2**32 - 1),
+        st.booleans(),
         st.lists(
             st.tuples(st.booleans(), st.lists(st.sampled_from("AB"), min_size=1, max_size=3)),
             min_size=1,
@@ -840,16 +871,20 @@ class TestCertificateRule:
         ),
     )
     # epr's phase: PAIR_X on A and PAIR_Z on B, rows in identical pairs
-    @example(d=4, seed=1, phases=[(True, ["A", "B"])])
+    @example(d=4, seed=1, shared=False, phases=[(True, ["A", "B"])])
     # a degenerate qutrit read by A, then by B twice in one phase
-    @example(d=3, seed=2, phases=[(False, ["A"]), (False, ["B", "B"])])
-    def test_property_certificates_match_dense_oracles(self, d, seed, phases):
+    @example(d=3, seed=2, shared=False, phases=[(False, ["A"]), (False, ["B", "B"])])
+    def test_property_certificates_match_dense_oracles(self, d, seed, shared, phases):
         """1-3 commuting phases on two pointers, with degenerate spectra.
 
         A phase is (pair observables, pointers); on d = 4 the first picks
-        PAIR_X or PAIR_Z per coupling instead of a random commuting family.
-        Whenever a certificate is issued, it rebuilds the dense partial trace
-        and its dense partial transpose is nonnegative.
+        PAIR_X or PAIR_Z per coupling instead of a commuting family, which
+        is drawn afresh for each phase, or once for the whole history when
+        ``shared``. Whenever a certificate is issued, it rebuilds the dense
+        partial trace and its dense partial transpose is nonnegative. When
+        every observable of the history commutes with every other and each
+        pointer's rows fit its grid, a certificate must be issued: the
+        joint eigenspaces give orthogonal cores.
         """
         rng = np.random.default_rng(seed)
         dims = DimensionSpec.of(("system", d))
@@ -858,15 +893,23 @@ class TestCertificateRule:
             StateVector(dims, v / np.linalg.norm(v)),
             [PointerSpec("A", COARSE), PointerSpec("B", COARSE)],
         )
+        family = commuting_family(rng, d, sum(len(on) for _, on in phases))
         for pair, on in phases:
             if pair and d == 4:
                 pick = rng.integers(2, size=len(on))
                 observables = [Operator(dims, (PAIR_X, PAIR_Z)[i].matrix) for i in pick]
+            elif shared:
+                observables, family = family[: len(on)], family[len(on) :]
             else:
                 observables = commuting_family(rng, d, len(on))
             # at most 9 kicks of 0.2 on one pointer stay inside its margin of 2
             phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
             state = evolve(state, phase)
         verdict = readability_check(state, CUT_POINTERS)
+        couplings = [c for phase in state.history for c in phase]
+        if engine._couplings_commute(couplings) and all(
+            n <= COARSE.points for n in separability._branch_rows(state)
+        ):
+            assert verdict.status == "separable", (d, phases)
         if verdict.certificate is not None:
             _dense_oracles(state, verdict.certificate)

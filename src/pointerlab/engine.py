@@ -18,10 +18,14 @@ can cross-check each other:
   without branch form or whose pointer would have more branches than grid
   points, runs on the momentum blocks: the generator is block-diagonal
   over the momentum grid and each small system block is exponentiated
-  exactly, a qubit block by the closed-form SU(2) exponential, assembled
-  in real arithmetic in place, a larger one by batched ``eigh``. The
-  spectrum of a state in branch form is written from its factor rows'
-  1-D transforms, so no forward transform runs over the whole tensor.
+  exactly, a larger one by batched ``eigh`` and a qubit block by the
+  closed-form SU(2) exponential. Its coefficients are sums of 1-D
+  profiles, one per pointer, so the qubit kernel walks the grid in tiles
+  of TILE_POINTS, takes every cosine and sine of a tile from one
+  half-angle tangent, and assembles the blocks in real arithmetic in
+  place: no temporary spans the grid. The spectrum of a state in branch
+  form is written from its factor rows' 1-D transforms, so no forward
+  transform runs over the whole tensor.
 * ``expm``: applies the generator to the state one factor at a time and
   exp(-i t H) by a scaled Taylor series (``tensors.generator_action``) made
   of those products: no eigensolve, no product-space matrix, and no FFT
@@ -52,9 +56,11 @@ For order-by-order comparisons ``partial_sums`` returns the terms of the
 truncated series themselves, not a state: the order-n truncation is the
 state plus the first n terms, and one pass serves every impulse scale. The
 series expands only the product state ``build_initial`` made, and refuses
-a state with history. Each term is one ``_branch_sum`` over kick patterns
-of the observables applied to the system vector times the packets kicked
-by their momentum, so no FFT runs over the state.
+a state with history. Every term is a branch form over kick patterns, the
+observables applied to the system vector times the packets kicked by
+their momentum; ``_series_branches`` builds those cores, and a caller that
+needs only a sum of terms, such as a whole truncation at one scale,
+writes it in one ``_branch_sum``. No FFT runs over the state.
 
 States stay factored until their amplitudes are read: ``build_initial``
 keeps the system state and each pointer's packet from a per-``PointerSpec``
@@ -512,6 +518,26 @@ def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
     return c.strength * k.reshape(shape)
 
 
+# Grid points per tile of the qubit-block kernel. At 4096 points its largest
+# temporaries, one complex and one stacked real tile, are 64 KiB each, below
+# glibc's default 128 KiB mmap threshold, so they come from the heap and no
+# call maps fresh pages.
+TILE_POINTS = 4096
+
+
+def _tiles(grid: tuple[int, ...]) -> list[tuple[int | slice, ...]]:
+    """Indices covering ``grid`` in tiles of at most TILE_POINTS points, along its first axis.
+
+    Each tile is a run of whole rows; where one row alone holds more than a
+    tile, each row is tiled the same way along its own first axis.
+    """
+    rest = math.prod(grid[1:])
+    if rest > TILE_POINTS:
+        return [(i, *sub) for i in range(grid[0]) for sub in _tiles(grid[1:])]
+    rows = TILE_POINTS // rest
+    return [(slice(i, i + rows),) for i in range(0, grid[0], rows)]
+
+
 def _qubit_blocks(
     ft: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> np.ndarray:
@@ -519,42 +545,75 @@ def _qubit_blocks(
 
     Each block is h(k) = c0 I + c . sigma with real c0, c, so
     exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
-    b = -s (cy + i cx) and s = sin(t|c|)/|c|, which is t at |c| = 0. One
-    cosine and one sine run over the grid. Each coefficient is assembled in real
-    arithmetic into one complex buffer, in turn, and ``ft``, which the
-    caller owns, is overwritten row by row and returned; one spare row keeps
-    the first input row for the second. A component no observable carries
-    stays the scalar 0 and spans no grid; for c0 the factor exp(-i t c0),
-    exactly 1, is then skipped.
+    b = -s (cy + i cx) and s = sin(t|c|)/|c|, which is t at |c| = 0. Every
+    component is a sum of one 1-D profile per pointer axis (the couplings'
+    strengths times the wavenumbers), so nothing spans the grid until a
+    tile is formed. The grid is walked in tiles (``_tiles``). Per tile, the
+    half angles t|c|/2 and t c0/2 share one buffer and one tangent,
+    tau = tan(x/2), from which q = 1/(1 + tau^2) gives cos x = 2q - 1 and
+    sin x = 2 tau q; no cosine or sine runs. Each coefficient is assembled
+    in real arithmetic into one complex tile, in turn, and ``ft``, which the
+    caller owns, is overwritten tile by tile and returned; one spare tile
+    keeps the first row's input for the second. A component no observable
+    carries stays the scalar 0; for c0 the factor exp(-i t c0), exactly 1,
+    is then skipped.
     """
     grid = ft.shape[1:]
-    parts = [0.0, 0.0, 0.0, 0.0]
+    # per component c0, cx, cy, cz: pointer axis -> its 1-D profile
+    profiles: list[dict[int, np.ndarray]] = [{}, {}, {}, {}]
     for c in couplings:
         a = c.observable.matrix
-        gk = _kick(state, c, len(grid))
+        axis = _pointer_axis(state, c.pointer) - 1
+        gk = c.strength * state.pointer_spec(c.pointer).grid.wavenumbers()
         weights = (
             (a[0, 0] + a[1, 1]).real / 2,
             a[0, 1].real,
             -a[0, 1].imag,
             (a[0, 0] - a[1, 1]).real / 2,
         )
-        for i, w in enumerate(weights):
+        for part, w in zip(profiles, weights):
             if w:
-                parts[i] = parts[i] + gk * w
+                part[axis] = part.get(axis, 0.0) + gk * w
+    # each profile as a zero-stride view over the whole grid, sliced per tile
+    spans = [
+        [
+            np.broadcast_to(v.reshape([-1 if i == axis else 1 for i in range(len(grid))]), grid)
+            for axis, v in part.items()
+        ]
+        for part in profiles
+    ]
+    for index in _tiles(grid):
+        parts = [sum(v[index] for v in span) if span else 0.0 for span in spans]
+        _qubit_tile(ft[(0, *index)], ft[(1, *index)], parts, t)
+    return ft
+
+
+def _qubit_tile(u0: np.ndarray, u1: np.ndarray, parts: list, t: float) -> None:
+    """One tile of ``_qubit_blocks``: rows u0, u1 of ``ft`` and c0, cx, cy, cz there."""
     c0, cx, cy, cz = parts
+    rows = 2 if isinstance(c0, np.ndarray) else 1
+    # t|c|/2, and t c0/2 where c0 spans the tile; then tan, q, and sin and cos in place
+    half = np.empty((rows, *u0.shape))
     norm = np.sqrt(cx * cx + cy * cy + cz * cz)
-    # s = sin(t |c|) / |c|, and t where |c| = 0; a grid even if no part spans one
-    s = np.multiply(norm, t, out=np.empty(grid))
-    cos = np.cos(s)
-    np.sin(s, out=s)
+    np.multiply(norm, t / 2, out=half[0])
+    if rows == 2:
+        np.multiply(c0, t / 2, out=half[1])
+    np.tan(half, out=half)
+    cos = half * half
+    cos += 1
+    np.reciprocal(cos, out=cos)
+    half *= cos
+    half *= 2
+    cos *= 2
+    cos -= 1
+    # s = sin(t |c|) / |c|, and t where |c| = 0
+    s = half[0]
     np.divide(s, norm, out=s, where=norm != 0)
     np.copyto(s, t, where=norm == 0)
-    del norm
-    u0, u1 = ft
     first = u0.copy()
-    coef = np.empty(grid, dtype=complex)
+    coef = np.empty(u0.shape, dtype=complex)
     # a = cos - i s cz on u0, then b = -s cy - i s cx on u1, into row 0
-    np.copyto(coef.real, cos)
+    np.copyto(coef.real, cos[0])
     np.multiply(s, -cz, out=coef.imag)
     np.multiply(coef, u0, out=u0)
     np.multiply(s, -cy, out=coef.real)
@@ -562,19 +621,19 @@ def _qubit_blocks(
     coef *= u1
     u0 += coef
     # a* on u1, then -b* = s cy - i s cx on the first row, into row 1
-    np.copyto(coef.real, cos)
+    np.copyto(coef.real, cos[0])
     np.multiply(s, cz, out=coef.imag)
     np.multiply(coef, u1, out=u1)
     np.multiply(s, cy, out=coef.real)
     np.multiply(s, -cx, out=coef.imag)
     coef *= first
     u1 += coef
-    if isinstance(c0, np.ndarray):
-        # exp(-i t c0)
-        np.cos(t * c0, out=coef.real)
-        np.sin(-t * c0, out=coef.imag)
-        ft *= coef
-    return ft
+    if rows == 2:
+        # exp(-i t c0) = cos(t c0) - i sin(t c0)
+        np.copyto(coef.real, cos[1])
+        np.negative(half[1], out=coef.imag)
+        u0 *= coef
+        u1 *= coef
 
 
 def _evolve_blocks(
@@ -731,6 +790,51 @@ def evolve_sequential(
     return evolve(evolve(state, first_cs, method), second_cs, method)
 
 
+def _series_branches(
+    state: UnifiedState, couplings: Sequence[Coupling], order: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The series psi, T_1, ..., T_order of ``partial_sums`` in branch form: cores, factors.
+
+    Each g A pi of H acts on the system factor and one packet, so T_m is a
+    sum over how its m kicks fall on the pointers. For each way, the system
+    vector gathers every ordered product of the g A with those kicks,
+    applied to the system amplitudes, times -i t / j at step j, and pointer
+    i contributes its packet kicked n_i times. So every term is a branch
+    form over the kick patterns (n_1, ..., n_k), n_i <= order: all cores
+    are (order + 1, ..., order + 1, d), core m zero off the patterns of m
+    kicks (core 0 is psi's, the system amplitudes at no kick), and all share
+    the factors, pointer i's packet kicked 0, ..., order times
+    (``_kicked_packets``). Any combination sum_m w_m T_m, a partial sum at
+    any impulse scale included, is then one ``_branch_sum`` of the combined
+    core. Only the packets' 1-D transforms run, once per spec and kick count.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"perturbative order must be 1 or 2, got {order}")
+    if state.history:
+        raise ValueError("the perturbative series expands only a state with no history")
+    cs, t = _validate_couplings(state, couplings)
+    index = {spec.label: i for i, spec in enumerate(state.pointers)}
+    shape = (order + 1,) * len(index) + (state.system.total,)
+    layer = {(0,) * len(index): state.initial_system.amplitudes}
+    cores = []
+    for m in range(order + 1):
+        if m:
+            grown: dict[tuple[int, ...], np.ndarray] = {}
+            for kicks, vector in layer.items():
+                for c in cs:
+                    key = list(kicks)
+                    key[index[c.pointer]] += 1
+                    key = tuple(key)
+                    mapped = (-1j * t / m * c.strength) * (c.observable.matrix @ vector)
+                    grown[key] = grown.get(key, 0) + mapped
+            layer = grown
+        core = np.zeros(shape, dtype=complex)
+        for kicks, vector in layer.items():
+            core[kicks] = vector
+        cores.append(core)
+    return cores, [_kicked_packets(spec, order) for spec in state.pointers]
+
+
 def partial_sums(
     state: UnifiedState, couplings: Sequence[Coupling], order: int
 ) -> list[np.ndarray]:
@@ -741,40 +845,12 @@ def partial_sums(
     partial sums at scale s are psi + sum_{m<=n} s^m T_m, and at s = 1/2
     that rescaling is exact in binary. ``state`` must have no history: it
     is the product ``build_initial`` made, and an evolved state is refused.
-
-    Each g A pi of H acts on the system factor and one packet, so T_m is a
-    sum over how its m kicks fall on the pointers. For each way, the system
-    vector gathers every ordered product of the g A with those kicks,
-    applied to the system amplitudes, times -i t / j at step j, and pointer
-    i contributes its packet kicked n_i times (``_kicked_packets``). Each
-    term is written once, by one ``_branch_sum`` over the kick patterns.
-    Only the packets' 1-D transforms run, once per spec and kick count.
+    The terms are built in branch form by ``_series_branches``, which a
+    caller that needs only a combination of them uses directly; here each
+    term is written out by one ``_branch_sum``, with no FFT over the state.
     """
-    if order not in (1, 2):
-        raise ValueError(f"perturbative order must be 1 or 2, got {order}")
-    if state.history:
-        raise ValueError("the perturbative series expands only a state with no history")
-    cs, t = _validate_couplings(state, couplings)
-    index = {spec.label: i for i, spec in enumerate(state.pointers)}
-    layer = {(0,) * len(index): state.initial_system.amplitudes}
-    terms = []
-    for m in range(1, order + 1):
-        grown: dict[tuple[int, ...], np.ndarray] = {}
-        for kicks, vector in layer.items():
-            for c in cs:
-                key = list(kicks)
-                key[index[c.pointer]] += 1
-                key = tuple(key)
-                mapped = (-1j * t / m * c.strength) * (c.observable.matrix @ vector)
-                grown[key] = grown.get(key, 0) + mapped
-        layer = grown
-        # the branches: a system vector per kick pattern, zero off the patterns
-        core = np.zeros((m + 1,) * len(index) + (state.system.total,), dtype=complex)
-        for kicks, vector in layer.items():
-            core[kicks] = vector
-        factors = [_kicked_packets(spec, m) for spec in state.pointers]
-        terms.append(_branch_sum(core, factors).reshape(-1))
-    return terms
+    cores, factors = _series_branches(state, couplings, order)
+    return [_branch_sum(core, factors).reshape(-1) for core in cores[1:]]
 
 
 def apparatus_density(state: UnifiedState) -> DensityMatrix:

@@ -37,6 +37,7 @@ from .separability import SeparabilityVerdict, readability_check
 from .tensors import (
     DimensionSpec,
     NORM_TOL,
+    SCHMIDT_RANK_TOL,
     Operator,
     StateVector,
     expectation,
@@ -81,12 +82,18 @@ CONDITIONED_SHIFT_MIN = 1e-3
 # first coupling. A choice: the change is roundoff of a 2 x 2 density
 # (3e-16 at the defaults), and this matches NORM_TOL.
 INFO_PRESERVED_TOL = 1e-10
-# Predicted Schmidt rank of one coupling: none below an impulse of
-# RANK_MIN_IMPULSE, else the branches populated above RANK_MIN_POPULATION.
-# Choices: at RANK_MIN_IMPULSE a half-populated qubit's second Schmidt
-# coefficient is about 4e-9, above SCHMIDT_RANK_TOL (1e-9).
-RANK_MIN_IMPULSE = 1e-8
-RANK_MIN_POPULATION = 1e-12
+# Predicted Schmidt rank of one coupling: the branches whose predicted
+# coefficient sqrt(p (1 - p) (1 - gamma^2)) exceeds SCHMIDT_RANK_TOL
+# (``_expected_branch_rank``), none where one lies within a relative
+# RANK_MARGIN of it. Derived: the prediction is the leading order in
+# x = p (1 - p) (1 - gamma^2), off by a relative x / 2 (5e-19 at the
+# tolerance), and takes the continuum overlap gamma: where the packet
+# spread is at least one grid spacing, predicted and measured coefficients
+# agreed to a relative 2e-7 or better (sigma 0.25 to 1 on 16 to 256
+# points, impulses 1e-9 to 1), the few eps of roundoff a measured
+# coefficient carries against a largest coefficient near 1. So only within
+# 8 eps of the tolerance can the comparison go either way.
+RANK_MARGIN = 8 * np.finfo(float).eps / SCHMIDT_RANK_TOL
 # simultaneous: the joint-moment factorization check runs only where the
 # predicted gap |<x_a x_b> - <x_a><x_b>| exceeds FACTORIZATION_GAP_MIN, and
 # then needs a measured gap above FACTORIZATION_GAP_TOL. Choices: the gap is
@@ -311,17 +318,28 @@ def _schmidt_dict(state: UnifiedState) -> dict[str, object]:
     }
 
 
-def _expected_branch_rank(system: StateVector, coupling: Coupling) -> int | None:
+def _expected_branch_rank(system: StateVector, coupling: Coupling, sigma: float) -> int | None:
     """Predicted Schmidt rank for one coupling, or None when too marginal.
 
-    Only branches populated above RANK_MIN_POPULATION count, and an impulse
-    below RANK_MIN_IMPULSE predicts nothing.
+    Branch a, the system's part along the observable's eigenvector a, has
+    population p and moves the pointer, a packet of spread ``sigma``, by
+    the impulse times its eigenvalue. Its Schmidt coefficient is predicted
+    as sqrt(p (1 - p) (1 - gamma^2)), with gamma = exp(-D^2 / (8 sigma^2))
+    the overlap of two packets D apart and D the impulse times the gap to
+    the nearest other eigenvalue: for a two-level observable, the smaller
+    Schmidt coefficient to leading order. The rank counts the branches
+    predicted above SCHMIDT_RANK_TOL, and is at least 1; a branch within
+    RANK_MARGIN of it, relative, predicts nothing.
     """
-    if abs(coupling.impulse) < RANK_MIN_IMPULSE:
+    w, v = coupling.observable.spectrum
+    p = np.abs(v.conj().T @ system.amplitudes) ** 2
+    rest = (1.0 - np.eye(p.size)) @ p  # 1 - p, without its cancellation
+    gaps = np.abs(np.subtract.outer(w, w)) + np.diag(np.full(w.size, np.inf))
+    shift = coupling.impulse * gaps.min(axis=1) / (2 * sigma)
+    coefficients = np.sqrt(p * rest * -np.expm1(-shift * shift))
+    if np.any(np.abs(coefficients / SCHMIDT_RANK_TOL - 1.0) <= RANK_MARGIN):
         return None
-    branches = coupling.observable.spectrum[1].conj().T @ system.amplitudes
-    populated = int(np.count_nonzero(np.abs(branches) ** 2 > RANK_MIN_POPULATION))
-    return populated if populated >= 1 else None
+    return max(1, int(np.count_nonzero(coefficients > SCHMIDT_RANK_TOL)))
 
 
 def _phase(*observables: Operator) -> Callable[[ScenarioConfig, float], Phases]:
@@ -482,26 +500,24 @@ def _truncation_defects(run: Run) -> list[list[float]]:
     """Norms of the order-1 and order-2 truncation gaps, at full and half impulse.
 
     One series pass serves both impulse scales: at scale s the order-m term
-    is s^m T_m, an exact rescaling at s = 1/2. The half-scale state is
-    evolved before the product state is formed, and both are dropped once
-    the gaps exist: the series' two terms then join only the readout state
-    and the two gaps, and none of them outlives the call.
+    is s^m T_m, an exact rescaling at s = 1/2. The series stays in branch
+    form (``engine._series_branches``), so for each scale s and order n one
+    ``_branch_sum`` writes the truncation psi + sum_{m<=n} s^m T_m, the
+    exact state is subtracted from it in place, and only the norm is kept:
+    beside the readout and half-impulse states, one readout-size array
+    exists at a time.
     """
-    pointers = run.state.pointers
-    half = run.at_scale(0.5).state.amplitudes
-    psi = engine.build_initial(run.system, pointers).state.amplitudes
-    gaps = [run.state.state.amplitudes - psi, half - psi]
-    del half, psi
-    terms = engine.partial_sums(
-        engine.build_initial(run.system, pointers), run.state.history[0], 2
-    )
-    defects = []
-    for m, term in enumerate(terms, 1):
-        gaps[0] -= term
-        term *= 0.5**m
-        gaps[1] -= term
-        defects.append([float(np.linalg.norm(gap)) for gap in gaps])
-    return defects
+    exact = {1.0: run.state.state.amplitudes, 0.5: run.at_scale(0.5).state.amplitudes}
+    initial = engine.build_initial(run.system, run.state.pointers)
+    cores, factors = engine._series_branches(initial, run.state.history[0], 2)
+
+    def gap(scale: float, order: int) -> float:
+        core = sum(scale**m * cores[m] for m in range(order + 1))
+        truncation = engine._branch_sum(core, factors).reshape(-1)
+        truncation -= exact[scale]
+        return float(np.linalg.norm(truncation))
+
+    return [[gap(scale, order) for scale in exact] for order in (1, 2)]
 
 
 def _weak_orders(run: Run) -> Measured:
@@ -869,7 +885,7 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
     }
     expected_rank = None
     if len(couplings) == 1:
-        expected_rank = _expected_branch_rank(system, couplings[0])
+        expected_rank = _expected_branch_rank(system, couplings[0], cfg.sigma)
         shared_checks["schmidt_rank_as_expected"] = (
             expected_rank is None or schmidt_dict["rank"] == expected_rank
         )

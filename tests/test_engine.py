@@ -517,25 +517,29 @@ class TestQubitBlocks:
         evolve(qutrit, pair)
         assert [shape for shape in shapes if len(shape) > 2] == [(16, 16, 3, 3)]
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.2, 1.5))
-    def test_closed_form_matches_batched_eigh(self, seed, projector, t):
-        """Every momentum block against exp(-i t h(k)) from eigh, c0 != 0 included."""
+    @staticmethod
+    def _check_closed_form(points, seed, projector, t, order):
+        """Every momentum block against exp(-i t h(k)) from eigh, c0 != 0 and sigma_y included.
+
+        The couplings go to the pointers in the drawn order: a projector
+        (trace 1) or a random Hermitian matrix (any trace, a sigma_y part),
+        sigma_z, and sigma_y where there is a third pointer.
+        """
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        # a projector has trace 1; the random Hermitian matrix has any trace
         first = np.full((2, 2), 0.5) if projector else m + m.conj().T
-        state = build_initial(
-            bloch_state(math.pi / 3, 0.7), [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
-        )
+        labels = "ABC"[: len(points)]
+        specs = [PointerSpec(lab, PointerGrid(n, 16.0)) for lab, n in zip(labels, points)]
+        state = build_initial(bloch_state(math.pi / 3, 0.7), specs)
+        which = [labels[i] for i in order if i < len(labels)]
         couplings = [
-            Coupling(pauli(first), "A", rng.uniform(-1, 1), t),
-            Coupling(pauli(SIGMA_Z), "B", rng.uniform(-1, 1), t),
+            Coupling(pauli(matrix), label, rng.uniform(-1, 1), t)
+            for matrix, label in zip((first, SIGMA_Z, SIGMA_Y), which)
         ]
-        ft = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        ft = rng.normal(size=(2, *points)) + 1j * rng.normal(size=(2, *points))
         got = engine_module._qubit_blocks(ft.copy(), state, couplings, t)
         h = sum(
-            engine_module._kick(state, c, 2)[..., None, None] * c.observable.matrix
+            engine_module._kick(state, c, len(points))[..., None, None] * c.observable.matrix
             for c in couplings
         )
         w, v = np.linalg.eigh(h)
@@ -543,7 +547,64 @@ class TestQubitBlocks:
         want = np.einsum("...ij,j...->i...", u, ft)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(ft).max()
         # h(0) = 0, so the k = 0 block is left exactly as it was
-        assert np.array_equal(got[:, 0, 0], ft[:, 0, 0])
+        origin = (slice(None),) + (0,) * len(points)
+        assert np.array_equal(got[origin], ft[origin])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.2, 1.5), st.permutations(range(2))
+    )
+    def test_closed_form_matches_batched_eigh(self, seed, projector, t, order):
+        """One tile: 16 x 16 points."""
+        self._check_closed_form((16, 16), seed, projector, t, order)
+
+    # Two tiles (64 x 128), sixteen (256 x 256), and three pointers whose
+    # rows of 64 x 128 points each exceed a tile. Fewer draws: the batched
+    # eigh over 65,536 blocks takes about 0.15 s a draw.
+    @pytest.mark.parametrize(
+        "points", [(64, 128), (256, 256), (8, 64, 128)], ids=lambda p: "x".join(map(str, p))
+    )
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.2, 1.5), st.permutations(range(3))
+    )
+    def test_tiled_closed_form_matches_batched_eigh(self, points, seed, projector, t, order):
+        """Several tiles, and rows larger than a tile, against the same oracle."""
+        self._check_closed_form(points, seed, projector, t, order)
+
+    def test_no_cosine_or_sine_and_one_tile_of_buffers(self, monkeypatch):
+        """The blocks take cos and sin from one tangent, and hold about one tile's buffers.
+
+        A 2 x 256 x 256 call is 2 MiB of amplitudes; a whole-grid temporary
+        would be 0.5 MiB real or 1 MiB complex, against about 0.39 MiB for
+        a tile's buffers at numpy 2.4.
+        """
+        specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
+        state = build_initial(bloch_state(math.pi / 3, 0.7), specs)
+        couplings = [
+            Coupling(pauli(0.5 * np.eye(2) + 0.5 * SIGMA_X), "A", 0.4),
+            Coupling(pauli(SIGMA_Z), "B", 0.3),
+        ]
+        rng = np.random.default_rng(7)
+        ft = rng.normal(size=(2, 256, 256)) + 1j * rng.normal(size=(2, 256, 256))
+        engine_module._qubit_blocks(ft, state, couplings, 1.0)  # warms the grids' caches
+        calls = []
+        for name in ("cos", "sin"):
+
+            def spied(*args, _name=name, _original=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spied)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            engine_module._qubit_blocks(ft, state, couplings, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak - start <= 0.5 * 2**20
 
     @pytest.mark.parametrize(
         "pairs",

@@ -140,15 +140,18 @@ def test_readout_grid_fft_passes(monkeypatch, name):
 
 # Peak traced allocation over one default run, above where it started, in
 # readout states: system dimension x 256 x 256 amplitudes, 2 MiB (4 MiB for
-# epr's pair). Measured at numpy 2.4: simultaneous 3.55, weak-orders 5.02,
+# epr's pair). Measured at numpy 2.4: simultaneous 3.009, weak-orders 3.021,
 # epr 0.115 and sequential 0.117 states. The product state is never formed
 # for the shift integrator, a state's amplitudes are viewed, not copied, by
 # its reduced densities, and epr's and sequential's commuting records stay
 # in branch form, read out from their compressed cores, so their peaks are
-# the 16-point analysis states'.
+# the 16-point analysis states'. simultaneous and weak-orders peak at three
+# states: the readout state, and the half-impulse state's spectrum and its
+# evolved copy; the momentum blocks run in tiles, and the truncation series
+# writes one readout-size array at a time.
 WORKING_SET_STATES = {
-    "simultaneous": 3.6,
-    "weak-orders": 5.1,
+    "simultaneous": 3.1,
+    "weak-orders": 3.1,
     "epr": 0.12,
     "sequential": 0.12,
 }
@@ -259,29 +262,43 @@ class TestWeakNoselect:
         assert report.schmidt["rank"] == 2
         assert report.purity < 1.0 - 1e-6
 
-    @pytest.mark.parametrize("scale, rank", [(0.5, None), (2.0, 2)])
-    def test_rank_impulse_gate_near_its_value(self, scale, rank):
-        """The rank is predicted only from an impulse of RANK_MIN_IMPULSE on.
-
-        Both sides read Schmidt rank 2, so the check holds either way; the
-        gate decides only whether it is idle, which the report's note says.
-        """
-        g_a = scale * scenarios.RANK_MIN_IMPULSE
-        cfg = dataclasses.replace(DEFAULTS["weak-noselect"], g_a=g_a)
+    # sigma_z branch populations planted at impulse 0.2 and spread 1, where
+    # 1 - gamma^2 = 1 - exp(-0.04): predicted second coefficients 9.9e-8,
+    # 1.4e-7, 2.0e-7 and 2.0e-9 (rank 2 read, counted invisible by a
+    # population gate at 1e-12), 2.8e-7 and 2.0e-11.
+    @pytest.mark.parametrize(
+        "population, rank",
+        [(2.5e-13, 2), (5e-13, 2), (1e-12, 2), (1e-16, 2), (2e-12, 2), (1e-20, 1)],
+    )
+    def test_rank_from_predicted_coefficient(self, population, rank):
+        theta = 2 * math.asin(math.sqrt(population))
+        cfg = dataclasses.replace(DEFAULTS["weak-noselect"], theta_i=theta)
         coupling = engine.Coupling(scenarios.PAULI_Z, "A", cfg.g_a, cfg.t)
-        system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
-        assert scenarios._expected_branch_rank(system, coupling) == rank
+        system = scenarios.bloch_state(theta, 0.0)
+        assert scenarios._expected_branch_rank(system, coupling, cfg.sigma) == rank
         report = run_scenario("weak-noselect", cfg)
-        assert report.passed and report.schmidt["rank"] == 2
-        marginal = "coupling too marginal to pin the Schmidt rank" in report.notes
-        assert marginal == (rank is None)
+        assert report.checks["schmidt_rank_as_expected"] and report.schmidt["rank"] == rank
 
-    @pytest.mark.parametrize("scale, rank", [(0.5, 1), (2.0, 2)])
-    def test_rank_population_gate_near_its_value(self, scale, rank):
-        """A sigma_z branch of population a multiple of RANK_MIN_POPULATION counts above it."""
-        theta = 2 * math.asin(math.sqrt(scale * scenarios.RANK_MIN_POPULATION))
-        coupling = engine.Coupling(scenarios.PAULI_Z, "A", 0.2)
-        assert scenarios._expected_branch_rank(scenarios.bloch_state(theta, 0.0), coupling) == rank
+    def test_threshold_impulse_predicts_nothing_inside_the_margin(self):
+        """At the impulse whose coefficient is the tolerance, and only there, no rank is pinned.
+
+        A half-populated branch pair has coefficient about impulse / 2 at
+        spread 1, so impulses of 1.5e-9 and 3e-9 predict ranks 1 and 2, and
+        the run reads the same; the report's note names the idle case.
+        """
+        system = scenarios.bloch_state(math.pi / 2, 0.0)
+        # 1 - gamma^2 = 4 tol^2 at p = 1/2: the impulse D / 2 = sqrt(-log(1 - 4 tol^2))
+        edge = math.sqrt(-math.log1p(-4 * tensors.SCHMIDT_RANK_TOL**2))
+        for g_a, rank in [(edge, None), (1.5e-9, 1), (3e-9, 2)]:
+            coupling = engine.Coupling(scenarios.PAULI_Z, "A", g_a)
+            assert scenarios._expected_branch_rank(system, coupling, 1.0) == rank
+            cfg = dataclasses.replace(DEFAULTS["weak-noselect"], g_a=g_a, theta_i=math.pi / 2)
+            report = run_scenario("weak-noselect", cfg)
+            assert report.passed
+            if rank is not None:
+                assert report.schmidt["rank"] == rank
+            marginal = "coupling too marginal to pin the Schmidt rank" in report.notes
+            assert marginal == (rank is None)
 
 
 class TestWeakPostselect:
@@ -421,13 +438,15 @@ class TestWeakOrders:
 
         It starts from the product state, so it is built from the packets'
         1-D transforms: no ``np.fft.fft`` runs over the readout state.
+        Every series pass, ``partial_sums``' included, goes through
+        ``engine._series_branches``, which is spied on.
         """
         passes = []
-        partial_sums = engine.partial_sums
+        series_branches = engine._series_branches
 
         def counted_sums(state, couplings, order):
-            passes.append((state.state.dims.sizes, order))
-            return partial_sums(state, couplings, order)
+            passes.append((state.dims.sizes, order))
+            return series_branches(state, couplings, order)
 
         shapes = []
         original = np.fft.fft
@@ -436,7 +455,7 @@ class TestWeakOrders:
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "partial_sums", counted_sums)
+        monkeypatch.setattr(engine, "_series_branches", counted_sums)
         monkeypatch.setattr(np.fft, "fft", counted)
         report = run_scenario("weak-orders")
         n = report.config.readout_grid().points

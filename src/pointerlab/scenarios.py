@@ -83,16 +83,15 @@ CONDITIONED_SHIFT_MIN = 1e-3
 # (3e-16 at the defaults), and this matches NORM_TOL.
 INFO_PRESERVED_TOL = 1e-10
 # Predicted Schmidt rank of one coupling: the branches whose predicted
-# coefficient sqrt(p (1 - p) (1 - gamma^2)) exceeds SCHMIDT_RANK_TOL
+# coefficient sqrt(p (1 - p) (1 - |gamma|^2)) exceeds SCHMIDT_RANK_TOL
 # (``_expected_branch_rank``), none where one lies within a relative
 # RANK_MARGIN of it. Derived: the prediction is the leading order in
-# x = p (1 - p) (1 - gamma^2), off by a relative x / 2 (5e-19 at the
-# tolerance), and takes the continuum overlap gamma: where the packet
-# spread is at least one grid spacing, predicted and measured coefficients
-# agreed to a relative 2e-7 or better (sigma 0.25 to 1 on 16 to 256
-# points, impulses 1e-9 to 1), the few eps of roundoff a measured
-# coefficient carries against a largest coefficient near 1. So only within
-# 8 eps of the tolerance can the comparison go either way.
+# x = p (1 - p) (1 - |gamma|^2), off by a relative x / 2 (5e-19 at the
+# tolerance), with the grid packet's own overlap gamma; predicted and
+# measured coefficients agreed to a relative 7e-8 or better (sigma 0.05
+# to 1.33 on 8 to 256 points, impulses 1e-9 to 1), the few eps of roundoff
+# a measured coefficient carries against a largest one near 1. So only
+# within 8 eps of the tolerance can the comparison go either way.
 RANK_MARGIN = 8 * np.finfo(float).eps / SCHMIDT_RANK_TOL
 # simultaneous: the joint-moment factorization check runs only where the
 # predicted gap |<x_a x_b> - <x_a><x_b>| exceeds FACTORIZATION_GAP_MIN, and
@@ -318,25 +317,33 @@ def _schmidt_dict(state: UnifiedState) -> dict[str, object]:
     }
 
 
-def _expected_branch_rank(system: StateVector, coupling: Coupling, sigma: float) -> int | None:
+def _expected_branch_rank(system: StateVector, coupling: Coupling, spec: PointerSpec) -> int | None:
     """Predicted Schmidt rank for one coupling, or None when too marginal.
 
     Branch a, the system's part along the observable's eigenvector a, has
-    population p and moves the pointer, a packet of spread ``sigma``, by
-    the impulse times its eigenvalue. Its Schmidt coefficient is predicted
-    as sqrt(p (1 - p) (1 - gamma^2)), with gamma = exp(-D^2 / (8 sigma^2))
-    the overlap of two packets D apart and D the impulse times the gap to
-    the nearest other eigenvalue: for a two-level observable, the smaller
-    Schmidt coefficient to leading order. The rank counts the branches
-    predicted above SCHMIDT_RANK_TOL, and is at least 1; a branch within
-    RANK_MARGIN of it, relative, predicts nothing.
+    population p and translates the pointer's packet by the impulse times
+    its eigenvalue. Its Schmidt coefficient is predicted as
+    sqrt(p (1 - p) (1 - |gamma|^2)), with gamma the overlap of the packet
+    and its translate by D, the impulse times the gap to the nearest other
+    eigenvalue: for a two-level observable, the smaller Schmidt coefficient
+    to leading order. On the grid gamma = sum_k w_k exp(-i k D), w_k the
+    packet's normalized power spectrum, and 1 - Re gamma is summed as
+    2 sin^2(k D / 2), free of cancellation; for a packet the grid resolves
+    it is the continuum exp(-D^2 / (8 sigma^2)), which is off by 3% at
+    half a grid spacing. The rank counts the branches predicted above
+    SCHMIDT_RANK_TOL, and is at least 1; a branch within RANK_MARGIN of
+    it, relative, predicts nothing.
     """
     w, v = coupling.observable.spectrum
     p = np.abs(v.conj().T @ system.amplitudes) ** 2
     rest = (1.0 - np.eye(p.size)) @ p  # 1 - p, without its cancellation
     gaps = np.abs(np.subtract.outer(w, w)) + np.diag(np.full(w.size, np.inf))
-    shift = coupling.impulse * gaps.min(axis=1) / (2 * sigma)
-    coefficients = np.sqrt(p * rest * -np.expm1(-shift * shift))
+    kd = np.multiply.outer(coupling.impulse * gaps.min(axis=1), spec.grid.wavenumbers())
+    power = np.abs(engine._packet_spectrum(spec)) ** 2
+    power /= power.sum()
+    re = 2 * np.sin(kd / 2) ** 2 @ power  # 1 - Re gamma
+    im = np.sin(kd) @ power
+    coefficients = np.sqrt(p * rest * (re * (2 - re) - im * im))
     if np.any(np.abs(coefficients / SCHMIDT_RANK_TOL - 1.0) <= RANK_MARGIN):
         return None
     return max(1, int(np.count_nonzero(coefficients > SCHMIDT_RANK_TOL)))
@@ -885,7 +892,7 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
     }
     expected_rank = None
     if len(couplings) == 1:
-        expected_rank = _expected_branch_rank(system, couplings[0], cfg.sigma)
+        expected_rank = _expected_branch_rank(system, couplings[0], specs[0])
         shared_checks["schmidt_rank_as_expected"] = (
             expected_rank is None or schmidt_dict["rank"] == expected_rank
         )

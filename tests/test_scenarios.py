@@ -272,10 +272,23 @@ class TestWeakNoselect:
     )
     def test_rank_from_predicted_coefficient(self, population, rank):
         theta = 2 * math.asin(math.sqrt(population))
-        cfg = dataclasses.replace(DEFAULTS["weak-noselect"], theta_i=theta)
+        self._check_rank(dataclasses.replace(DEFAULTS["weak-noselect"], theta_i=theta), rank)
+
+    # A packet a tenth of a grid spacing wide, at the default half-populated
+    # branches: measured coefficients 0.63e-9 and 1.57e-9, where the
+    # continuum overlap would predict 1.73e-9 and 4.33e-9.
+    @pytest.mark.parametrize("g_a, rank", [(4e-10, 1), (1e-9, 2)])
+    def test_rank_on_a_packet_narrower_than_its_grid(self, g_a, rank):
+        cfg = DEFAULTS["weak-noselect"]
+        self._check_rank(dataclasses.replace(cfg, g_a=g_a, sigma=0.1, grid_points=16), rank)
+
+    @staticmethod
+    def _check_rank(cfg, rank):
+        """The predicted rank is ``rank``, and the run reads it and passes."""
         coupling = engine.Coupling(scenarios.PAULI_Z, "A", cfg.g_a, cfg.t)
-        system = scenarios.bloch_state(theta, 0.0)
-        assert scenarios._expected_branch_rank(system, coupling, cfg.sigma) == rank
+        system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
+        spec = pointer.PointerSpec("A", cfg.readout_grid(), cfg.x0_a, cfg.sigma)
+        assert scenarios._expected_branch_rank(system, coupling, spec) == rank
         report = run_scenario("weak-noselect", cfg)
         assert report.checks["schmidt_rank_as_expected"] and report.schmidt["rank"] == rank
 
@@ -289,9 +302,10 @@ class TestWeakNoselect:
         system = scenarios.bloch_state(math.pi / 2, 0.0)
         # 1 - gamma^2 = 4 tol^2 at p = 1/2: the impulse D / 2 = sqrt(-log(1 - 4 tol^2))
         edge = math.sqrt(-math.log1p(-4 * tensors.SCHMIDT_RANK_TOL**2))
+        spec = pointer.PointerSpec("A", DEFAULTS["weak-noselect"].readout_grid())
         for g_a, rank in [(edge, None), (1.5e-9, 1), (3e-9, 2)]:
             coupling = engine.Coupling(scenarios.PAULI_Z, "A", g_a)
-            assert scenarios._expected_branch_rank(system, coupling, 1.0) == rank
+            assert scenarios._expected_branch_rank(system, coupling, spec) == rank
             cfg = dataclasses.replace(DEFAULTS["weak-noselect"], g_a=g_a, theta_i=math.pi / 2)
             report = run_scenario("weak-noselect", cfg)
             assert report.passed

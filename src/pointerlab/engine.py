@@ -591,12 +591,12 @@ def _qubit_blocks(
 def _qubit_tile(u0: np.ndarray, u1: np.ndarray, parts: list, t: float) -> None:
     """One tile of ``_qubit_blocks``: rows u0, u1 of ``ft`` and c0, cx, cy, cz there."""
     c0, cx, cy, cz = parts
-    rows = 2 if isinstance(c0, np.ndarray) else 1
+    angles = 2 if isinstance(c0, np.ndarray) else 1
     # t|c|/2, and t c0/2 where c0 spans the tile; then tan, q, and sin and cos in place
-    half = np.empty((rows, *u0.shape))
+    half = np.empty((angles, *u0.shape))
     norm = np.sqrt(cx * cx + cy * cy + cz * cz)
     np.multiply(norm, t / 2, out=half[0])
-    if rows == 2:
+    if angles == 2:
         np.multiply(c0, t / 2, out=half[1])
     np.tan(half, out=half)
     cos = half * half
@@ -628,7 +628,7 @@ def _qubit_tile(u0: np.ndarray, u1: np.ndarray, parts: list, t: float) -> None:
     np.multiply(s, -cx, out=coef.imag)
     coef *= first
     u1 += coef
-    if rows == 2:
+    if angles == 2:
         # exp(-i t c0) = cos(t c0) - i sin(t c0)
         np.copyto(coef.real, cos[1])
         np.negative(half[1], out=coef.imag)

@@ -576,7 +576,7 @@ class TestQubitBlocks:
         """The blocks take cos and sin from one tangent, and hold about one tile's buffers.
 
         A 2 x 256 x 256 call is 2 MiB of amplitudes; a whole-grid temporary
-        would be 0.5 MiB real or 1 MiB complex, against about 0.39 MiB for
+        would be 0.5 MiB real or 1 MiB complex, against about 0.42 MiB for
         a tile's buffers at numpy 2.4.
         """
         specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]

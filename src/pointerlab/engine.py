@@ -8,15 +8,18 @@ can cross-check each other:
 * ``shift``: works in the pointer momentum representation. A state in
   branch form is a sum over branches, each a system vector times one 1-D
   factor per pointer (``_branch_sum``'s inputs); the product state
-  ``build_initial`` made is the one-branch case. A commuting phase on such
-  a state keeps that form: each coupling is split over its observable's
-  eigenvectors into rank-1 projectors, each times a rigid translation of
-  its pointer, so it splits every branch's system vector by those
-  projectors and translates its pointer's factor rows, one batched 1-D
-  FFT pair over them (the product's first transform is its packet's
-  cached spectrum). A noncommuting phase, or a commuting one on a state
-  without branch form or whose pointer would have more branches than grid
-  points, runs on the momentum blocks: the generator is block-diagonal
+  ``build_initial`` made is the one-branch case. Every factor row is its
+  pointer's packet translated by an accumulated kick, which the form
+  keeps. A commuting phase on such a state keeps that form: each coupling
+  is split over its observable's eigenspaces into spectral projectors,
+  each times a rigid translation of its pointer by the impulse times the
+  eigenvalue, so it splits every branch's system vector by those
+  projectors and each of its pointer's rows into one row per eigenspace.
+  Rows whose kicks are equal are merged, and each row is the packet's
+  cached spectrum times its kick's phase, one batched inverse 1-D FFT per
+  pointer. A noncommuting phase, or a commuting one on a state without
+  branch form or whose pointer would have more rows than grid points,
+  runs on the momentum blocks: the generator is block-diagonal
   over the momentum grid and each small system block is exponentiated
   exactly, a larger one by batched ``eigh`` and a qubit block by the
   closed-form SU(2) exponential. Its coefficients are sums of 1-D
@@ -24,8 +27,8 @@ can cross-check each other:
   of TILE_POINTS, takes every cosine and sine of a tile from one
   half-angle tangent, and assembles the blocks in real arithmetic in
   place: no temporary spans the grid. The spectrum of a state in branch
-  form is written from its factor rows' 1-D transforms, so no forward
-  transform runs over the whole tensor.
+  form is written from its rows' spectra, taken from their kicks, so no
+  forward transform runs.
 * ``expm``: applies the generator to the state one factor at a time and
   exp(-i t H) by a scaled Taylor series (``tensors.generator_action``) made
   of those products: no eigensolve, no product-space matrix, and no FFT
@@ -171,11 +174,14 @@ class _Branches:
     """sum_b core[b] (x) factors[0][b_1] (x) ... (x) factors[-1][b_k], and its norm.
 
     ``core`` is (B_1, ..., B_k, d) and ``factors[p]`` is (B_p, N_p), as
-    ``_branch_sum`` takes them; every B_p is at most N_p.
+    ``_branch_sum`` takes them; every B_p is at most N_p. Row b of
+    ``factors[p]`` is pointer p's packet translated by ``kicks[p][b]``, its
+    accumulated kick, and no two rows of one pointer share a kick.
     """
 
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
+    kicks: tuple[np.ndarray, ...]
     norm: float
 
 
@@ -222,7 +228,8 @@ class UnifiedState:
             packets = [_packet(spec) for spec in self.pointers]
             core = self.initial_system.amplitudes.reshape((1,) * len(packets) + (-1,))
             norm = math.prod(f.norm for f in (self.initial_system, *packets))
-            return _Branches(core, tuple(p.amplitudes[None] for p in packets), norm)
+            rows = tuple(p.amplitudes[None] for p in packets)
+            return _Branches(core, rows, (np.zeros(1),) * len(packets), norm)
         return self._evolved if isinstance(self._evolved, _Branches) else None
 
     @property
@@ -398,11 +405,10 @@ def _kicked_packets(spec: PointerSpec, most: int) -> np.ndarray:
     return out
 
 
-def _row_spectra(state: UnifiedState, index: int, rows: np.ndarray) -> np.ndarray:
-    """The 1-D transforms of pointer ``index``'s factor rows; the product's is its cached one."""
-    if state._evolved is None:
-        return _packet_spectrum(state.pointers[index])[None]
-    return np.fft.fft(rows)
+def _translated_spectra(spec: PointerSpec, kicks: np.ndarray) -> np.ndarray:
+    """The packet's cached spectrum translated by each of ``kicks``: times exp(-i k kick)."""
+    k = spec.grid.wavenumbers()
+    return _packet_spectrum(spec) * np.exp(-1j * np.multiply.outer(kicks, k))
 
 
 def _spectrum(state: UnifiedState, axes: tuple[int, ...]) -> np.ndarray:
@@ -410,15 +416,15 @@ def _spectrum(state: UnifiedState, axes: tuple[int, ...]) -> np.ndarray:
 
     A state in branch form is transformed branch by branch: ``_branch_sum``
     of the core with the transformed pointers' factor rows replaced by their
-    1-D transforms, so no transform runs over the whole tensor. Any other
-    state is transformed as it stands.
+    spectra, taken from the rows' kicks, so no transform runs at all. Any
+    other state is transformed as it stands.
     """
     form = state.branches
     if form is None:
         return np.fft.fftn(state.tensor(), axes=axes)
     factors = [
-        _row_spectra(state, i, rows) if i + 1 in axes else rows
-        for i, rows in enumerate(form.factors)
+        _translated_spectra(spec, kicks) if i + 1 in axes else rows
+        for i, (spec, rows, kicks) in enumerate(zip(state.pointers, form.factors, form.kicks))
     ]
     return _branch_sum(form.core, factors)
 
@@ -462,52 +468,53 @@ def _gram_norm(core: np.ndarray, factors: Sequence[np.ndarray]) -> float:
 
 def _evolve_commuting(
     state: UnifiedState, couplings: Sequence[Coupling], t: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | np.ndarray:
     """A commuting phase, as the new branch form where the state has one.
 
-    Each coupling is a sum over its observable's cached eigenvectors v of
-    the rank-1 projector v v-dagger times the translation of its pointer by
-    the impulse times v's eigenvalue. The projectors sum to the identity
-    whatever the degeneracy, so this is exact, and the couplings commute,
-    so the phase is the product of those sums. Each coupling therefore
-    splits every branch's system vector by its projectors, a new branch
-    axis beside its pointer's, and that pointer's factor for an old row and
-    a choice of eigenvectors is the old row translated by the couplings'
-    summed kicks: one transform of the rows, a phase per kick, and one
-    inverse transform, batched over the new rows. Returns ``(core,
-    factors)`` as ``_branch_sum`` takes them. A state without branch form,
-    or a pointer that would have more branches than grid points, goes to
+    Each coupling is a sum over its observable's eigenspaces
+    (``Operator.eigenspaces``) of the projector onto one times the
+    translation of its pointer by the impulse times that eigenvalue. The
+    projectors sum to the identity, so this is exact, and the couplings
+    commute, so the phase is the product of those sums. Each coupling
+    therefore splits every branch's system vector by its projectors and
+    each row of its pointer into one row per eigenspace, whose kick is the
+    old row's plus the impulse times the eigenvalue. Rows of one pointer
+    whose kicks are equal are one row, so their cores are summed, in the
+    order the kicks first appear; kicks equal only in exact arithmetic stay
+    apart, which adds rows with orthogonal cores and loses nothing. Each
+    row is then the packet's cached spectrum translated by its kick, one
+    batched inverse transform per pointer. Returns ``(core, factors,
+    kicks)`` as ``_Branches`` holds them. A state without branch form, or a
+    pointer left with more rows than grid points, goes to
     ``_evolve_blocks``, which is exact for any couplings.
     """
     form = state.branches
-    d = state.system.total
-    on = [[c for c in couplings if c.pointer == spec.label] for spec in state.pointers]
-    if form is None or any(
-        len(rows) * d ** len(cs) > spec.grid.points
-        for spec, rows, cs in zip(state.pointers, form.factors, on)
-    ):
+    if form is None:
         return _evolve_blocks(state, couplings, t)
-    core = form.core
-    # each pointer's branch axis, then the axes its couplings append, in turn
-    axes, factors = [], []
-    for index, (spec, rows, cs) in enumerate(zip(state.pointers, form.factors, on)):
-        axes.append(index)
-        if not cs:
-            factors.append(rows)
-            continue
-        kicks = np.zeros(())
-        for c in cs:
-            w, v = c.observable.spectrum
-            # core[..., a, :] = v_a (v_a-dagger core)
-            core = (core @ v.conj())[..., None] * v.T
-            axes.append(core.ndim - 2)
-            kicks = np.add.outer(kicks, c.impulse * w)
-        phase = np.exp(-1j * np.multiply.outer(kicks.reshape(-1), spec.grid.wavenumbers()))
-        moved = _row_spectra(state, index, rows)[:, None] * phase
-        moved = moved.reshape(-1, spec.grid.points)
-        factors.append(np.fft.ifft(moved, out=moved))
-    shape = [len(f) for f in factors] + [d]
-    return core.transpose(axes + [core.ndim - 1]).reshape(shape), tuple(factors)
+    core, kicks, coupled = form.core, list(form.kicks), set()
+    for c in couplings:
+        p = _pointer_axis(state, c.pointer) - 1
+        coupled.add(p)
+        w, projectors = c.observable.eigenspaces
+        # core[..., b, ..., :] -> core[..., (b, j), ..., :] = P_j core[..., b, ..., :]
+        split = np.moveaxis(np.tensordot(core, projectors, axes=(-1, 2)), -2, p + 1)
+        core = split.reshape(core.shape[:p] + (-1,) + core.shape[p + 1 :])
+        kicks[p] = np.add.outer(kicks[p], c.impulse * w).reshape(-1)
+    for p in coupled:
+        slots: dict[float, int] = {}
+        rows = [slots.setdefault(kick, len(slots)) for kick in kicks[p].tolist()]
+        if len(slots) > state.pointers[p].grid.points:
+            return _evolve_blocks(state, couplings, t)
+        if len(slots) < len(rows):
+            sums = np.zeros((len(slots), len(rows)))
+            sums[rows, np.arange(len(rows))] = 1.0
+            core = np.moveaxis(np.tensordot(sums, core, axes=(1, p)), 0, p)
+            kicks[p] = np.array(list(slots))
+    factors = list(form.factors)
+    for p in coupled:
+        moved = _translated_spectra(state.pointers[p], kicks[p])
+        factors[p] = np.fft.ifft(moved, out=moved)
+    return core, tuple(factors), tuple(kicks)
 
 
 def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
@@ -757,18 +764,19 @@ def evolve(
     else:
         raise ValueError(f"unknown evolution method {method!r}")
     if isinstance(result, tuple):
-        norm = _gram_norm(*result)
+        core, factors, kicks = result
+        norm = _gram_norm(core, factors)
     else:
-        amps = result.reshape(-1)
-        norm = float(np.linalg.norm(amps))
+        # read-only down to its base, so a reduced state built on it keeps a view, not a copy
+        result.setflags(write=False)
+        norm = float(np.linalg.norm(result.reshape(-1)))
     if not abs(norm - state.norm) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
     if isinstance(result, tuple):
-        evolved = _Branches(*result, norm)
+        evolved = _Branches(core, factors, kicks, norm)
     else:
-        # The copy stays: without it scenario-suite peak RSS measured about 2 MB higher.
         evolved = StateVector._owning(
-            state.dims, amps.copy(), normalized=state.initial_system.normalized, norm=norm
+            state.dims, result, normalized=state.initial_system.normalized, norm=norm
         )
     return replace(
         state,

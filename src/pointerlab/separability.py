@@ -7,9 +7,9 @@ pointers. Two complementary tools live here:
 
 * constructive certificates: explicit convex decompositions into product
   states. One rule reads them off the state's branch form, sum_b c_b (x)
-  f_{b_1} (x) g_{b_2} (x) ..., whatever history made it (``engine``): with
-  equal factor rows merged, the apparatus state is sum_{b, b'} <c_b'|c_b>
-  |F_b><F_b'|, F_b the product of b's rows. Where the Gram matrix of the
+  f_{b_1} (x) g_{b_2} (x) ..., whatever history made it (``engine``, which
+  keeps one row per distinct kick): the apparatus state is sum_{b, b'}
+  <c_b'|c_b> |F_b><F_b'|, F_b the product of b's rows. Where the Gram matrix of the
   cores is diagonal it is a mixture of the products F_b; where, for two
   pointers, it has no entry between different rows of one pointer, it is
   sum_i |f_i><f_i| (x) rho_i, each rho_i a few-branch mixture split into
@@ -23,11 +23,11 @@ Certificates are never taken on faith: each one is reconstructed and
 compared against the actual reduced state, from the state's own apparatus
 columns rather than its branch form, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
-artifacts, and fine enough to hold the state's branch rows. A state
-without branch form whose phases all commute and whose rows fit its grids,
-as one evolved by ``"expm"``, is read through its history re-run by the
-shift integrator on its own grids. Each term's column is an outer product
-of its factors.
+artifacts, and fine enough to hold the branch rows the certificate was
+read from. A state without branch form whose phases all commute, as one
+evolved by ``"expm"``, is read through its history re-run by the shift
+integrator on its own grids, if the re-run has a branch form. Each term's
+column is an outer product of its factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
@@ -83,12 +83,11 @@ REVALIDATION_POINTS = 32
 # orders below |ENTANGLEMENT_THRESHOLD|.
 SUPPORT_CUTOFF = 1e-13
 SUPPORT_BOUND_TOL = 1e-10
-# The certificate rule counts two factor rows of one pointer as equal when
-# they differ by at most BRANCH_TOL times the largest row norm, and a core
-# Gram entry as zero when its modulus is at most BRANCH_TOL times the trace.
-# A choice: both stand at roundoff, near 1e-16, wherever the branches are
-# equal or orthogonal, and a certificate is validated against the state
-# anyway, so the constant only decides which route is tried.
+# The certificate rule counts a core Gram entry as zero when its modulus is
+# at most BRANCH_TOL times the trace. A choice: such entries stand at
+# roundoff, near 1e-16, wherever the branches are orthogonal, and a
+# certificate is validated against the state anyway, so the constant only
+# decides which route is tried.
 BRANCH_TOL = 1e-12
 
 
@@ -322,27 +321,12 @@ def _replica(state: UnifiedState, points: int | None = None) -> UnifiedState:
     return rebuilt
 
 
-def _branch_rows(state: UnifiedState) -> list[int]:
-    """The factor rows the shift integrator gives each pointer for the history.
-
-    Each coupling splits its pointer's rows by the d rank-1 eigenprojectors
-    of its observable, whatever the grid, so a pointer coupled k times ends
-    with d**k rows; ``engine`` keeps the branch form only while every
-    pointer's rows fit its grid.
-    """
-    d = state.system.total
-    return [
-        d ** sum(c.pointer == spec.label for phase in state.history for c in phase)
-        for spec in state.pointers
-    ]
-
-
-def _revalidation_points(state: UnifiedState) -> int:
+def _revalidation_points(state: UnifiedState, rows: int) -> int:
     """REVALIDATION_POINTS, doubled until no pointer of ``state`` uses that grid
-    and it holds every pointer's branch rows, so that the replica of a state
-    in branch form has one too."""
+    and it holds ``rows``, the most factor rows of any pointer in the branch
+    form a certificate was read from. The rows' kicks do not depend on the
+    grid, so the replica then has a branch form too."""
     points = REVALIDATION_POINTS
-    rows = max(_branch_rows(state))
     while points < rows or any(spec.grid.points == points for spec in state.pointers):
         points *= 2
     return points
@@ -351,30 +335,6 @@ def _revalidation_points(state: UnifiedState) -> int:
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each vector along the last axis of ``rows``."""
     return np.einsum("...n,...n->...", rows, rows.conj()).real
-
-
-def _merged_rows(
-    core: np.ndarray, factors: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The branch form with each pointer's equal factor rows merged, their cores summed.
-
-    A row is merged into the first row within BRANCH_TOL of the largest
-    row norm, provided that row is merged into no earlier one.
-    """
-    merged = []
-    for axis, rows in enumerate(factors):
-        if len(rows) > 1:
-            gaps = _squared_norms(rows[:, None] - rows[None])
-            own = np.arange(len(rows))
-            first = np.argmax(gaps <= BRANCH_TOL**2 * _squared_norms(rows).max(), axis=1)
-            first = np.where(first[first] == first, first, own)
-            keep = np.flatnonzero(first == own)
-            if len(keep) < len(rows):
-                sums = (first == keep[:, None]).astype(float)
-                core = np.moveaxis(np.tensordot(sums, core, (1, axis)), 0, axis)
-                rows = rows[keep]
-        merged.append(rows)
-    return core, merged
 
 
 def _decomposition(
@@ -397,32 +357,31 @@ def _decomposition(
 
 def _certificate_route(
     state: UnifiedState,
-) -> tuple[str, SeparableDecomposition] | None:
-    """A separable decomposition read off the branch form, and its label, or None.
+) -> tuple[str, SeparableDecomposition, int] | None:
+    """A separable decomposition read off the branch form, its label and row count, or None.
 
     The state is sum_b c_b (x) F_b, F_b the product of branch b's factor
     rows, so the apparatus state is sum_{b, b'} G[b', b] |F_b><F_b'| with
-    G[b', b] = <c_b'|c_b>. Equal rows are merged first, and entries of G at
-    or below BRANCH_TOL times its trace are set to 0. A diagonal G gives one
-    term per populated branch. Otherwise, for two pointers, a G with no
-    entry between different rows i of one pointer gives, per row i in
-    order, |f_i><f_i| (x) sum_{jj'} G[ij', ij] |g_j><g_j'| of the other
-    pointer's rows g_j, split into pure terms by one batched ``eigh``. Any
-    other G gives no certificate. A state without branch form is read
-    through its history re-run on its own grids when every phase commutes
-    and every pointer's rows fit its grid, since only those keep the form.
-    Terms below WEIGHT_PRUNE are dropped.
+    G[b', b] = <c_b'|c_b>, each pointer's rows distinct, one per kick
+    (``engine``). Entries of G at or below BRANCH_TOL times its trace are
+    set to 0. A diagonal G gives one term per populated branch.
+    Otherwise, for two pointers, a G with no entry between different rows i
+    of one pointer gives, per row i in order, |f_i><f_i| (x) sum_{jj'}
+    G[ij', ij] |g_j><g_j'| of the other pointer's rows g_j, split into pure
+    terms by one batched ``eigh``. Any other G gives no certificate. A
+    state without branch form whose phases all commute, as one evolved by
+    ``"expm"``, is read through its history re-run on its own grids, if the
+    re-run has a branch form. Terms below WEIGHT_PRUNE are dropped. The
+    row count returned is the most rows any pointer of the form has, which
+    sizes the revalidation grid.
     """
     form = state.branches
-    if (
-        form is None
-        and all(engine._couplings_commute(phase) for phase in state.history)
-        and all(n <= spec.grid.points for n, spec in zip(_branch_rows(state), state.pointers))
-    ):
+    if form is None and all(engine._couplings_commute(phase) for phase in state.history):
         form = _replica(state).branches
     if form is None:
         return None
-    core, rows = _merged_rows(form.core, form.factors)
+    core, rows = form.core, form.factors
+    most = max(map(len, rows))
     shape = core.shape[:-1]
     flat = core.reshape(-1, core.shape[-1])
     gram = flat.conj() @ flat.T
@@ -435,7 +394,7 @@ def _certificate_route(
         method, kind = "commuting-eigenbasis", "commuting-eigenbasis"
         if len(diagonal) == 1:
             method, kind = "uncoupled-product", "uncoupled"
-        return method, _decomposition(state, weights[kept], factors, kind)
+        return method, _decomposition(state, weights[kept], factors, kind), most
     if len(shape) != 2:
         return None
     blocks = gram.reshape(shape + shape)
@@ -454,7 +413,7 @@ def _certificate_route(
         if p == 1:
             factors.reverse()
         kind = "sequential-branches"
-        return kind, _decomposition(state, weights[kept], factors, kind)
+        return kind, _decomposition(state, weights[kept], factors, kind), most
     return None
 
 
@@ -485,10 +444,10 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
     notes: list[str] = []
     route = _certificate_route(state)
     if route is not None:
-        method, certificate = route
+        method, certificate, rows = route
         error = certificate.validate(rho)
         if error <= CERTIFICATE_TOL:
-            points = _revalidation_points(state)
+            points = _revalidation_points(state, rows)
             replica = _replica(state, points)
             replica_route = _certificate_route(replica)
             if replica_route is None:

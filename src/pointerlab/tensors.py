@@ -194,6 +194,25 @@ class Operator:
         v.setflags(write=False)
         return w, v
 
+    @cached_property
+    def eigenspaces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct eigenvalues, ascending, and the projector onto each eigenspace.
+
+        Read-only arrays (m,) and (m, n, n), from ``spectrum``. The input is
+        trusted to HERMITIAN_INPUT_TOL per entry, so by Weyl's inequality
+        each eigenvalue is known to ||E||_2 <= ||E||_F <= n HERMITIAN_INPUT_TOL;
+        neighbours closer than twice that are one eigenvalue, their mean.
+        """
+        w, v = self.spectrum
+        n = len(w)
+        starts = np.flatnonzero(np.diff(w) > 2 * n * HERMITIAN_INPUT_TOL) + 1
+        groups = np.split(np.arange(n), starts)
+        values = np.array([w[g].mean() for g in groups])
+        projectors = np.stack([v[:, g] @ v[:, g].conj().T for g in groups])
+        values.setflags(write=False)
+        projectors.setflags(write=False)
+        return values, projectors
+
 
 @dataclass(frozen=True)
 class StateVector:

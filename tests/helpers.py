@@ -76,3 +76,16 @@ def commuting_family(rng: np.random.Generator, d: int, count: int) -> list[Opera
         Operator(dims, (q * rng.choice([-1.0, 0.0, 1.0], size=d)) @ q.conj().T)
         for _ in range(count)
     ]
+
+
+def branch_kicks(kicks: np.ndarray, couplings: Sequence[Coupling], label: str) -> np.ndarray:
+    """The distinct kicks of pointer ``label``'s branch rows after ``couplings``, sorted.
+
+    ``kicks`` are the rows' kicks before; each coupling on the pointer adds
+    its impulse times each distinct eigenvalue of its observable to every
+    one, in turn, and kicks equal as floats are one row.
+    """
+    for c in couplings:
+        if c.pointer == label:
+            kicks = np.add.outer(kicks, c.impulse * c.observable.eigenspaces[0]).reshape(-1)
+    return np.unique(kicks)

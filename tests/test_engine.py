@@ -49,7 +49,13 @@ from pointerlab.tensors import (
     partial_trace,
 )
 
-from helpers import commuting_family, cross_validate, pure_density, unitary_from_generator
+from helpers import (
+    branch_kicks,
+    commuting_family,
+    cross_validate,
+    pure_density,
+    unitary_from_generator,
+)
 
 FINE = PointerGrid(points=256, length=16.0)
 COARSE = PointerGrid(points=16, length=16.0)
@@ -81,6 +87,26 @@ class TestBuildInitial:
 
 
 class TestEvolve:
+    def test_noncommuting_result_is_kept_not_copied(self):
+        """One noncommuting evolve on 2 x 256 x 256 holds about one state: the
+        spectrum it writes is transformed back in place and kept, read-only
+        down to its base, so the reduced densities view it and copy nothing."""
+        specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
+        state = build_initial(bloch_state(math.pi / 3, 0.7), specs)
+        couplings = [Coupling(pauli(SIGMA_X), "A", 0.4), Coupling(pauli(SIGMA_Z), "B", 0.3)]
+        evolve(state, couplings)  # warms the grids' caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evolved = evolve(state, couplings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (16 * 2 * 256 * 256) <= 1.2
+        amplitudes = evolved.state.amplitudes
+        for rho in (system_density(evolved), apparatus_density(evolved)):
+            assert np.shares_memory(rho.factors, amplitudes)
+
     def test_mean_shift_frozen(self):
         # <sigma_z> at theta = pi/3 is 1/2, so impulse 0.2 moves the mean to 0.1
         state, coupling = _single()
@@ -776,7 +802,7 @@ class TestCommutingBranches:
     def test_branches_match_dense_oracle_and_momentum_blocks(self, d, pointers, seed, data):
         """Degenerate commuting spectra, two couplings on one pointer included.
 
-        A pointer whose branch count d^(couplings on it) exceeds its grid
+        A pointer left with more distinct kicks, one row each, than grid
         points sends the phase to the momentum blocks instead, which also
         serve a commuting phase on a state without branch form.
         """
@@ -793,7 +819,9 @@ class TestCommutingBranches:
             Coupling(op, lab, rng.uniform(-0.6, 0.6))
             for op, lab in zip(commuting_family(rng, d, len(on)), on)
         ]
-        branched = all(d ** on.count(lab) <= grid.points for lab in labels)
+        branched = all(
+            len(branch_kicks(np.zeros(1), couplings, lab)) <= grid.points for lab in labels
+        )
         with mock.patch.object(
             engine_module, "_evolve_blocks", wraps=engine_module._evolve_blocks
         ) as spy:
@@ -871,8 +899,8 @@ class TestFactoredRecord:
     @example(d=2, pointers=2, seed=1, phases=[(False, [0]), (False, [1, 0])])
     # a commuting phase after a noncommuting one
     @example(d=3, pointers=2, seed=2, phases=[(True, [0, 1]), (False, [1])])
-    # more branches than grid points: 3^2 rows on an 8-point pointer
-    @example(d=3, pointers=3, seed=3, phases=[(False, [2]), (False, [0, 0])])
+    # more rows than grid points: 3 x 3 distinct kicks on an 8-point pointer
+    @example(d=3, pointers=3, seed=9, phases=[(False, [2]), (False, [0, 0])])
     def test_record_matches_dense_oracle_and_formed_readouts(self, d, pointers, seed, phases):
         """Each phase against the dense oracle from the same input, and the
         compressed readouts against the same readouts on the formed amplitudes.
@@ -887,7 +915,8 @@ class TestFactoredRecord:
         dims = DimensionSpec.of(("system", d))
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         state = build_initial(StateVector(dims, v / np.linalg.norm(v)), specs)
-        rows = [1] * pointers  # branch rows per pointer, None once the form is left
+        # each pointer's distinct row kicks, None once the form is left
+        kicks = [np.zeros(1)] * pointers
         for noncommuting, on in phases:
             on = [labels[i % pointers] for i in on]
             if noncommuting:
@@ -903,19 +932,21 @@ class TestFactoredRecord:
             phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
             dense = evolve(state, phase, "expm")
             state = evolve(state, phase)
-            grown = None if rows is None or noncommuting else [
-                n * d ** on.count(lab) for n, lab in zip(rows, labels)
+            grown = None if kicks is None or noncommuting else [
+                branch_kicks(k, phase, lab) for k, lab in zip(kicks, labels)
             ]
-            rows = grown if grown and max(grown) <= grid.points else None
+            kicks = grown if grown and max(map(len, grown)) <= grid.points else None
             form = state.branches
-            assert (form is None) == (rows is None)
+            assert (form is None) == (kicks is None)
             if form is not None:
-                assert [len(f) for f in form.factors] == rows
+                for got, want in zip(form.kicks, kicks):
+                    np.testing.assert_array_equal(np.sort(got), want)
+                assert [len(f) for f in form.factors] == list(map(len, kicks))
             gap = np.abs(state.state.amplitudes - dense.state.amplitudes).max()
             assert gap <= 1e-12
         # a fresh copy forms nothing, so its readouts take the compressed core
         lazy = dataclasses.replace(state)
-        assert (lazy.record[1][0] is None) == (rows is None)
+        assert (lazy.record[1][0] is None) == (kicks is None)
         formed = dataclasses.replace(state, _evolved=state.state)
         got, want = _readouts(lazy), _readouts(formed)
         assert got["rank"] == want["rank"]

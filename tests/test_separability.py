@@ -28,7 +28,7 @@ from pointerlab.tensors import (
     partial_trace,
 )
 
-from helpers import commuting_family, pure_density, unitary_from_generator
+from helpers import branch_kicks, commuting_family, pure_density, unitary_from_generator
 
 COARSE = PointerGrid(points=16, length=16.0)
 QUBIT_PAIR = DimensionSpec.of(("a", 2), ("b", 2))
@@ -680,33 +680,46 @@ class TestRevalidationGrid:
 
 
     @pytest.mark.parametrize("points, expected", [(256, 64), (64, 128)])
-    @pytest.mark.parametrize("d, count", [(2, 6), (4, 3)])
-    def test_revalidation_grid_holds_the_branch_rows(self, d, count, points, expected):
-        """64 rows on pointer A, more than the 32-point grid holds: the replica
-        is built where they fit, so it keeps a branch form as the state does."""
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_revalidation_grid_holds_the_branch_rows(self, d, points, expected):
+        """64 distinct kicks on pointer A, more rows than the 32-point grid holds:
+        the replica is built where they fit, so it keeps a branch form as the
+        state does. Six sigma_z couplings at impulses 0.32 / 2^j, or three
+        couplings of a four-level observable at 0.16 / 4^j, give every sum
+        of kicks apart, as binary or base-4 digits."""
         grid = PointerGrid(points=points, length=16.0)
         specs = [PointerSpec("A", grid), PointerSpec("B", grid)]
-        observable = pauli(SIGMA_Z) if d == 2 else PAIR_Z
+        if d == 2:
+            observable, impulses = pauli(SIGMA_Z), 0.32 / 2.0 ** np.arange(6)
+        else:
+            dims = DimensionSpec.of(("system", 4))
+            observable = Operator(dims, np.diag([-1.5, -0.5, 0.5, 1.5]))
+            impulses = 0.16 / 4.0 ** np.arange(3)
         v = np.arange(1, d + 1) + 0.5j
         state = build_initial(StateVector(observable.dims, v / np.linalg.norm(v)), specs)
-        for _ in range(count):
-            state = evolve(state, [Coupling(observable, "A", 0.2)])
+        for impulse in impulses:
+            state = evolve(state, [Coupling(observable, "A", impulse)])
         assert [len(rows) for rows in state.branches.factors] == [64, 1]
         verdict = readability_check(state, CUT_POINTERS)
         assert verdict.status == "separable"
         assert verdict.notes[0].startswith(f"revalidated at {expected} points: ")
 
-    def test_no_rerun_for_rows_beyond_the_grid(self, monkeypatch):
-        """Five sigma_z couplings give 32 rows, more than a 16-point grid holds,
-        so the state has no branch form and neither would its re-run."""
-        monkeypatch.setattr(separability, "_replica", None)
+    @pytest.mark.parametrize("impulse", [0.1, 0.2])
+    def test_repeated_kicks_share_rows(self, impulse):
+        """Five sigma_z couplings on A of a 16-point pair: rows of equal kick are
+        one row, so the state keeps its branch form with 8 rows, not 2^5, and
+        the record, a product since B is never coupled, is certified. The 6
+        kicks of exact arithmetic are 8 in floating point."""
         specs = [PointerSpec("A", COARSE), PointerSpec("B", COARSE)]
         state = build_initial(bloch_state(math.pi / 3, 0.4), specs)
         for _ in range(5):
-            state = evolve(state, [Coupling(pauli(SIGMA_Z), "A", 0.2)])
-        assert state.branches is None
-        assert separability._branch_rows(state) == [32, 1]
-        assert separability._certificate_route(state) is None
+            state = evolve(state, [Coupling(pauli(SIGMA_Z), "A", impulse)])
+        assert [len(rows) for rows in state.branches.factors] == [8, 1]
+        assert len(set(state.branches.kicks[0])) == 8
+        verdict = readability_check(state, CUT_POINTERS)
+        assert (verdict.status, verdict.method) == ("separable", "commuting-eigenbasis")
+        assert verdict.certificate_error <= 1e-14
+        assert verdict.notes[0].startswith("revalidated at 32 points: ")
 
 
 X, Z = pauli(SIGMA_X), pauli(SIGMA_Z)
@@ -745,18 +758,17 @@ CERTIFIED = {
 }
 
 
-def _planted(core, factors):
-    """A two-pointer state on COARSE grids whose branch form is ``(core, factors)``."""
+def _planted(core, kicks):
+    """A two-pointer state on COARSE grids in branch form: ``core``, and on both
+    pointers the packet translated by each of ``kicks``, one row each."""
     system = StateVector(DimensionSpec.of(("system", core.shape[-1])), np.eye(core.shape[-1])[0])
     state = build_initial(system, [PointerSpec("A", COARSE), PointerSpec("B", COARSE)])
-    form = engine._Branches(core, tuple(factors), engine._gram_norm(core, factors))
-    return dataclasses.replace(state, _evolved=form)
-
-
-def _rows(*shifts):
-    """The COARSE packet translated by each of ``shifts``, one per row."""
     packet = gaussian_state(PointerSpec("A", COARSE))
-    return np.stack([translate(packet, a, COARSE).amplitudes for a in shifts])
+    rows = np.stack([translate(packet, a, COARSE).amplitudes for a in kicks])
+    factors = (rows, rows)
+    norm = engine._gram_norm(core, factors)
+    form = engine._Branches(core, factors, (np.array(kicks),) * 2, norm)
+    return dataclasses.replace(state, _evolved=form)
 
 
 class TestCertificateRule:
@@ -814,50 +826,18 @@ class TestCertificateRule:
         assert (verdict.status, verdict.method) == ("separable", method)
         assert verdict.certificate_error <= 1e-12
 
-    @pytest.mark.parametrize("scale, method", [(0.5, "commuting-eigenbasis"), (2.0, None)])
-    def test_gram_entry_near_branch_tol(self, scale, method):
-        """A Gram entry of a multiple of BRANCH_TOL times the trace, between the
-        cores of branches on different rows of both pointers, counts only above it."""
+    @pytest.mark.parametrize("entry, method", [(8e-13, "commuting-eigenbasis"), (1.25e-12, None)])
+    def test_gram_entry_near_branch_tol(self, entry, method):
+        """A Gram entry just below and just above BRANCH_TOL (1e-12) times the
+        trace, between the cores of branches on different rows of both
+        pointers, counts only above it. Literal entries, so that a changed
+        value of the constant is caught."""
         core = np.zeros((2, 2, 4), dtype=complex)
         core.reshape(4, 4)[:] = 0.5 * np.eye(4)
         # <c_00|c_11> = 0.5 * delta, and the trace is 1 + delta^2, 1 in double precision
-        core[1, 1, 0] = 2 * scale * separability.BRANCH_TOL
-        rows = _rows(-0.5, 0.5)
-        route = separability._certificate_route(_planted(core, [rows, rows]))
+        core[1, 1, 0] = 2 * entry
+        route = separability._certificate_route(_planted(core, (-0.5, 0.5)))
         assert (route and route[0]) == method
-
-    @pytest.mark.parametrize("scale, method", [(0.5, "sequential-branches"), (2.0, None)])
-    def test_row_difference_near_branch_tol(self, scale, method):
-        """Two rows of pointer A that differ by a multiple of BRANCH_TOL of their norm.
-
-        The state is f (x) (g + h) (x) u, a product, written as the branches
-        (f, g) and (f', h) with one core u. Merged, A has one row and the
-        Gram matrix no entry between A's rows; unmerged, its one entry joins
-        different rows of both pointers.
-        """
-        rows_a = _rows(0.0, 0.0)
-        rows_a[1] *= 1 + scale * separability.BRANCH_TOL
-        rows_b = _rows(-0.5, 0.5)
-        core = np.zeros((2, 2, 2), dtype=complex)
-        core[0, 0, 0] = core[1, 1, 0] = 1 / np.linalg.norm(rows_b.sum(axis=0))
-        route = separability._certificate_route(_planted(core, [rows_a, rows_b]))
-        assert (route and route[0]) == method
-        if route is not None:
-            assert route[1].weights == pytest.approx([1.0], abs=1e-12)
-
-    def test_row_chain_merges_into_its_first_row_only(self):
-        """Rows f, f' and f'' a step of 0.8 BRANCH_TOL apart: f' is within the
-        tolerance of both neighbours and merges into f, and f'', 1.6 BRANCH_TOL
-        from f, keeps its own row instead of following f' into f."""
-        rows_a = _rows(0.0, 0.0, 0.0)
-        rows_a[1:] *= 1 + 0.8 * separability.BRANCH_TOL * np.array([[1.0], [2.0]])
-        core = np.eye(3, dtype=complex)[:, None, :] / math.sqrt(3)
-        method, certificate = separability._certificate_route(
-            _planted(core, [rows_a, _rows(0.0)])
-        )
-        assert method == "commuting-eigenbasis"
-        # f'' carries its norm, 1 + 1.6 BRANCH_TOL, into its weight
-        assert certificate.weights == pytest.approx([2 / 3, 1 / 3], abs=1e-11)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -870,8 +850,8 @@ class TestCertificateRule:
             max_size=3,
         ),
     )
-    # epr's phase: PAIR_X on A and PAIR_Z on B, rows in identical pairs
-    @example(d=4, seed=1, shared=False, phases=[(True, ["A", "B"])])
+    # epr's phase: PAIR_X on A and PAIR_Z on B, two eigenspaces each, so 2 rows per pointer
+    @example(d=4, seed=2, shared=False, phases=[(True, ["A", "B"])])
     # a degenerate qutrit read by A, then by B twice in one phase
     @example(d=3, seed=2, shared=False, phases=[(False, ["A"]), (False, ["B", "B"])])
     def test_property_certificates_match_dense_oracles(self, d, seed, shared, phases):
@@ -880,11 +860,12 @@ class TestCertificateRule:
         A phase is (pair observables, pointers); on d = 4 the first picks
         PAIR_X or PAIR_Z per coupling instead of a commuting family, which
         is drawn afresh for each phase, or once for the whole history when
-        ``shared``. Whenever a certificate is issued, it rebuilds the dense
-        partial trace and its dense partial transpose is nonnegative. When
-        every observable of the history commutes with every other and each
-        pointer's rows fit its grid, a certificate must be issued: the
-        joint eigenspaces give orthogonal cores.
+        ``shared``. A state in branch form has one row per distinct kick.
+        Whenever a certificate is issued, it rebuilds the dense partial
+        trace and its dense partial transpose is nonnegative. When every
+        observable of the history commutes with every other and the state
+        keeps its branch form, a certificate must be issued: the joint
+        eigenspaces give orthogonal cores.
         """
         rng = np.random.default_rng(seed)
         dims = DimensionSpec.of(("system", d))
@@ -894,6 +875,7 @@ class TestCertificateRule:
             [PointerSpec("A", COARSE), PointerSpec("B", COARSE)],
         )
         family = commuting_family(rng, d, sum(len(on) for _, on in phases))
+        kicks = {"A": np.zeros(1), "B": np.zeros(1)}
         for pair, on in phases:
             if pair and d == 4:
                 pick = rng.integers(2, size=len(on))
@@ -905,11 +887,13 @@ class TestCertificateRule:
             # at most 9 kicks of 0.2 on one pointer stay inside its margin of 2
             phase = [Coupling(op, lab, rng.uniform(-0.2, 0.2)) for op, lab in zip(observables, on)]
             state = evolve(state, phase)
+            kicks = {lab: branch_kicks(k, phase, lab) for lab, k in kicks.items()}
+        form = state.branches
+        if form is not None:
+            assert [len(rows) for rows in form.factors] == [len(kicks["A"]), len(kicks["B"])]
         verdict = readability_check(state, CUT_POINTERS)
         couplings = [c for phase in state.history for c in phase]
-        if engine._couplings_commute(couplings) and all(
-            n <= COARSE.points for n in separability._branch_rows(state)
-        ):
+        if engine._couplings_commute(couplings) and form is not None:
             assert verdict.status == "separable", (d, phases)
         if verdict.certificate is not None:
             _dense_oracles(state, verdict.certificate)

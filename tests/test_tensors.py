@@ -30,7 +30,7 @@ from pointerlab.tensors import (
     trace_distance,
 )
 
-from helpers import pure_density, unitary_from_generator
+from helpers import commuting_family, pure_density, unitary_from_generator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -268,6 +268,36 @@ class TestEigh:
         with pytest.raises(ValueError, match="read-only"):
             v[0, 0] = 0.0
         np.testing.assert_array_equal(op.spectrum[0], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigenspaces_of_degenerate_spectra(self, d, seed):
+        """Eigenvalues in {-1, 0, 1}, repeated ones split by eigh's roundoff, are one
+        eigenspace each: the projectors are orthogonal, of the multiplicity's rank,
+        sum to the identity and rebuild the matrix."""
+        (op,) = commuting_family(np.random.default_rng(seed), d, 1)
+        values, projectors = op.eigenspaces
+        w = np.linalg.eigvalsh(op.matrix)
+        want = np.unique(np.round(w))
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-14)
+        eye = np.eye(d)
+        np.testing.assert_allclose(projectors.sum(axis=0), eye, rtol=0, atol=1e-14)
+        rebuilt = np.einsum("j,jab->ab", values, projectors)
+        np.testing.assert_allclose(rebuilt, op.matrix, rtol=0, atol=1e-14)
+        for value, p in zip(values, projectors):
+            np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-14)
+            assert round(np.trace(p).real) == np.count_nonzero(np.abs(w - value) < 1e-9)
+        assert op.eigenspaces[0] is values and not values.flags.writeable
+        assert not projectors.flags.writeable
+
+    @pytest.mark.parametrize("gap, count", [(3e-12, 1), (5e-12, 2)])
+    def test_eigenvalues_within_the_input_tolerance_are_one(self, gap, count):
+        """Two eigenvalues of a qubit within 2 n HERMITIAN_INPUT_TOL = 4e-12 are one,
+        their mean; literal gaps, so a changed bound is caught."""
+        values, projectors = Operator(Q, np.diag([1.0, 1.0 + gap])).eigenspaces
+        assert len(values) == len(projectors) == count
+        if count == 1:
+            assert values[0] == pytest.approx(1.0 + gap / 2, abs=1e-15)
 
     def test_cached_values_agree_across_threads(self):
         """Threads that race to fill the cached values all read the same numbers."""

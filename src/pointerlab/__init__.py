@@ -57,9 +57,7 @@ from .tensors import (
     StateVector,
     expectation,
     kron_states,
-    partial_trace,
     schmidt,
-    trace_distance,
 )
 
 __version__ = "0.1.0"

@@ -863,13 +863,13 @@ def partial_sums(
 
 def apparatus_density(state: UnifiedState) -> DensityMatrix:
     """Reduced density matrix of all pointers, system traced out."""
-    return DensityMatrix.from_factors(state.pointer_dims(), state.matrix().T)
+    return DensityMatrix(state.pointer_dims(), state.matrix().T)
 
 
 def system_density(state: UnifiedState) -> DensityMatrix:
     """Reduced density matrix of the system, C C-dagger from the core C of ``record``."""
     core, _ = state.record
-    return DensityMatrix.from_factors(state.system, core.reshape(state.system.total, -1))
+    return DensityMatrix(state.system, core.reshape(state.system.total, -1))
 
 
 def system_schmidt(state: UnifiedState) -> tuple[np.ndarray, int]:
@@ -962,7 +962,7 @@ def postselect(state: UnifiedState, final: StateVector) -> Postselection:
             f"post-selection probability {probability:.3e} is numerically zero"
         )
     pdims = state.pointer_dims()
-    apparatus = DensityMatrix.from_factors(pdims, v[:, None], normalized=False)
+    apparatus = DensityMatrix(pdims, v[:, None], normalized=False)
     shape = tuple(s.grid.points for s in state.pointers)
     weights = (np.abs(v) ** 2).reshape(shape)
     unnorm: dict[str, float] = {}

@@ -66,17 +66,10 @@ EPR_WEIGHT_TOL = 1e-10
 # epr: largest |<zz> + 1| and Var(zz) of a sharp anticorrelation. A choice:
 # on the anticorrelated subspace both are roundoff of a four-amplitude sum.
 SHARP_CORRELATION_TOL = 1e-12
-# sequential: the conditioned-readout check runs only where a drag is
-# expected, when the first observable's second-largest branch population is
-# at least CONDITIONING_MIN_POPULATION and the second pointer's predicted
-# shift |impulse * <A>| at least CONDITIONING_MIN_SHIFT. Choices: at the
-# defaults they are 0.25 and 0.43, and below them the drag can sit under
-# CONDITIONED_SHIFT_MIN.
-CONDITIONING_MIN_POPULATION = 0.05
-CONDITIONING_MIN_SHIFT = 0.01
 # sequential: smallest move of the conditioned second readout, off its
-# unconditioned mean, that counts as a drag. A choice, five orders above
-# READOUT_TOL and well below the default drag of 0.064.
+# unconditioned mean, that counts as a drag. The check runs only where the
+# predicted drag exceeds it. A choice, five orders above READOUT_TOL and
+# well below the default drag of 0.064.
 CONDITIONED_SHIFT_MIN = 1e-3
 # sequential: largest change of a commuting observable's expectation by the
 # first coupling. A choice: the change is roundoff of a 2 x 2 density
@@ -254,18 +247,19 @@ class Scenario:
     system: Callable[[float, float], StateVector] = bloch_state
 
 
-def _sampled_overlap(spec: PointerSpec, d1: float, d2: float) -> float:
-    """Overlap of two displaced packets, each sampled directly on the grid.
+def _sampled_packet(spec: PointerSpec, shift: float) -> np.ndarray:
+    """The pointer's packet displaced by ``shift``, sampled directly on the grid.
 
     Avoids the engine's Fourier translation: the independent route for overlaps.
     """
     x = spec.grid.positions()
+    amp = np.exp(-((x - spec.x0 - shift) ** 2) / (4.0 * spec.sigma**2))
+    return amp / np.linalg.norm(amp)
 
-    def packet(center: float) -> np.ndarray:
-        amp = np.exp(-((x - center) ** 2) / (4.0 * spec.sigma**2))
-        return amp / np.linalg.norm(amp)
 
-    return float(packet(spec.x0 + d1) @ packet(spec.x0 + d2))
+def _sampled_overlap(spec: PointerSpec, d1: float, d2: float) -> float:
+    """Overlap of two displaced packets, each sampled directly on the grid."""
+    return float(_sampled_packet(spec, d1) @ _sampled_packet(spec, d2))
 
 
 def _evolve(
@@ -655,14 +649,18 @@ def _epr(run: Run) -> Measured:
     pred_b = cfg.x0_b + coupling_b.impulse * expectation(coupling_b.observable, system).real
 
     # Independent weight prediction: populations of the product eigenvectors
-    # of the two local observables.
-    va, vb = PAULI_X.spectrum[1], PAULI_Z.spectrum[1]
-    populations = (
-        float(abs(np.kron(va[:, i], vb[:, j]).conj() @ system.amplitudes) ** 2)
-        for i in range(2)
-        for j in range(2)
+    # of the two local observables, summed over those that share a kick pair,
+    # as the engine keeps one branch per distinct kick.
+    (wa, va), (wb, vb) = PAULI_X.spectrum, PAULI_Z.spectrum
+    populations: dict[tuple[float, float], float] = {}
+    for i in range(2):
+        for j in range(2):
+            kick = (coupling_a.impulse * float(wa[i]), coupling_b.impulse * float(wb[j]))
+            population = abs(np.kron(va[:, i], vb[:, j]).conj() @ system.amplitudes) ** 2
+            populations[kick] = populations.get(kick, 0.0) + float(population)
+    predicted_weights = sorted(
+        w for w in populations.values() if w >= separability.WEIGHT_PRUNE
     )
-    predicted_weights = sorted(w for w in populations if w >= separability.WEIGHT_PRUNE)
     certificate = verdict.certificate
     cert_weights = sorted(certificate.weights) if certificate is not None else []
     weights_match = len(cert_weights) == len(predicted_weights) and all(
@@ -717,31 +715,30 @@ def _sequential(run: Run) -> Measured:
     wb, vb = first_obs.spectrum
     amps_b = vb.conj().T @ system.amplitudes
     a_in_b = vb.conj().T @ second_obs.matrix @ vb
-    damped_sum = 0.0
-    for i in range(len(wb)):
-        for j in range(len(wb)):
-            overlap = _sampled_overlap(
-                spec_b, first.impulse * float(wb[i]), first.impulse * float(wb[j])
-            )
-            coherence = np.conj(amps_b[i]) * amps_b[j] * a_in_b[i, j]
-            damped_sum += float(coherence.real) * overlap
-    pred_a_damped = cfg.x0_a + second.impulse * damped_sum
+    coherences = (np.conj(amps_b)[:, None] * amps_b[None, :] * a_in_b).real
+    packets = np.stack([_sampled_packet(spec_b, first.impulse * float(w)) for w in wb])
+    pred_a_damped = cfg.x0_a + second.impulse * float(np.sum(coherences * (packets @ packets.T)))
     predicted_gap = abs(pred_a_damped - pred_a_undamped)
     allow_a = READOUT_TOL + (0.0 if predicted_gap <= READOUT_TOL else 1.2 * predicted_gap)
 
     # Conditioning on the first pointer landing above its starting center.
-    above = {"B": (spec_b.grid.positions() > cfg.x0_b).astype(float)}
+    region = spec_b.grid.positions() > cfg.x0_b
+    above = {"B": region.astype(float)}
     cond_prob = engine.pointer_expectation(state, above)
     cond_mean_a = engine.pointer_expectation(
         state, {**above, "A": spec_a.grid.positions()}
     ) / cond_prob
     deviation = abs(cond_mean_a - mean_a)
-    conditioning_active = (
-        not engine.commutes(first_obs, second_obs)
-        and float(np.sort(np.abs(amps_b) ** 2)[-2]) >= CONDITIONING_MIN_POPULATION
-        and abs(expectation(second_obs, system).real * second.impulse)
-        >= CONDITIONING_MIN_SHIFT
+    # Its prediction from the same sampled packets, restricted to that region:
+    # branch i of the first observable leaves the packet phi_i on B, so
+    # <x_A | B above> = x0_a + impulse * sum_ij Re(conj(c_i) c_j A_ij) O_ij
+    # / sum_i |c_i|^2 O_ii, with O_ij the sum of phi_i phi_j over the region.
+    restricted = packets[:, region] @ packets[:, region].T
+    populations = np.abs(amps_b) ** 2
+    pred_cond_mean_a = cfg.x0_a + second.impulse * float(
+        np.sum(coherences * restricted) / (populations @ np.diag(restricted))
     )
+    conditioning_active = abs(pred_cond_mean_a - pred_a_damped) > CONDITIONED_SHIFT_MIN
     notes = ["first coupling acts on pointer B, second on pointer A"]
     if not conditioning_active:
         notes.insert(0, "conditioned-readout check idle: no disturbance expected here")

@@ -24,10 +24,8 @@ compared against the actual reduced state, from the state's own apparatus
 columns rather than its branch form, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
 artifacts, and fine enough to hold the branch rows the certificate was
-read from. A state without branch form whose phases all commute, as one
-evolved by ``"expm"``, is read through its history re-run by the shift
-integrator on its own grids, if the re-run has a branch form. Each term's
-column is an outer product of its factors.
+read from. A state without branch form, as one evolved by ``"expm"``, gets
+no certificate. Each term's column is an outer product of its factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
@@ -35,9 +33,7 @@ k. It compresses each Psi_k onto the Schmidt supports of the two sides of
 the cut, which have dimension r_A and r_B, and eigensolves an (r_A * r_B)-
 dimension partial transpose instead of the N x N one. Weyl's inequality
 bounds the error by the Frobenius norm of what the compression drops; a
-bound above SUPPORT_BOUND_TOL raises instead of answering. A matrix supplied
-whole is transposed and eigensolved densely, which the tests use as the
-oracle.
+bound above SUPPORT_BOUND_TOL raises instead of answering.
 
 ``readability_check`` forms no N x N apparatus matrix, so a verdict has no
 size limit of its own; ``engine.DENSE_LIMIT`` bounds only the dense
@@ -65,7 +61,6 @@ from .tensors import (
     cut_sides,
     factored_distance,
     half_trace_norm,
-    trace_distance,
 )
 
 # Partial-transpose spectrum below this is reported as entanglement.
@@ -140,23 +135,13 @@ class SeparableDecomposition:
         ]
         return np.stack(columns, axis=-1).reshape(dims.total, len(columns))
 
-    def reconstruct(self, dims: DimensionSpec, normalized: bool = True) -> DensityMatrix:
-        """Assemble the density matrix the decomposition claims to equal."""
-        total = np.zeros((dims.total, dims.total), dtype=complex)
-        for weight, amp in zip(self.weights, self._columns(dims).T):
-            total += weight * np.outer(amp, amp.conj())
-        return DensityMatrix(dims, total, normalized=normalized)
-
     def validate(self, target: DensityMatrix) -> float:
-        """Trace distance between the reconstruction and the target state.
+        """Trace distance between the mixture the decomposition claims and the target state.
 
-        A target built from factors is compared through its columns: the
-        reconstruction's trace and spectrum floor are checked on its Gram
-        matrix, and the distance comes from the stacked columns of both, so
-        no N x N matrix is formed. Any other target is compared densely.
+        The target is compared through its columns: the mixture's trace and
+        spectrum floor are checked on its Gram matrix, and the distance comes
+        from the stacked columns of both, so no N x N matrix is formed.
         """
-        if target.factors is None:
-            return trace_distance(self.reconstruct(target.dims, target.normalized), target)
         columns = self._columns(target.dims) * np.sqrt(self.weights)
         return factored_distance(columns, target)
 
@@ -180,10 +165,8 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
 
     Negative values witness entanglement across the cut; for a pair of
     qubit-sized factors nonnegativity is also sufficient for separability,
-    while for larger factors it is only necessary. A state built from
-    factors is compressed onto its Schmidt support first
-    (``_support_ppt_min``); a matrix supplied whole is transposed and
-    eigensolved as it is.
+    while for larger factors it is only necessary. The state is
+    compressed onto its Schmidt support first (``_support_ppt_min``).
     """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
@@ -191,20 +174,13 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     order = [rho.dims.axis(lab) for lab in left + right]
     dl = math.prod(rho.dims.dim(lab) for lab in left)
     dr = math.prod(rho.dims.dim(lab) for lab in right)
-    if rho.factors is not None:
-        low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
-        if not bound <= SUPPORT_BOUND_TOL:
-            raise ValueError(
-                f"compressed partial transpose is off by up to {bound:.3e}, "
-                f"above {SUPPORT_BOUND_TOL:.0e}; no verdict"
-            )
-        return low
-    sizes = rho.dims.sizes
-    n = len(sizes)
-    t = rho.matrix.reshape(sizes + sizes)
-    t = np.transpose(t, order + [n + i for i in order])
-    m = t.reshape(dl, dr, dl, dr).transpose(0, 3, 2, 1).reshape(dl * dr, dl * dr)
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+    low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
+    if not bound <= SUPPORT_BOUND_TOL:
+        raise ValueError(
+            f"compressed partial transpose is off by up to {bound:.3e}, "
+            f"above {SUPPORT_BOUND_TOL:.0e}; no verdict"
+        )
+    return low
 
 
 def _support_ppt_min(
@@ -307,14 +283,9 @@ def first_order_product_certificate(
     return SeparableDecomposition((term,), kind="first-order-product"), defect
 
 
-def _replica(state: UnifiedState, points: int | None = None) -> UnifiedState:
-    """Re-run the recorded history by the shift integrator on ``points`` sites per pointer.
-
-    ``points`` None keeps every pointer's own grid.
-    """
-    specs = state.pointers
-    if points is not None:
-        specs = tuple(dc_replace(s, grid=dc_replace(s.grid, points=points)) for s in specs)
+def _replica(state: UnifiedState, points: int) -> UnifiedState:
+    """Re-run the recorded history by the shift integrator on ``points`` sites per pointer."""
+    specs = tuple(dc_replace(s, grid=dc_replace(s.grid, points=points)) for s in state.pointers)
     rebuilt = engine.build_initial(state.initial_system, specs)
     for phase in state.history:
         rebuilt = engine.evolve(rebuilt, phase)
@@ -368,16 +339,12 @@ def _certificate_route(
     Otherwise, for two pointers, a G with no entry between different rows i
     of one pointer gives, per row i in order, |f_i><f_i| (x) sum_{jj'}
     G[ij', ij] |g_j><g_j'| of the other pointer's rows g_j, split into pure
-    terms by one batched ``eigh``. Any other G gives no certificate. A
-    state without branch form whose phases all commute, as one evolved by
-    ``"expm"``, is read through its history re-run on its own grids, if the
-    re-run has a branch form. Terms below WEIGHT_PRUNE are dropped. The
+    terms by one batched ``eigh``. Any other G, or a state without branch
+    form, gives no certificate. Terms below WEIGHT_PRUNE are dropped. The
     row count returned is the most rows any pointer of the form has, which
     sizes the revalidation grid.
     """
     form = state.branches
-    if form is None and all(engine._couplings_commute(phase) for phase in state.history):
-        form = _replica(state).branches
     if form is None:
         return None
     core, rows = form.core, form.factors

@@ -2,7 +2,7 @@
 
 Hilbert spaces in this package are explicit tensor products of named
 factors, for example ``(("system", 2), ("A", 256))``. Every state and
-operator carries its factor layout, so partial traces and bipartite cuts
+operator carries its factor layout, so reductions and bipartite cuts
 never address a subsystem by bare axis position.
 
 States and operators are dense arrays. A state can be large (epr's readout
@@ -12,23 +12,20 @@ integrator included, which applies its generator factor by factor.
 An Operator is always Hermitian, checked once when built and stored
 exactly Hermitian, so real-weighted sums of kron products of Operator
 matrices are exactly Hermitian too and are never re-checked.
-One structure is kept on purpose.
-A density matrix built from r columns, rho = U U-dagger, remembers U
-(``DensityMatrix.from_factors``), as a read-only view when the columns are
-read-only down to their base, as a state's amplitudes are, and as a copy
-otherwise. The apparatus and system reductions and
-the post-selected apparatus are built that way; the apparatus state has
-rank at most the system dimension. Such a matrix is checked from U alone:
-its trace as the squared Frobenius norm of U, which also refuses NaN and
-infinite columns, and, when r is below the matrix dimension N, its spectrum
-floor on the r x r Gram matrix U-dagger U, which has the same nonzero
-spectrum. The N x N matrix U U-dagger is formed, and its Hermiticity
-checked, only when ``matrix`` is first read, as ``partial_trace``, the dense
-``trace_distance`` and the dense partial-transpose oracle do. The trace
-distance from such a matrix to a certificate or to another factored matrix
-(``factored_distance``) comes from a thin QR of the stacked columns, so no
-N x N eigensolve runs. Matrices supplied whole keep every check, the full
-spectrum included.
+A density matrix has one form. Every reduced state here is rho = U U-dagger
+for a few columns U, so ``DensityMatrix`` keeps U, as a read-only view when
+the columns are read-only down to their base, as a state's amplitudes are,
+and as a copy otherwise. The apparatus and system reductions and the
+post-selected apparatus are built that way; the apparatus state has rank at
+most the system dimension. A density matrix is checked from U alone: its
+trace as the squared Frobenius norm of U, which also refuses NaN and
+infinite columns, and its spectrum floor on the smaller of U U-dagger and
+the r x r Gram matrix U-dagger U, which share their nonzero spectrum. The
+N x N matrix U U-dagger is formed, and its Hermiticity checked, when
+``matrix`` is first read, which construction does only when r is at least
+N. The trace distance from U U-dagger to a
+certificate (``factored_distance``) comes from a thin QR of the stacked
+columns of both, so no N x N eigensolve runs.
 
 Quantities derived from immutable objects are computed once and kept on
 the object: ``DimensionSpec.labels``, ``sizes`` and ``total``, an
@@ -280,75 +277,38 @@ class StateVector:
 
 @dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
-    """Positive-semidefinite matrix on a labeled product space.
+    """U U-dagger on a labeled product space, kept as its columns U (``factors``).
 
-    Construction verifies Hermiticity, spectrum above EIGENVALUE_FLOOR and,
-    unless ``normalized=False``, unit trace. Unnormalized matrices appear as
-    post-selected reductions, whose trace is the selection probability.
-
-    ``factors`` holds the columns U when the matrix was built by
-    ``from_factors`` as U U-dagger, and is None for a matrix supplied whole,
-    which always gets the full-spectrum check. For a factored matrix the
-    Hermiticity check waits for the first read of ``matrix``, which is when
-    U U-dagger is formed. ``_factors`` is keyword-only and for
-    ``from_factors`` alone, which passes no matrix.
+    Complex columns that are read-only down to their base, such as a
+    state's amplitudes, are kept as a view; any others are copied.
+    Construction checks the trace, unit unless ``normalized=False``, as the
+    squared Frobenius norm of U, and the spectrum floor on the smaller of
+    the r x r Gram matrix and the matrix itself; both share their nonzero
+    spectrum. Unnormalized matrices appear as post-selected reductions,
+    whose trace is the selection probability. The N x N matrix is formed,
+    and its Hermiticity checked, when ``matrix`` is first read.
     """
 
     dims: DimensionSpec
     normalized: bool
     trace: float
-    factors: np.ndarray | None = field(repr=False)
+    factors: np.ndarray = field(repr=False)
 
     def __init__(
-        self,
-        dims: DimensionSpec,
-        matrix: np.ndarray | None,
-        normalized: bool = True,
-        *,
-        _factors: np.ndarray | None = None,
+        self, dims: DimensionSpec, factors: np.ndarray, normalized: bool = True
     ) -> None:
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "normalized", normalized)
-        object.__setattr__(self, "factors", _factors)
-        n = dims.total
-        if _factors is None:
-            m = _frozen(matrix)
-            if m.shape != (n, n):
-                raise ValueError(f"matrix shape {m.shape} does not match dims total {n}")
-            _check_hermitian(m)
-            tr = m.trace()
-            _check_trace(tr, normalized)
-            _check_floor(m, tr)
-            self.__dict__["matrix"] = m  # where the cached property looks first
-        else:
-            tr = np.vdot(_factors, _factors)
-            _check_trace(tr, normalized)
-            if _factors.shape[1] >= n:
-                _check_floor(self.matrix, tr)
-            else:
-                _check_floor(_gram(_factors), tr)
-        object.__setattr__(self, "trace", float(tr.real))
-
-    @classmethod
-    def from_factors(
-        cls, dims: DimensionSpec, columns: np.ndarray, normalized: bool = True
-    ) -> "DensityMatrix":
-        """U U-dagger from the columns U, which the result keeps as ``factors``.
-
-        Complex columns that are read-only down to their base, such as a
-        state's amplitudes, are kept as a view; any others are copied.
-
-        The trace is checked as the squared Frobenius norm of U, and the
-        spectrum floor on the smaller of the r x r Gram matrix and the matrix
-        itself; both share their nonzero spectrum. The N x N matrix is formed
-        and its Hermiticity checked only when ``matrix`` is first read.
-        """
-        u = columns.view() if _unwritable(columns) else _frozen(columns)
+        u = factors.view() if _unwritable(factors) else _frozen(factors)
         if u.ndim != 2 or u.shape[0] != dims.total:
             raise ValueError(
                 f"columns of shape {u.shape} do not match dims total {dims.total}"
             )
-        return cls(dims, None, normalized, _factors=u)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "factors", u)
+        tr = np.vdot(u, u)
+        _check_trace(tr, normalized)
+        _check_floor(self.matrix if u.shape[1] >= dims.total else _gram(u), tr)
+        object.__setattr__(self, "trace", float(tr.real))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -416,15 +376,13 @@ def half_trace_norm(columns: np.ndarray, signs: np.ndarray) -> float:
 
 
 def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
-    """Trace distance between the candidate C C-dagger and a target built from factors.
+    """Trace distance between the candidate C C-dagger and a target density matrix.
 
     The candidate's trace (unit when the target is normalized) and spectrum
     floor are checked on its r x r Gram matrix, and the distance comes from
     the stacked columns of both, so no N x N matrix is formed. Weighted
     candidates pass columns scaled by the square roots of their weights.
     """
-    if target.factors is None:
-        raise ValueError("factored distance needs a target built from factors")
     c = np.asarray(columns, dtype=complex)
     if c.ndim != 2 or c.shape[0] != target.dims.total:
         raise ValueError(
@@ -462,25 +420,6 @@ def kron_states(*states: StateVector) -> StateVector:
         normalized=all(s.normalized for s in states),
         norm=math.prod(s.norm for s in states),
     )
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out every factor not named in ``keep``."""
-    keep = tuple(keep)
-    if not keep:
-        raise ValueError("must keep at least one factor")
-    sub = rho.dims.subset(keep)
-    sizes = rho.dims.sizes
-    n = len(sizes)
-    t = rho.matrix.reshape(sizes + sizes)
-    keep_axes = [rho.dims.axis(lab) for lab in sub.labels]
-    # einsum with repeated indices on the traced factors
-    row = list(range(n))
-    col = [i + n if i in keep_axes else i for i in range(n)]
-    out_idx = [i for i in keep_axes] + [i + n for i in keep_axes]
-    reduced = np.einsum(t, row + col, out_idx)
-    d = sub.total
-    return DensityMatrix(sub, reduced.reshape(d, d), normalized=rho.normalized)
 
 
 def expectation(op: Operator, state: StateVector) -> complex:
@@ -626,16 +565,3 @@ def schmidt(state: StateVector, cut: Cut) -> tuple[np.ndarray, int]:
     dl = math.prod(state.dims.dim(lab) for lab in left)
     m = t.reshape(dl, -1)
     return schmidt_values(m, min(m.shape))
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference.
-
-    When both matrices carry factors only their stacked columns are used.
-    """
-    if a.dims != b.dims:
-        raise ValueError("trace distance needs matching factor layouts")
-    if a.factors is not None and b.factors is not None:
-        return factored_distance(a.factors, b)
-    diff = a.matrix - b.matrix
-    return float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum() / 2.0)

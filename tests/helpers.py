@@ -1,18 +1,24 @@
 """Oracles the tests check the package against, kept apart from the code they check."""
 
 import math
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from pointerlab.engine import Coupling, UnifiedState, evolve
 from pointerlab.pointer import PointerGrid
+from pointerlab.separability import SeparableDecomposition
 from pointerlab.tensors import (
     HERMITIAN_DERIVED_TOL,
-    DensityMatrix,
+    Cut,
     DimensionSpec,
     Operator,
     StateVector,
+    _check_floor,
+    _check_hermitian,
+    _check_trace,
+    cut_sides,
     hermiticity_defect,
     max_abs,
 )
@@ -57,10 +63,82 @@ def cross_validate(state: UnifiedState, couplings: Sequence[Coupling]) -> float:
     return float(np.abs(via_shift.state.amplitudes - via_dense.state.amplitudes).max())
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    """|psi><psi| supplied whole, so it takes the dense checks and dense routes."""
+def whole_density(matrix: np.ndarray, normalized: bool = True) -> np.ndarray:
+    """A density matrix supplied whole, as a read-only array, checked whole.
+
+    The package keeps every density matrix as its columns U and checks U;
+    the oracles below work on the N x N matrix and check that instead: its
+    Hermiticity, its trace (unit unless ``normalized=False``) and the floor
+    of its full spectrum.
+    """
+    m = np.array(matrix, dtype=complex)
+    _check_hermitian(m)
+    tr = m.trace()
+    _check_trace(tr, normalized)
+    _check_floor(m, tr)
+    m.setflags(write=False)
+    return m
+
+
+def pure_density(state: StateVector) -> np.ndarray:
+    """|psi><psi| as a whole matrix."""
     v = state.amplitudes
-    return DensityMatrix(state.dims, np.outer(v, v.conj()), normalized=state.normalized)
+    return whole_density(np.outer(v, v.conj()), normalized=state.normalized)
+
+
+def partial_trace(
+    rho: np.ndarray, dims: DimensionSpec, keep: Sequence[str], normalized: bool = True
+) -> np.ndarray:
+    """Trace the whole matrix ``rho`` on ``dims`` over every factor not named in ``keep``.
+
+    The kept factors stay in ``dims`` order.
+    """
+    keep = tuple(keep)
+    if not keep:
+        raise ValueError("must keep at least one factor")
+    sub = dims.subset(keep)
+    n = len(dims.sizes)
+    keep_axes = [dims.axis(lab) for lab in sub.labels]
+    # einsum with repeated indices on the traced factors
+    row = list(range(n))
+    col = [i + n if i in keep_axes else i for i in range(n)]
+    out = keep_axes + [i + n for i in keep_axes]
+    reduced = np.einsum(rho.reshape(dims.sizes + dims.sizes), row + col, out)
+    return whole_density(reduced.reshape(sub.total, sub.total), normalized)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the trace norm of the difference of two whole matrices, from its full spectrum."""
+    if a.shape != b.shape:
+        raise ValueError(f"trace distance needs matching shapes, got {a.shape} and {b.shape}")
+    diff = a - b
+    return float(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)).sum() / 2.0)
+
+
+def reconstruct(
+    decomposition: SeparableDecomposition, dims: DimensionSpec, normalized: bool = True
+) -> np.ndarray:
+    """The whole matrix a decomposition claims: its weighted product states, summed.
+
+    Each term's product is a kron chain of its factors in ``dims`` order.
+    """
+    total = np.zeros((dims.total, dims.total), dtype=complex)
+    for term in decomposition.terms:
+        amp = reduce(np.kron, [term.factors[label].amplitudes for label in dims.labels])
+        total += term.weight * np.outer(amp, amp.conj())
+    return whole_density(total, normalized)
+
+
+def dense_ppt_min(rho: np.ndarray, dims: DimensionSpec, cut: Cut) -> float:
+    """Smallest eigenvalue of the whole matrix after transposing the cut's second side."""
+    left, right = cut_sides(dims, cut)
+    order = [dims.axis(lab) for lab in left + right]
+    dl = math.prod(dims.dim(lab) for lab in left)
+    dr = math.prod(dims.dim(lab) for lab in right)
+    n = len(dims.sizes)
+    t = np.transpose(rho.reshape(dims.sizes + dims.sizes), order + [n + i for i in order])
+    m = t.reshape(dl, dr, dl, dr).transpose(0, 3, 2, 1).reshape(dl * dr, dl * dr)
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
 
 
 def commuting_family(rng: np.random.Generator, d: int, count: int) -> list[Operator]:

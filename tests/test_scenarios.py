@@ -372,18 +372,18 @@ class TestSimultaneous:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize(
-        "scale, failed", [(0.5, {"joint_moment_nonfactorizing"}), (2.0, set())]
+        "gap, failed", [(7e-7, {"joint_moment_nonfactorizing"}), (1.4e-6, set())]
     )
-    def test_factorization_check_near_its_tolerance(self, monkeypatch, scale, sign, failed):
-        """A measured gap of a multiple of FACTORIZATION_GAP_TOL counts only above it."""
-        gap = sign * scale * scenarios.FACTORIZATION_GAP_TOL
-        assert self._failed(monkeypatch, gap) == failed
+    def test_factorization_check_near_its_tolerance(self, monkeypatch, gap, sign, failed):
+        """A measured gap of 0.7 and 1.4 times FACTORIZATION_GAP_TOL (1e-6) counts only above it."""
+        assert self._failed(monkeypatch, sign * gap) == failed
 
     @pytest.mark.parametrize(
-        "scale, failed", [(0.5, set()), (2.0, {"joint_moment_nonfactorizing"})]
+        "predicted, failed", [(1.4e-6, set()), (2.8e-6, {"joint_moment_nonfactorizing"})]
     )
-    def test_factorization_gate_near_its_threshold(self, monkeypatch, scale, failed):
-        """With no measured gap, the check is idle below FACTORIZATION_GAP_MIN and fails above.
+    def test_factorization_gate_near_its_threshold(self, monkeypatch, predicted, failed):
+        """With no measured gap, the check is idle below FACTORIZATION_GAP_MIN (2e-6) and
+        fails above; the predicted gaps are 0.7 and 1.4 times it.
 
         For sigma_x on A and sigma_z on B at equal impulse g the predicted
         gap is g^2 <sigma_x><sigma_z>, with <sigma_x> = sin(theta) and
@@ -391,7 +391,7 @@ class TestSimultaneous:
         """
         cfg = DEFAULTS["simultaneous"]
         product = math.sin(cfg.theta_i) * math.cos(cfg.theta_i)
-        g = math.sqrt(scale * scenarios.FACTORIZATION_GAP_MIN / product) / cfg.t
+        g = math.sqrt(predicted / product) / cfg.t
         cfg = dataclasses.replace(cfg, g_a=g, g_b=g)
         assert self._failed(monkeypatch, 0.0, cfg) == failed
 
@@ -502,34 +502,35 @@ class TestWeakOrders:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize(
-        "order, scale, failed",
+        "order, offset, failed",
         [
-            (1, 0.5, set()),
-            (1, 2.0, {"order1_defect_scales_quadratically"}),
-            (2, 0.5, set()),
-            (2, 2.0, {"order2_defect_scales_cubically"}),
+            (1, 0.35, set()),
+            (1, 0.7, {"order1_defect_scales_quadratically"}),
+            (2, 0.7, set()),
+            (2, 1.4, {"order2_defect_scales_cubically"}),
         ],
     )
     def test_ratio_windows_near_their_slack(
-        self, orders_run, monkeypatch, order, scale, sign, failed
+        self, orders_run, monkeypatch, order, offset, sign, failed
     ):
-        """One halving ratio off its prediction by a multiple of its slack, the other exact."""
-        slack = {1: scenarios.ORDER1_RATIO_SLACK, 2: scenarios.ORDER2_RATIO_SLACK}[order]
+        """One halving ratio off its prediction by 0.7 and 1.4 times its slack, the other
+        exact: ORDER1_RATIO_SLACK is 0.5 and ORDER2_RATIO_SLACK 1.0."""
         ratios = {1: 4.0, 2: 8.0}
-        ratios[order] += sign * scale * slack
+        ratios[order] += sign * offset
         defects = [[1e-3, 1e-3 / ratios[1]], [1e-5, 1e-5 / ratios[2]]]
         monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: defects)
         assert self._failed(orders_run) == failed
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"weak_limit_ppt_vanishes"})])
-    def test_weak_ppt_near_its_tolerance(self, orders_run, monkeypatch, scale, failed):
-        """The weak probe, the second witness taken, reads -scale * WEAK_PPT_TOL."""
+    @pytest.mark.parametrize("ppt, failed", [(7e-9, set()), (1.4e-8, {"weak_limit_ppt_vanishes"})])
+    def test_weak_ppt_near_its_tolerance(self, orders_run, monkeypatch, ppt, failed):
+        """The weak probe, the second witness taken, reads -0.7 and -1.4 times
+        WEAK_PPT_TOL (1e-8)."""
         original = separability.ppt_min_eigenvalue
         calls = []
 
         def planted(rho, cut):
             calls.append(cut)
-            return original(rho, cut) if len(calls) == 1 else -scale * scenarios.WEAK_PPT_TOL
+            return original(rho, cut) if len(calls) == 1 else -ppt
 
         monkeypatch.setattr(separability, "ppt_min_eigenvalue", planted)
         exact = [[1e-3, 1e-3 / 4.0], [1e-5, 1e-5 / 8.0]]
@@ -606,6 +607,22 @@ class TestEpr:
         weights = report.readability["weights"]
         assert sorted(weights) == pytest.approx([0.5, 0.5], abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "overrides, weights",
+        [
+            ({"g_a": 0.0, "g_b": 0.0}, [1.0]),
+            ({"g_a": 0.0, "g_b": 0.5}, [0.5, 0.5]),
+            ({"t": 0.0}, [1.0]),
+        ],
+        ids=["gA-0-gB-0", "gA-0", "t-0"],
+    )
+    def test_uncoupled_pointer_merges_predicted_weights(self, overrides, weights):
+        """An uncoupled pointer gives every branch the same kick on it, so the engine
+        keeps one row there, and the prediction sums the populations that share a kick."""
+        report = run_scenario("epr", dataclasses.replace(DEFAULTS["epr"], **overrides))
+        assert report.passed
+        assert sorted(report.readability["weights"]) == pytest.approx(weights, abs=1e-12)
+
     @pytest.fixture(scope="class")
     def epr_run(self):
         """The default run as the runner hands it to ``_epr``."""
@@ -615,10 +632,12 @@ class TestEpr:
     def _failed(run):
         return {name for name, ok in scenarios._epr(run).checks.items() if not ok}
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"weights_match_populations"})])
-    def test_weights_check_near_its_tolerance(self, epr_run, scale, failed):
-        """Two certificate weights moved apart by a multiple of EPR_WEIGHT_TOL, total kept."""
-        shift = scale * scenarios.EPR_WEIGHT_TOL
+    @pytest.mark.parametrize(
+        "shift, failed", [(7e-11, set()), (1.4e-10, {"weights_match_populations"})]
+    )
+    def test_weights_check_near_its_tolerance(self, epr_run, shift, failed):
+        """Two certificate weights moved apart by 0.7 and 1.4 times EPR_WEIGHT_TOL (1e-10),
+        total kept."""
         certificate = epr_run.verdict.certificate
         first, second, *rest = certificate.terms
         terms = (
@@ -630,16 +649,17 @@ class TestEpr:
         verdict = dataclasses.replace(epr_run.verdict, certificate=moved)
         assert self._failed(dataclasses.replace(epr_run, verdict=verdict)) == failed
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"anticorrelation_sharp"})])
-    def test_anticorrelation_check_near_its_tolerance(self, epr_run, scale, failed):
-        """An |up, up> amplitude that gives Var(zz) a multiple of SHARP_CORRELATION_TOL.
+    @pytest.mark.parametrize(
+        "variance, failed", [(7e-13, set()), (1.4e-12, {"anticorrelation_sharp"})]
+    )
+    def test_anticorrelation_check_near_its_tolerance(self, epr_run, variance, failed):
+        """An |up, up> amplitude that gives Var(zz) 0.7 and 1.4 times SHARP_CORRELATION_TOL (1e-12).
 
         With weight e^2 there, <zz> = (e^2 - 1) / (1 + e^2), so Var(zz) is
         4 e^2 / (1 + e^2)^2 and |<zz> + 1| half of that. The amplitude is i
         times the phase of the |down, up> one, so <sigma_x (x) 1> stays 0;
         the other readouts and the populations move by e^2 only.
         """
-        variance = scale * scenarios.SHARP_CORRELATION_TOL
         e = math.sqrt(variance) / 2
         amplitudes = epr_run.system.amplitudes.copy()
         amplitudes[0] = 1j * e * amplitudes[2] / abs(amplitudes[2])
@@ -691,43 +711,56 @@ class TestSequential:
 
         monkeypatch.setattr(engine, "pointer_expectation", moved)
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, {"conditioned_readout_shifts"}), (2.0, set())])
-    def test_conditioned_shift_near_its_threshold(self, monkeypatch, scale, failed):
-        """A drag of a multiple of CONDITIONED_SHIFT_MIN counts only above it."""
-        self._drag(monkeypatch, scale * scenarios.CONDITIONED_SHIFT_MIN)
+    @pytest.mark.parametrize(
+        "drag, failed", [(7e-4, {"conditioned_readout_shifts"}), (1.4e-3, set())]
+    )
+    def test_conditioned_shift_near_its_threshold(self, monkeypatch, drag, failed):
+        """A drag of 0.7 and 1.4 times CONDITIONED_SHIFT_MIN (1e-3) counts only above it."""
+        self._drag(monkeypatch, drag)
         assert self._failed() == failed
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"conditioned_readout_shifts"})])
-    def test_population_gate_near_its_threshold(self, monkeypatch, scale, failed):
-        """With no drag, the check is idle below CONDITIONING_MIN_POPULATION and fails above.
+    @pytest.mark.parametrize(
+        "predicted, failed", [(7e-4, set()), (1.4e-3, {"conditioned_readout_shifts"})]
+    )
+    def test_drag_gate_near_its_threshold(self, monkeypatch, default_reports, predicted, failed):
+        """With no drag, the check is idle where the predicted drag is below
+        CONDITIONED_SHIFT_MIN (1e-3) and fails above; the predicted drags are 0.7
+        and 1.4 times it.
 
-        The sigma_z branch populations are cos^2(theta/2) and sin^2(theta/2).
-        """
-        theta = 2 * math.asin(math.sqrt(scale * scenarios.CONDITIONING_MIN_POPULATION))
-        self._drag(monkeypatch, 0.0)
-        assert self._failed(dataclasses.replace(DEFAULTS["sequential"], theta_i=theta)) == failed
-
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"conditioned_readout_shifts"})])
-    def test_shift_gate_near_its_threshold(self, monkeypatch, scale, failed):
-        """With no drag, the check is idle below CONDITIONING_MIN_SHIFT and fails above.
-
-        The second coupling's predicted shift is g_a t <sigma_x>, with
-        <sigma_x> = sin(theta) at the default phi = 0.
+        The prediction is linear in the second impulse g_a t, and matches the
+        measured drag to about 1e-12, so g_a is scaled from the default drag.
         """
         cfg = DEFAULTS["sequential"]
-        g_a = scale * scenarios.CONDITIONING_MIN_SHIFT / (cfg.t * math.sin(cfg.theta_i))
+        readouts = default_reports["sequential"].readouts
+        drag = abs(readouts["conditioned_mean_a"] - readouts["mean_a"])
         self._drag(monkeypatch, 0.0)
-        assert self._failed(dataclasses.replace(cfg, g_a=g_a)) == failed
+        assert self._failed(dataclasses.replace(cfg, g_a=cfg.g_a * predicted / drag)) == failed
 
-    @pytest.mark.parametrize("scale, failed", [(0.5, set()), (2.0, {"initial_info_preserved"})])
-    def test_info_check_near_its_tolerance(self, monkeypatch, scale, failed):
-        """A commuting readout after the first coupling off by a multiple of INFO_PRESERVED_TOL."""
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"g_b": 0.0}, {"g_b": 1e-3}, {"theta_i": math.pi / 2, "g_b": 0.1}],
+        ids=["gB-0", "gB-1e-3", "thetaI-pi/2-gB-0.1"],
+    )
+    def test_weak_first_record_leaves_the_check_idle(self, overrides):
+        """Predicted drags of 0, -1.8e-4 and -6.3e-5: below CONDITIONED_SHIFT_MIN,
+        so the run passes although its second readout barely moves."""
+        cfg = dataclasses.replace(DEFAULTS["sequential"], **overrides)
+        report = run_scenario("sequential", cfg)
+        assert report.passed
+        assert report.notes[0].startswith("conditioned-readout check idle")
+
+    @pytest.mark.parametrize(
+        "offset, failed", [(7e-11, set()), (1.4e-10, {"initial_info_preserved"})]
+    )
+    def test_info_check_near_its_tolerance(self, monkeypatch, offset, failed):
+        """A commuting readout after the first coupling off by 0.7 and 1.4 times
+        INFO_PRESERVED_TOL (1e-10)."""
         original = engine.system_expectation
 
         def moved(state, observable):
             value = original(state, observable)
             if np.array_equal(observable.matrix, np.diag([1.0, 0.0])):
-                value += scale * scenarios.INFO_PRESERVED_TOL
+                value += offset
             return value
 
         monkeypatch.setattr(engine, "system_expectation", moved)

@@ -20,15 +20,18 @@ from pointerlab.separability import (
     ppt_min_eigenvalue,
     readability_check,
 )
-from pointerlab.tensors import (
-    DensityMatrix,
-    DimensionSpec,
-    Operator,
-    StateVector,
-    partial_trace,
-)
+from pointerlab.tensors import DensityMatrix, DimensionSpec, Operator, StateVector
 
-from helpers import branch_kicks, commuting_family, pure_density, unitary_from_generator
+from helpers import (
+    branch_kicks,
+    commuting_family,
+    dense_ppt_min,
+    partial_trace,
+    pure_density,
+    reconstruct,
+    trace_distance,
+    unitary_from_generator,
+)
 
 COARSE = PointerGrid(points=16, length=16.0)
 QUBIT_PAIR = DimensionSpec.of(("a", 2), ("b", 2))
@@ -38,7 +41,7 @@ CUT_POINTERS = (("A",), ("B",))
 
 def _bell() -> DensityMatrix:
     amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    return pure_density(StateVector(QUBIT_PAIR, amps))
+    return DensityMatrix(QUBIT_PAIR, amps[:, None])
 
 
 def _coarse_pair(theta=0.0, impulse_a=1.0, impulse_b=None, obs_a=SIGMA_X, obs_b=SIGMA_Z):
@@ -54,6 +57,7 @@ def _coarse_pair(theta=0.0, impulse_a=1.0, impulse_b=None, obs_a=SIGMA_X, obs_b=
 class TestPartialTranspose:
     def test_bell_state_frozen(self):
         assert abs(ppt_min_eigenvalue(_bell(), CUT_AB) - (-0.5)) < 1e-12
+        assert abs(dense_ppt_min(_bell().matrix, QUBIT_PAIR, CUT_AB) - (-0.5)) < 1e-12
 
     def test_product_state_nonnegative(self):
         up = StateVector(DimensionSpec.of(("a", 2)), np.array([1, 0], dtype=complex))
@@ -61,17 +65,22 @@ class TestPartialTranspose:
             DimensionSpec.of(("b", 2)), np.array([1, 1], dtype=complex) / math.sqrt(2)
         )
         amps = np.kron(up.amplitudes, plus.amplitudes)
+        assert ppt_min_eigenvalue(DensityMatrix(QUBIT_PAIR, amps[:, None]), CUT_AB) >= -1e-10
         rho = pure_density(StateVector(QUBIT_PAIR, amps))
-        assert ppt_min_eigenvalue(rho, CUT_AB) >= -1e-10
+        assert dense_ppt_min(rho, QUBIT_PAIR, CUT_AB) >= -1e-10
 
     def test_werner_state_frozen(self):
         # p |singlet><singlet| + (1 - p) I/4 has minimum eigenvalue
-        # (1 - 3p)/4 under partial transposition
+        # (1 - 3p)/4 under partial transposition; five columns, so the
+        # compressed witness runs on a full support
         singlet = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
         p = 0.5
+        columns = np.hstack([math.sqrt(p) * singlet[:, None], math.sqrt((1 - p) / 4) * np.eye(4)])
+        rho = DensityMatrix(QUBIT_PAIR, columns)
         m = p * np.outer(singlet, singlet.conj()) + (1 - p) * np.eye(4) / 4
-        rho = DensityMatrix(QUBIT_PAIR, m)
+        np.testing.assert_allclose(rho.matrix, m, atol=1e-15)
         assert abs(ppt_min_eigenvalue(rho, CUT_AB) - (1 - 3 * p) / 4) < 1e-12
+        assert abs(dense_ppt_min(m, QUBIT_PAIR, CUT_AB) - (1 - 3 * p) / 4) < 1e-12
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -90,7 +99,6 @@ class TestPartialTranspose:
             ],
             dtype=complex,
         )
-        rho = pure_density(StateVector(QUBIT_PAIR, amps))
         ua = unitary_from_generator(
             Operator(DimensionSpec.of(("a", 2)), SIGMA_Y), angle_a
         )
@@ -98,13 +106,16 @@ class TestPartialTranspose:
             Operator(DimensionSpec.of(("b", 2)), SIGMA_X), angle_b
         )
         u = np.kron(ua, ub)
-        rotated = DensityMatrix(QUBIT_PAIR, u @ rho.matrix @ u.conj().T)
+        rho = DensityMatrix(QUBIT_PAIR, amps[:, None])
+        rotated = DensityMatrix(QUBIT_PAIR, u @ rho.factors)
         before = ppt_min_eigenvalue(rho, CUT_AB)
         after = ppt_min_eigenvalue(rotated, CUT_AB)
         assert abs(before - after) < 1e-10
+        dense = dense_ppt_min(u @ rho.matrix @ u.conj().T, QUBIT_PAIR, CUT_AB)
+        assert abs(after - dense) < 1e-10
 
     def test_refuses_unnormalized(self):
-        rho = DensityMatrix(QUBIT_PAIR, np.eye(4) / 8, normalized=False)
+        rho = DensityMatrix(QUBIT_PAIR, np.eye(4) / math.sqrt(8), normalized=False)
         with pytest.raises(ValueError, match="normalized"):
             ppt_min_eigenvalue(rho, CUT_AB)
 
@@ -466,9 +477,9 @@ def _record(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA
     return engine.apparatus_density(state), certificate
 
 
-def _dense(rho: DensityMatrix) -> DensityMatrix:
-    """The same matrix supplied whole, so validation takes the dense route."""
-    return DensityMatrix(rho.dims, rho.matrix, normalized=rho.normalized)
+def _dense_distance(certificate: SeparableDecomposition, rho: DensityMatrix) -> float:
+    """Trace distance from the certificate's whole matrix to ``rho``'s, both formed densely."""
+    return trace_distance(reconstruct(certificate, rho.dims, rho.normalized), rho.matrix)
 
 
 def _swapped_a(certificate: SeparableDecomposition) -> SeparableDecomposition:
@@ -488,24 +499,23 @@ class TestFactoredValidation:
     @pytest.mark.parametrize("sequential", [False, True])
     def test_certificates_match_dense_oracle(self, points, sequential):
         rho, certificate = _record(points, math.pi / 3, 0.5, sequential)
-        assert rho.factors is not None
         factored = certificate.validate(rho)
         assert factored < 1e-12
-        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+        assert abs(factored - _dense_distance(certificate, rho)) < 1e-12
 
     def test_swapped_factors_match_dense_oracle(self):
         rho, certificate = _record(16, math.pi / 3, 0.5)
         swapped = _swapped_a(certificate)
         factored = swapped.validate(rho)
         assert factored == pytest.approx(0.3033094692010, abs=1e-10)
-        assert abs(factored - swapped.validate(_dense(rho))) < 1e-12
+        assert abs(factored - _dense_distance(swapped, rho)) < 1e-12
 
     def test_noncommuting_record_matches_dense_oracle(self):
         _, certificate = _record(16, math.pi / 3, 0.5)
         rho, _ = _record(16, math.pi / 3, 0.5, obs_a=SIGMA_X)
         factored = certificate.validate(rho)
         assert factored == pytest.approx(0.1405488546543, abs=1e-10)
-        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+        assert abs(factored - _dense_distance(certificate, rho)) < 1e-12
 
     def test_unnormalized_certificate_refused_on_both_routes(self):
         state, couplings, specs = _coarse_pair(theta=math.pi / 3, impulse_a=0.3)
@@ -513,9 +523,10 @@ class TestFactoredValidation:
             state.initial_system, specs, couplings[0], couplings[1]
         )
         rho = engine.apparatus_density(evolve(state, couplings))
-        for target in (rho, _dense(rho)):
-            with pytest.raises(ValueError, match="trace"):
-                certificate.validate(target)
+        with pytest.raises(ValueError, match="trace"):
+            certificate.validate(rho)
+        with pytest.raises(ValueError, match="trace"):
+            _dense_distance(certificate, rho)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -529,7 +540,7 @@ class TestFactoredValidation:
         if swap and len(certificate.terms) == 2:
             certificate = _swapped_a(certificate)
         factored = certificate.validate(rho)
-        assert abs(factored - certificate.validate(_dense(rho))) < 1e-12
+        assert abs(factored - _dense_distance(certificate, rho)) < 1e-12
 
     def test_no_eigensolve_beyond_the_analysis_grid(self, monkeypatch):
         shapes = []
@@ -582,7 +593,7 @@ class TestSupportWitness:
         for impulse in LADDER if points == 16 else LADDER[5::6]:
             rho, _ = _record(points, math.pi / 3, impulse, **FAMILY[kind])
             compressed = ppt_min_eigenvalue(rho, CUT_POINTERS)
-            dense = ppt_min_eigenvalue(_dense(rho), CUT_POINTERS)
+            dense = dense_ppt_min(rho.matrix, rho.dims, CUT_POINTERS)
             assert abs(compressed - dense) < 1e-12, (kind, impulse)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -603,12 +614,10 @@ class TestSupportWitness:
         # Each column sums ``terms`` products, so low Schmidt ranks occur too.
         blocks = np.einsum("kat,kbt->kab", normal(rank, da, terms), normal(rank, db, terms))
         u = blocks.reshape(rank, da * db).T
-        rho = DensityMatrix.from_factors(
-            DimensionSpec.of(("a", da), ("b", db)), u / np.linalg.norm(u)
-        )
+        rho = DensityMatrix(DimensionSpec.of(("a", da), ("b", db)), u / np.linalg.norm(u))
         cut = (("b",), ("a",)) if swap else CUT_AB
         compressed = ppt_min_eigenvalue(rho, cut)
-        assert abs(compressed - ppt_min_eigenvalue(_dense(rho), cut)) < 1e-12
+        assert abs(compressed - dense_ppt_min(rho.matrix, rho.dims, cut)) < 1e-12
 
     def test_noncommuting_record_stays_on_the_support(self, monkeypatch):
         formed, shapes = [], []
@@ -647,13 +656,13 @@ class TestSupportWitness:
         planted = np.einsum("a,k,b->abk", qa[:, 4], [1.0, 2.0], qb[:, 3]).reshape(20, 2)
         scale = np.linalg.norm(kept)
         u = (kept + 1e-8 * scale * planted) / scale
-        rho = DensityMatrix.from_factors(DimensionSpec.of(("a", 5), ("b", 4)), u)
+        rho = DensityMatrix(DimensionSpec.of(("a", 5), ("b", 4)), u)
         rho_kept = (kept / scale) @ (kept / scale).conj().T
         exact = np.linalg.norm(rho.matrix - rho_kept)
         monkeypatch.setattr(separability, "SUPPORT_CUTOFF", 1e-6)
         low, bound = separability._support_ppt_min(u, (5, 4), [0, 1], 5, 4)
         assert bound == pytest.approx(exact, rel=1e-6)
-        assert abs(low - ppt_min_eigenvalue(_dense(rho), CUT_AB)) <= bound
+        assert abs(low - dense_ppt_min(rho.matrix, rho.dims, CUT_AB)) <= bound
         with pytest.raises(ValueError, match="no verdict"):
             ppt_min_eigenvalue(rho, CUT_AB)
 
@@ -740,10 +749,10 @@ def _history(phases, order="AB", phi=0.4, method="shift"):
 def _dense_oracles(state, certificate):
     """The certificate rebuilt densely against the dense partial trace, and the dense PPT."""
     dims = state.pointer_dims()
-    want = partial_trace(pure_density(state.state), dims.labels)
-    got = certificate.reconstruct(dims)
-    assert np.abs(got.matrix - want.matrix).max() <= 1e-12
-    ppt = ppt_min_eigenvalue(_dense(got), (dims.labels[:1], dims.labels[1:]))
+    want = partial_trace(pure_density(state.state), state.state.dims, dims.labels)
+    got = reconstruct(certificate, dims)
+    assert np.abs(got - want).max() <= 1e-12
+    ppt = dense_ppt_min(got, dims, (dims.labels[:1], dims.labels[1:]))
     assert ppt >= separability.ENTANGLEMENT_THRESHOLD
 
 
@@ -818,13 +827,21 @@ class TestCertificateRule:
             assert readability_check(state, CUT_POINTERS).certificate is None, impulse
 
     @pytest.mark.parametrize("name", ["zA zB", "zA, xB", "zA, zB, zA"])
-    def test_expm_record_read_through_a_rerun(self, name):
+    def test_expm_record_gets_no_certificate(self, name):
+        """The dense integrator leaves no branch form, so the rule has nothing to
+        read and the witness alone answers; the certificate of the same history
+        evolved by the shift integrator still holds on the dense record."""
         phases, method = CERTIFIED[name]
         state = _history(phases, method="expm")
         assert state.branches is None
+        assert separability._certificate_route(state) is None
         verdict = readability_check(state, CUT_POINTERS)
-        assert (verdict.status, verdict.method) == ("separable", method)
-        assert verdict.certificate_error <= 1e-12
+        assert (verdict.status, verdict.certificate) == ("inconclusive", None)
+        certificate = readability_check(_history(phases), CUT_POINTERS).certificate
+        assert certificate.kind == method
+        rho = engine.apparatus_density(state)
+        assert certificate.validate(rho) <= 1e-12
+        _dense_oracles(state, certificate)
 
     @pytest.mark.parametrize("entry, method", [(8e-13, "commuting-eigenbasis"), (1.25e-12, None)])
     def test_gram_entry_near_branch_tol(self, entry, method):

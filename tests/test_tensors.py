@@ -25,12 +25,17 @@ from pointerlab.tensors import (
     generator_action,
     hermiticity_defect,
     kron_states,
-    partial_trace,
     schmidt,
-    trace_distance,
 )
 
-from helpers import commuting_family, pure_density, unitary_from_generator
+from helpers import (
+    commuting_family,
+    partial_trace,
+    pure_density,
+    trace_distance,
+    unitary_from_generator,
+    whole_density,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -123,21 +128,21 @@ class TestConstructorValidation:
     def test_unnormalized_state_allowed_when_flagged(self):
         StateVector(Q, np.array([1.0, 1.0]), normalized=False)
 
-    def test_density_rejects_negative_spectrum(self):
+    def test_whole_density_rejects_negative_spectrum(self):
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(Q, m)
+            whole_density(m)
 
     def test_one_dimensional_floor_needs_no_eigensolve(self, monkeypatch):
+        """One column's Gram matrix is 1 x 1, its own eigenvalue, as is a 1 x 1 whole matrix."""
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(h) or eigvalsh(h))
-        one = DimensionSpec.of(("q", 1))
         with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(one, np.array([[-0.5]]), normalized=False)
-        DensityMatrix(one, np.array([[0.5]]), normalized=False)
+            whole_density(np.array([[-0.5]]), normalized=False)
+        whole_density(np.array([[0.5]]), normalized=False)
         column = np.array([[0.6], [0.8j]])
-        assert DensityMatrix.from_factors(Q, column).trace == pytest.approx(1.0)
+        assert DensityMatrix(Q, column).trace == pytest.approx(1.0)
         assert calls == []
 
     def test_state_norm_is_kept(self):
@@ -149,17 +154,17 @@ class TestConstructorValidation:
         assert "norm" not in loose.__dict__
         assert loose.norm == float(np.linalg.norm(2 * v))
 
-    def test_density_rejects_bad_trace(self):
+    def test_whole_density_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(Q, np.diag([0.7, 0.7]).astype(complex))
+            whole_density(np.diag([0.7, 0.7]).astype(complex))
 
-    def test_density_unnormalized_trace_allowed(self):
-        DensityMatrix(Q, np.diag([0.7, 0.7]).astype(complex), normalized=False)
+    def test_whole_density_unnormalized_trace_allowed(self):
+        whole_density(np.diag([0.7, 0.7]).astype(complex), normalized=False)
 
-    def test_density_rejects_nonhermitian(self):
+    def test_whole_density_rejects_nonhermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermiticity"):
-            DensityMatrix(Q, m)
+            whole_density(m)
 
 
 class TestKron:
@@ -220,8 +225,8 @@ class TestPartialTrace:
     def test_bell_reduces_to_maximally_mixed(self):
         dims = QR
         bell = StateVector(dims, np.array([1, 0, 0, 1]) / np.sqrt(2))
-        reduced = partial_trace(pure_density(bell), keep=["q"])
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
+        reduced = partial_trace(pure_density(bell), dims, keep=["q"])
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
@@ -229,18 +234,20 @@ class TestPartialTrace:
         rng = _rng(seed)
         a = _random_state(rng, Q)
         b = _random_state(rng, R)
-        reduced = partial_trace(pure_density(kron_states(a, b)), keep=["q"])
-        np.testing.assert_allclose(
-            reduced.matrix, pure_density(a).matrix, atol=1e-12
-        )
+        reduced = partial_trace(pure_density(kron_states(a, b)), QR, keep=["q"])
+        np.testing.assert_allclose(reduced, pure_density(a), atol=1e-12)
 
     def test_keep_order_follows_dims(self):
         dims = DimensionSpec.of(("a", 2), ("b", 3), ("c", 2))
         rng = _rng(7)
-        rho = pure_density(_random_state(rng, dims))
-        reduced = partial_trace(rho, keep=["c", "a"])
-        assert reduced.dims.labels == ("a", "c")
-        assert abs(reduced.trace - 1.0) < 1e-12
+        state = _random_state(rng, dims)
+        reduced = partial_trace(pure_density(state), dims, keep=["c", "a"])
+        t = state.tensor()
+        # rows and columns run over (a, c) in that order, whatever the order of ``keep``
+        np.testing.assert_allclose(
+            reduced, np.einsum("ibj,kbl->ijkl", t, t.conj()).reshape(4, 4), atol=1e-14
+        )
+        assert abs(np.trace(reduced) - 1.0) < 1e-12
 
 
 class TestEigh:
@@ -574,10 +581,11 @@ def test_gram_route_matches_svd(case):
 
 class TestDistanceAndExpectation:
     def test_trace_distance_extremes(self):
-        up = pure_density(StateVector(Q, np.array([1.0, 0.0])))
-        down = pure_density(StateVector(Q, np.array([0.0, 1.0])))
-        assert abs(trace_distance(up, down) - 1.0) < 1e-14
-        assert trace_distance(up, up) < 1e-14
+        up, down = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        assert abs(factored_distance(up, DensityMatrix(Q, down)) - 1.0) < 1e-14
+        assert factored_distance(up, DensityMatrix(Q, up)) < 1e-14
+        assert abs(trace_distance(up @ up.T, down @ down.T) - 1.0) < 1e-14
+        assert trace_distance(up @ up.T, up @ up.T) < 1e-14
 
     def test_expectation_frozen(self):
         plus = StateVector(Q, np.array([1.0, 1.0]) / np.sqrt(2))
@@ -586,7 +594,7 @@ class TestDistanceAndExpectation:
 
 
 class TestFactoredDensity:
-    """DensityMatrix.from_factors: U U-dagger, checked on its Gram matrix."""
+    """DensityMatrix: U U-dagger, checked on its Gram matrix."""
 
     DIMS = DimensionSpec.of(("a", 4), ("b", 4))
 
@@ -598,17 +606,20 @@ class TestFactoredDensity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matrix_equals_dense_outer_product_sum(self, seed):
         u = self._columns(seed)
-        rho = DensityMatrix.from_factors(self.DIMS, u)
+        rho = DensityMatrix(self.DIMS, u)
         dense = sum(np.outer(ui, ui.conj()) for ui in u.T)
         np.testing.assert_allclose(rho.matrix, dense, atol=1e-15)
         np.testing.assert_array_equal(rho.factors, u)
 
-    def test_plain_constructor_carries_no_factors(self):
-        assert DensityMatrix(Q, np.eye(2) / 2).factors is None
+    def test_constructor_takes_columns_only(self):
+        u = self._columns(4)
         with pytest.raises(TypeError):
-            DensityMatrix(Q, np.eye(2) / 2, True, np.eye(2))
+            DensityMatrix(self.DIMS, u, True, u)
+        with pytest.raises(TypeError):
+            DensityMatrix(self.DIMS, None, _factors=u)
 
-    def test_plain_constructor_runs_full_spectrum_check(self, monkeypatch):
+    def test_floor_checked_on_the_smaller_matrix(self, monkeypatch):
+        """The Gram matrix of 3 columns on 16 rows; the matrix itself for 40 columns on 2."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -617,26 +628,29 @@ class TestFactoredDensity:
             return eigvalsh(h, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        u = self._columns(3)
-        DensityMatrix(self.DIMS, u @ u.conj().T)
-        assert shapes == [(16, 16)]
-        shapes.clear()
-        DensityMatrix.from_factors(self.DIMS, u)
+        DensityMatrix(self.DIMS, self._columns(3))
         assert shapes == [(3, 3)]
+        shapes.clear()
+        u = _rng(3).normal(size=(2, 40))
+        DensityMatrix(Q, u / np.linalg.norm(u))
+        assert shapes == [(2, 2)]
+        shapes.clear()
+        whole_density(np.eye(16) / 16)
+        assert shapes == [(16, 16)]
 
     def test_rejects_wrong_trace(self):
         u = self._columns(5)
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.from_factors(self.DIMS, np.sqrt(2) * u)
-        DensityMatrix.from_factors(self.DIMS, np.sqrt(2) * u, normalized=False)
+            DensityMatrix(self.DIMS, np.sqrt(2) * u)
+        DensityMatrix(self.DIMS, np.sqrt(2) * u, normalized=False)
 
     def test_rejects_nan_column(self):
         u = self._columns(6).copy()
         u[3, 1] = np.nan
         with pytest.raises(ValueError):
-            DensityMatrix.from_factors(self.DIMS, u)
+            DensityMatrix(self.DIMS, u)
         with pytest.raises(ValueError):
-            factored_distance(u, DensityMatrix.from_factors(self.DIMS, self._columns(7)))
+            factored_distance(u, DensityMatrix(self.DIMS, self._columns(7)))
 
     def test_refuses_bad_columns_without_forming_the_matrix(self, monkeypatch):
         def formed(rho):
@@ -648,32 +662,32 @@ class TestFactoredDensity:
             columns = u.copy()
             columns[4, 2] = bad
             with pytest.raises(ValueError, match="trace"):
-                DensityMatrix.from_factors(self.DIMS, columns)
+                DensityMatrix(self.DIMS, columns)
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.from_factors(self.DIMS, 1.01 * u)
-        assert DensityMatrix.from_factors(self.DIMS, u).trace == pytest.approx(1.0, abs=1e-14)
+            DensityMatrix(self.DIMS, 1.01 * u)
+        assert DensityMatrix(self.DIMS, u).trace == pytest.approx(1.0, abs=1e-14)
 
     def test_read_only_columns_are_kept_as_a_view(self):
         """Columns nothing can write are viewed, not copied; writeable ones are copied."""
         state = kron_states(_random_state(_rng(17), Q), _random_state(_rng(18), self.DIMS))
         columns = state.amplitudes.reshape(2, -1).T
-        rho = DensityMatrix.from_factors(self.DIMS, columns)
+        rho = DensityMatrix(self.DIMS, columns)
         assert np.shares_memory(rho.factors, state.amplitudes)
         assert not rho.factors.flags.writeable
         u = self._columns(19)
         ro = u.view()
         ro.setflags(write=False)  # read-only, but its base is not
         for writeable in (u, ro):
-            rho = DensityMatrix.from_factors(self.DIMS, writeable)
+            rho = DensityMatrix(self.DIMS, writeable)
             assert not np.shares_memory(rho.factors, u)
             np.testing.assert_array_equal(rho.factors, u)
         real = np.abs(u)
         real /= np.linalg.norm(real)
         real.setflags(write=False)
-        assert DensityMatrix.from_factors(self.DIMS, real).factors.dtype == complex
+        assert DensityMatrix(self.DIMS, real).factors.dtype == complex
 
     def test_matrix_formed_once_on_first_read(self):
-        rho = DensityMatrix.from_factors(self.DIMS, self._columns(16))
+        rho = DensityMatrix(self.DIMS, self._columns(16))
         assert "matrix" not in vars(rho)
         first = rho.matrix
         assert rho.matrix is first
@@ -682,41 +696,36 @@ class TestFactoredDensity:
     def test_rejects_mismatched_shapes(self):
         u = self._columns(8)
         with pytest.raises(ValueError, match="columns"):
-            DensityMatrix.from_factors(Q, u)
+            DensityMatrix(Q, u)
         with pytest.raises(ValueError, match="columns"):
-            factored_distance(u[:4], DensityMatrix.from_factors(self.DIMS, u))
+            factored_distance(u[:4], DensityMatrix(self.DIMS, u))
 
     def test_more_columns_than_rows(self):
         # the floor is then checked on the matrix itself
         rng = _rng(9)
         u = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
-        rho = DensityMatrix.from_factors(Q, u / np.linalg.norm(u))
+        rho = DensityMatrix(Q, u / np.linalg.norm(u))
         assert abs(rho.trace - 1.0) < 1e-14
 
     @pytest.mark.parametrize("seed", [10, 11])
     def test_trace_distance_matches_dense(self, seed):
-        a = DensityMatrix.from_factors(self.DIMS, self._columns(seed))
-        b = DensityMatrix.from_factors(self.DIMS, self._columns(seed + 100, r=2))
-        dense = trace_distance(DensityMatrix(self.DIMS, a.matrix), b)
+        a = DensityMatrix(self.DIMS, self._columns(seed))
+        b = DensityMatrix(self.DIMS, self._columns(seed + 100, r=2))
+        dense = trace_distance(whole_density(a.matrix), whole_density(b.matrix))
         assert dense > 0.1
-        assert abs(trace_distance(a, b) - dense) < 1e-13
-        assert trace_distance(a, a) < 1e-14
+        assert abs(factored_distance(a.factors, b) - dense) < 1e-13
+        assert factored_distance(a.factors, a) < 1e-14
 
     @pytest.mark.parametrize("seed", [12, 13])
     def test_weighted_candidate_matches_dense(self, seed):
         u = self._columns(seed)
         w = _rng(seed).uniform(0.1, 1.0, size=3)
         w = w / (w * (np.abs(u) ** 2).sum(axis=0)).sum()
-        candidate = DensityMatrix(self.DIMS, (u * w) @ u.conj().T)
-        target = DensityMatrix.from_factors(self.DIMS, self._columns(seed + 100, r=2))
-        dense = trace_distance(candidate, DensityMatrix(self.DIMS, target.matrix))
+        candidate = whole_density((u * w) @ u.conj().T)
+        target = DensityMatrix(self.DIMS, self._columns(seed + 100, r=2))
+        dense = trace_distance(candidate, whole_density(target.matrix))
         assert dense > 0.1
         assert abs(factored_distance(u * np.sqrt(w), target) - dense) < 1e-13
-
-    def test_distance_needs_factored_target(self):
-        u = self._columns(14)
-        with pytest.raises(ValueError, match="built from factors"):
-            factored_distance(u, DensityMatrix(self.DIMS, u @ u.conj().T))
 
 
 class TestNonFiniteInputs:
@@ -724,6 +733,6 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="norm"):
             StateVector(Q, np.array([1.0, np.nan]))
 
-    def test_density_rejects_nan_entry(self):
+    def test_whole_density_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="Hermiticity"):
-            DensityMatrix(Q, np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))
+            whole_density(np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))

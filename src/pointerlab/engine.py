@@ -17,18 +17,24 @@ can cross-check each other:
   projectors and each of its pointer's rows into one row per eigenspace.
   Rows whose kicks are equal are merged, and each row is the packet's
   cached spectrum times its kick's phase, one batched inverse 1-D FFT per
-  pointer. A noncommuting phase, or a commuting one on a state without
-  branch form or whose pointer would have more rows than grid points,
-  runs on the momentum blocks: the generator is block-diagonal
-  over the momentum grid and each small system block is exponentiated
-  exactly, a larger one by batched ``eigh`` and a qubit block by the
-  closed-form SU(2) exponential. Its coefficients are sums of 1-D
-  profiles, one per pointer, so the qubit kernel walks the grid in tiles
-  of TILE_POINTS, takes every cosine and sine of a tile from one
-  half-angle tangent, and assembles the blocks in real arithmetic in
-  place: no temporary spans the grid. The spectrum of a state in branch
-  form is written from its rows' spectra, taken from their kicks, so no
-  forward transform runs.
+  pointer. Any other phase, or a commuting one on a state without kick
+  rows or whose pointer would have more rows than grid points, runs on
+  the momentum blocks: the generator is block-diagonal over the momentum
+  grid and each small system block is exponentiated exactly, a larger one
+  by batched ``eigh`` and a qubit block by the closed-form SU(2)
+  exponential. Its coefficients are sums of 1-D profiles, one per
+  pointer, so the qubit kernel walks the grid in tiles of TILE_POINTS,
+  takes every cosine and sine of a tile from one half-angle tangent, and
+  assembles the blocks in real arithmetic in place: no temporary spans
+  the grid. Each block is unitary, so the phase keeps the state's norm on
+  any set of momenta. For a qubit on two pointers in branch form whose
+  grids exceed one tile, the kernel runs only on the cross region of the
+  packets' momentum windows (``_window``, ``_evolve_window``), which holds
+  all but an exactly computed part of norm at most WINDOW_TAIL_TOL of the
+  state, and the result is a window form (``_Branches``, ``kicks`` None).
+  The spectrum of a state in branch form is written from its rows'
+  spectra, taken from their kicks where it has them, so no forward
+  transform of the state runs.
 * ``expm``: applies the generator to the state one factor at a time and
   exp(-i t H) by a scaled Taylor series (``tensors.generator_action``) made
   of those products: no eigensolve, no product-space matrix, and no FFT
@@ -67,21 +73,25 @@ writes it in one ``_branch_sum``. No FFT runs over the state.
 
 States stay factored until their amplitudes are read: ``build_initial``
 keeps the system state and each pointer's packet from a per-``PointerSpec``
-cache, which also holds its 1-D spectrum and momentum kicks, and a
-commuting phase keeps the branch form. ``UnifiedState.state``
-forms the amplitudes on first read and keeps them: the product with
-``tensors.kron_states``, a branch form with ``_branch_sum``. ``evolve``
-takes the layout from the factors and checks a branch form's norm from
-its factor rows' Gram matrices, so it forms nothing. The readouts the
-scenarios take (norm, system density and purity, Schmidt coefficients,
-position expectations) read ``UnifiedState.record``: a thin QR of each
-pointer's factor rows, F^T = Q R, puts the state in the orthonormal bases
-Q as a small core, the branch core contracted with every R (a Tucker form
-with orthonormal factors; De Lathauwer, De Moor and Vandewalle, SIAM J.
-Matrix Anal. Appl. 21, 1253 (2000)). A state without branch form is its
-own core, and so is one whose amplitudes were already formed. So a
-readout-grid array is written only where a result needs the amplitudes
-themselves: the dense oracle, post-selection and the apparatus density.
+cache, which also holds its 1-D spectrum, momentum kicks and momentum
+window, a commuting phase keeps the kick rows, and a noncommuting qubit
+phase on two readout-size pointers leaves a window form.
+``UnifiedState.state`` forms the amplitudes on first read and keeps them:
+the product with ``tensors.kron_states``, a branch form with
+``_branch_sum``. ``evolve`` takes the layout from the factors and checks a
+branch form's norm from its factor rows' Gram matrices, or from a window
+form's coefficients plus the part it drops, so it forms nothing. The
+readouts the scenarios take read the form: position expectations are
+quadratic forms in the factor rows (``_quadratic_form``); the system
+density, purity and Schmidt coefficients read ``UnifiedState.columns``,
+the state in an orthonormal basis, which for kick rows is a small Tucker
+core from a thin QR of each pointer's rows and for a window form its
+coefficients on the cross region's plane waves (Parseval); and a
+truncation's distance to a window form is taken on the momenta
+(``_branch_distance``). A state without branch form, or one whose
+amplitudes were already formed, is read as it stands. So a readout-grid
+array is written only where a result needs the amplitudes themselves: the
+dense oracle, post-selection and the apparatus density.
 """
 
 from __future__ import annotations
@@ -116,6 +126,16 @@ EXPECTATION_IMAG_TOL = 1e-10
 # pointer grid, and the step count grows with the grid's largest momentum.
 DENSE_LIMIT = 4096
 ORTHOGONAL_OVERLAP_TOL = 1e-12
+# The smallest absolute level a readout-grid check resolves: the scenarios'
+# two-point scaling checks count a defect at or below it as roundoff.
+SCALING_FLOOR = 1e-12
+# Largest norm, relative to the state's, that a window form may drop
+# (``_evolve_window``), and the spectral mass each pointer's window leaves
+# out. Dropping a part of norm delta moves every norm-like readout (the
+# norm, a truncation gap, a Schmidt coefficient) by at most delta, and a
+# moment of weights w by at most (2 + delta) delta max|w|; two orders below
+# SCALING_FLOOR, the first stays unresolved by any check.
+WINDOW_TAIL_TOL = SCALING_FLOOR / 100
 MIN_POSTSELECT_PROBABILITY = 1e-14
 
 EvolutionMethod = Literal["shift", "expm"]
@@ -174,15 +194,32 @@ class _Branches:
     """sum_b core[b] (x) factors[0][b_1] (x) ... (x) factors[-1][b_k], and its norm.
 
     ``core`` is (B_1, ..., B_k, d) and ``factors[p]`` is (B_p, N_p), as
-    ``_branch_sum`` takes them; every B_p is at most N_p. Row b of
-    ``factors[p]`` is pointer p's packet translated by ``kicks[p][b]``, its
-    accumulated kick, and no two rows of one pointer share a kick.
+    ``_branch_sum`` takes them; every B_p is at most N_p. The rows are of
+    one of two kinds:
+
+    * kick rows: row b of ``factors[p]`` is pointer p's packet translated
+      by ``kicks[p][b]``, its accumulated kick, and no two rows of one
+      pointer share a kick. A commuting phase keeps them.
+    * window rows, with ``kicks`` None: what ``_evolve_window`` leaves of a
+      qubit on two pointers. Each pointer's window W_p is the momenta
+      holding all but WINDOW_TAIL_TOL of its packet's spectral mass
+      (``_window``), and the form is the state on the cross region
+      R = (all x W_B) + (W_A x outside W_B), zero off it: for each system
+      row s, sum_b u_sb (x) p_b + sum_a p_a (x) y_sa, with p the window's
+      plane waves, u_sb pointer A's column at momentum b of W_B and y_sa
+      pointer B's row at momentum a of W_A outside W_B. ``spectrum`` holds
+      the same state as coefficients on R's plane-wave products, (d, |R|),
+      an orthonormal basis, so its norm and system-side readouts are read
+      there. ``tail`` is an exact bound on the norm of what the form drops,
+      the state off R, accumulated over the phases that made it.
     """
 
     core: np.ndarray
     factors: tuple[np.ndarray, ...]
-    kicks: tuple[np.ndarray, ...]
+    kicks: tuple[np.ndarray, ...] | None
     norm: float
+    tail: float = 0.0
+    spectrum: np.ndarray | None = None
 
 
 @dataclass
@@ -198,12 +235,14 @@ class UnifiedState:
 
     ``_evolved`` is what the last evolution left: None for the product of
     ``initial_system`` and the pointers' cached packets, a ``_Branches``
-    after a commuting phase on a state in branch form, else the amplitudes.
+    after a commuting phase on a state in branch form (kick rows) or after
+    ``_evolve_window`` (window rows, ``kicks`` None), else the amplitudes.
     ``branches`` is the branch form, the product being its one-branch case;
     the shift integrator and the perturbative series start from it.
     ``state`` forms the amplitudes on first read and keeps them, and
-    ``record`` holds the compressed core that the readouts read, so a state
-    in branch form that is only read out is never written out.
+    ``columns`` holds the state in an orthonormal basis that the system-side
+    readouts read, so a state in branch form that is only read out is never
+    written out.
     """
 
     pointers: tuple[PointerSpec, ...]
@@ -253,22 +292,26 @@ class UnifiedState:
         )
 
     @cached_property
-    def record(self) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
-        """The amplitudes as a core (d, r_1, ..., r_k) in one orthonormal basis per pointer.
+    def columns(self) -> np.ndarray:
+        """The amplitudes as a (system, rest) matrix in an orthonormal basis of the pointers.
 
-        In branch form a thin QR of each pointer's factor rows, F^T = Q R,
-        gives the basis Q, (N_p, r_p), and the core is the branch core
-        contracted with every R, so the state is the core with each pointer
-        axis taken through its Q. Without branch form, or once ``state`` has
-        formed them, the amplitudes are their own core and every basis is
-        the identity, given as None: reading amplitudes that exist costs
-        less than the QR.
+        Kick rows: a thin QR of each pointer's rows, F^T = Q R, and the
+        branch core contracted with every R, the core of a Tucker form with
+        orthonormal factors Q (De Lathauwer, De Moor and Vandewalle, SIAM J.
+        Matrix Anal. Appl. 21, 1253 (2000)). Window rows: the form's
+        ``spectrum``, whose basis is plane waves. Without branch form, or
+        once ``state`` has formed them, the amplitudes themselves: reading
+        amplitudes that exist costs less than the QR. Read-only.
         """
         form = self.branches
         if form is None or "state" in vars(self):
-            return self.tensor(), (None,) * len(self.pointers)
-        qr = [np.linalg.qr(rows.T) for rows in form.factors]
-        return _branch_sum(form.core, [r.T for _, r in qr]), tuple(q for q, _ in qr)
+            return self.matrix()
+        if form.kicks is None:
+            return form.spectrum
+        rs = [np.linalg.qr(rows.T, mode="r").T for rows in form.factors]
+        out = _branch_sum(form.core, rs).reshape(self.system.total, -1)
+        out.setflags(write=False)
+        return out
 
     def pointer_spec(self, label: str) -> PointerSpec:
         for spec in self.pointers:
@@ -411,22 +454,52 @@ def _translated_spectra(spec: PointerSpec, kicks: np.ndarray) -> np.ndarray:
     return _packet_spectrum(spec) * np.exp(-1j * np.multiply.outer(kicks, k))
 
 
+def _row_spectra(state: UnifiedState, p: int) -> np.ndarray:
+    """The 1-D spectra of pointer p's factor rows, from their kicks where the form keeps them."""
+    form = state.branches
+    if form.kicks is None:
+        return np.fft.fft(form.factors[p])
+    return _translated_spectra(state.pointers[p], form.kicks[p])
+
+
 def _spectrum(state: UnifiedState, axes: tuple[int, ...]) -> np.ndarray:
     """The amplitudes Fourier transformed over pointer ``axes``, as a new array.
 
     A state in branch form is transformed branch by branch: ``_branch_sum``
     of the core with the transformed pointers' factor rows replaced by their
-    spectra, taken from the rows' kicks, so no transform runs at all. Any
+    spectra (``_row_spectra``), so kick rows run no transform at all. Any
     other state is transformed as it stands.
     """
     form = state.branches
     if form is None:
         return np.fft.fftn(state.tensor(), axes=axes)
     factors = [
-        _translated_spectra(spec, kicks) if i + 1 in axes else rows
-        for i, (spec, rows, kicks) in enumerate(zip(state.pointers, form.factors, form.kicks))
+        _row_spectra(state, p) if p + 1 in axes else rows for p, rows in enumerate(form.factors)
     ]
     return _branch_sum(form.core, factors)
+
+
+@lru_cache(maxsize=16)
+def _window(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The momenta holding all but WINDOW_TAIL_TOL of the packet's spectral mass, and the rest.
+
+    The window is the fewest momenta, largest power first, whose
+    complement holds at most WINDOW_TAIL_TOL of the mass; any row
+    translated from the packet has the same power, so the same window.
+    Returns the window's and the complement's indices, ascending, and the
+    window's plane waves sqrt(N) ifft(e_k), one unit row per momentum, all
+    read-only.
+    """
+    power = np.abs(_packet_spectrum(spec)) ** 2
+    order = np.argsort(power, kind="stable")
+    tail = np.cumsum(power[order])
+    dropped = int(np.searchsorted(tail, WINDOW_TAIL_TOL * tail[-1], side="right"))
+    inside, outside = np.sort(order[dropped:]), np.sort(order[:dropped])
+    n = spec.grid.points
+    waves = np.fft.ifft(np.eye(n)[inside]) * math.sqrt(n)
+    for a in (inside, outside, waves):
+        a.setflags(write=False)
+    return inside, outside, waves
 
 
 def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -448,27 +521,37 @@ def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _gram_norm(core: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    """The norm of ``_branch_sum(core, factors)``, from the factor rows' Gram matrices.
+def _quadratic_form(
+    core: np.ndarray,
+    factors: Sequence[np.ndarray],
+    weights: Sequence[np.ndarray | None] | None = None,
+) -> float:
+    """<psi| (x)_p W_p |psi> for psi = ``_branch_sum(core, factors)``, W_p = diag(weights[p]).
 
-    ||psi||^2 = sum_{b, b'} core[b']-dagger core[b] prod_p <f_{b'_p}|f_{b_p}>:
-    the core contracted with each pointer's Gram matrix F F-dagger in turn,
-    as ``_branch_sum`` contracts it with the rows, then against the core.
-    A few B x B products, exact, and NaN for NaN input.
+    A weight None, or no weights, is the identity. The core is contracted
+    with each pointer's matrix <f_b'|W_p|f_b>, F W_p F-dagger, in turn, as
+    ``_branch_sum`` contracts it with the rows, then against the core: a
+    few B x B products, exact, and NaN for NaN input.
     """
     t = core
-    for f in factors:
+    for p, f in enumerate(factors):
+        w = None if weights is None else weights[p]
         # np.dot: the operands are a few B x B, where it dispatches faster than @
-        gram = np.dot(f, f.conj().T)
-        t = np.dot(t.reshape(len(f), -1).T, gram).reshape(t.shape[1:] + (len(f),))
+        m = np.dot(f if w is None else f * w, f.conj().T)
+        t = np.dot(t.reshape(len(f), -1).T, m).reshape(t.shape[1:] + (len(f),))
     d = t.shape[0]
     # t is (d, B_1, ..., B_k) now; the form is real, so either side may be conjugated
-    return math.sqrt(abs(np.vdot(t.reshape(d, -1), core.reshape(-1, d).T).real))
+    return float(np.vdot(t.reshape(d, -1), core.reshape(-1, d).T).real)
+
+
+def _gram_norm(core: np.ndarray, factors: Sequence[np.ndarray]) -> float:
+    """The norm of ``_branch_sum(core, factors)``, from the factor rows' Gram matrices."""
+    return math.sqrt(abs(_quadratic_form(core, factors)))
 
 
 def _evolve_commuting(
     state: UnifiedState, couplings: Sequence[Coupling], t: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | _Branches | np.ndarray:
     """A commuting phase, as the new branch form where the state has one.
 
     Each coupling is a sum over its observable's eigenspaces
@@ -484,13 +567,13 @@ def _evolve_commuting(
     apart, which adds rows with orthogonal cores and loses nothing. Each
     row is then the packet's cached spectrum translated by its kick, one
     batched inverse transform per pointer. Returns ``(core, factors,
-    kicks)`` as ``_Branches`` holds them. A state without branch form, or a
+    kicks)`` as ``_Branches`` holds them. A state without kick rows, or a
     pointer left with more rows than grid points, goes to
-    ``_evolve_blocks``, which is exact for any couplings.
+    ``_evolve_momentum``, which takes any couplings.
     """
     form = state.branches
-    if form is None:
-        return _evolve_blocks(state, couplings, t)
+    if form is None or form.kicks is None:
+        return _evolve_momentum(state, couplings, t)
     core, kicks, coupled = form.core, list(form.kicks), set()
     for c in couplings:
         p = _pointer_axis(state, c.pointer) - 1
@@ -504,7 +587,7 @@ def _evolve_commuting(
         slots: dict[float, int] = {}
         rows = [slots.setdefault(kick, len(slots)) for kick in kicks[p].tolist()]
         if len(slots) > state.pointers[p].grid.points:
-            return _evolve_blocks(state, couplings, t)
+            return _evolve_momentum(state, couplings, t)
         if len(slots) < len(rows):
             sums = np.zeros((len(slots), len(rows)))
             sums[rows, np.arange(len(rows))] = 1.0
@@ -546,9 +629,16 @@ def _tiles(grid: tuple[int, ...]) -> list[tuple[int | slice, ...]]:
 
 
 def _qubit_blocks(
-    ft: np.ndarray, state: UnifiedState, couplings: Sequence[Coupling], t: float
+    ft: np.ndarray,
+    state: UnifiedState,
+    couplings: Sequence[Coupling],
+    t: float,
+    momenta: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """exp(-i t h(k)) on every momentum block of a qubit, in closed form, in place.
+
+    Axis p of ``ft`` after the system is pointer p at ``momenta[p]``, by
+    default its whole grid's wavenumbers, in FFT order.
 
     Each block is h(k) = c0 I + c . sigma with real c0, c, so
     exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
@@ -571,7 +661,8 @@ def _qubit_blocks(
     for c in couplings:
         a = c.observable.matrix
         axis = _pointer_axis(state, c.pointer) - 1
-        gk = c.strength * state.pointer_spec(c.pointer).grid.wavenumbers()
+        k = state.pointer_spec(c.pointer).grid.wavenumbers() if momenta is None else momenta[axis]
+        gk = c.strength * k
         weights = (
             (a[0, 0] + a[1, 1]).real / 2,
             a[0, 1].real,
@@ -651,7 +742,8 @@ def _evolve_blocks(
     In the pointer momentum representation the generator is diagonal over
     the momentum grid, leaving one small Hermitian system block per grid
     point. Qubit blocks are exponentiated in closed form
-    (``_qubit_blocks``); larger ones by batched eigendecomposition.
+    (``_qubit_blocks``); larger ones by batched eigendecomposition. Runs
+    wherever ``_evolve_window`` cannot pay, and is exact for any couplings.
     """
     paxes = tuple(range(1, 1 + len(state.pointers)))
     ft = _spectrum(state, paxes)
@@ -668,6 +760,132 @@ def _evolve_blocks(
     vec = np.exp(-1j * t * w)[..., None] * vec
     vec = (v @ vec)[..., 0]
     return np.fft.ifftn(np.moveaxis(vec, -1, 0), axes=paxes)
+
+
+def _cross_blocks(
+    state: UnifiedState, core: np.ndarray, spectra: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A two-pointer branch form's spectrum on the cross region R, as two new blocks.
+
+    ``spectra`` are its rows' 1-D spectra, (B_p, N_p) per pointer. With
+    W_p pointer p's ``_window``, the first block is every momentum of A by
+    W_B, (d, N_A, |W_B|), and the second W_A by the momenta of B off W_B,
+    (d, |W_A|, N_B - |W_B|); together they are R = (all x W_B) +
+    (W_A x outside W_B). Each is one ``_branch_sum`` of the rows' spectra
+    restricted to its momenta.
+    """
+    (in_a, _, _), (in_b, out_b, _) = map(_window, state.pointers)
+    fa, fb = spectra
+    return _branch_sum(core, [fa, fb[:, in_b]]), _branch_sum(core, [fa[:, in_a], fb[:, out_b]])
+
+
+def _off_window_norm(state: UnifiedState, core: np.ndarray, spectra: Sequence[np.ndarray]) -> float:
+    """The norm of a two-pointer branch form off its cross region, outside W_A x outside W_B.
+
+    Exact, from the Gram matrices of its rows' spectra restricted there,
+    which Parseval scales by 1 / (N_A N_B).
+    """
+    (_, out_a, _), (_, out_b, _) = map(_window, state.pointers)
+    scale = math.prod(spec.grid.points for spec in state.pointers)
+    return _gram_norm(core, [spectra[0][:, out_a], spectra[1][:, out_b]]) / math.sqrt(scale)
+
+
+def _evolve_window(
+    state: UnifiedState, couplings: Sequence[Coupling], t: float
+) -> _Branches | None:
+    """A qubit phase on two pointers in branch form, as a window form; None where it cannot pay.
+
+    Every momentum block is unitary, so the phase keeps the norm of the
+    state on any set of momenta. The kernel of ``_qubit_blocks`` runs on
+    the cross region R only (``_cross_blocks``), and the part off R, whose
+    norm delta is exact (``_off_window_norm``), is dropped: the result is
+    the exact state to within delta, which ``tail`` accumulates and
+    ``evolve`` adds to its norm check. The form is built from R's two
+    blocks (``_Branches``): for each system row s, pointer A's columns u_sb
+    at the momenta b of W_B, each times B's plane wave, and B's rows y_sa
+    at the momenta a of W_A, each after A's plane wave; the u and y rows
+    are each one batched inverse 1-D transform, and the plane waves are
+    the windows' own. No readout-grid array is written.
+
+    None, for ``_evolve_blocks`` to run instead: a state without branch
+    form, not a qubit or not on two pointers; grids of one kernel tile or
+    less (N_A N_B <= TILE_POINTS), where the whole grid costs no more; rows
+    that would outnumber a pointer's grid points; or delta above
+    WINDOW_TAIL_TOL of the norm.
+    """
+    form = state.branches
+    if form is None or len(state.pointers) != 2 or state.system.total != 2:
+        return None
+    sizes = tuple(spec.grid.points for spec in state.pointers)
+    if math.prod(sizes) <= TILE_POINTS:
+        return None
+    (in_a, _, waves_a), (in_b, out_b, waves_b) = map(_window, state.pointers)
+    n_a, n_b = len(in_a), len(in_b)
+    if n_a + 2 * n_b > sizes[0] or n_b + 2 * n_a > sizes[1]:
+        return None
+    spectra = [_row_spectra(state, p) for p in (0, 1)]
+    dropped = _off_window_norm(state, form.core, spectra)
+    if not dropped <= WINDOW_TAIL_TOL * form.norm:
+        return None
+    left, right = _cross_blocks(state, form.core, spectra)
+    k_a, k_b = (spec.grid.wavenumbers() for spec in state.pointers)
+    _qubit_blocks(left, state, couplings, t, (k_a, k_b[in_b]))
+    _qubit_blocks(right, state, couplings, t, (k_a[in_a], k_b[out_b]))
+    # coefficients on R's unit plane-wave products, and the rows they make
+    scale = 1 / math.sqrt(math.prod(sizes))
+    spectrum = np.concatenate([left.reshape(2, -1), right.reshape(2, -1)], axis=1)
+    spectrum *= scale
+    spectrum.setflags(write=False)
+    u = np.fft.ifft(left.transpose(0, 2, 1).reshape(2 * n_b, sizes[0]))
+    u *= scale * math.sqrt(sizes[0])
+    y = np.zeros((2, n_a, sizes[1]), dtype=complex)
+    y[:, :, out_b] = right
+    y = np.fft.ifft(y).reshape(2 * n_a, sizes[1])
+    y *= scale * math.sqrt(sizes[1])
+    # row s n_b + b of A is u_sb, paired with B's plane wave b; A's plane
+    # wave a, row 2 n_b + a, is paired with B's row n_b + s n_a + a, y_sa
+    core = np.zeros((2 * n_b + n_a, n_b + 2 * n_a, 2))
+    b, a = np.arange(n_b), np.arange(n_a)
+    for s in (0, 1):
+        core[s * n_b + b, b, s] = 1.0
+        core[2 * n_b + a, n_b + s * n_a + a, s] = 1.0
+    factors = (np.concatenate([u, waves_a]), np.concatenate([waves_b, y]))
+    norm = float(np.linalg.norm(spectrum))
+    return _Branches(core, factors, None, norm, form.tail + dropped, spectrum)
+
+
+def _evolve_momentum(
+    state: UnifiedState, couplings: Sequence[Coupling], t: float
+) -> _Branches | np.ndarray:
+    """Any phase in the momentum representation: ``_evolve_window`` where it pays, else blocks."""
+    form = _evolve_window(state, couplings, t)
+    return _evolve_blocks(state, couplings, t) if form is None else form
+
+
+def _branch_distance(
+    state: UnifiedState, core: np.ndarray, factors: Sequence[np.ndarray]
+) -> float:
+    """||_branch_sum(core, factors) - state||, for a branch form over the state's pointers.
+
+    A window form is compared by Parseval on the momenta: on the cross
+    region, the branch form's coefficients (``_cross_blocks`` of its rows'
+    spectra) less the form's ``spectrum``; off it, where the window form is
+    zero, the branch form's own norm (``_off_window_norm``). It is off the
+    exact state by at most its ``tail``. Any other state is compared on its
+    amplitudes: one readout-size array is written and the state subtracted
+    from it in place.
+    """
+    form = state.branches
+    if form is None or form.kicks is not None:
+        gap = _branch_sum(core, factors).reshape(-1)
+        gap -= state.state.amplitudes
+        return float(np.linalg.norm(gap))
+    spectra = [np.fft.fft(rows) for rows in factors]
+    d = state.system.total
+    on = np.concatenate([block.reshape(d, -1) for block in _cross_blocks(state, core, spectra)], 1)
+    on /= math.sqrt(math.prod(spec.grid.points for spec in state.pointers))
+    on -= form.spectrum
+    return math.hypot(float(np.linalg.norm(on)), _off_window_norm(state, core, spectra))
 
 
 def _dense_action(
@@ -747,33 +965,40 @@ def evolve(
 
     All couplings in the phase act simultaneously and must share a duration.
     Containment and norm preservation are enforced; the returned state
-    records the phase in its history. A commuting phase on a state in branch
-    form returns a state in branch form, whose norm is checked from its
-    factor rows' Gram matrices and whose amplitudes are formed only when
-    read; any other phase returns the amplitudes.
+    records the phase in its history. A commuting phase on a state with
+    kick rows returns kick rows, whose norm is checked from their Gram
+    matrices, and a qubit phase that ``_evolve_window`` takes returns a
+    window form, whose norm is checked from its coefficients together with
+    the part delta it drops, hypot(norm, delta) against the input's; their
+    amplitudes are formed only when read. Any other phase returns the
+    amplitudes.
     """
     cs, t = _validate_couplings(state, couplings)
     bounds = _updated_bounds(state, cs)
+    form = state.branches
     if method == "expm":
         result = _evolve_dense(state, cs, t)
     elif method == "shift":
         if _couplings_commute(cs):
             result = _evolve_commuting(state, cs, t)
         else:
-            result = _evolve_blocks(state, cs, t)
+            result = _evolve_momentum(state, cs, t)
     else:
         raise ValueError(f"unknown evolution method {method!r}")
     if isinstance(result, tuple):
         core, factors, kicks = result
-        norm = _gram_norm(core, factors)
+        result = _Branches(core, factors, kicks, _gram_norm(core, factors))
+    if isinstance(result, _Branches):
+        # a window form drops a part of exact norm: this phase's share of its tail
+        norm, dropped = result.norm, result.tail - (0.0 if form is None else form.tail)
     else:
         # read-only down to its base, so a reduced state built on it keeps a view, not a copy
         result.setflags(write=False)
-        norm = float(np.linalg.norm(result.reshape(-1)))
-    if not abs(norm - state.norm) <= NORM_TOL:
+        norm, dropped = float(np.linalg.norm(result.reshape(-1))), 0.0
+    if not abs(math.hypot(norm, dropped) - state.norm) <= NORM_TOL:
         raise ValueError(f"evolution failed to preserve the norm: {norm!r}")
-    if isinstance(result, tuple):
-        evolved = _Branches(core, factors, kicks, norm)
+    if isinstance(result, _Branches):
+        evolved = result
     else:
         evolved = StateVector._owning(
             state.dims, result, normalized=state.initial_system.normalized, norm=norm
@@ -867,52 +1092,84 @@ def apparatus_density(state: UnifiedState) -> DensityMatrix:
 
 
 def system_density(state: UnifiedState) -> DensityMatrix:
-    """Reduced density matrix of the system, C C-dagger from the core C of ``record``."""
-    core, _ = state.record
-    return DensityMatrix(state.system, core.reshape(state.system.total, -1))
+    """Reduced density matrix of the system, C C-dagger from the columns C of ``columns``."""
+    return DensityMatrix(state.system, state.columns)
 
 
 def system_schmidt(state: UnifiedState) -> tuple[np.ndarray, int]:
     """Schmidt coefficients across system | pointers, descending, and the rank.
 
-    The bases of ``record`` are orthonormal, so the coefficients are the
-    singular values of its core as a (system, pointers) matrix, padded with
-    zeros to the count the full amplitudes would give.
+    The basis of ``columns`` is orthonormal, so the coefficients are its
+    singular values, padded with zeros to the count the full amplitudes
+    would give.
     """
-    core, _ = state.record
     d = state.system.total
-    return schmidt_values(core.reshape(d, -1), min(d, state.dims.total // d))
+    return schmidt_values(state.columns, min(d, state.dims.total // d))
 
 
 def pointer_expectation(state: UnifiedState, weights: dict[str, np.ndarray]) -> float:
     """<psi| (x)_p diag(w_p) |psi>, with w_p a weight per grid site of pointer p.
 
-    Pointers without weights take the identity. Read from ``record``: the
-    weights act as they are on an identity axis and as Q-dagger diag(w) Q,
-    r_p x r_p, on one in the basis Q. Position moments take w = x; a
+    Pointers without weights take the identity. A branch form is read
+    through its rows, its amplitudes untouched: kick rows by
+    ``_quadratic_form``, window rows by ``_window_expectation``. Amplitudes
+    that exist are read as they are. Position moments take w = x; a
     probability and mean conditioned on a region of one pointer take its
     indicator. On an unnormalized state the quadratic form is returned as
     is, not divided by the norm.
     """
-    core, bases = state.record
-    out, diagonal = core, 1.0
+    form = state.branches
+    if form is not None and "state" not in vars(state):
+        per_pointer = [weights.get(spec.label) for spec in state.pointers]
+        if form.kicks is None:
+            return _window_expectation(state, *per_pointer)
+        return _quadratic_form(form.core, form.factors, per_pointer)
+    amplitudes = state.tensor()
+    diagonal = 1.0
     for label, w in weights.items():
-        axis = _pointer_axis(state, label)
-        q = bases[axis - 1]
-        if q is None:
-            shape = [1] * core.ndim
-            shape[axis] = -1
-            diagonal = diagonal * w.reshape(shape)
-        else:
-            m = q.conj().T @ (w[:, None] * q)
-            out = np.swapaxes(np.swapaxes(out, axis, -1) @ m.T, axis, -1)
-    if out is core:
-        # diagonal weights alone: |core|^2 once, in real arithmetic, against them
-        density = np.abs(core)
-        density *= density
-        axes = list(range(core.ndim))
-        return float(np.einsum(density, axes, np.broadcast_to(diagonal, core.shape), axes, []))
-    return float(np.vdot(core, out * diagonal).real)
+        shape = [1] * amplitudes.ndim
+        shape[_pointer_axis(state, label)] = -1
+        diagonal = diagonal * w.reshape(shape)
+    # |psi|^2 once, in real arithmetic, against the weights
+    density = np.abs(amplitudes)
+    density *= density
+    axes = list(range(amplitudes.ndim))
+    return float(np.einsum(density, axes, np.broadcast_to(diagonal, density.shape), axes, []))
+
+
+def _window_expectation(
+    state: UnifiedState, w_a: np.ndarray | None, w_b: np.ndarray | None
+) -> float:
+    """<phi| diag(w_a) (x) diag(w_b) |phi> of a window form, a weight None the identity.
+
+    Per system row s the form is L_s + R_s, L_s = sum_b u_sb (x) p_b and
+    R_s = sum_a p_a (x) y_sa (``_Branches``), so the form is <L|W|L> +
+    <R|W|R> + 2 Re <L|W|R>, each from W's matrices between rows of one
+    kind, window by window, instead of between all rows. Where a weight is
+    the identity the plane waves are orthonormal, so <L|W|L> or <R|W|R> is
+    a weighted sum of the rows' squared moduli; and without B's weight
+    <L|W|R> is 0, every y_sa being orthogonal to every p_b.
+    """
+    (in_a, _, p_a), (in_b, _, p_b) = map(_window, state.pointers)
+    rows_a, rows_b = state.branches.factors
+    u = rows_a[: 2 * len(in_b)].reshape(2, len(in_b), -1)
+    y = rows_b[len(in_b) :].reshape(2, len(in_a), -1)
+
+    def between(f: np.ndarray, w: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+        """<f_i| diag(w) |g_j>, batched over leading axes."""
+        return f.conj() @ np.swapaxes(g if w is None else g * w, -1, -2)
+
+    def paired(f: np.ndarray, w_f: np.ndarray | None, g: np.ndarray, w_g: np.ndarray | None):
+        """sum_s sum_ij <f_si|W_f|f_sj> <g_i|W_g|g_j>, by the squared moduli where W_g is 1."""
+        if w_g is None:
+            density = np.einsum("sin,sin->n", f.conj(), f).real
+            return float(density.sum() if w_f is None else density @ w_f)
+        return float(np.sum(between(f, w_f, f) * between(g, w_g, g)).real)
+
+    total = paired(u, w_a, p_b, w_b) + paired(y, w_b, p_a, w_a)
+    if w_b is not None:
+        total += 2.0 * float(np.sum(between(u, w_a, p_a) * between(p_b, w_b, y)).real)
+    return total
 
 
 def pointer_mean(state: UnifiedState, label: str) -> float:

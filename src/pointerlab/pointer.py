@@ -98,7 +98,8 @@ class PointerSpec:
             raise LeakageError(
                 f"pointer {self.label!r}: packet at x0={self.x0} with "
                 f"sigma={self.sigma} is within {CONTAINMENT_SIGMAS} standard "
-                f"deviations of the box edge"
+                f"deviations of the edge of its box, length {self.grid.length} "
+                f"on {self.grid.points} points"
             )
 
     def dims(self) -> DimensionSpec:

@@ -31,7 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import engine, separability
-from .engine import Coupling, UnifiedState
+from .engine import SCALING_FLOOR, Coupling, UnifiedState
 from .pointer import PointerGrid, PointerSpec
 from .separability import SeparabilityVerdict, readability_check
 from .tensors import (
@@ -55,10 +55,9 @@ EIGEN_READOUT_TOL = 1e-9
 PATHS_TOL = 1e-8
 PURITY_TOL = 1e-6
 # Two-point scaling checks demand at least this reduction per halving,
-# unless the defect is already at the roundoff floor.
+# unless the defect is already at the roundoff floor, engine.SCALING_FLOOR.
 QUADRATIC_RATIO = 3.5
 CUBIC_RATIO = 7.5
-SCALING_FLOOR = 1e-12
 # epr: largest gap between a certificate weight and its joint eigenvector
 # population. A choice, equal to WEIGHT_SUM_TOL: both are the same branch
 # populations taken two ways, which agree to roundoff near 1e-16.
@@ -502,21 +501,19 @@ def _truncation_defects(run: Run) -> list[list[float]]:
 
     One series pass serves both impulse scales: at scale s the order-m term
     is s^m T_m, an exact rescaling at s = 1/2. The series stays in branch
-    form (``engine._series_branches``), so for each scale s and order n one
-    ``_branch_sum`` writes the truncation psi + sum_{m<=n} s^m T_m, the
-    exact state is subtracted from it in place, and only the norm is kept:
-    beside the readout and half-impulse states, one readout-size array
-    exists at a time.
+    form (``engine._series_branches``), so for each scale s and order n the
+    truncation psi + sum_{m<=n} s^m T_m is one branch core, and
+    ``engine._branch_distance`` takes its distance to the exact state. On
+    a window form that is read on the momenta by Parseval and writes no
+    readout-size array; on any other state it writes one at a time.
     """
-    exact = {1.0: run.state.state.amplitudes, 0.5: run.at_scale(0.5).state.amplitudes}
+    exact = {1.0: run.state, 0.5: run.at_scale(0.5)}
     initial = engine.build_initial(run.system, run.state.pointers)
     cores, factors = engine._series_branches(initial, run.state.history[0], 2)
 
     def gap(scale: float, order: int) -> float:
         core = sum(scale**m * cores[m] for m in range(order + 1))
-        truncation = engine._branch_sum(core, factors).reshape(-1)
-        truncation -= exact[scale]
-        return float(np.linalg.norm(truncation))
+        return engine._branch_distance(exact[scale], core, factors)
 
     return [[gap(scale, order) for scale in exact] for order in (1, 2)]
 

@@ -24,16 +24,19 @@ compared against the actual reduced state, from the state's own apparatus
 columns rather than its branch form, and then revalidated on a grid
 resolution that no pointer of the state uses, to rule out discretization
 artifacts, and fine enough to hold the branch rows the certificate was
-read from. A state without branch form, as one evolved by ``"expm"``, gets
-no certificate. Each term's column is an outer product of its factors.
+read from. A state without kick rows, as one evolved by ``"expm"`` or a
+window form left by a noncommuting phase, gets no certificate. Each term's
+column is an outer product of its factors.
 
 The witness works from the columns of the apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
 k. It compresses each Psi_k onto the Schmidt supports of the two sides of
 the cut, which have dimension r_A and r_B, and eigensolves an (r_A * r_B)-
 dimension partial transpose instead of the N x N one. Weyl's inequality
-bounds the error by the Frobenius norm of what the compression drops; a
-bound above SUPPORT_BOUND_TOL raises instead of answering.
+bounds the error by the Frobenius norm of what the compression drops, plus,
+for a state read off a window form (``engine._evolve_window``), what that
+form drops, its ``tail``; a bound above SUPPORT_BOUND_TOL raises instead of
+answering.
 
 ``readability_check`` forms no N x N apparatus matrix, so a verdict has no
 size limit of its own; ``engine.DENSE_LIMIT`` bounds only the dense
@@ -168,6 +171,17 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     while for larger factors it is only necessary. The state is
     compressed onto its Schmidt support first (``_support_ppt_min``).
     """
+    return _ppt_min(rho, cut, 0.0)
+
+
+def _ppt_min(rho: DensityMatrix, cut: Cut, tail: float) -> float:
+    """``ppt_min_eigenvalue`` of a state read off a form that drops a part of norm ``tail``.
+
+    With psi = phi + e, ||e|| <= tail and ||phi|| <= 1, the reduced states
+    differ by at most (2 + tail) tail in trace norm, which bounds the
+    Frobenius norm of the partial transposes' difference, so Weyl's
+    inequality adds it to the compression's bound.
+    """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
     left, right = cut_sides(rho.dims, cut)
@@ -175,6 +189,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
     dl = math.prod(rho.dims.dim(lab) for lab in left)
     dr = math.prod(rho.dims.dim(lab) for lab in right)
     low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
+    bound += (2.0 + tail) * tail
     if not bound <= SUPPORT_BOUND_TOL:
         raise ValueError(
             f"compressed partial transpose is off by up to {bound:.3e}, "
@@ -334,18 +349,21 @@ def _certificate_route(
     The state is sum_b c_b (x) F_b, F_b the product of branch b's factor
     rows, so the apparatus state is sum_{b, b'} G[b', b] |F_b><F_b'| with
     G[b', b] = <c_b'|c_b>, each pointer's rows distinct, one per kick
-    (``engine``). Entries of G at or below BRANCH_TOL times its trace are
+    (``engine``): kick rows only. Window rows (``kicks`` None) are not
+    branches of a mixture, however few, so they give no certificate, and
+    neither does a state without branch form. Entries of G at or below
+    BRANCH_TOL times its trace are
     set to 0. A diagonal G gives one term per populated branch.
     Otherwise, for two pointers, a G with no entry between different rows i
     of one pointer gives, per row i in order, |f_i><f_i| (x) sum_{jj'}
     G[ij', ij] |g_j><g_j'| of the other pointer's rows g_j, split into pure
-    terms by one batched ``eigh``. Any other G, or a state without branch
-    form, gives no certificate. Terms below WEIGHT_PRUNE are dropped. The
+    terms by one batched ``eigh``. Any other G gives no certificate.
+    Terms below WEIGHT_PRUNE are dropped. The
     row count returned is the most rows any pointer of the form has, which
     sizes the revalidation grid.
     """
     form = state.branches
-    if form is None:
+    if form is None or form.kicks is None:
         return None
     core, rows = form.core, form.factors
     most = max(map(len, rows))
@@ -408,6 +426,8 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
         )
     cut_sides(state.pointer_dims(), cut)
     rho = engine.apparatus_density(state)
+    form = state.branches
+    tail = 0.0 if form is None else form.tail
     notes: list[str] = []
     route = _certificate_route(state)
     if route is not None:
@@ -444,7 +464,7 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
             )
         else:
             notes.append(f"certificate failed validation ({error:.3e}), discarded")
-    ppt = ppt_min_eigenvalue(rho, cut)
+    ppt = _ppt_min(rho, cut, tail)
     if ppt < ENTANGLEMENT_THRESHOLD:
         return SeparabilityVerdict(
             status="entangled", cut=cut, ppt_min=ppt, method="ppt", notes=tuple(notes)

@@ -144,6 +144,18 @@ class TestRun:
         assert len(err.splitlines()) == 1 and len(err) < 200
         assert f"pointer 'A': accumulated shift {shift} would put" in err
 
+    @pytest.mark.parametrize("name", ["simultaneous", "weak-orders"])
+    def test_containment_message_names_its_box(self, name, capsys):
+        """Two-pointer scenarios also build packets on the 16-long analysis grid,
+        so a packet the requested 32-long box would hold is refused there, and
+        the message says which box that was."""
+        argv = ["scenario", "run", name, "--gridN", "256", "--gridL", "32", "--sigma", "1.5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert "sigma=1.5 is within 6.0 standard deviations" in err
+        assert "its box, length 16.0 on 16 points" in err
+
     def test_leakage_message_stays_short_in_sweep_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "weak-noselect", "--param", "gA", "--start", "1e199"]

@@ -940,9 +940,10 @@ class TestFactoredRecord:
                 assert [len(f) for f in form.factors] == list(map(len, kicks))
             gap = np.abs(state.state.amplitudes - dense.state.amplitudes).max()
             assert gap <= 1e-12
-        # a fresh copy forms nothing, so its readouts take the compressed core
+        # a fresh copy in branch form forms nothing for its compressed columns
         lazy = dataclasses.replace(state)
-        assert (lazy.record[1][0] is None) == (kicks is None)
+        lazy.columns
+        assert ("state" in vars(lazy)) == (kicks is None)
         formed = dataclasses.replace(state, _evolved=state.state)
         got, want = _readouts(lazy), _readouts(formed)
         assert got["rank"] == want["rank"]
@@ -952,6 +953,140 @@ class TestFactoredRecord:
         cut = (dims.labels, labels)
         coeffs, rank = tensors.schmidt(state.state, cut)
         assert rank == got["rank"] and np.abs(coeffs - got["schmidt"]).max() <= 1e-13
+
+
+# (points, length) of readout grids above one kernel tile, where the window route runs
+WINDOW_GRIDS = [(128, 16.0), (256, 16.0), (256, 24.0), (512, 32.0)]
+
+
+def _hermitian(rng, kind):
+    """A qubit observable of spectral norm 1: sigma_y, or random with a trace part."""
+    if kind == "sigma_y":
+        return Operator(DimensionSpec.of(("system", 2)), SIGMA_Y)
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = m + m.conj().T + rng.normal() * np.eye(2)
+    return Operator(DimensionSpec.of(("system", 2)), m / np.abs(np.linalg.eigvalsh(m)).max())
+
+
+class TestWindowRoute:
+    """A noncommuting qubit phase on two readout-grid pointers keeps a window form."""
+
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(WINDOW_GRIDS),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["random", "sigma_y"]),
+    )
+    # a branch-form input at the largest grid
+    @example(grid=(512, 32.0), seed=3, branched=True, kind="random")
+    def test_window_route_matches_blocks(self, grid, seed, branched, kind):
+        """Against ``_evolve_blocks`` from the same input: the largest amplitude
+        gap is within what the form drops, delta, which is within
+        WINDOW_TAIL_TOL of the norm, and norm^2 + delta^2 is the input's to
+        1e-14, about 45 eps: over 320 draws it was off by up to 4.2e-15,
+        and the blocks' own norm^2 by up to 3.2e-14."""
+        rng = np.random.default_rng(seed)
+        grid = PointerGrid(*grid)
+        dims = DimensionSpec.of(("system", 2))
+        specs = [
+            PointerSpec(lab, grid, x0=rng.uniform(-0.5, 0.5), sigma=rng.uniform(0.8, 1.0))
+            for lab in "AB"
+        ]
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        state = build_initial(StateVector(dims, v / np.linalg.norm(v)), specs)
+        if branched:
+            first = zip(commuting_family(rng, 2, 2), "AB")
+            state = evolve(state, [Coupling(op, lab, rng.uniform(-0.3, 0.3)) for op, lab in first])
+            assert state.branches.kicks is not None
+        observables = [_hermitian(rng, kind), _hermitian(rng, "random")]
+        phase = [Coupling(op, lab, rng.uniform(-0.4, 0.4)) for op, lab in zip(observables, "AB")]
+        assert not commutes(*observables)
+        want = engine_module._evolve_blocks(state, phase, 1.0)
+        got = evolve(state, phase)
+        form = got.branches
+        assert form is not None and form.kicks is None
+        delta = form.tail
+        assert delta <= engine_module.WINDOW_TAIL_TOL * state.norm
+        assert abs(form.norm**2 + delta**2 - state.norm**2) <= 1e-14
+        assert np.abs(got.tensor() - want).max() <= delta + 1e-14
+
+    def test_guard_sends_small_grids_to_blocks(self):
+        """One kernel tile or less, a single pointer, or a qudit runs the blocks."""
+        x, z = pauli(SIGMA_X), pauli(SIGMA_Z)
+        two = [PointerSpec(lab, PointerGrid(64, 16.0)) for lab in "AB"]
+        phase = [Coupling(x, "A", 0.1), Coupling(z, "B", 0.1)]
+        assert evolve(build_initial(bloch_state(1.0, 0.0), two), phase).branches is None
+        one = build_initial(bloch_state(1.0, 0.0), [PointerSpec("A", PointerGrid(8192, 64.0))])
+        assert evolve(one, [Coupling(x, "A", 0.1), Coupling(z, "A", 0.1)]).branches is None
+        big = [PointerSpec(lab, PointerGrid(128, 16.0)) for lab in "AB"]
+        pair = build_initial(StateVector(PAIR_DIMS, np.array([0.5, 0.5, 0.5, 0.5])), big)
+        z_first = Operator(PAIR_DIMS, np.kron(SIGMA_Z, np.eye(2)))
+        phase = [Coupling(PAIR_X, "A", 0.1), Coupling(z_first, "B", 0.1)]
+        assert evolve(pair, phase).branches is None
+
+    @pytest.mark.parametrize("scale, windowed", [(0.7, True), (1.4, False)])
+    def test_tail_near_its_bound(self, scale, windowed):
+        """A planted tail of literal norm ``scale`` x WINDOW_TAIL_TOL: each
+        pointer's row is a plane wave of its window plus one outside it of
+        amplitude e, so the part off the cross region has norm e^2."""
+        tail = scale * engine_module.WINDOW_TAIL_TOL
+        e = math.sqrt(tail)
+        grid = PointerGrid(256, 16.0)
+        specs = [PointerSpec(lab, grid) for lab in "AB"]
+        rows = []
+        for spec in specs:
+            _, outside, waves = engine_module._window(spec)
+            off = np.fft.ifft(np.eye(grid.points)[outside[0]]) * math.sqrt(grid.points)
+            rows.append((math.sqrt(1 - e * e) * waves[0] + e * off)[None])
+        system = bloch_state(1.0, 0.0)
+        core = system.amplitudes.reshape(1, 1, 2)
+        norm = engine_module._gram_norm(core, rows)
+        form = engine_module._Branches(core, tuple(rows), None, norm)
+        state = dataclasses.replace(build_initial(system, specs), _evolved=form)
+        phase = [Coupling(pauli(SIGMA_X), "A", 0.05), Coupling(pauli(SIGMA_Z), "B", 0.05)]
+        evolved = evolve(state, phase)
+        assert (evolved.branches is not None) == windowed
+        if windowed:
+            assert abs(evolved.branches.tail - tail) <= 1e-6 * tail
+
+    def test_readouts_and_distance_read_the_momenta(self):
+        """The window form's readouts match the formed amplitudes', and a
+        branch form's distance to it matches the distance to them."""
+        specs = [PointerSpec("A", FINE, x0=0.3), PointerSpec("B", FINE, x0=-0.2)]
+        state = build_initial(bloch_state(1.0, 0.4), specs)
+        phase = [Coupling(pauli(SIGMA_X), "A", 0.3), Coupling(pauli(SIGMA_Y), "B", 0.2)]
+        lazy = evolve(state, phase)
+        assert lazy.branches.kicks is None
+        formed = dataclasses.replace(lazy, _evolved=dataclasses.replace(lazy).state)
+        got, want = _readouts(lazy), _readouts(formed)
+        assert "state" not in vars(lazy)
+        assert got["rank"] == want["rank"]
+        for name, value in want.items():
+            assert np.abs(got[name] - value).max() <= 1e-13, name
+        cores, factors = engine_module._series_branches(state, phase, 2)
+        core = cores[0] + cores[1] + cores[2]
+        exact = np.linalg.norm(engine_module._branch_sum(core, factors) - formed.tensor())
+        got = engine_module._branch_distance(lazy, core, factors)
+        assert "state" not in vars(lazy)
+        assert abs(got - exact) <= 1e-15 + lazy.branches.tail
+
+    def test_chained_phases_keep_the_window(self):
+        """A second phase on a window form, commuting or not, keeps it, and
+        matches the blocks run on the formed amplitudes."""
+        specs = [PointerSpec(lab, PointerGrid(128, 16.0)) for lab in "AB"]
+        state = build_initial(bloch_state(2.0, 0.1), specs)
+        first = [Coupling(pauli(SIGMA_X), "A", 0.2), Coupling(pauli(SIGMA_Z), "B", 0.2)]
+        state = evolve(state, first)
+        for phase in (
+            [Coupling(pauli(SIGMA_Z), "A", 0.1), Coupling(pauli(SIGMA_Z), "B", -0.1)],
+            [Coupling(pauli(SIGMA_Y), "A", 0.1), Coupling(pauli(SIGMA_X), "B", 0.1)],
+        ):
+            formed = dataclasses.replace(state, _evolved=state.state)
+            want = engine_module._evolve_blocks(formed, phase, 1.0)
+            state = evolve(state, phase)
+            assert state.branches.kicks is None
+            assert np.abs(state.tensor() - want).max() <= state.branches.tail + 1e-14
 
 
 class TestLazyProduct:

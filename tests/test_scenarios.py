@@ -107,15 +107,16 @@ def test_each_state_evolved_once(monkeypatch):
 # np.fft calls per default scenario on arrays shaped (system, n, n): two
 # readout-grid pointer axes behind the system. A commuting phase on a state
 # in branch form keeps that form and transforms only its 1-D factor rows,
-# so sequential's two phases run none; a noncommuting one is transformed
-# from its packets' spectra, so it runs only its inverse transform. The
-# weak-orders series starts from the product state, so it is built from
-# the packets' 1-D transforms and runs none.
+# so sequential's two phases run none; a noncommuting one on two readout-grid
+# pointers keeps a window form, built from its packets' spectra on the cross
+# region by 1-D transforms, so simultaneous and weak-orders run none either.
+# The weak-orders series is built from the packets' 1-D transforms and is
+# compared with the window form on the momenta, so it runs none.
 READOUT_FFT_PASSES = {
     "weak-noselect": {},
     "weak-postselect": {},
-    "simultaneous": {"ifftn": 2},
-    "weak-orders": {"ifftn": 2},
+    "simultaneous": {},
+    "weak-orders": {},
     "eigenstate": {},
     "epr": {},
     "sequential": {},
@@ -140,19 +141,16 @@ def test_readout_grid_fft_passes(monkeypatch, name):
 
 # Peak traced allocation over one default run, above where it started, in
 # readout states: system dimension x 256 x 256 amplitudes, 2 MiB (4 MiB for
-# epr's pair). Measured at numpy 2.4: simultaneous 2.760, weak-orders 3.021,
-# epr 0.109 and sequential 0.117 states. The product state is never formed
-# for the shift integrator, an evolved state keeps the spectrum it was
-# transformed in, and a state's amplitudes are viewed, not copied, by its
-# reduced densities; epr's and sequential's commuting records stay in branch
-# form, read out from their compressed cores, so their peaks are the
-# 16-point analysis states'. weak-orders peaks at three states: the readout
-# state, the half-impulse state, and one truncation array. The momentum
-# blocks run in tiles, and the truncation series writes one readout-size
-# array at a time.
+# epr's pair). Measured at numpy 2.4: simultaneous 1.244, weak-orders 1.204,
+# epr 0.109 and sequential 0.117 states. No state's amplitudes are formed:
+# epr's and sequential's commuting records stay in branch form, read out
+# from their compressed columns, so their peaks are the 16-point analysis
+# states'; simultaneous's and weak-orders' noncommuting readout and
+# half-impulse states are window forms, each about 0.65 MiB of rows and
+# coefficients, and their truncation gaps are read on the momenta.
 WORKING_SET_STATES = {
-    "simultaneous": 2.9,
-    "weak-orders": 3.1,
+    "simultaneous": 1.3,
+    "weak-orders": 1.3,
     "epr": 0.12,
     "sequential": 0.12,
 }
@@ -204,6 +202,48 @@ def test_commuting_records_never_formed(monkeypatch, name):
     assert run_scenario(name).passed
     assert formed and all(n not in points for points in formed)
     assert written and all(n not in shape for shape in written)
+
+
+@pytest.mark.parametrize("name", ["simultaneous", "weak-orders"])
+def test_noncommuting_records_never_formed(monkeypatch, name):
+    """Default simultaneous and weak-orders runs write no readout-grid array.
+
+    Their readout and half-impulse states are window forms, read out on
+    the momenta and from their rows. ``UnifiedState.state`` and
+    ``_branch_sum`` are spied on as for the commuting records: only the
+    analysis states are formed, and no branch sum spans both readout-grid
+    pointer axes; the window's blocks span one.
+    """
+    n = DEFAULTS[name].readout_grid().points
+    formed, written, windows = [], [], []
+    state = engine.UnifiedState.__dict__["state"]
+
+    def spied_state(self):
+        formed.append(tuple(spec.grid.points for spec in self.pointers))
+        return state.func(self)
+
+    spied = functools.cached_property(spied_state)
+    spied.__set_name__(engine.UnifiedState, "state")
+    monkeypatch.setattr(engine.UnifiedState, "state", spied)
+    branch_sum, evolve_window = engine._branch_sum, engine._evolve_window
+
+    def spied_sum(core, factors):
+        out = branch_sum(core, factors)
+        written.append(out.shape)
+        return out
+
+    def spied_window(state, couplings, t):
+        form = evolve_window(state, couplings, t)
+        windows.append(form is not None and form.kicks is None)
+        return form
+
+    monkeypatch.setattr(engine, "_branch_sum", spied_sum)
+    monkeypatch.setattr(engine, "_evolve_window", spied_window)
+    assert run_scenario(name).passed
+    assert formed and all(n not in points for points in formed)
+    assert written and all(shape[-2:] != (n, n) for shape in written)
+    # the readout and half-impulse states; the analysis states fit in one tile
+    assert windows.count(True) == 2
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -396,6 +436,41 @@ class TestSimultaneous:
         assert self._failed(monkeypatch, 0.0, cfg) == failed
 
 
+    @pytest.mark.parametrize(
+        "full, half, failed",
+        [
+            (7.5e-7, 7e-8, set()),
+            (7.5e-7, 1.4e-7, {"cross_moment_beyond_first_order"}),
+            (1e-13, 7e-13, set()),
+            (1e-13, 1.4e-12, {"cross_moment_beyond_first_order"}),
+        ],
+    )
+    def test_cross_moment_scaling_through_measure(self, monkeypatch, full, half, failed):
+        """Literal cross-moment defects fed through ``_simultaneous``: the
+        half-impulse defect at 0.7 and 1.4 times the full one over CUBIC_RATIO
+        (7.5), then at 0.7 and 1.4 times SCALING_FLOOR (1e-12) beside a full
+        defect at roundoff. The planted moment is the first-order prediction
+        plus the defect, at full and at half impulse in turn; sigma_x and
+        sigma_z anticommute, so the prediction has no impulse-squared term."""
+        cfg = DEFAULTS["simultaneous"]
+        system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
+        ex, ez = (
+            tensors.expectation(op, system).real for op in (scenarios.PAULI_X, scenarios.PAULI_Z)
+        )
+        planted = iter([full, half])
+
+        def cross(state, label_a, label_b):
+            ia, ib = (c.impulse for c in state.history[0])
+            predicted = cfg.x0_a * cfg.x0_b + ia * cfg.x0_b * ex + ib * cfg.x0_a * ez
+            return predicted + next(planted)
+
+        monkeypatch.setattr(engine, "pointer_cross_mean", cross)
+        report = run_scenario("simultaneous")
+        assert {name for name, ok in report.checks.items() if not ok} == failed
+        assert report.defects["cross_moment"] == pytest.approx(full, rel=1e-3)
+        assert report.defects["cross_moment_half_impulse"] == pytest.approx(half, rel=1e-3)
+
+
 class TestWeakOrders:
     def test_defect_ratios_frozen(self, default_reports):
         report = default_reports["weak-orders"]
@@ -520,6 +595,18 @@ class TestWeakOrders:
         defects = [[1e-3, 1e-3 / ratios[1]], [1e-5, 1e-5 / ratios[2]]]
         monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: defects)
         assert self._failed(orders_run) == failed
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("half, ok", [(7e-13, True), (1.4e-12, False)])
+    def test_ratio_floor_near_scaling_floor(self, orders_run, monkeypatch, order, half, ok):
+        """One order's defects at roundoff, 1e-13 at full impulse and 0.7 and 1.4
+        times SCALING_FLOOR (1e-12) at half, fed through ``_weak_orders``: only
+        that order's check flips, and only above the floor."""
+        defects = [[1e-3, 1e-3 / 4.0], [1e-5, 1e-5 / 8.0]]
+        defects[order - 1] = [1e-13, half]
+        monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: defects)
+        name = ("order1_defect_scales_quadratically", "order2_defect_scales_cubically")[order - 1]
+        assert self._failed(orders_run) == (set() if ok else {name})
 
     @pytest.mark.parametrize("ppt, failed", [(7e-9, set()), (1.4e-8, {"weak_limit_ppt_vanishes"})])
     def test_weak_ppt_near_its_tolerance(self, orders_run, monkeypatch, ppt, failed):

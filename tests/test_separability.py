@@ -826,6 +826,29 @@ class TestCertificateRule:
             assert separability._certificate_route(state) is None, impulse
             assert readability_check(state, CUT_POINTERS).certificate is None, impulse
 
+    def test_window_form_gets_no_certificate(self):
+        """A noncommuting phase on 128-point pointers leaves window rows, kicks
+        None: however few, they are not branches of a mixture, so the rule
+        reads nothing and the witness answers, with the form's tail in its
+        bound; a tail of 1e-9 puts the bound past SUPPORT_BOUND_TOL."""
+        grid = PointerGrid(128, 16.0)
+        specs = [PointerSpec(lab, grid) for lab in "AB"]
+        state = build_initial(bloch_state(math.pi / 3, 0.0), specs)
+        phase = [Coupling(pauli(SIGMA_X), "A", 0.5), Coupling(pauli(SIGMA_Z), "B", 0.5)]
+        state = evolve(state, phase)
+        form = state.branches
+        assert form.kicks is None and 0.0 < form.tail <= engine.WINDOW_TAIL_TOL
+        assert separability._certificate_route(state) is None
+        verdict = readability_check(state, CUT_POINTERS)
+        assert (verdict.status, verdict.method, verdict.certificate) == ("entangled", "ppt", None)
+        formed = dataclasses.replace(state, _evolved=state.state)
+        assert verdict.ppt_min == pytest.approx(
+            readability_check(formed, CUT_POINTERS).ppt_min, abs=1e-14
+        )
+        widened = dataclasses.replace(state, _evolved=dataclasses.replace(form, tail=1e-9))
+        with pytest.raises(ValueError, match="no verdict"):
+            readability_check(widened, CUT_POINTERS)
+
     @pytest.mark.parametrize("name", ["zA zB", "zA, xB", "zA, zB, zA"])
     def test_expm_record_gets_no_certificate(self, name):
         """The dense integrator leaves no branch form, so the rule has nothing to

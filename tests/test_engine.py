@@ -1025,12 +1025,11 @@ class TestWindowRoute:
         phase = [Coupling(PAIR_X, "A", 0.1), Coupling(z_first, "B", 0.1)]
         assert evolve(pair, phase).branches is None
 
-    @pytest.mark.parametrize("scale, windowed", [(0.7, True), (1.4, False)])
-    def test_tail_near_its_bound(self, scale, windowed):
-        """A planted tail of literal norm ``scale`` x WINDOW_TAIL_TOL: each
+    @pytest.mark.parametrize("tail, windowed", [(7e-15, True), (1.4e-14, False)])
+    def test_tail_near_its_bound(self, tail, windowed):
+        """Planted tails of 0.7 and 1.4 times WINDOW_TAIL_TOL (1e-14): each
         pointer's row is a plane wave of its window plus one outside it of
         amplitude e, so the part off the cross region has norm e^2."""
-        tail = scale * engine_module.WINDOW_TAIL_TOL
         e = math.sqrt(tail)
         grid = PointerGrid(256, 16.0)
         specs = [PointerSpec(lab, grid) for lab in "AB"]

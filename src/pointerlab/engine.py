@@ -496,7 +496,9 @@ def _window(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dropped = int(np.searchsorted(tail, WINDOW_TAIL_TOL * tail[-1], side="right"))
     inside, outside = np.sort(order[dropped:]), np.sort(order[:dropped])
     n = spec.grid.points
-    waves = np.fft.ifft(np.eye(n)[inside]) * math.sqrt(n)
+    units = np.zeros((len(inside), n))
+    units[np.arange(len(inside)), inside] = 1.0
+    waves = np.fft.ifft(units) * math.sqrt(n)
     for a in (inside, outside, waves):
         a.setflags(write=False)
     return inside, outside, waves

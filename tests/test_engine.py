@@ -1012,11 +1012,14 @@ class TestWindowRoute:
         assert np.abs(got.tensor() - want).max() <= delta + 1e-14
 
     def test_guard_sends_small_grids_to_blocks(self):
-        """One kernel tile or less, a single pointer, or a qudit runs the blocks."""
+        """One kernel tile or less, windows whose rows would outnumber the grid
+        (79 of 128 momenta in a 64-long box), a single pointer, or a qudit runs
+        the blocks."""
         x, z = pauli(SIGMA_X), pauli(SIGMA_Z)
-        two = [PointerSpec(lab, PointerGrid(64, 16.0)) for lab in "AB"]
         phase = [Coupling(x, "A", 0.1), Coupling(z, "B", 0.1)]
-        assert evolve(build_initial(bloch_state(1.0, 0.0), two), phase).branches is None
+        for grid in (PointerGrid(64, 16.0), PointerGrid(128, 64.0)):
+            two = [PointerSpec(lab, grid) for lab in "AB"]
+            assert evolve(build_initial(bloch_state(1.0, 0.0), two), phase).branches is None
         one = build_initial(bloch_state(1.0, 0.0), [PointerSpec("A", PointerGrid(8192, 64.0))])
         assert evolve(one, [Coupling(x, "A", 0.1), Coupling(z, "A", 0.1)]).branches is None
         big = [PointerSpec(lab, PointerGrid(128, 16.0)) for lab in "AB"]

@@ -85,8 +85,9 @@ readouts the scenarios take read the form: position expectations are
 quadratic forms in the factor rows (``_quadratic_form``); the system
 density, purity and Schmidt coefficients read ``UnifiedState.columns``,
 the state in an orthonormal basis, which for kick rows is a small Tucker
-core from a thin QR of each pointer's rows and for a window form its
-coefficients on the cross region's plane waves (Parseval); and a
+core from a thin QR of each pointer's rows (``UnifiedState.tucker``,
+which keeps the bases too, for the readability verdict) and for a window
+form its coefficients on the cross region's plane waves (Parseval); and a
 truncation's distance to a window form is taken on the momenta
 (``_branch_distance``). A state without branch form, or one whose
 amplitudes were already formed, is read as it stands. So a readout-grid
@@ -242,7 +243,8 @@ class UnifiedState:
     ``state`` forms the amplitudes on first read and keeps them, and
     ``columns`` holds the state in an orthonormal basis that the system-side
     readouts read, so a state in branch form that is only read out is never
-    written out.
+    written out. For kick rows that basis and the core come from
+    ``tucker``, which the readability verdict also reads.
     """
 
     pointers: tuple[PointerSpec, ...]
@@ -292,13 +294,32 @@ class UnifiedState:
         )
 
     @cached_property
+    def tucker(self) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
+        """Kick rows in orthonormal bases: each pointer's basis Q_p and the core, or None.
+
+        A thin QR of each pointer's rows, F_p^T = Q_p R_p, and the branch
+        core contracted with every R_p: the state is sum core[s, i_1, ...,
+        i_k] |s> (x) Q_1[:, i_1] (x) ... (x) Q_k[:, i_k], a Tucker form with
+        orthonormal factors (De Lathauwer, De Moor and Vandewalle, SIAM J.
+        Matrix Anal. Appl. 21, 1253 (2000)). Q_p is (N_p, B_p) and the core
+        (d, B_1, ..., B_k), all read-only. None for a state without kick
+        rows: a window form, or no branch form at all.
+        """
+        form = self.branches
+        if form is None or form.kicks is None:
+            return None
+        qrs = _qr_each([rows.T for rows in form.factors])
+        core = _branch_sum(form.core, [r.T for _, r in qrs])
+        bases = tuple(q for q, _ in qrs)
+        for a in (core, *bases):
+            a.setflags(write=False)
+        return bases, core
+
+    @cached_property
     def columns(self) -> np.ndarray:
         """The amplitudes as a (system, rest) matrix in an orthonormal basis of the pointers.
 
-        Kick rows: a thin QR of each pointer's rows, F^T = Q R, and the
-        branch core contracted with every R, the core of a Tucker form with
-        orthonormal factors Q (De Lathauwer, De Moor and Vandewalle, SIAM J.
-        Matrix Anal. Appl. 21, 1253 (2000)). Window rows: the form's
+        Kick rows: the core of ``tucker``. Window rows: the form's
         ``spectrum``, whose basis is plane waves. Without branch form, or
         once ``state`` has formed them, the amplitudes themselves: reading
         amplitudes that exist costs less than the QR. Read-only.
@@ -308,10 +329,7 @@ class UnifiedState:
             return self.matrix()
         if form.kicks is None:
             return form.spectrum
-        rs = [np.linalg.qr(rows.T, mode="r").T for rows in form.factors]
-        out = _branch_sum(form.core, rs).reshape(self.system.total, -1)
-        out.setflags(write=False)
-        return out
+        return self.tucker[1].reshape(self.system.total, -1)
 
     def pointer_spec(self, label: str) -> PointerSpec:
         for spec in self.pointers:
@@ -502,6 +520,14 @@ def _window(spec: PointerSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (inside, outside, waves):
         a.setflags(write=False)
     return inside, outside, waves
+
+
+def _qr_each(mats: Sequence[np.ndarray], mode: str = "reduced") -> list:
+    """``np.linalg.qr`` of each matrix, in one batched call where they share a shape."""
+    if len({m.shape for m in mats}) > 1:
+        return [np.linalg.qr(m, mode=mode) for m in mats]
+    out = np.linalg.qr(np.stack(mats), mode=mode)
+    return list(out) if mode == "r" else list(zip(*out))
 
 
 def _branch_sum(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

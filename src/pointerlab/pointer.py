@@ -124,7 +124,10 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
 
     Raises LeakageError when the continuum tails outside the box exceed
     LEAKAGE_TOL; at that point the periodic image overlap would contaminate
-    readout means at a level this package refuses to average over.
+    readout means at a level this package refuses to average over. Raises
+    ValueError when the samples underflow to zero, as a spread far below
+    the grid spacing does when x0 falls between sites: there is no packet
+    left to normalize.
     """
     leak = gaussian_leakage(spec)
     if not leak <= LEAKAGE_TOL:
@@ -134,7 +137,14 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
         )
     x = spec.grid.positions()
     amp = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
-    amp = amp / np.linalg.norm(amp)
+    norm = np.linalg.norm(amp)
+    if not norm > 0:
+        raise ValueError(
+            f"pointer {spec.label!r}: packet with sigma={spec.sigma} at x0={spec.x0} "
+            f"underflows to zero on {spec.grid.points} points over length "
+            f"{spec.grid.length}"
+        )
+    amp = amp / norm
     return StateVector(spec.dims(), amp)
 
 

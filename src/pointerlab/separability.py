@@ -19,28 +19,36 @@ pointers. Two complementary tools live here:
   Horodecki and Horodecki, PLA 223, 1 (1996)), whose negative eigenvalues
   witness entanglement when no decomposition exists.
 
-Certificates are never taken on faith: each one is reconstructed and
-compared against the actual reduced state, from the state's own apparatus
-columns rather than its branch form, and then revalidated on a grid
-resolution that no pointer of the state uses, to rule out discretization
-artifacts, and fine enough to hold the branch rows the certificate was
-read from. A state without kick rows, as one evolved by ``"expm"`` or a
-window form left by a noncommuting phase, gets no certificate. Each term's
-column is an outer product of its factors.
+Certificates are never taken on faith: each one is compared against the
+actual reduced state in the record's bases, the orthonormal bases Q_p of
+the pointers' rows in which the state is a small Tucker core
+(``UnifiedState.tucker``), with each certificate factor's exact
+coordinates in a basis that extends them, its part off the record's span
+included. It is then revalidated, through the replica's own core, on a
+grid resolution that no pointer of the state uses, to rule out
+discretization artifacts, and fine enough to hold the branch rows the
+certificate was read from. A state without kick rows, as one evolved by
+``"expm"`` or a window form left by a noncommuting phase, gets no
+certificate. ``SeparableDecomposition.validate`` compares any certificate
+with any ``DensityMatrix`` through its columns; each term's column is an
+outer product of its factors.
 
-The witness works from the columns of the apparatus state, rho = sum_k
+For a state with kick rows the witness is the exact partial transpose of
+the record core, of dimension r_A * r_B: the core sits in the full space
+through a product isometry, so it has the same nonzero spectrum. Any other
+state is read from the columns of its apparatus state, rho = sum_k
 vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
-k. It compresses each Psi_k onto the Schmidt supports of the two sides of
-the cut, which have dimension r_A and r_B, and eigensolves an (r_A * r_B)-
-dimension partial transpose instead of the N x N one. Weyl's inequality
-bounds the error by the Frobenius norm of what the compression drops, plus,
-for a state read off a window form (``engine._evolve_window``), what that
-form drops, its ``tail``; a bound above SUPPORT_BOUND_TOL raises instead of
-answering.
+k. Each Psi_k is compressed onto the Schmidt supports of the two sides of
+the cut, which have dimension r_A and r_B, and an (r_A * r_B)-dimension
+partial transpose is eigensolved instead of the N x N one. Weyl's
+inequality bounds the error by the Frobenius norm of what the compression
+drops, plus, for a state read off a window form
+(``engine._evolve_window``), what that form drops, its ``tail``; a bound
+above SUPPORT_BOUND_TOL raises instead of answering.
 
-``readability_check`` forms no N x N apparatus matrix, so a verdict has no
-size limit of its own; ``engine.DENSE_LIMIT`` bounds only the dense
-integrator.
+``readability_check`` forms no N x N apparatus matrix, and for a state
+with kick rows no array of the grid's size, so a verdict has no size limit
+of its own; ``engine.DENSE_LIMIT`` bounds only the dense integrator.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as dc_replace
 from functools import reduce
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +69,7 @@ from .tensors import (
     DimensionSpec,
     StateVector,
     TRACE_TOL,
+    _check_columns,
     cut_sides,
     factored_distance,
     half_trace_norm,
@@ -184,10 +193,7 @@ def _ppt_min(rho: DensityMatrix, cut: Cut, tail: float) -> float:
     """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
-    left, right = cut_sides(rho.dims, cut)
-    order = [rho.dims.axis(lab) for lab in left + right]
-    dl = math.prod(rho.dims.dim(lab) for lab in left)
-    dr = math.prod(rho.dims.dim(lab) for lab in right)
+    order, dl, dr = _cut_layout(rho.dims, cut)
     low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
     bound += (2.0 + tail) * tail
     if not bound <= SUPPORT_BOUND_TOL:
@@ -196,6 +202,33 @@ def _ppt_min(rho: DensityMatrix, cut: Cut, tail: float) -> float:
             f"above {SUPPORT_BOUND_TOL:.0e}; no verdict"
         )
     return low
+
+
+def _cut_layout(dims: DimensionSpec, cut: Cut) -> tuple[list[int], int, int]:
+    """The axes of ``dims`` in cut order, and the dimensions of the cut's two sides."""
+    left, right = cut_sides(dims, cut)
+    order = [dims.axis(lab) for lab in left + right]
+    dl = math.prod(dims.dim(lab) for lab in left)
+    dr = math.prod(dims.dim(lab) for lab in right)
+    return order, dl, dr
+
+
+def _blocks(
+    columns: np.ndarray, sizes: tuple[int, ...], order: list[int], dl: int, dr: int
+) -> np.ndarray:
+    """Column k of U as a dl x dr block Psi_k, the cut's left side down, stacked (r, dl, dr)."""
+    r = columns.shape[1]
+    axes = [0] + [1 + i for i in order]
+    return columns.T.reshape((r,) + sizes).transpose(axes).reshape(r, dl, dr)
+
+
+def _pt_min(c: np.ndarray) -> float:
+    """Smallest eigenvalue of the partial transpose of sum_k vec(C_k) vec(C_k)-dagger, C_k = c[k]."""
+    r, ra, rb = c.shape
+    kept = c.reshape(r, ra * rb)
+    rho_c = kept.T @ kept.conj()
+    pt = rho_c.reshape(ra, rb, ra, rb).transpose(0, 3, 2, 1).reshape(ra * rb, ra * rb)
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
 
 
 def _support_ppt_min(
@@ -214,27 +247,53 @@ def _support_ppt_min(
     D orthogonal to the support, ||rho - rho~||_F^2 = 2 ||U~ D-dagger||_F^2 +
     ||D D-dagger||_F^2, both from r x r Gram matrices.
     """
-    r = columns.shape[1]
-    axes = [0] + [1 + i for i in order]
-    psi = columns.T.reshape((r,) + sizes).transpose(axes).reshape(r, dl, dr)
+    psi = _blocks(columns, sizes, order, dl, dr)
+    r = len(psi)
     u, s, _ = np.linalg.svd(psi.transpose(1, 0, 2).reshape(dl, r * dr), full_matrices=False)
     ua = u[:, s > SUPPORT_CUTOFF * s[0]]
     _, s, vh = np.linalg.svd(psi.reshape(r * dl, dr), full_matrices=False)
     vb = vh[s > SUPPORT_CUTOFF * s[0]].conj().T
     c = ua.conj().T @ psi @ vb
     ra, rb = c.shape[1:]
-    kept = c.reshape(r, ra * rb)
-    rho_c = kept.T @ kept.conj()
-    pt = rho_c.reshape(ra, rb, ra, rb).transpose(0, 3, 2, 1).reshape(ra * rb, ra * rb)
-    low = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
+    low = _pt_min(c)
     if ra * rb < dl * dr:
         low = min(low, 0.0)
+    kept = c.reshape(r, ra * rb)
     discarded = (psi - ua @ c @ vb.conj().T).reshape(r, dl * dr)
     gram_kept = kept.conj() @ kept.T
     gram_discarded = discarded.conj() @ discarded.T
     cross = float(np.sum(gram_kept * gram_discarded.T).real)
     bound = math.sqrt(max(2.0 * cross, 0.0) + float(np.sum(np.abs(gram_discarded) ** 2)))
     return low, bound
+
+
+def _record(state: UnifiedState) -> np.ndarray:
+    """The apparatus columns of a state with kick rows, in the bases of ``UnifiedState.tucker``.
+
+    One column per system row, (B_1 * ... * B_k, d), read off the core and
+    checked as ``engine.apparatus_density`` checks the apparatus columns.
+    """
+    _, core = state.tucker
+    columns = core.reshape(len(core), -1).T
+    _check_columns(columns)
+    return columns
+
+
+def _record_ppt_min(state: UnifiedState, record: np.ndarray, cut: Cut) -> float:
+    """The partial-transpose minimum of a state with kick rows, exact, from its ``_record``.
+
+    The core of ``UnifiedState.tucker`` is the state in orthonormal bases
+    Q_p of the pointers' rows, so the apparatus state is the core's,
+    rho_T, through the product isometry (x)_p Q_p, and its partial
+    transpose is rho_T's through Q_A (x) conj(Q_B): the same nonzero
+    spectrum, and zeros besides when r_A r_B is below N_A N_B. Nothing is
+    dropped, so no SVD runs and there is no bound to check.
+    """
+    bases, _ = state.tucker
+    dims = DimensionSpec(tuple((s.label, q.shape[1]) for s, q in zip(state.pointers, bases)))
+    order, dl, dr = _cut_layout(dims, cut)
+    low = _pt_min(_blocks(record, dims.sizes, order, dl, dr))
+    return min(low, 0.0) if dl * dr < math.prod(q.shape[0] for q in bases) else low
 
 
 def _first_order_factor(spec: PointerSpec, shift: float) -> StateVector:
@@ -323,28 +382,47 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("...n,...n->...", rows, rows.conj()).real
 
 
-def _decomposition(
-    state: UnifiedState, weights: np.ndarray, factors: Sequence[np.ndarray], kind: str
-) -> SeparableDecomposition:
-    """Terms of ``weights``, term k's factor for pointer p row k of ``factors[p]``, normalized."""
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """``rows`` each scaled to unit norm, as a fresh read-only array."""
+    out = rows / np.sqrt(_squared_norms(rows))[:, None]
+    out.setflags(write=False)
+    return out
+
+
+class _Route(NamedTuple):
+    """A separable mixture read off a branch form, not yet validated.
+
+    Term k has weight ``weights[k]`` and, for pointer p, the unit row
+    ``rows[p][index[p][k]]``. ``method`` is the verdict's label and
+    ``kind`` the certificate's; ``most`` is the most rows any pointer of
+    the form has, which sizes the revalidation grid.
+    """
+
+    method: str
+    kind: str
+    weights: np.ndarray
+    rows: tuple[np.ndarray, ...]
+    index: tuple[np.ndarray, ...]
+    most: int
+
+
+def _decomposition(state: UnifiedState, route: _Route) -> SeparableDecomposition:
+    """The route's mixture as a certificate: one ``StateVector`` per row, shared by its terms."""
+    labels = [spec.label for spec in state.pointers]
     states = []
-    for spec, rows in zip(state.pointers, factors):
-        unit = rows / np.sqrt(_squared_norms(rows))[:, None]
-        unit.setflags(write=False)
+    for spec, unit in zip(state.pointers, route.rows):
         norms = np.sqrt(_squared_norms(unit))
         dims = spec.dims()
         states.append([StateVector._owning(dims, u, norm=float(n)) for u, n in zip(unit, norms)])
-    labels = [spec.label for spec in state.pointers]
     terms = tuple(
-        ProductTerm(float(w), dict(zip(labels, term))) for w, term in zip(weights, zip(*states))
+        ProductTerm(float(w), {lab: vs[j] for lab, vs, j in zip(labels, states, js)})
+        for w, *js in zip(route.weights, *route.index)
     )
-    return SeparableDecomposition(terms, kind=kind)
+    return SeparableDecomposition(terms, kind=route.kind)
 
 
-def _certificate_route(
-    state: UnifiedState,
-) -> tuple[str, SeparableDecomposition, int] | None:
-    """A separable decomposition read off the branch form, its label and row count, or None.
+def _certificate_route(state: UnifiedState) -> _Route | None:
+    """A separable mixture read off the branch form, or None.
 
     The state is sum_b c_b (x) F_b, F_b the product of branch b's factor
     rows, so the apparatus state is sum_{b, b'} G[b', b] |F_b><F_b'| with
@@ -358,9 +436,8 @@ def _certificate_route(
     of one pointer gives, per row i in order, |f_i><f_i| (x) sum_{jj'}
     G[ij', ij] |g_j><g_j'| of the other pointer's rows g_j, split into pure
     terms by one batched ``eigh``. Any other G gives no certificate.
-    Terms below WEIGHT_PRUNE are dropped. The
-    row count returned is the most rows any pointer of the form has, which
-    sizes the revalidation grid.
+    Terms below WEIGHT_PRUNE are dropped. The mixture comes as weights and
+    unit factor rows (``_Route``); ``_decomposition`` makes it a certificate.
     """
     form = state.branches
     if form is None or form.kicks is None:
@@ -375,11 +452,10 @@ def _certificate_route(
     if np.count_nonzero(gram) == np.count_nonzero(diagonal):
         weights = diagonal.reshape(shape) * reduce(np.multiply.outer, map(_squared_norms, rows))
         kept = np.nonzero(weights >= WEIGHT_PRUNE)
-        factors = [r[i] for r, i in zip(rows, kept)]
         method, kind = "commuting-eigenbasis", "commuting-eigenbasis"
         if len(diagonal) == 1:
             method, kind = "uncoupled-product", "uncoupled"
-        return method, _decomposition(state, weights[kept], factors, kind), most
+        return _Route(method, kind, weights[kept], tuple(map(_unit, rows)), kept, most)
     if len(shape) != 2:
         return None
     blocks = gram.reshape(shape + shape)
@@ -393,26 +469,64 @@ def _certificate_route(
         w, u = np.linalg.eigh(g[own, :, own, :].transpose(0, 2, 1))
         vectors = np.swapaxes(u, 1, 2) @ rows[1 - p]
         weights = w * _squared_norms(rows[p])[:, None] * _squared_norms(vectors)
-        i, m = kept = np.nonzero(weights >= WEIGHT_PRUNE)
-        factors = [rows[p][i], vectors[i, m]]
+        i, m = np.nonzero(weights >= WEIGHT_PRUNE)
+        units = [_unit(rows[p]), _unit(vectors[i, m])]
+        index = [i, np.arange(len(i))]
         if p == 1:
-            factors.reverse()
+            units.reverse()
+            index.reverse()
         kind = "sequential-branches"
-        return kind, _decomposition(state, weights[kept], factors, kind), most
+        return _Route(kind, kind, weights[i, m], tuple(units), tuple(index), most)
     return None
+
+
+def _record_distance(state: UnifiedState, record: np.ndarray, route: _Route) -> float:
+    """The route's ``SeparableDecomposition.validate``, taken in the record's bases.
+
+    Per pointer, one thin QR of [Q_p, U_p^T], Q_p the basis of
+    ``UnifiedState.tucker`` and U_p the route's unit rows, gives an
+    orthonormal W_p spanning both, and its R = [S_p, A_p]: S_p takes the
+    core into W_p, and A_p holds each row's coordinates, so a row's part off
+    the record's span enters as exact coordinates; a norm difference would
+    keep only half the digits. The mixture and the state then both sit in
+    (x)_p W_p, a product isometry that keeps the trace norm, so
+    ``half_trace_norm`` of their stacked coordinates is the trace distance
+    in the full space, and nothing the size of the grid is formed. The
+    mixture's columns get the checks ``factored_distance`` makes, and
+    ``record`` is the state's ``_record``, already checked.
+    """
+    bases, _ = state.tucker
+    spans = engine._qr_each([np.concatenate((q, u.T), 1) for q, u in zip(bases, route.rows)], "r")
+    maps = [r[:, : q.shape[1]].T for q, r in zip(bases, spans)]
+    coords = [r[:, q.shape[1] :].T for q, r in zip(bases, spans)]
+    core = record.reshape(tuple(q.shape[1] for q in bases) + (-1,))
+    target = engine._branch_sum(core, maps).reshape(record.shape[1], -1).T
+    columns = reduce(
+        lambda a, b: (a[:, :, None] * b[:, None, :]).reshape(len(a), -1),
+        (c[i] for c, i in zip(coords, route.index)),
+    )
+    columns = columns.T * np.sqrt(route.weights)
+    _check_columns(columns)
+    signs = np.repeat((1.0, -1.0), (columns.shape[1], target.shape[1]))
+    return half_trace_norm(np.concatenate((columns, target), 1), signs)
 
 
 def readability_check(state: UnifiedState, cut: Cut | None = None) -> SeparabilityVerdict:
     """Decide whether the pointer record is readable dial-by-dial.
 
-    Tries a constructive product decomposition first, validating it against
-    the reduced state on the state's own grid and again on a resolution no
-    pointer of the state uses. When no decomposition route applies, falls
-    back to the partial-transpose witness. A single pointer has nothing to
-    separate and is reported separable at once. Any cut must name exactly
-    the state's pointers, and is checked before any work.
+    For a state with kick rows, tries a constructive product decomposition
+    first, validating it against the reduced state in the record's bases
+    (``_record_distance``) on the state's own grid and again on a
+    resolution no pointer of the state uses, and takes the witness from the
+    record core (``_record_ppt_min``); the certificate object is built only
+    for a certificate that holds. Any other state has no decomposition route
+    and is judged by the partial-transpose witness on its apparatus columns.
+    A single pointer has nothing to separate and is reported separable at
+    once. Any cut must name exactly the state's pointers, and is checked
+    before any work.
     """
-    labels = state.pointer_dims().labels
+    dims = state.pointer_dims()
+    labels = dims.labels
     if cut is None:
         cut = (labels[:1], labels[1:])
     if len(labels) < 2:
@@ -424,17 +538,19 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
             method="single-apparatus",
             notes=("single pointer, nothing to separate",),
         )
-    cut_sides(state.pointer_dims(), cut)
-    rho = engine.apparatus_density(state)
-    form = state.branches
-    tail = 0.0 if form is None else form.tail
+    cut_sides(dims, cut)
+    if state.tucker is None:
+        # no kick rows, so no certificate route: the witness reads the apparatus columns
+        form = state.branches
+        tail = 0.0 if form is None else form.tail
+        return _witness_verdict(_ppt_min(engine.apparatus_density(state), cut, tail), cut, [])
+    record = _record(state)
     notes: list[str] = []
     route = _certificate_route(state)
     if route is not None:
-        method, certificate, rows = route
-        error = certificate.validate(rho)
+        error = _record_distance(state, record, route)
         if error <= CERTIFICATE_TOL:
-            points = _revalidation_points(state, rows)
+            points = _revalidation_points(state, route.most)
             replica = _replica(state, points)
             replica_route = _certificate_route(replica)
             if replica_route is None:
@@ -442,9 +558,9 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
                     "the replica rebuilt on the revalidation grid supports no "
                     "certificate route; internal inconsistency"
                 )
-            replica_error = replica_route[1].validate(engine.apparatus_density(replica))
+            replica_error = _record_distance(replica, _record(replica), replica_route)
             if replica_error <= CERTIFICATE_TOL:
-                ppt = ppt_min_eigenvalue(rho, cut)
+                ppt = _record_ppt_min(state, record, cut)
                 if ppt < ENTANGLEMENT_THRESHOLD:
                     raise RuntimeError(
                         f"certificate validated to {error:.3e} yet the partial "
@@ -454,9 +570,9 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
                     status="separable",
                     cut=cut,
                     ppt_min=ppt,
-                    certificate=certificate,
+                    certificate=_decomposition(state, route),
                     certificate_error=error,
-                    method=method,
+                    method=route.method,
                     notes=(f"revalidated at {points} points: {replica_error:.3e}",),
                 )
             notes.append(
@@ -464,7 +580,11 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
             )
         else:
             notes.append(f"certificate failed validation ({error:.3e}), discarded")
-    ppt = _ppt_min(rho, cut, tail)
+    return _witness_verdict(_record_ppt_min(state, record, cut), cut, notes)
+
+
+def _witness_verdict(ppt: float, cut: Cut, notes: list[str]) -> SeparabilityVerdict:
+    """The verdict of the partial-transpose witness alone, after any discarded certificate."""
     if ppt < ENTANGLEMENT_THRESHOLD:
         return SeparabilityVerdict(
             status="entangled", cut=cut, ppt_min=ppt, method="ppt", notes=tuple(notes)

@@ -364,6 +364,14 @@ def _check_floor(h: np.ndarray, tr: complex) -> None:
         raise ValueError(f"density matrix has eigenvalue {low:.3e} below floor")
 
 
+def _check_columns(columns: np.ndarray, normalized: bool = True) -> None:
+    """The trace and spectrum floor of U U-dagger, checked on the r x r Gram matrix U-dagger U."""
+    g = _gram(columns)
+    tr = g.trace()
+    _check_trace(tr, normalized)
+    _check_floor(g, tr)
+
+
 def half_trace_norm(columns: np.ndarray, signs: np.ndarray) -> float:
     """Half the trace norm of U diag(s) U-dagger, from a thin QR of U.
 
@@ -388,10 +396,7 @@ def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
         raise ValueError(
             f"columns of shape {c.shape} do not match dims total {target.dims.total}"
         )
-    g = _gram(c)
-    tr = g.trace()
-    _check_trace(tr, target.normalized)
-    _check_floor(g, tr)
+    _check_columns(c, target.normalized)
     u = target.factors
     signs = np.concatenate([np.ones(c.shape[1]), -np.ones(u.shape[1])])
     return half_trace_norm(np.hstack([c, u]), signs)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,21 @@ class TestRun:
         assert main(["scenario", "run", "weak-noselect", "--thetaI", "nan"]) == 1
         err = capsys.readouterr().err
         assert "theta_i: Bloch angle must be finite, got nan" in err
+        assert "norm" not in err
+
+    def test_packet_underflowing_to_zero_refused(self, capsys):
+        """sigma 1e-3 on the 16-point analysis grid, spacing 1, with x0 = 0.3
+        between sites: every sample underflows to zero, and the packet is
+        refused before it is normalized, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scenario", "run", "simultaneous", "--sigma", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert (
+            "pointer 'A': packet with sigma=0.001 at x0=0.3 underflows to zero "
+            "on 16 points over length 16.0"
+        ) in err
         assert "norm" not in err
 
     def test_flags_override_config_file(self, tmp_path):

@@ -2,16 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pointerlab import engine, pointer, separability
+from pointerlab import engine, pointer, scenarios, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
 from pointerlab.pointer import translate
+from pointerlab.scenarios import DEFAULTS, SCENARIOS
 from pointerlab.scenarios import PAIR_X, PAIR_Z, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.separability import (
     ProductTerm,
@@ -447,6 +449,39 @@ class TestReadability:
         assert matrix_reads == []
 
 
+@pytest.mark.parametrize("name", ["epr", "sequential"])
+def test_readout_verdict_forms_no_readout_size_array(name):
+    """Readability on the default epr and sequential readout states, 256 points
+    per pointer with kick rows, reads their record core: its peak traced
+    allocation stays under a quarter of one readout state (2 MiB, 4 MiB for
+    epr's pair), less than one 256 x 256 complex block, so no array of the
+    apparatus's or the state's size is formed. A first verdict fills the
+    revalidation grid's packet caches outside the count."""
+    cfg = DEFAULTS[name]
+    scenario = SCENARIOS[name]
+    system = scenario.system(cfg.theta_i, cfg.phi_i)
+    phases = scenario.phases(cfg, 1.0)
+    x0 = {"A": cfg.x0_a, "B": cfg.x0_b}
+    labels = sorted({c.pointer for phase in phases for c in phase})
+    specs = [PointerSpec(lab, cfg.readout_grid(), x0[lab], cfg.sigma) for lab in labels]
+    state, _ = scenarios._evolve(system, specs, phases)
+    assert state.branches.kicks is not None and "state" not in vars(state)
+    state_bytes = 16 * system.dims.total * cfg.grid_points**2
+    first = readability_check(dataclasses.replace(state), scenarios.POINTER_CUT)
+    fresh = dataclasses.replace(state)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verdict = readability_check(fresh, scenarios.POINTER_CUT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.method) == (first.status, first.method)
+    assert verdict.status == "separable"
+    assert "state" not in vars(fresh)
+    assert peak - start < state_bytes / 4
+
+
 def _simultaneous_record(points, kind):
     """A two-dial state at the simultaneous scenario's defaults, g = 0.05."""
     grid = PointerGrid(points=points, length=16.0)
@@ -746,14 +781,23 @@ def _history(phases, order="AB", phi=0.4, method="shift"):
     return state
 
 
-def _dense_oracles(state, certificate):
-    """The certificate rebuilt densely against the dense partial trace, and the dense PPT."""
+def _dense_oracles(state, certificate, verdict=None):
+    """The certificate rebuilt densely against the dense partial trace, and the dense PPT.
+
+    Given the ``verdict`` that carries the certificate, its witness value is
+    also pinned to the dense partial trace's dense PPT, and its error to the
+    dense trace distance of the reconstruction, both to 1e-12.
+    """
     dims = state.pointer_dims()
+    cut = (dims.labels[:1], dims.labels[1:])
     want = partial_trace(pure_density(state.state), state.state.dims, dims.labels)
     got = reconstruct(certificate, dims)
     assert np.abs(got - want).max() <= 1e-12
-    ppt = dense_ppt_min(got, dims, (dims.labels[:1], dims.labels[1:]))
+    ppt = dense_ppt_min(got, dims, cut)
     assert ppt >= separability.ENTANGLEMENT_THRESHOLD
+    if verdict is not None:
+        assert abs(verdict.ppt_min - dense_ppt_min(want, dims, cut)) <= 1e-12
+        assert abs(verdict.certificate_error - trace_distance(got, want)) <= 1e-12
 
 
 # the histories the rule certifies, with the label it reads off their branch form
@@ -879,6 +923,38 @@ class TestCertificateRule:
         route = separability._certificate_route(_planted(core, (-0.5, 0.5)))
         assert (route and route[0]) == method
 
+    @pytest.mark.parametrize("sine, accepted", [(7e-9, True), (1.4e-8, False)])
+    def test_factor_off_the_record_span_near_certificate_tol(self, sine, accepted, monkeypatch):
+        """Pointer A's factor of the uncoupled product tilted off the record's span,
+        the one row A has, by an angle whose sine is 0.7x and 1.4x CERTIFICATE_TOL
+        (1e-8): the trace distance of two pure states is that sine, so the first
+        certificate holds, on the revalidation grid too, and the second is
+        discarded. Literal sines, so that a changed value of the constant is
+        caught; the tilt's part off the span enters as a coordinate, where a
+        norm difference, 1 - cos^2, would read roundoff instead."""
+        route = separability._certificate_route
+
+        def tilted(state):
+            found = route(state)
+            (row,) = found.rows[0]
+            off = np.arange(len(row)) * row
+            off = off - row * np.vdot(row, off)
+            off /= np.linalg.norm(off)
+            rows = (math.sqrt(1 - sine**2) * row + sine * off)[None]
+            return found._replace(rows=(rows, *found.rows[1:]))
+
+        monkeypatch.setattr(separability, "_certificate_route", tilted)
+        state, _, _ = _coarse_pair()
+        verdict = readability_check(state, CUT_POINTERS)
+        if accepted:
+            assert (verdict.status, verdict.method) == ("separable", "uncoupled-product")
+            assert verdict.certificate_error == pytest.approx(sine, abs=1e-15)
+            replica = float(verdict.notes[0].rsplit(" ", 1)[1])
+            assert replica == pytest.approx(sine, rel=1e-3)
+        else:
+            assert (verdict.status, verdict.certificate) == ("inconclusive", None)
+            assert verdict.notes[0] == f"certificate failed validation ({sine:.3e}), discarded"
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.sampled_from([2, 3, 4]),
@@ -936,4 +1012,4 @@ class TestCertificateRule:
         if engine._couplings_commute(couplings) and form is not None:
             assert verdict.status == "separable", (d, phases)
         if verdict.certificate is not None:
-            _dense_oracles(state, verdict.certificate)
+            _dense_oracles(state, verdict.certificate, verdict)

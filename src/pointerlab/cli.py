@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from functools import cache
@@ -70,8 +69,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument(
         "--log", action="store_true", help="space the steps geometrically"
     )
-    jobs_help = "parallel worker threads; above 1, set OPENBLAS_NUM_THREADS=1 (see README)"
-    sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     sweep.add_argument("--out", type=Path, help="write the CSV table to this file")
     return parser
 
@@ -204,14 +201,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"cannot sweep {args.param!r}; numeric flags are "
             f"{', '.join(sorted(_SWEEPABLE))}"
         )
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     base = _resolve_config(args)
     field = _FLAG_FIELDS[args.param][0]
     values = _sweep_values(args)
 
-    def run_step(value: float) -> dict[str, str]:
-        row: dict[str, str] = {"step": "", args.param: _fmt(value)}
+    def run_step(step: int, value: float) -> dict[str, str]:
+        row: dict[str, str] = {"step": str(step), args.param: _fmt(value)}
         try:
             report = run_scenario(args.name, replace(base, **{field: value}))
         except Exception as exc:  # a failing step is recorded, not fatal
@@ -224,15 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         row["error"] = ""
         return row
 
-    workers = min(args.jobs, len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_step, values))
-    else:
-        rows = [run_step(v) for v in values]
-    for i, row in enumerate(rows):
-        row["step"] = str(i)
-
+    rows = [run_step(i, v) for i, v in enumerate(values)]
     columns = list(dict.fromkeys(key for row in rows for key in row))
     _write_csv(columns, [[row.get(col, "") for col in columns] for row in rows], args.out)
 

@@ -231,8 +231,9 @@ class UnifiedState:
     one entry per evolution call). ``shift_bounds`` tracks the accumulated
     interval of possible pointer displacements per label, used to refuse
     evolutions that could wrap the periodic box. ``initial_system`` is the
-    pre-interaction system state, whose dims are ``system``; separability
-    certificates rebuild reduced states from it on independent grids.
+    pre-interaction system state, whose dims are ``system``; the product
+    state and the truncation series start from it, and the scenarios'
+    predictions read it.
 
     ``_evolved`` is what the last evolution left: None for the product of
     ``initial_system`` and the pointers' cached packets, a ``_Branches``

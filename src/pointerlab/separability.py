@@ -24,14 +24,14 @@ actual reduced state in the record's bases, the orthonormal bases Q_p of
 the pointers' rows in which the state is a small Tucker core
 (``UnifiedState.tucker``), with each certificate factor's exact
 coordinates in a basis that extends them, its part off the record's span
-included. It is then revalidated, through the replica's own core, on a
-grid resolution that no pointer of the state uses, to rule out
-discretization artifacts, and fine enough to hold the branch rows the
-certificate was read from. A state without kick rows, as one evolved by
-``"expm"`` or a window form left by a noncommuting phase, gets no
-certificate. ``SeparableDecomposition.validate`` compares any certificate
-with any ``DensityMatrix`` through its columns; each term's column is an
-outer product of its factors.
+included. The rule reads the Gram matrix of the branch cores, which the
+engine builds from spectral projectors and kick values alone, so no grid
+enters it, and a verdict is decided once, on the state given. A state
+without kick rows, as one evolved by ``"expm"`` or a window form left by a
+noncommuting phase, gets no certificate.
+``SeparableDecomposition.validate`` compares any certificate with any
+``DensityMatrix`` through its columns; each term's column is an outer
+product of its factors.
 
 For a state with kick rows the witness is the exact partial transpose of
 the record core, of dimension r_A * r_B: the core sits in the full space
@@ -54,7 +54,7 @@ of its own; ``engine.DENSE_LIMIT`` bounds only the dense integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Literal, NamedTuple, Sequence
 
@@ -81,9 +81,6 @@ ENTANGLEMENT_THRESHOLD = -1e-6
 CERTIFICATE_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-10
 WEIGHT_PRUNE = 1e-14
-# Grid resolution used to revalidate certificates independently, doubled
-# until it differs from every pointer's own grid and holds its branch rows.
-REVALIDATION_POINTS = 32
 # The compressed partial-transpose witness drops support directions whose
 # singular value is below SUPPORT_CUTOFF of the largest, and refuses to
 # answer when its Weyl bound on the error exceeds SUPPORT_BOUND_TOL, four
@@ -357,26 +354,6 @@ def first_order_product_certificate(
     return SeparableDecomposition((term,), kind="first-order-product"), defect
 
 
-def _replica(state: UnifiedState, points: int) -> UnifiedState:
-    """Re-run the recorded history by the shift integrator on ``points`` sites per pointer."""
-    specs = tuple(dc_replace(s, grid=dc_replace(s.grid, points=points)) for s in state.pointers)
-    rebuilt = engine.build_initial(state.initial_system, specs)
-    for phase in state.history:
-        rebuilt = engine.evolve(rebuilt, phase)
-    return rebuilt
-
-
-def _revalidation_points(state: UnifiedState, rows: int) -> int:
-    """REVALIDATION_POINTS, doubled until no pointer of ``state`` uses that grid
-    and it holds ``rows``, the most factor rows of any pointer in the branch
-    form a certificate was read from. The rows' kicks do not depend on the
-    grid, so the replica then has a branch form too."""
-    points = REVALIDATION_POINTS
-    while points < rows or any(spec.grid.points == points for spec in state.pointers):
-        points *= 2
-    return points
-
-
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     """The squared norm of each vector along the last axis of ``rows``."""
     return np.einsum("...n,...n->...", rows, rows.conj()).real
@@ -394,8 +371,7 @@ class _Route(NamedTuple):
 
     Term k has weight ``weights[k]`` and, for pointer p, the unit row
     ``rows[p][index[p][k]]``. ``method`` is the verdict's label and
-    ``kind`` the certificate's; ``most`` is the most rows any pointer of
-    the form has, which sizes the revalidation grid.
+    ``kind`` the certificate's.
     """
 
     method: str
@@ -403,7 +379,6 @@ class _Route(NamedTuple):
     weights: np.ndarray
     rows: tuple[np.ndarray, ...]
     index: tuple[np.ndarray, ...]
-    most: int
 
 
 def _decomposition(state: UnifiedState, route: _Route) -> SeparableDecomposition:
@@ -443,7 +418,6 @@ def _certificate_route(state: UnifiedState) -> _Route | None:
     if form is None or form.kicks is None:
         return None
     core, rows = form.core, form.factors
-    most = max(map(len, rows))
     shape = core.shape[:-1]
     flat = core.reshape(-1, core.shape[-1])
     gram = flat.conj() @ flat.T
@@ -455,7 +429,7 @@ def _certificate_route(state: UnifiedState) -> _Route | None:
         method, kind = "commuting-eigenbasis", "commuting-eigenbasis"
         if len(diagonal) == 1:
             method, kind = "uncoupled-product", "uncoupled"
-        return _Route(method, kind, weights[kept], tuple(map(_unit, rows)), kept, most)
+        return _Route(method, kind, weights[kept], tuple(map(_unit, rows)), kept)
     if len(shape) != 2:
         return None
     blocks = gram.reshape(shape + shape)
@@ -476,7 +450,7 @@ def _certificate_route(state: UnifiedState) -> _Route | None:
             units.reverse()
             index.reverse()
         kind = "sequential-branches"
-        return _Route(kind, kind, weights[i, m], tuple(units), tuple(index), most)
+        return _Route(kind, kind, weights[i, m], tuple(units), tuple(index))
     return None
 
 
@@ -516,10 +490,9 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
 
     For a state with kick rows, tries a constructive product decomposition
     first, validating it against the reduced state in the record's bases
-    (``_record_distance``) on the state's own grid and again on a
-    resolution no pointer of the state uses, and takes the witness from the
-    record core (``_record_ppt_min``); the certificate object is built only
-    for a certificate that holds. Any other state has no decomposition route
+    (``_record_distance``), and takes the witness from the record core
+    (``_record_ppt_min``); the certificate object is built only for a
+    certificate that holds. Any other state has no decomposition route
     and is judged by the partial-transpose witness on its apparatus columns.
     A single pointer has nothing to separate and is reported separable at
     once. Any cut must name exactly the state's pointers, and is checked
@@ -550,36 +523,21 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
     if route is not None:
         error = _record_distance(state, record, route)
         if error <= CERTIFICATE_TOL:
-            points = _revalidation_points(state, route.most)
-            replica = _replica(state, points)
-            replica_route = _certificate_route(replica)
-            if replica_route is None:
+            ppt = _record_ppt_min(state, record, cut)
+            if ppt < ENTANGLEMENT_THRESHOLD:
                 raise RuntimeError(
-                    "the replica rebuilt on the revalidation grid supports no "
-                    "certificate route; internal inconsistency"
+                    f"certificate validated to {error:.3e} yet the partial "
+                    f"transpose is {ppt:.3e}; internal inconsistency"
                 )
-            replica_error = _record_distance(replica, _record(replica), replica_route)
-            if replica_error <= CERTIFICATE_TOL:
-                ppt = _record_ppt_min(state, record, cut)
-                if ppt < ENTANGLEMENT_THRESHOLD:
-                    raise RuntimeError(
-                        f"certificate validated to {error:.3e} yet the partial "
-                        f"transpose is {ppt:.3e}; internal inconsistency"
-                    )
-                return SeparabilityVerdict(
-                    status="separable",
-                    cut=cut,
-                    ppt_min=ppt,
-                    certificate=_decomposition(state, route),
-                    certificate_error=error,
-                    method=route.method,
-                    notes=(f"revalidated at {points} points: {replica_error:.3e}",),
-                )
-            notes.append(
-                f"certificate failed revalidation ({replica_error:.3e}), discarded"
+            return SeparabilityVerdict(
+                status="separable",
+                cut=cut,
+                ppt_min=ppt,
+                certificate=_decomposition(state, route),
+                certificate_error=error,
+                method=route.method,
             )
-        else:
-            notes.append(f"certificate failed validation ({error:.3e}), discarded")
+        notes.append(f"certificate failed validation ({error:.3e}), discarded")
     return _witness_verdict(_record_ppt_min(state, record, cut), cut, notes)
 
 

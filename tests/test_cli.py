@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import pointerlab
-from pointerlab import cli, engine
+from pointerlab import cli
 from pointerlab.cli import main
-from pointerlab.pointer import differentiation_matrix, momentum_operator
+from pointerlab.pointer import momentum_operator
 from pointerlab.scenarios import SCENARIOS, get_scenario
 
 REPORT_KEYS = {
@@ -316,83 +316,31 @@ class TestSweep:
         assert "cannot sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "start, stop, jobs, steps, message",
+        "start, stop, steps, message",
         [
-            ("nan", "0.2", "1", "2", "--start must be finite, got nan"),
-            ("0.1", "inf", "1", "2", "--stop must be finite, got inf"),
-            ("0.1", "0.2", "0", "2", "--jobs must be at least 1, got 0"),
-            ("0.1", "0.2", "-3", "2", "--jobs must be at least 1, got -3"),
-            ("-0.1", "-0.1", "1", "2", "geometric spacing needs positive endpoints"),
-            ("-0.1", "-0.1", "1", "1", "geometric spacing needs positive endpoints"),
+            ("nan", "0.2", "2", "--start must be finite, got nan"),
+            ("0.1", "inf", "2", "--stop must be finite, got inf"),
+            ("-0.1", "-0.1", "2", "geometric spacing needs positive endpoints"),
+            ("-0.1", "-0.1", "1", "geometric spacing needs positive endpoints"),
         ],
     )
-    def test_bad_sweep_flags_exit_one(self, start, stop, jobs, steps, message, capsys):
+    def test_bad_sweep_flags_exit_one(self, start, stop, steps, message, capsys):
         argv = ["sweep", "weak-noselect", "--param", "gA", "--steps", steps, "--log"]
-        argv += ["--start", start, "--stop", stop, "--jobs", jobs]
+        argv += ["--start", start, "--stop", stop]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        base = [
-            "sweep",
-            "weak-noselect",
-            "--param",
-            "gA",
-            "--start",
-            "0.1",
-            "--stop",
-            "0.3",
-            "--steps",
-            "3",
-        ]
-        assert main(base + ["--out", str(serial)]) == 0
-        assert main(base + ["--jobs", "3", "--out", str(parallel)]) == 0
-        strip = lambda rows: [
-            {k: v for k, v in row.items() if k != "runtime_seconds"} for row in rows
-        ]
-        assert strip(_read_table_csv(serial)) == strip(_read_table_csv(parallel))
-
-    @staticmethod
-    def _spy_pools(monkeypatch):
-        """Worker counts of every ThreadPoolExecutor the sweep constructs."""
-        asked = []
-        real = cli.ThreadPoolExecutor
-
-        def spied(max_workers=None, **kwargs):
-            asked.append(max_workers)
-            return real(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", spied)
-        return asked
-
-    def test_single_step_starts_no_pool(self, monkeypatch, capsys):
-        asked = self._spy_pools(monkeypatch)
+    def test_jobs_flag_removed(self, capsys):
         argv = ["sweep", "weak-noselect", "--param", "gA", "--start", "0.1", "--stop", "0.3"]
-        assert main(argv + ["--steps", "1", "--jobs", "4"]) == 0
-        assert asked == []
-        assert "1 steps, all checks passed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--steps", "2", "--jobs", "2"])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
-    def test_workers_capped_at_step_count(self, monkeypatch, tmp_path):
-        """A cold start: the parallel run fills the packet caches and the dense
-        oracle's differentiation matrix from several threads, on a grid no other
-        test uses, before the serial one runs."""
-        engine._packet.cache_clear()
-        engine._packet_spectrum.cache_clear()
-        differentiation_matrix.cache_clear()
-        asked = self._spy_pools(monkeypatch)
-        base = ["sweep", "weak-postselect", "--param", "gA", "--start", "0.01"]
-        base += ["--stop", "0.05", "--steps", "3", "--gridN", "128", "--gridL", "15"]
-        parallel, serial = tmp_path / "parallel.csv", tmp_path / "serial.csv"
-        assert main(base + ["--jobs", "8", "--out", str(parallel)]) == 0
-        assert asked == [3]
-        assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert asked == [3]
-        strip = lambda rows: [
-            {k: v for k, v in row.items() if k != "runtime_seconds"} for row in rows
-        ]
-        assert strip(_read_table_csv(parallel)) == strip(_read_table_csv(serial))
+    def test_single_step_sweep(self, capsys):
+        argv = ["sweep", "weak-noselect", "--param", "gA", "--start", "0.1", "--stop", "0.3"]
+        assert main(argv + ["--steps", "1"]) == 0
+        assert "1 steps, all checks passed" in capsys.readouterr().err
 
     def test_dense_oracle_takes_the_momentum_norm_once(self, monkeypatch, capsys):
         """||pi||_2 comes from the grid's cached wavenumbers: no 1-norm, no eigensolve of pi."""
@@ -439,7 +387,7 @@ class TestParserReuse:
 
     CALLS = (
         ["sweep", "weak-noselect", "--gA", "0.05", "--param", "t", "--start", "0.5"]
-        + ["--stop", "1", "--steps", "2", "--jobs", "2"],
+        + ["--stop", "1", "--steps", "2"],
         ["scenario", "run", "weak-noselect", "--gA"],
         ["scenario", "run", "weak-noselect"],
     )

@@ -81,12 +81,12 @@ def test_runs_are_deterministic():
 
 
 def test_each_state_evolved_once(monkeypatch):
-    """The seven defaults evolve their states at most 42 times, 8 of them dense.
+    """The seven defaults evolve their states at most 27 times, 8 of them dense.
 
     ``engine.evolve`` is rebound in every module that holds it, as the
     benchmark's span recorder does. One dense call per coupling phase (eight
     phases in all) backs the evolution_paths defect; the rest count the
-    distinct states, plus the certificate replicas.
+    distinct states. A readability verdict evolves nothing.
     """
     original = engine.evolve
     methods = []
@@ -101,7 +101,7 @@ def test_each_state_evolved_once(monkeypatch):
     for name in SCENARIOS:
         run_scenario(name)
     assert methods.count("expm") == 8
-    assert len(methods) <= 42
+    assert len(methods) <= 27
 
 
 # np.fft calls per default scenario on arrays shaped (system, n, n): two

@@ -30,6 +30,9 @@ REMOVED = {
         "_translated_gaussian",
         "NonCommutingError",
         "SeparableDecomposition.reconstruct",
+        "REVALIDATION_POINTS",
+        "_replica",
+        "_revalidation_points",
     ),
 }
 

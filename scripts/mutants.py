@@ -83,6 +83,18 @@ CATALOGUE = (
         "qrs = _qr_each([rows.T[::-1] for rows in form.factors])",
         "tucker takes its bases from the rows mirrored on the grid",
     ),
+    Mutant(
+        "src/pointerlab/separability.py",
+        "    if dl * dr < full:\n        low = min(low, 0.0)\n",
+        "",
+        "the witness reads a record smaller than the grids without the zeros it leaves out",
+    ),
+    Mutant(
+        "src/pointerlab/separability.py",
+        "bound += (2.0 + tail) * tail",
+        "bound += 0.0",
+        "the witness leaves a window form's tail out of its Weyl bound",
+    ),
 )
 
 # the first failing (or erroring) test of the short summary that -rfE prints

@@ -85,14 +85,15 @@ readouts the scenarios take read the form: position expectations are
 quadratic forms in the factor rows (``_quadratic_form``); the system
 density, purity and Schmidt coefficients read ``UnifiedState.columns``,
 the state in an orthonormal basis, which for kick rows is a small Tucker
-core from a thin QR of each pointer's rows (``UnifiedState.tucker``,
-which keeps the bases too, for the readability verdict) and for a window
-form its coefficients on the cross region's plane waves (Parseval); and a
-truncation's distance to a window form is taken on the momenta
-(``_branch_distance``). A state without branch form, or one whose
-amplitudes were already formed, is read as it stands. So a readout-grid
-array is written only where a result needs the amplitudes themselves: the
-dense oracle, post-selection and the apparatus density.
+core from a thin QR of each pointer's rows (``UnifiedState.tucker``) and
+for a window form its coefficients on the cross region's plane waves
+(Parseval); and a truncation's distance to a window form is taken on the
+momenta (``_branch_distance``). A state without branch form, or one whose
+amplitudes were already formed, is read as it stands. The readability
+verdict reads the bases and core of ``tucker`` for either kind of rows.
+So a readout-grid array is written only where a result needs the
+amplitudes themselves: the dense oracle, post-selection and the apparatus
+density.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class UnifiedState:
     ``columns`` holds the state in an orthonormal basis that the system-side
     readouts read, so a state in branch form that is only read out is never
     written out. For kick rows that basis and the core come from
-    ``tucker``, which the readability verdict also reads.
+    ``tucker``, which the readability verdict reads for any branch form.
     """
 
     pointers: tuple[PointerSpec, ...]
@@ -296,18 +297,18 @@ class UnifiedState:
 
     @cached_property
     def tucker(self) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
-        """Kick rows in orthonormal bases: each pointer's basis Q_p and the core, or None.
+        """The branch form in orthonormal bases: each pointer's basis Q_p and the core, or None.
 
         A thin QR of each pointer's rows, F_p^T = Q_p R_p, and the branch
         core contracted with every R_p: the state is sum core[s, i_1, ...,
         i_k] |s> (x) Q_1[:, i_1] (x) ... (x) Q_k[:, i_k], a Tucker form with
         orthonormal factors (De Lathauwer, De Moor and Vandewalle, SIAM J.
         Matrix Anal. Appl. 21, 1253 (2000)). Q_p is (N_p, B_p) and the core
-        (d, B_1, ..., B_k), all read-only. None for a state without kick
-        rows: a window form, or no branch form at all.
+        (d, B_1, ..., B_k), all read-only. Kick rows and window rows alike;
+        None for a state without branch form.
         """
         form = self.branches
-        if form is None or form.kicks is None:
+        if form is None:
             return None
         qrs = _qr_each([rows.T for rows in form.factors])
         core = _branch_sum(form.core, [r.T for _, r in qrs])
@@ -481,21 +482,18 @@ def _row_spectra(state: UnifiedState, p: int) -> np.ndarray:
     return _translated_spectra(state.pointers[p], form.kicks[p])
 
 
-def _spectrum(state: UnifiedState, axes: tuple[int, ...]) -> np.ndarray:
-    """The amplitudes Fourier transformed over pointer ``axes``, as a new array.
+def _spectrum(state: UnifiedState) -> np.ndarray:
+    """The amplitudes Fourier transformed over every pointer axis, as a new array.
 
     A state in branch form is transformed branch by branch: ``_branch_sum``
-    of the core with the transformed pointers' factor rows replaced by their
-    spectra (``_row_spectra``), so kick rows run no transform at all. Any
-    other state is transformed as it stands.
+    of the core with each pointer's factor rows replaced by their spectra
+    (``_row_spectra``), so kick rows run no transform at all. Any other
+    state is transformed as it stands.
     """
     form = state.branches
     if form is None:
-        return np.fft.fftn(state.tensor(), axes=axes)
-    factors = [
-        _row_spectra(state, p) if p + 1 in axes else rows for p, rows in enumerate(form.factors)
-    ]
-    return _branch_sum(form.core, factors)
+        return np.fft.fftn(state.tensor(), axes=range(1, 1 + len(state.pointers)))
+    return _branch_sum(form.core, [_row_spectra(state, p) for p in range(len(form.factors))])
 
 
 @lru_cache(maxsize=16)
@@ -775,7 +773,7 @@ def _evolve_blocks(
     wherever ``_evolve_window`` cannot pay, and is exact for any couplings.
     """
     paxes = tuple(range(1, 1 + len(state.pointers)))
-    ft = _spectrum(state, paxes)
+    ft = _spectrum(state)
     s = ft.shape[0]
     if s == 2:
         out = _qubit_blocks(ft, state, couplings, t)

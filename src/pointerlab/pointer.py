@@ -136,7 +136,9 @@ def gaussian_state(spec: PointerSpec) -> StateVector:
             f"{LEAKAGE_TOL:.0e}"
         )
     x = spec.grid.positions()
-    amp = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
+    # a square that overflows to inf gives exp(-inf) = 0, the sample's value
+    with np.errstate(over="ignore"):
+        amp = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2))
     norm = np.linalg.norm(amp)
     if not norm > 0:
         raise ValueError(

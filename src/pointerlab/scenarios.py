@@ -252,7 +252,8 @@ def _sampled_packet(spec: PointerSpec, shift: float) -> np.ndarray:
     Avoids the engine's Fourier translation: the independent route for overlaps.
     """
     x = spec.grid.positions()
-    amp = np.exp(-((x - spec.x0 - shift) ** 2) / (4.0 * spec.sigma**2))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0, as in ``pointer.gaussian_state``
+        amp = np.exp(-((x - spec.x0 - shift) ** 2) / (4.0 * spec.sigma**2))
     return amp / np.linalg.norm(amp)
 
 
@@ -719,21 +720,28 @@ def _sequential(run: Run) -> Measured:
     allow_a = READOUT_TOL + (0.0 if predicted_gap <= READOUT_TOL else 1.2 * predicted_gap)
 
     # Conditioning on the first pointer landing above its starting center.
+    # Its prediction comes from the same sampled packets, restricted to that
+    # region: branch i of the first observable leaves the packet phi_i on B, so
+    # <x_A | B above> = x0_a + impulse * sum_ij Re(conj(c_i) c_j A_ij) O_ij
+    # / sum_i |c_i|^2 O_ii, with O_ij the sum of phi_i phi_j over the region.
     region = spec_b.grid.positions() > cfg.x0_b
     above = {"B": region.astype(float)}
     cond_prob = engine.pointer_expectation(state, above)
+    restricted = packets[:, region] @ packets[:, region].T
+    pred_cond_prob = float(np.abs(amps_b) ** 2 @ np.diag(restricted))
+    if not (cond_prob > 0.0 and pred_cond_prob > 0.0):
+        raise ValueError(
+            f"sequential: nothing to condition on: at sigma {cfg.sigma!r} the "
+            f"{cfg.grid_points}-point grid of length {cfg.grid_length!r} holds no "
+            f"probability above x0_b = {cfg.x0_b!r} (conditioned probability "
+            f"{cond_prob!r}, {pred_cond_prob!r} from the sampled packets)"
+        )
     cond_mean_a = engine.pointer_expectation(
         state, {**above, "A": spec_a.grid.positions()}
     ) / cond_prob
     deviation = abs(cond_mean_a - mean_a)
-    # Its prediction from the same sampled packets, restricted to that region:
-    # branch i of the first observable leaves the packet phi_i on B, so
-    # <x_A | B above> = x0_a + impulse * sum_ij Re(conj(c_i) c_j A_ij) O_ij
-    # / sum_i |c_i|^2 O_ii, with O_ij the sum of phi_i phi_j over the region.
-    restricted = packets[:, region] @ packets[:, region].T
-    populations = np.abs(amps_b) ** 2
     pred_cond_mean_a = cfg.x0_a + second.impulse * float(
-        np.sum(coherences * restricted) / (populations @ np.diag(restricted))
+        np.sum(coherences * restricted) / pred_cond_prob
     )
     conditioning_active = abs(pred_cond_mean_a - pred_a_damped) > CONDITIONED_SHIFT_MIN
     notes = ["first coupling acts on pointer B, second on pointer A"]

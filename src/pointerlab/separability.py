@@ -33,21 +33,23 @@ noncommuting phase, gets no certificate.
 ``DensityMatrix`` through its columns; each term's column is an outer
 product of its factors.
 
-For a state with kick rows the witness is the exact partial transpose of
-the record core, of dimension r_A * r_B: the core sits in the full space
-through a product isometry, so it has the same nonzero spectrum. Any other
-state is read from the columns of its apparatus state, rho = sum_k
-vec(Psi_k) vec(Psi_k)-dagger, with Psi_k the apparatus block of system row
-k. Each Psi_k is compressed onto the Schmidt supports of the two sides of
-the cut, which have dimension r_A and r_B, and an (r_A * r_B)-dimension
-partial transpose is eigensolved instead of the N x N one. Weyl's
-inequality bounds the error by the Frobenius norm of what the compression
-drops, plus, for a state read off a window form
+The witness reads the record too: the apparatus columns, rho = sum_k
+vec(Psi_k) vec(Psi_k)-dagger with Psi_k the apparatus block of system row
+k, in the orthonormal bases of ``UnifiedState.tucker`` for any branch
+form, kick rows or window rows, and on the grid for a state without one.
+The record sits in the full space through a product isometry, so its
+partial transpose has the same nonzero spectrum. Each Psi_k is further
+compressed onto the Schmidt supports of the two sides of the cut, which
+have dimension r_A and r_B, and an (r_A * r_B)-dimension partial transpose
+is eigensolved. Weyl's inequality bounds the error by the Frobenius norm
+of what the compression drops, plus, for a window form
 (``engine._evolve_window``), what that form drops, its ``tail``; a bound
 above SUPPORT_BOUND_TOL raises instead of answering.
+``ppt_min_eigenvalue`` is the same witness on a ``DensityMatrix``'s
+columns.
 
-``readability_check`` forms no N x N apparatus matrix, and for a state
-with kick rows no array of the grid's size, so a verdict has no size limit
+``readability_check`` forms no N x N apparatus matrix, and for a state in
+branch form no array of the grid's size, so a verdict has no size limit
 of its own; ``engine.DENSE_LIMIT`` bounds only the dense integrator.
 """
 
@@ -174,24 +176,34 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
 
     Negative values witness entanglement across the cut; for a pair of
     qubit-sized factors nonnegativity is also sufficient for separability,
-    while for larger factors it is only necessary. The state is
-    compressed onto its Schmidt support first (``_support_ppt_min``).
-    """
-    return _ppt_min(rho, cut, 0.0)
-
-
-def _ppt_min(rho: DensityMatrix, cut: Cut, tail: float) -> float:
-    """``ppt_min_eigenvalue`` of a state read off a form that drops a part of norm ``tail``.
-
-    With psi = phi + e, ||e|| <= tail and ||phi|| <= 1, the reduced states
-    differ by at most (2 + tail) tail in trace norm, which bounds the
-    Frobenius norm of the partial transposes' difference, so Weyl's
-    inequality adds it to the compression's bound.
+    while for larger factors it is only necessary. The witness of
+    ``readability_check`` (``_witness``) on the state's own columns.
     """
     if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
         raise ValueError("partial transpose analysis expects a normalized state")
-    order, dl, dr = _cut_layout(rho.dims, cut)
-    low, bound = _support_ppt_min(rho.factors, rho.dims.sizes, order, dl, dr)
+    return _witness(rho.factors, rho.dims, rho.dims.total, cut, 0.0)
+
+
+def _witness(
+    columns: np.ndarray, layout: DimensionSpec, full: int, cut: Cut, tail: float
+) -> float:
+    """The partial-transpose minimum of U U-dagger, U = ``columns`` laid out as ``layout``.
+
+    The columns are a state in orthonormal bases of its pointers, which
+    sits in the pointers' space, of dimension ``full``, through a product
+    isometry: its partial transpose has the same nonzero spectrum, and
+    zeros besides when ``layout`` is smaller. ``_support_ppt_min``
+    compresses it onto its Schmidt support and bounds the error. For a
+    state read off a form that drops a part of norm ``tail``, with
+    psi = phi + e, ||e|| <= tail and ||phi|| <= 1, the reduced states differ
+    by at most (2 + tail) tail in trace norm, which bounds the Frobenius
+    norm of the partial transposes' difference, so Weyl's inequality adds
+    it to the bound. A bound above SUPPORT_BOUND_TOL raises.
+    """
+    order, dl, dr = _cut_layout(layout, cut)
+    low, bound = _support_ppt_min(columns, layout.sizes, order, dl, dr)
+    if dl * dr < full:
+        low = min(low, 0.0)
     bound += (2.0 + tail) * tail
     if not bound <= SUPPORT_BOUND_TOL:
         raise ValueError(
@@ -210,52 +222,38 @@ def _cut_layout(dims: DimensionSpec, cut: Cut) -> tuple[list[int], int, int]:
     return order, dl, dr
 
 
-def _blocks(
-    columns: np.ndarray, sizes: tuple[int, ...], order: list[int], dl: int, dr: int
-) -> np.ndarray:
-    """Column k of U as a dl x dr block Psi_k, the cut's left side down, stacked (r, dl, dr)."""
-    r = columns.shape[1]
-    axes = [0] + [1 + i for i in order]
-    return columns.T.reshape((r,) + sizes).transpose(axes).reshape(r, dl, dr)
-
-
-def _pt_min(c: np.ndarray) -> float:
-    """Smallest eigenvalue of the partial transpose of sum_k vec(C_k) vec(C_k)-dagger, C_k = c[k]."""
-    r, ra, rb = c.shape
-    kept = c.reshape(r, ra * rb)
-    rho_c = kept.T @ kept.conj()
-    pt = rho_c.reshape(ra, rb, ra, rb).transpose(0, 3, 2, 1).reshape(ra * rb, ra * rb)
-    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
-
-
 def _support_ppt_min(
     columns: np.ndarray, sizes: tuple[int, ...], order: list[int], dl: int, dr: int
 ) -> tuple[float, float]:
     """Partial-transpose minimum of U U-dagger on its Schmidt support, and its bound.
 
-    Column k of U, as a dl x dr block Psi_k, is compressed to
-    C_k = U_A-dagger Psi_k V_B, with U_A spanning the Psi_k side by side and
-    V_B the Psi_k stacked vertically (singular values above SUPPORT_CUTOFF
-    of the largest). The compressed state sits in the full one through the
-    isometry U_A (x) conj(V_B), so its partial transpose has the same
-    nonzero spectrum; the rest is zeros when r_A * r_B < dl * dr. By Weyl's
-    inequality the minimum moves by at most ||rho - rho~||_F, computed from
-    the discarded part D = Psi - U_A C V_B-dagger: with rho~ = U~ U~-dagger and
-    D orthogonal to the support, ||rho - rho~||_F^2 = 2 ||U~ D-dagger||_F^2 +
+    Column k of U, as a dl x dr block Psi_k with the cut's left side down,
+    is compressed to C_k = U_A-dagger Psi_k V_B, with U_A spanning the Psi_k
+    side by side and V_B the Psi_k stacked vertically (singular values
+    above SUPPORT_CUTOFF of the largest). The compressed state sits in the
+    full one through the isometry U_A (x) conj(V_B), so its partial
+    transpose has the same nonzero spectrum; the rest is zeros when
+    r_A * r_B < dl * dr. By Weyl's inequality the minimum moves by at most
+    ||rho - rho~||_F, computed from the discarded part
+    D = Psi - U_A C V_B-dagger: with rho~ = U~ U~-dagger and D orthogonal to
+    the support, ||rho - rho~||_F^2 = 2 ||U~ D-dagger||_F^2 +
     ||D D-dagger||_F^2, both from r x r Gram matrices.
     """
-    psi = _blocks(columns, sizes, order, dl, dr)
-    r = len(psi)
+    r = columns.shape[1]
+    axes = [0] + [1 + i for i in order]
+    psi = columns.T.reshape((r,) + sizes).transpose(axes).reshape(r, dl, dr)
     u, s, _ = np.linalg.svd(psi.transpose(1, 0, 2).reshape(dl, r * dr), full_matrices=False)
     ua = u[:, s > SUPPORT_CUTOFF * s[0]]
     _, s, vh = np.linalg.svd(psi.reshape(r * dl, dr), full_matrices=False)
     vb = vh[s > SUPPORT_CUTOFF * s[0]].conj().T
     c = ua.conj().T @ psi @ vb
     ra, rb = c.shape[1:]
-    low = _pt_min(c)
+    kept = c.reshape(r, ra * rb)
+    rho_c = kept.T @ kept.conj()
+    pt = rho_c.reshape(ra, rb, ra, rb).transpose(0, 3, 2, 1).reshape(ra * rb, ra * rb)
+    low = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2).min())
     if ra * rb < dl * dr:
         low = min(low, 0.0)
-    kept = c.reshape(r, ra * rb)
     discarded = (psi - ua @ c @ vb.conj().T).reshape(r, dl * dr)
     gram_kept = kept.conj() @ kept.T
     gram_discarded = discarded.conj() @ discarded.T
@@ -264,33 +262,25 @@ def _support_ppt_min(
     return low, bound
 
 
-def _record(state: UnifiedState) -> np.ndarray:
-    """The apparatus columns of a state with kick rows, in the bases of ``UnifiedState.tucker``.
+def _record(state: UnifiedState) -> tuple[np.ndarray, DimensionSpec]:
+    """The apparatus columns in orthonormal bases of the pointers, and their layout.
 
-    One column per system row, (B_1 * ... * B_k, d), read off the core and
-    checked as ``engine.apparatus_density`` checks the apparatus columns.
+    One column per system row. A state in branch form is read off the core
+    of ``UnifiedState.tucker``, (B_1 * ... * B_k, d) laid out as the bases'
+    ranks B_p; any other state off its amplitudes, laid out as the
+    pointers' grids. Both are checked as a ``DensityMatrix`` checks its
+    columns.
     """
-    _, core = state.tucker
-    columns = core.reshape(len(core), -1).T
+    if state.tucker is None:
+        columns, layout = state.matrix().T, state.pointer_dims()
+    else:
+        bases, core = state.tucker
+        columns = core.reshape(len(core), -1).T
+        layout = DimensionSpec(
+            tuple((s.label, q.shape[1]) for s, q in zip(state.pointers, bases))
+        )
     _check_columns(columns)
-    return columns
-
-
-def _record_ppt_min(state: UnifiedState, record: np.ndarray, cut: Cut) -> float:
-    """The partial-transpose minimum of a state with kick rows, exact, from its ``_record``.
-
-    The core of ``UnifiedState.tucker`` is the state in orthonormal bases
-    Q_p of the pointers' rows, so the apparatus state is the core's,
-    rho_T, through the product isometry (x)_p Q_p, and its partial
-    transpose is rho_T's through Q_A (x) conj(Q_B): the same nonzero
-    spectrum, and zeros besides when r_A r_B is below N_A N_B. Nothing is
-    dropped, so no SVD runs and there is no bound to check.
-    """
-    bases, _ = state.tucker
-    dims = DimensionSpec(tuple((s.label, q.shape[1]) for s, q in zip(state.pointers, bases)))
-    order, dl, dr = _cut_layout(dims, cut)
-    low = _pt_min(_blocks(record, dims.sizes, order, dl, dr))
-    return min(low, 0.0) if dl * dr < math.prod(q.shape[0] for q in bases) else low
+    return columns, layout
 
 
 def _first_order_factor(spec: PointerSpec, shift: float) -> StateVector:
@@ -488,15 +478,14 @@ def _record_distance(state: UnifiedState, record: np.ndarray, route: _Route) -> 
 def readability_check(state: UnifiedState, cut: Cut | None = None) -> SeparabilityVerdict:
     """Decide whether the pointer record is readable dial-by-dial.
 
-    For a state with kick rows, tries a constructive product decomposition
-    first, validating it against the reduced state in the record's bases
-    (``_record_distance``), and takes the witness from the record core
-    (``_record_ppt_min``); the certificate object is built only for a
-    certificate that holds. Any other state has no decomposition route
-    and is judged by the partial-transpose witness on its apparatus columns.
-    A single pointer has nothing to separate and is reported separable at
-    once. Any cut must name exactly the state's pointers, and is checked
-    before any work.
+    Reads the record (``_record``) once, and takes the partial-transpose
+    witness from it (``_witness``), with a window form's tail in its
+    bound. A state with kick rows also gets a constructive product
+    decomposition, validated against the reduced state in the record's
+    bases (``_record_distance``); the certificate object is built only for
+    a certificate that holds. A single pointer has nothing to separate and
+    is reported separable at once. Any cut must name exactly the state's
+    pointers, and is checked before any work.
     """
     dims = state.pointer_dims()
     labels = dims.labels
@@ -512,18 +501,14 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
             notes=("single pointer, nothing to separate",),
         )
     cut_sides(dims, cut)
-    if state.tucker is None:
-        # no kick rows, so no certificate route: the witness reads the apparatus columns
-        form = state.branches
-        tail = 0.0 if form is None else form.tail
-        return _witness_verdict(_ppt_min(engine.apparatus_density(state), cut, tail), cut, [])
-    record = _record(state)
-    notes: list[str] = []
+    record, layout = _record(state)
+    form = state.branches
+    ppt = _witness(record, layout, dims.total, cut, 0.0 if form is None else form.tail)
+    notes: tuple[str, ...] = ()
     route = _certificate_route(state)
     if route is not None:
         error = _record_distance(state, record, route)
         if error <= CERTIFICATE_TOL:
-            ppt = _record_ppt_min(state, record, cut)
             if ppt < ENTANGLEMENT_THRESHOLD:
                 raise RuntimeError(
                     f"certificate validated to {error:.3e} yet the partial "
@@ -537,21 +522,20 @@ def readability_check(state: UnifiedState, cut: Cut | None = None) -> Separabili
                 certificate_error=error,
                 method=route.method,
             )
-        notes.append(f"certificate failed validation ({error:.3e}), discarded")
-    return _witness_verdict(_record_ppt_min(state, record, cut), cut, notes)
+        notes = (f"certificate failed validation ({error:.3e}), discarded",)
+    return _witness_verdict(ppt, cut, notes)
 
 
-def _witness_verdict(ppt: float, cut: Cut, notes: list[str]) -> SeparabilityVerdict:
+def _witness_verdict(ppt: float, cut: Cut, notes: tuple[str, ...]) -> SeparabilityVerdict:
     """The verdict of the partial-transpose witness alone, after any discarded certificate."""
     if ppt < ENTANGLEMENT_THRESHOLD:
         return SeparabilityVerdict(
-            status="entangled", cut=cut, ppt_min=ppt, method="ppt", notes=tuple(notes)
+            status="entangled", cut=cut, ppt_min=ppt, method="ppt", notes=notes
         )
     return SeparabilityVerdict(
         status="inconclusive",
         cut=cut,
         ppt_min=ppt,
         method="ppt",
-        notes=tuple(notes)
-        + ("partial transpose is nonnegative but no decomposition route applies",),
+        notes=notes + ("partial transpose is nonnegative but no decomposition route applies",),
     )

@@ -188,6 +188,23 @@ class TestRun:
         ) in err
         assert "norm" not in err
 
+    @pytest.mark.parametrize("length", ["20000", "1e200"])
+    def test_sequential_with_nothing_to_condition_on_refused(self, length, capsys):
+        """sigma 1 on a 256-point grid so long that the sampled packets hold no
+        probability above x0_b (from 20000), and the engine's none either (at
+        1e200): the conditioned readout would divide by zero, so the
+        configuration is refused, with no RuntimeWarning; the defaults run."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scenario", "run", "sequential", "--gridL", length]) == 1
+            err = capsys.readouterr().err
+            assert main(["scenario", "run", "sequential"]) == 0
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert (
+            f"sequential: nothing to condition on: at sigma 1.0 the 256-point grid "
+            f"of length {float(length)!r} holds no probability above x0_b = 0.0"
+        ) in err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("gA = 0.3  # file value loses to the flag\nsigma = 1.0\n")

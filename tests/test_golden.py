@@ -7,10 +7,18 @@ any number inside a string such as a note, must match to GOLDEN_TOL
 absolute: reports at one and two BLAS threads differ by about 2e-14, and a
 note that prints a roundoff-level error to four digits moves in its third.
 
-Regenerate it, from the repository root, only when a report is meant to
-change:
+The file was written with numpy 2.4.6 on OpenBLAS 0.3.31
+(scipy-openblas64, DYNAMIC_ARCH, Haswell kernels) at one BLAS thread, one
+report at a time as each change moved it. The command below prints every
+report as the code now stands:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -c 'import json; from pointerlab import SCENARIOS, run_scenario; reports = {n: run_scenario(n).to_dict() for n in SCENARIOS}; [r.pop("runtime_seconds") for r in reports.values()]; print(json.dumps(reports, indent=2))' > tests/golden/default_reports.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -c 'import json; from pointerlab import SCENARIOS, run_scenario; reports = {n: run_scenario(n).to_dict() for n in SCENARIOS}; [r.pop("runtime_seconds") for r in reports.values()]; print(json.dumps(reports, indent=2))'
+
+Redirecting all of it into the file rewrites the reports no change meant
+to move at roundoff, within GOLDEN_TOL, about 75 lines with the versions
+above. So a change meant to move one report is edited in by hand: copy
+only that report's moved values from the command's output, and list them
+in ``CHANGES.md``.
 """
 
 import json

@@ -447,17 +447,33 @@ class TestReadability:
         assert len(kinds) == 1
         assert fine.status == ("entangled" if kind == "noncommuting" else "separable")
         assert matrix_reads == []
+        if kind == "noncommuting":
+            # the window form's record core against the witness on its amplitudes
+            state = _simultaneous_record(256, kind)
+            assert state.branches.kicks is None
+            rho = engine.apparatus_density(state)
+            assert abs(fine.ppt_min - ppt_min_eigenvalue(rho, CUT_POINTERS)) <= 1e-13
 
 
-@pytest.mark.parametrize("name", ["epr", "sequential"])
-def test_readout_verdict_forms_no_readout_size_array(name):
-    """Readability on the default epr and sequential readout states, 256 points
-    per pointer with kick rows, reads their record core: its peak traced
-    allocation stays under a quarter of one readout state (2 MiB, 4 MiB for
-    epr's pair), less than one 256 x 256 complex block, so no array of the
-    apparatus's or the state's size is formed. A first verdict, on another
-    copy of the state, runs outside the count, so nothing filled once per
-    process is counted; the counted verdict must agree with it."""
+@pytest.mark.parametrize(
+    "name, status, share",
+    [
+        ("epr", "separable", 4),
+        ("sequential", "separable", 4),
+        ("simultaneous", "entangled", 1),
+        ("weak-orders", "entangled", 1),
+    ],
+)
+def test_readout_verdict_forms_no_readout_size_array(name, status, share):
+    """Readability on the default readout states, 256 points per pointer in
+    branch form, reads their record core. For kick rows (epr, sequential)
+    its peak traced allocation stays under a quarter of one readout state
+    (2 MiB, 4 MiB for epr's pair), less than one 256 x 256 complex block;
+    for the window forms of simultaneous and weak-orders, whose core is
+    (2, 63, 63), under one readout state. So no array of the apparatus's or
+    the state's size is formed. A first verdict, on another copy of the
+    state, runs outside the count, so nothing filled once per process is
+    counted; the counted verdict must agree with it."""
     cfg = DEFAULTS[name]
     scenario = SCENARIOS[name]
     system = scenario.system(cfg.theta_i, cfg.phi_i)
@@ -466,7 +482,8 @@ def test_readout_verdict_forms_no_readout_size_array(name):
     labels = sorted({c.pointer for phase in phases for c in phase})
     specs = [PointerSpec(lab, cfg.readout_grid(), x0[lab], cfg.sigma) for lab in labels]
     state, _ = scenarios._evolve(system, specs, phases)
-    assert state.branches.kicks is not None and "state" not in vars(state)
+    assert state.branches is not None and "state" not in vars(state)
+    assert (state.branches.kicks is None) == (share == 1)
     state_bytes = 16 * system.dims.total * cfg.grid_points**2
     first = readability_check(dataclasses.replace(state), scenarios.POINTER_CUT)
     fresh = dataclasses.replace(state)
@@ -478,9 +495,9 @@ def test_readout_verdict_forms_no_readout_size_array(name):
     finally:
         tracemalloc.stop()
     assert (verdict.status, verdict.method) == (first.status, first.method)
-    assert verdict.status == "separable"
+    assert verdict.status == status
     assert "state" not in vars(fresh)
-    assert peak - start < state_bytes / 4
+    assert peak - start < state_bytes / share
 
 
 def _simultaneous_record(points, kind):

@@ -33,6 +33,8 @@ REMOVED = {
         "REVALIDATION_POINTS",
         "_replica",
         "_revalidation_points",
+        "_record_ppt_min",
+        "_ppt_min",
     ),
 }
 

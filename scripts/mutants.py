@@ -95,6 +95,18 @@ CATALOGUE = (
         "bound += 0.0",
         "the witness leaves a window form's tail out of its Weyl bound",
     ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "result = _evolve_window(state, cs, t)",
+        "result = None",
+        "evolve skips the window route: every phase the commuting route declines runs the blocks",
+    ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "if len(slots) > state.pointers[p].grid.points:",
+        "if False:",
+        "the commuting route keeps a pointer with more rows than grid points",
+    ),
 )
 
 # the first failing (or erroring) test of the short summary that -rfE prints

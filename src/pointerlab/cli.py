@@ -94,7 +94,10 @@ def _config_from_file(path: Path) -> dict[str, Any]:
         if key not in _FLAG_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         field, kind = _FLAG_FIELDS[key]
-        values[field] = kind(value)
+        try:
+            values[field] = kind(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 

@@ -10,7 +10,8 @@ can cross-check each other:
   factor per pointer (``_branch_sum``'s inputs); the product state
   ``build_initial`` made is the one-branch case. Every factor row is its
   pointer's packet translated by an accumulated kick, which the form
-  keeps. A commuting phase on such a state keeps that form: each coupling
+  keeps. ``evolve`` alone picks the route, in turn: commuting, window,
+  blocks. A commuting phase on such a state keeps that form: each coupling
   is split over its observable's eigenspaces into spectral projectors,
   each times a rigid translation of its pointer by the impulse times the
   eigenvalue, so it splits every branch's system vector by those
@@ -72,13 +73,14 @@ needs only a sum of terms, such as a whole truncation at one scale,
 writes it in one ``_branch_sum``. No FFT runs over the state.
 
 States stay factored until their amplitudes are read: ``build_initial``
-keeps the system state and each pointer's packet from a per-``PointerSpec``
-cache, which also holds its 1-D spectrum, momentum kicks and momentum
-window, a commuting phase keeps the kick rows, and a noncommuting qubit
-phase on two readout-size pointers leaves a window form.
-``UnifiedState.state`` forms the amplitudes on first read and keeps them:
-the product with ``tensors.kron_states``, a branch form with
-``_branch_sum``. ``evolve`` takes the layout from the factors and checks a
+keeps the system state and each pointer's packet, from a
+per-``PointerSpec`` cache that also holds its 1-D spectrum, momentum
+kicks and momentum window, as a one-branch form; a commuting phase keeps
+the kick rows, and a noncommuting qubit phase on two readout-size
+pointers leaves a window form. A state is a branch form or amplitudes,
+nothing else. ``UnifiedState.state`` forms the amplitudes of any branch
+form, the product included, on first read with one ``_branch_sum`` and
+keeps them. ``evolve`` takes the layout from the factors and checks a
 branch form's norm from its factor rows' Gram matrices, or from a window
 form's coefficients plus the part it drops, so it forms nothing. The
 readouts the scenarios take read the form: position expectations are
@@ -114,7 +116,6 @@ from .tensors import (
     Operator,
     StateVector,
     generator_action,
-    kron_states,
     max_abs,
     product_dims,
     schmidt_values,
@@ -236,24 +237,25 @@ class UnifiedState:
     state and the truncation series start from it, and the scenarios'
     predictions read it.
 
-    ``_evolved`` is what the last evolution left: None for the product of
-    ``initial_system`` and the pointers' cached packets, a ``_Branches``
-    after a commuting phase on a state in branch form (kick rows) or after
-    ``_evolve_window`` (window rows, ``kicks`` None), else the amplitudes.
-    ``branches`` is the branch form, the product being its one-branch case;
-    the shift integrator and the perturbative series start from it.
-    ``state`` forms the amplitudes on first read and keeps them, and
-    ``columns`` holds the state in an orthonormal basis that the system-side
-    readouts read, so a state in branch form that is only read out is never
-    written out. For kick rows that basis and the core come from
-    ``tucker``, which the readability verdict reads for any branch form.
+    ``_evolved`` is the state, of one of two kinds: a ``_Branches``, or
+    the amplitudes. ``build_initial`` stores the product of
+    ``initial_system`` and the pointers' cached packets as the one-branch
+    form, with kick rows at kick 0; a commuting phase keeps kick rows,
+    ``_evolve_window`` leaves window rows (``kicks`` None), and any other
+    phase leaves the amplitudes. ``branches`` is the branch form, which
+    the shift integrator and the perturbative series start from. ``state``
+    forms the amplitudes on first read and keeps them, and ``columns``
+    holds the state in an orthonormal basis that the system-side readouts
+    read, so a state in branch form that is only read out is never written
+    out. For kick rows that basis and the core come from ``tucker``, which
+    the readability verdict reads for any branch form.
     """
 
     pointers: tuple[PointerSpec, ...]
     initial_system: StateVector
+    _evolved: StateVector | _Branches = field(repr=False)
     history: tuple[tuple[Coupling, ...], ...] = ()
     shift_bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    _evolved: StateVector | _Branches | None = field(default=None, repr=False)
 
     @property
     def system(self) -> DimensionSpec:
@@ -264,15 +266,9 @@ class UnifiedState:
         """The layout of the amplitudes, taken from the factors: reading it forms nothing."""
         return product_dims(self.system, *(_packet(spec).dims for spec in self.pointers))
 
-    @cached_property
+    @property
     def branches(self) -> _Branches | None:
         """The state in branch form, or None once a phase left that form."""
-        if self._evolved is None:
-            packets = [_packet(spec) for spec in self.pointers]
-            core = self.initial_system.amplitudes.reshape((1,) * len(packets) + (-1,))
-            norm = math.prod(f.norm for f in (self.initial_system, *packets))
-            rows = tuple(p.amplitudes[None] for p in packets)
-            return _Branches(core, rows, (np.zeros(1),) * len(packets), norm)
         return self._evolved if isinstance(self._evolved, _Branches) else None
 
     @property
@@ -284,15 +280,15 @@ class UnifiedState:
     @cached_property
     def state(self) -> StateVector:
         """The amplitudes as a state, formed here on first read."""
-        if isinstance(self._evolved, StateVector):
-            return self._evolved
-        if self._evolved is None:
-            return kron_states(self.initial_system, *map(_packet, self.pointers))
         form = self._evolved
+        if isinstance(form, StateVector):
+            return form
         return StateVector._owning(
             self.dims,
             _branch_sum(form.core, form.factors),
             normalized=self.initial_system.normalized,
+            # the product's norm is its factors' kept norms; a phase's is taken here
+            norm=None if self.history else form.norm,
         )
 
     @cached_property
@@ -355,16 +351,25 @@ class UnifiedState:
 def build_initial(system: StateVector, pointers: Sequence[PointerSpec]) -> UnifiedState:
     """Product of a system state and the pointers' Gaussian packets, cached per spec.
 
-    No amplitudes are formed here: ``state`` forms the product on first read.
+    The product is kept as the one-branch form, every pointer's one row its
+    packet at kick 0, and its norm the factors' kept norms. No amplitudes
+    are formed here: ``state`` forms them on first read.
     """
     specs = tuple(pointers)
     if not specs:
         raise ValueError("at least one pointer is required")
-    for spec in specs:
-        _packet(spec)  # a packet that leaks out of its box is refused here
+    # a packet that leaks out of its box is refused here
+    packets = [_packet(spec) for spec in specs]
+    form = _Branches(
+        system.amplitudes.reshape((1,) * len(specs) + (-1,)),
+        tuple(p.amplitudes[None] for p in packets),
+        (np.zeros(1),) * len(specs),
+        math.prod(f.norm for f in (system, *packets)),
+    )
     return UnifiedState(
         pointers=specs,
         initial_system=system,
+        _evolved=form,
         shift_bounds={spec.label: (0.0, 0.0) for spec in specs},
     )
 
@@ -413,10 +418,7 @@ def _updated_bounds(
 
 
 def _pointer_axis(state: UnifiedState, label: str) -> int:
-    for i, spec in enumerate(state.pointers):
-        if spec.label == label:
-            return 1 + i
-    raise KeyError(label)
+    return 1 + state.pointers.index(state.pointer_spec(label))
 
 
 def commutes(a: Operator, b: Operator) -> bool:
@@ -578,8 +580,8 @@ def _gram_norm(core: np.ndarray, factors: Sequence[np.ndarray]) -> float:
 
 def _evolve_commuting(
     state: UnifiedState, couplings: Sequence[Coupling], t: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]] | _Branches | np.ndarray:
-    """A commuting phase, as the new branch form where the state has one.
+) -> _Branches | None:
+    """A commuting phase on kick rows, as the new kick rows; None where it cannot keep them.
 
     Each coupling is a sum over its observable's eigenspaces
     (``Operator.eigenspaces``) of the projector onto one times the
@@ -593,14 +595,14 @@ def _evolve_commuting(
     order the kicks first appear; kicks equal only in exact arithmetic stay
     apart, which adds rows with orthogonal cores and loses nothing. Each
     row is then the packet's cached spectrum translated by its kick, one
-    batched inverse transform per pointer. Returns ``(core, factors,
-    kicks)`` as ``_Branches`` holds them. A state without kick rows, or a
-    pointer left with more rows than grid points, goes to
-    ``_evolve_momentum``, which takes any couplings.
+    batched inverse transform per pointer, and the form's norm is taken
+    from the rows' Gram matrices (``_gram_norm``). None, for ``evolve`` to
+    try the next route: a state without kick rows, or a pointer left with
+    more rows than grid points.
     """
     form = state.branches
     if form is None or form.kicks is None:
-        return _evolve_momentum(state, couplings, t)
+        return None
     core, kicks, coupled = form.core, list(form.kicks), set()
     for c in couplings:
         p = _pointer_axis(state, c.pointer) - 1
@@ -614,7 +616,7 @@ def _evolve_commuting(
         slots: dict[float, int] = {}
         rows = [slots.setdefault(kick, len(slots)) for kick in kicks[p].tolist()]
         if len(slots) > state.pointers[p].grid.points:
-            return _evolve_momentum(state, couplings, t)
+            return None
         if len(slots) < len(rows):
             sums = np.zeros((len(slots), len(rows)))
             sums[rows, np.arange(len(rows))] = 1.0
@@ -624,7 +626,7 @@ def _evolve_commuting(
     for p in coupled:
         moved = _translated_spectra(state.pointers[p], kicks[p])
         factors[p] = np.fft.ifft(moved, out=moved)
-    return core, tuple(factors), tuple(kicks)
+    return _Branches(core, tuple(factors), tuple(kicks), _gram_norm(core, factors))
 
 
 def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
@@ -834,11 +836,11 @@ def _evolve_window(
     are each one batched inverse 1-D transform, and the plane waves are
     the windows' own. No readout-grid array is written.
 
-    None, for ``_evolve_blocks`` to run instead: a state without branch
-    form, not a qubit or not on two pointers; grids of one kernel tile or
-    less (N_A N_B <= TILE_POINTS), where the whole grid costs no more; rows
-    that would outnumber a pointer's grid points; or delta above
-    WINDOW_TAIL_TOL of the norm.
+    None, for ``evolve`` to run ``_evolve_blocks`` instead: a state
+    without branch form, not a qubit or not on two pointers; grids of one
+    kernel tile or less (N_A N_B <= TILE_POINTS), where the whole grid
+    costs no more; rows that would outnumber a pointer's grid points; or
+    delta above WINDOW_TAIL_TOL of the norm.
     """
     form = state.branches
     if form is None or len(state.pointers) != 2 or state.system.total != 2:
@@ -879,14 +881,6 @@ def _evolve_window(
     factors = (np.concatenate([u, waves_a]), np.concatenate([waves_b, y]))
     norm = float(np.linalg.norm(spectrum))
     return _Branches(core, factors, None, norm, form.tail + dropped, spectrum)
-
-
-def _evolve_momentum(
-    state: UnifiedState, couplings: Sequence[Coupling], t: float
-) -> _Branches | np.ndarray:
-    """Any phase in the momentum representation: ``_evolve_window`` where it pays, else blocks."""
-    form = _evolve_window(state, couplings, t)
-    return _evolve_blocks(state, couplings, t) if form is None else form
 
 
 def _branch_distance(
@@ -992,32 +986,31 @@ def evolve(
 
     All couplings in the phase act simultaneously and must share a duration.
     Containment and norm preservation are enforced; the returned state
-    records the phase in its history. A commuting phase on a state with
-    kick rows returns kick rows, whose norm is checked from their Gram
-    matrices, and a qubit phase that ``_evolve_window`` takes returns a
-    window form, whose norm is checked from its coefficients together with
-    the part delta it drops, hypot(norm, delta) against the input's; their
-    amplitudes are formed only when read. Any other phase returns the
-    amplitudes.
+    records the phase in its history. The shift method is dispatched here
+    and only here, to the first route that takes the phase: a commuting
+    phase on kick rows (``_evolve_commuting``) returns kick rows, whose
+    norm is checked from their Gram matrices; a qubit phase on two pointers
+    in branch form that ``_evolve_window`` takes returns a window form,
+    whose norm is checked from its coefficients together with the part
+    delta it drops, hypot(norm, delta) against the input's; their
+    amplitudes are formed only when read. Any other phase runs on the
+    momentum blocks (``_evolve_blocks``) and returns the amplitudes.
     """
     cs, t = _validate_couplings(state, couplings)
     bounds = _updated_bounds(state, cs)
-    form = state.branches
     if method == "expm":
         result = _evolve_dense(state, cs, t)
     elif method == "shift":
-        if _couplings_commute(cs):
-            result = _evolve_commuting(state, cs, t)
-        else:
-            result = _evolve_momentum(state, cs, t)
+        result = _evolve_commuting(state, cs, t) if _couplings_commute(cs) else None
+        if result is None:
+            result = _evolve_window(state, cs, t)
+        if result is None:
+            result = _evolve_blocks(state, cs, t)
     else:
         raise ValueError(f"unknown evolution method {method!r}")
-    if isinstance(result, tuple):
-        core, factors, kicks = result
-        result = _Branches(core, factors, kicks, _gram_norm(core, factors))
     if isinstance(result, _Branches):
         # a window form drops a part of exact norm: this phase's share of its tail
-        norm, dropped = result.norm, result.tail - (0.0 if form is None else form.tail)
+        norm, dropped = result.norm, result.tail - state.branches.tail
     else:
         # read-only down to its base, so a reduced state built on it keeps a view, not a copy
         result.setflags(write=False)
@@ -1143,8 +1136,13 @@ def pointer_expectation(state: UnifiedState, weights: dict[str, np.ndarray]) -> 
     that exist are read as they are. Position moments take w = x; a
     probability and mean conditioned on a region of one pointer take its
     indicator. On an unnormalized state the quadratic form is returned as
-    is, not divided by the norm.
+    is, not divided by the norm. Either way a label that names no pointer
+    raises KeyError, and a weight not of its grid's length ValueError.
     """
+    for label, w in weights.items():
+        want = (state.pointer_spec(label).grid.points,)
+        if np.shape(w) != want:
+            raise ValueError(f"pointer {label!r}: weight of shape {np.shape(w)}, expected {want}")
     form = state.branches
     if form is not None and "state" not in vars(state):
         per_pointer = [weights.get(spec.label) for spec in state.pointers]

@@ -32,11 +32,10 @@ class LeakageError(ValueError):
 
 @dataclass(frozen=True)
 class PointerGrid:
-    """Uniform periodic grid of ``points`` sites spanning ``length``."""
+    """Uniform periodic grid of ``points`` sites spanning ``length``, centered on 0."""
 
     points: int = 256
     length: float = 16.0
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.points
@@ -44,8 +43,6 @@ class PointerGrid:
             raise ValueError(f"grid points must be a power of two >= 8, got {n}")
         if not (math.isfinite(self.length) and self.length > 0):
             raise ValueError(f"grid length must be finite and positive, got {self.length!r}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"grid center must be finite, got {self.center!r}")
 
     @property
     def spacing(self) -> float:
@@ -62,7 +59,7 @@ class PointerGrid:
 
 @lru_cache(maxsize=16)
 def _positions(grid: PointerGrid) -> np.ndarray:
-    x = grid.center - grid.length / 2 + grid.spacing * np.arange(grid.points)
+    x = -grid.length / 2 + grid.spacing * np.arange(grid.points)
     x.setflags(write=False)
     return x
 
@@ -76,7 +73,7 @@ def _wavenumbers(grid: PointerGrid) -> np.ndarray:
 
 def near_edge(center: float, spread: float, grid: PointerGrid) -> bool:
     """Whether CONTAINMENT_SIGMAS spreads around ``center`` leave the box; True on NaN."""
-    reach = abs(center - grid.center) + CONTAINMENT_SIGMAS * spread
+    reach = abs(center) + CONTAINMENT_SIGMAS * spread
     return not reach <= grid.length / 2
 
 
@@ -113,8 +110,8 @@ def gaussian_leakage(spec: PointerSpec) -> float:
     ``sigma``, so the out-of-box mass is a pair of erfc tails.
     """
     half = spec.grid.length / 2
-    d_left = half + (spec.x0 - spec.grid.center)
-    d_right = half - (spec.x0 - spec.grid.center)
+    d_left = half + spec.x0
+    d_right = half - spec.x0
     scale = spec.sigma * math.sqrt(2.0)
     return 0.5 * math.erfc(d_left / scale) + 0.5 * math.erfc(d_right / scale)
 

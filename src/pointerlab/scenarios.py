@@ -177,13 +177,13 @@ class ScenarioReport:
         }
 
 
-def bloch_state(theta: float, phi: float, label: str = "system") -> StateVector:
+def bloch_state(theta: float, phi: float) -> StateVector:
     amps = [math.cos(theta / 2), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)]
-    return StateVector(DimensionSpec.of((label, 2)), np.array(amps, dtype=complex))
+    return StateVector(DimensionSpec.of(("system", 2)), np.array(amps, dtype=complex))
 
 
-def pauli(matrix: np.ndarray, label: str = "system") -> Operator:
-    return Operator(DimensionSpec.of((label, 2)), matrix)
+def pauli(matrix: np.ndarray) -> Operator:
+    return Operator(DimensionSpec.of(("system", 2)), matrix)
 
 
 PAULI_X, PAULI_Z = pauli(SIGMA_X), pauli(SIGMA_Z)

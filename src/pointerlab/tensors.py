@@ -40,8 +40,8 @@ exception: ``kron_states`` forms the product of its factors in one
 outer-product chain, which the new state owns read-only down to its base,
 takes its norm as the product of the factors' kept norms, and takes its
 layout from ``product_dims``, one cached DimensionSpec per factor layout,
-so the engine forms every product state from its cached factors with no
-copy, no second norm pass and no recomputed sizes.
+so it makes no copy, no second norm pass and no recomputed sizes. The
+engine's branch sums are owned the same way (``StateVector._owning``).
 """
 
 from __future__ import annotations

@@ -232,6 +232,19 @@ class TestRun:
         assert main(["scenario", "run", "weak-noselect", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, why",
+        [
+            ("gridN", "1e3", "invalid literal for int() with base 10: '1e3'"),
+            ("gA", "abc", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_config_value_error_names_its_place(self, tmp_path, capsys, key, value, why):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# a value the key's type cannot parse\n{key} = {value}\n")
+        assert main(["scenario", "run", "weak-noselect", "--config", str(cfg)]) == 1
+        assert f"pointerlab: error: {cfg}:2: {key}: {why}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("seed", "1"), ("profile", "coarse")])
     def test_removed_knobs_exit_one(self, key, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -260,6 +260,46 @@ class TestEvolve:
         with pytest.raises(ValueError, match="preserve the norm"):
             evolve(state, [coupling])
 
+    @pytest.mark.parametrize(
+        "case, tried",
+        [
+            ("kick-rows", ("_evolve_commuting",)),
+            ("window", ("_evolve_window",)),
+            ("analysis-grid", ("_evolve_window", "_evolve_blocks")),
+            ("amplitudes", ("_evolve_commuting", "_evolve_window", "_evolve_blocks")),
+        ],
+    )
+    def test_one_dispatcher_tries_the_routes_in_turn(self, monkeypatch, case, tried):
+        """Commuting (only where the couplings commute), window, blocks: each
+        route runs once, and the last one tried makes the result. Kick rows
+        stay kick rows; a noncommuting qubit phase on two pointers above one
+        kernel tile is a window form; on the 16-point analysis grid, or on
+        amplitudes, the blocks run."""
+        returned = {}  # route -> what each of its calls returned, in the order routes ran
+
+        def spied(name, route):
+            def run(*args):
+                returned.setdefault(name, []).append(route(*args))
+                return returned[name][-1]
+
+            return run
+
+        for name in ("_evolve_commuting", "_evolve_window", "_evolve_blocks"):
+            monkeypatch.setattr(engine_module, name, spied(name, getattr(engine_module, name)))
+        grid = COARSE if case == "analysis-grid" else FINE
+        state = build_initial(bloch_state(1.0, 0.3), [PointerSpec(lab, grid) for lab in "AB"])
+        if case == "amplitudes":
+            state = dataclasses.replace(state, _evolved=state.state)
+        first = pauli(SIGMA_Z if case in ("kick-rows", "amplitudes") else SIGMA_X)
+        evolved = evolve(state, [Coupling(first, "A", 0.2), Coupling(pauli(SIGMA_Z), "B", 0.2)])
+        assert tuple(returned) == tried
+        assert all(len(returned[name]) == 1 for name in tried)
+        assert all(returned[name][0] is None for name in tried[:-1])
+        form = evolved.branches
+        kinds = {"_evolve_commuting": "kick", "_evolve_window": "window", "_evolve_blocks": None}
+        kind = None if form is None else "window" if form.kicks is None else "kick"
+        assert kind == kinds[tried[-1]]
+
 
 class TestDenseGenerator:
     """The dense oracle's generator, applied factor by factor and checked only at factor size."""
@@ -823,10 +863,11 @@ class TestCommutingBranches:
             assert cross_validate(state, couplings) <= 1e-12
         assert spy.called != branched
         if branched:
-            # the same product state as amplitudes takes the momentum blocks
+            # the same product state as amplitudes keeps no kick rows: the blocks take it
             formed = dataclasses.replace(state, _evolved=state.state)
+            assert engine_module._evolve_commuting(formed, couplings, 1.0) is None
             got = evolve(state, couplings).state.amplitudes
-            want = engine_module._evolve_commuting(formed, couplings, 1.0).reshape(-1)
+            want = engine_module._evolve_blocks(formed, couplings, 1.0).reshape(-1)
             assert np.abs(got - want).max() <= 1e-15
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1220,6 +1261,21 @@ class TestDensities:
         assert selected.factors.shape == (COARSE.points, 1)
         v = bloch_state(math.pi / 4, 0.0).amplitudes.conj() @ m
         np.testing.assert_allclose(selected.matrix, np.outer(v, v.conj()), atol=1e-16)
+
+    @pytest.mark.parametrize("formed", [False, True], ids=["branches", "amplitudes"])
+    def test_expectation_refuses_bad_weights(self, formed):
+        """A weight for no pointer, or not of its grid's length, is refused the
+        same way whether the state is read from its branch form or its amplitudes."""
+        specs = [PointerSpec(lab, COARSE) for lab in "AB"]
+        state = evolve(build_initial(bloch_state(1.0, 0.3), specs), [_single()[1]])
+        if formed:
+            state = dataclasses.replace(state, _evolved=state.state)
+        assert (state.branches is None) == formed
+        with pytest.raises(KeyError, match="no pointer labeled 'C'"):
+            engine_module.pointer_expectation(state, {"C": np.ones(COARSE.points)})
+        shapes = r"pointer 'B': weight of shape \(8,\), expected \(16,\)"
+        with pytest.raises(ValueError, match=shapes):
+            engine_module.pointer_expectation(state, {"A": np.ones(16), "B": np.ones(8)})
 
     def test_cross_moment_needs_two_pointers(self):
         state, coupling = _single()

@@ -41,20 +41,20 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "grid",
-        [PointerGrid(8, 4.0), PointerGrid(16, 16.0, center=0.75), FINE],
-        ids=["8", "16-offcenter", "256"],
+        [PointerGrid(8, 4.0), FINE],
+        ids=["8", "256"],
     )
     def test_arrays_computed_once_read_only(self, grid):
         x, k = grid.positions(), grid.wavenumbers()
         assert not x.flags.writeable and not k.flags.writeable
         np.testing.assert_array_equal(
-            x, grid.center - grid.length / 2 + grid.spacing * np.arange(grid.points)
+            x, -grid.length / 2 + grid.spacing * np.arange(grid.points)
         )
         np.testing.assert_array_equal(
             k, 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
         )
         # an equal grid shares the arrays
-        twin = PointerGrid(grid.points, grid.length, grid.center)
+        twin = PointerGrid(grid.points, grid.length)
         assert twin.positions() is x and twin.wavenumbers() is k
 
     def test_rejects_non_power_of_two(self):
@@ -73,10 +73,6 @@ class TestGrid:
     def test_rejects_nonfinite_length(self, length):
         with pytest.raises(ValueError, match="length must be finite"):
             PointerGrid(length=length)
-
-    def test_rejects_nonfinite_center(self):
-        with pytest.raises(ValueError, match="center must be finite"):
-            PointerGrid(center=math.nan)
 
 
 class TestSpecValidation:

@@ -11,7 +11,11 @@ import pointerlab
 WORKLOAD = Path(__file__).resolve().parents[1] / "bench" / "workload.py"
 REMOVED = {
     "engine": (
-        "expand_perturbative", "initial_info_expectation", "cross_validate", "_packet_moments",
+        "expand_perturbative",
+        "initial_info_expectation",
+        "cross_validate",
+        "_packet_moments",
+        "_evolve_momentum",
     ),
     "tensors": (
         "kron_operators",

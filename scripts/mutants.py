@@ -107,6 +107,18 @@ CATALOGUE = (
         "if False:",
         "the commuting route keeps a pointer with more rows than grid points",
     ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "core[d * n_b + a, n_b + s * n_a + a, s] = 1.0",
+        "core[2 * n_b + a, n_b + s * n_a + a, s] = 1.0",
+        "the window core pairs B's rows with A's plane waves at a qubit's row offset",
+    ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "for s in range(d):",
+        "for s in range(2):",
+        "the window core leaves out every system row past a qubit's two",
+    ),
 )
 
 # the first failing (or erroring) test of the short summary that -rfE prints

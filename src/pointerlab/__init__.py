@@ -56,7 +56,6 @@ from .tensors import (
     Operator,
     StateVector,
     expectation,
-    kron_states,
     schmidt,
 )
 

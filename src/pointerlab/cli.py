@@ -96,6 +96,7 @@ def _config_from_file(path: Path) -> dict[str, Any]:
         field, kind = _FLAG_FIELDS[key]
         try:
             values[field] = kind(value)
+            ScenarioConfig(**{field: values[field]})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values

@@ -21,15 +21,16 @@ can cross-check each other:
   pointer. Any other phase, or a commuting one on a state without kick
   rows or whose pointer would have more rows than grid points, runs on
   the momentum blocks: the generator is block-diagonal over the momentum
-  grid and each small system block is exponentiated exactly, a larger one
-  by batched ``eigh`` and a qubit block by the closed-form SU(2)
-  exponential. Its coefficients are sums of 1-D profiles, one per
-  pointer, so the qubit kernel walks the grid in tiles of TILE_POINTS,
-  takes every cosine and sine of a tile from one half-angle tangent, and
-  assembles the blocks in real arithmetic in place: no temporary spans
-  the grid. Each block is unitary, so the phase keeps the state's norm on
-  any set of momenta. For a qubit on two pointers in branch form whose
-  grids exceed one tile, the kernel runs only on the cross region of the
+  grid and each small system block is exponentiated exactly, in place, by
+  one function (``_qubit_blocks``) at any set of momenta: a qubit block by
+  the closed-form SU(2) exponential, any other by batched ``eigh``. The
+  qubit coefficients are sums of 1-D profiles, one per pointer, so that
+  kernel walks the grid in tiles of TILE_POINTS, takes every cosine and
+  sine of a tile from one half-angle tangent, and assembles the blocks in
+  real arithmetic in place: no temporary spans the grid. Each block is
+  unitary, so the phase keeps the state's norm on any set of momenta. For
+  a state on two pointers in branch form whose grids exceed one tile, of
+  any system dimension, the blocks run only on the cross region of the
   packets' momentum windows (``_window``, ``_evolve_window``), which holds
   all but an exactly computed part of norm at most WINDOW_TAIL_TOL of the
   state, and the result is a window form (``_Branches``, ``kicks`` None).
@@ -76,8 +77,8 @@ States stay factored until their amplitudes are read: ``build_initial``
 keeps the system state and each pointer's packet, from a
 per-``PointerSpec`` cache that also holds its 1-D spectrum, momentum
 kicks and momentum window, as a one-branch form; a commuting phase keeps
-the kick rows, and a noncommuting qubit phase on two readout-size
-pointers leaves a window form. A state is a branch form or amplitudes,
+the kick rows, and a noncommuting phase on two readout-size pointers
+leaves a window form. A state is a branch form or amplitudes,
 nothing else. ``UnifiedState.state`` forms the amplitudes of any branch
 form, the product included, on first read with one ``_branch_sum`` and
 keeps them. ``evolve`` takes the layout from the factors and checks a
@@ -204,7 +205,7 @@ class _Branches:
       by ``kicks[p][b]``, its accumulated kick, and no two rows of one
       pointer share a kick. A commuting phase keeps them.
     * window rows, with ``kicks`` None: what ``_evolve_window`` leaves of a
-      qubit on two pointers. Each pointer's window W_p is the momenta
+      state on two pointers. Each pointer's window W_p is the momenta
       holding all but WINDOW_TAIL_TOL of its packet's spectral mass
       (``_window``), and the form is the state on the cross region
       R = (all x W_B) + (W_A x outside W_B), zero off it: for each system
@@ -629,14 +630,6 @@ def _evolve_commuting(
     return _Branches(core, tuple(factors), tuple(kicks), _gram_norm(core, factors))
 
 
-def _kick(state: UnifiedState, c: Coupling, grid_ndim: int) -> np.ndarray:
-    """g * k on the coupled pointer's momentum axis, broadcastable over the grid."""
-    k = state.pointer_spec(c.pointer).grid.wavenumbers()
-    shape = [1] * grid_ndim
-    shape[_pointer_axis(state, c.pointer) - 1] = k.size
-    return c.strength * k.reshape(shape)
-
-
 # Grid points per tile of the qubit-block kernel. At 4096 points its largest
 # temporaries, one complex and one stacked real tile, are 64 KiB each, below
 # glibc's default 128 KiB mmap threshold, so they come from the heap and no
@@ -664,12 +657,14 @@ def _qubit_blocks(
     t: float,
     momenta: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """exp(-i t h(k)) on every momentum block of a qubit, in closed form, in place.
+    """exp(-i t h(k)) on every momentum block, h(k) = sum_j g_j k_j A_j, in place.
 
     Axis p of ``ft`` after the system is pointer p at ``momenta[p]``, by
-    default its whole grid's wavenumbers, in FFT order.
+    default its whole grid's wavenumbers, in FFT order. A qubit's blocks
+    are exponentiated in closed form; any other system dimension d by one
+    batched ``eigh`` of the (d, d) blocks at those momenta.
 
-    Each block is h(k) = c0 I + c . sigma with real c0, c, so
+    A qubit block is h(k) = c0 I + c . sigma with real c0, c, so
     exp(-i t h) = exp(-i t c0) [[a, b], [-b*, a*]] with a = cos(t|c|) - i s cz,
     b = -s (cy + i cx) and s = sin(t|c|)/|c|, which is t at |c| = 0. Every
     component is a sum of one 1-D profile per pointer axis (the couplings'
@@ -684,14 +679,26 @@ def _qubit_blocks(
     carries stays the scalar 0; for c0 the factor exp(-i t c0), exactly 1,
     is then skipped.
     """
-    grid = ft.shape[1:]
-    # per component c0, cx, cy, cz: pointer axis -> its 1-D profile
-    profiles: list[dict[int, np.ndarray]] = [{}, {}, {}, {}]
+    d, grid = ft.shape[0], ft.shape[1:]
+    # per coupling: its observable, pointer axis and g k along that axis
+    terms = []
     for c in couplings:
-        a = c.observable.matrix
         axis = _pointer_axis(state, c.pointer) - 1
         k = state.pointer_spec(c.pointer).grid.wavenumbers() if momenta is None else momenta[axis]
-        gk = c.strength * k
+        along = [-1 if i == axis else 1 for i in range(len(grid))]
+        terms.append((c.observable.matrix, axis, (c.strength * k).reshape(along)))
+    if d != 2:
+        h = np.zeros(grid + (d, d), dtype=complex)
+        for a, _, gk in terms:
+            h += gk[..., None, None] * a
+        w, v = np.linalg.eigh(h)
+        vec = np.swapaxes(v.conj(), -1, -2) @ np.moveaxis(ft, 0, -1)[..., None]
+        vec *= np.exp(-1j * t * w)[..., None]
+        ft[...] = np.moveaxis((v @ vec)[..., 0], -1, 0)
+        return ft
+    # per component c0, cx, cy, cz: pointer axis -> its 1-D profile
+    profiles: list[dict[int, np.ndarray]] = [{}, {}, {}, {}]
+    for a, axis, gk in terms:
         weights = (
             (a[0, 0] + a[1, 1]).real / 2,
             a[0, 1].real,
@@ -702,13 +709,7 @@ def _qubit_blocks(
             if w:
                 part[axis] = part.get(axis, 0.0) + gk * w
     # each profile as a zero-stride view over the whole grid, sliced per tile
-    spans = [
-        [
-            np.broadcast_to(v.reshape([-1 if i == axis else 1 for i in range(len(grid))]), grid)
-            for axis, v in part.items()
-        ]
-        for part in profiles
-    ]
+    spans = [[np.broadcast_to(v, grid) for v in part.values()] for part in profiles]
     for index in _tiles(grid):
         parts = [sum(v[index] for v in span) if span else 0.0 for span in spans]
         _qubit_tile(ft[(0, *index)], ft[(1, *index)], parts, t)
@@ -770,25 +771,12 @@ def _evolve_blocks(
 
     In the pointer momentum representation the generator is diagonal over
     the momentum grid, leaving one small Hermitian system block per grid
-    point. Qubit blocks are exponentiated in closed form
-    (``_qubit_blocks``); larger ones by batched eigendecomposition. Runs
+    point: the state's spectrum (``_spectrum``), every block exponentiated
+    in place (``_qubit_blocks``), and one inverse transform in place. Runs
     wherever ``_evolve_window`` cannot pay, and is exact for any couplings.
     """
-    paxes = tuple(range(1, 1 + len(state.pointers)))
-    ft = _spectrum(state)
-    s = ft.shape[0]
-    if s == 2:
-        out = _qubit_blocks(ft, state, couplings, t)
-        return np.fft.ifftn(out, axes=paxes, out=out)
-    h = np.zeros(ft.shape[1:] + (s, s), dtype=complex)
-    for c in couplings:
-        h = h + _kick(state, c, ft.ndim - 1)[..., None, None] * c.observable.matrix
-    w, v = np.linalg.eigh(h)
-    vec = np.moveaxis(ft, 0, -1)[..., None]
-    vec = np.swapaxes(v.conj(), -1, -2) @ vec
-    vec = np.exp(-1j * t * w)[..., None] * vec
-    vec = (v @ vec)[..., 0]
-    return np.fft.ifftn(np.moveaxis(vec, -1, 0), axes=paxes)
+    ft = _qubit_blocks(_spectrum(state), state, couplings, t)
+    return np.fft.ifftn(ft, axes=tuple(range(1, ft.ndim)), out=ft)
 
 
 def _cross_blocks(
@@ -822,35 +810,35 @@ def _off_window_norm(state: UnifiedState, core: np.ndarray, spectra: Sequence[np
 def _evolve_window(
     state: UnifiedState, couplings: Sequence[Coupling], t: float
 ) -> _Branches | None:
-    """A qubit phase on two pointers in branch form, as a window form; None where it cannot pay.
+    """A phase on two pointers in branch form, as a window form; None where it cannot pay.
 
     Every momentum block is unitary, so the phase keeps the norm of the
-    state on any set of momenta. The kernel of ``_qubit_blocks`` runs on
-    the cross region R only (``_cross_blocks``), and the part off R, whose
-    norm delta is exact (``_off_window_norm``), is dropped: the result is
-    the exact state to within delta, which ``tail`` accumulates and
-    ``evolve`` adds to its norm check. The form is built from R's two
-    blocks (``_Branches``): for each system row s, pointer A's columns u_sb
-    at the momenta b of W_B, each times B's plane wave, and B's rows y_sa
-    at the momenta a of W_A, each after A's plane wave; the u and y rows
-    are each one batched inverse 1-D transform, and the plane waves are
-    the windows' own. No readout-grid array is written.
+    state on any set of momenta. ``_qubit_blocks`` runs on the cross
+    region R only (``_cross_blocks``), for any system dimension d, and the
+    part off R, whose norm delta is exact (``_off_window_norm``), is
+    dropped: the result is the exact state to within delta, which ``tail``
+    accumulates and ``evolve`` adds to its norm check. The form is built
+    from R's two blocks (``_Branches``): for each system row s, pointer A's
+    columns u_sb at the momenta b of W_B, each times B's plane wave, and
+    B's rows y_sa at the momenta a of W_A, each after A's plane wave; the u
+    and y rows are each one batched inverse 1-D transform, and the plane
+    waves are the windows' own. No readout-grid array is written.
 
     None, for ``evolve`` to run ``_evolve_blocks`` instead: a state
-    without branch form, not a qubit or not on two pointers; grids of one
-    kernel tile or less (N_A N_B <= TILE_POINTS), where the whole grid
-    costs no more; rows that would outnumber a pointer's grid points; or
-    delta above WINDOW_TAIL_TOL of the norm.
+    without branch form or not on two pointers; grids of one kernel tile
+    or less (N_A N_B <= TILE_POINTS), where the whole grid costs no more;
+    rows that would outnumber a pointer's grid points, d |W_B| + |W_A| of
+    A or d |W_A| + |W_B| of B; or delta above WINDOW_TAIL_TOL of the norm.
     """
     form = state.branches
-    if form is None or len(state.pointers) != 2 or state.system.total != 2:
+    if form is None or len(state.pointers) != 2:
         return None
     sizes = tuple(spec.grid.points for spec in state.pointers)
     if math.prod(sizes) <= TILE_POINTS:
         return None
     (in_a, _, waves_a), (in_b, out_b, waves_b) = map(_window, state.pointers)
-    n_a, n_b = len(in_a), len(in_b)
-    if n_a + 2 * n_b > sizes[0] or n_b + 2 * n_a > sizes[1]:
+    n_a, n_b, d = len(in_a), len(in_b), state.system.total
+    if n_a + d * n_b > sizes[0] or n_b + d * n_a > sizes[1]:
         return None
     spectra = [_row_spectra(state, p) for p in (0, 1)]
     dropped = _off_window_norm(state, form.core, spectra)
@@ -862,22 +850,22 @@ def _evolve_window(
     _qubit_blocks(right, state, couplings, t, (k_a[in_a], k_b[out_b]))
     # coefficients on R's unit plane-wave products, and the rows they make
     scale = 1 / math.sqrt(math.prod(sizes))
-    spectrum = np.concatenate([left.reshape(2, -1), right.reshape(2, -1)], axis=1)
+    spectrum = np.concatenate([left.reshape(d, -1), right.reshape(d, -1)], axis=1)
     spectrum *= scale
     spectrum.setflags(write=False)
-    u = np.fft.ifft(left.transpose(0, 2, 1).reshape(2 * n_b, sizes[0]))
+    u = np.fft.ifft(left.transpose(0, 2, 1).reshape(d * n_b, sizes[0]))
     u *= scale * math.sqrt(sizes[0])
-    y = np.zeros((2, n_a, sizes[1]), dtype=complex)
+    y = np.zeros((d, n_a, sizes[1]), dtype=complex)
     y[:, :, out_b] = right
-    y = np.fft.ifft(y).reshape(2 * n_a, sizes[1])
+    y = np.fft.ifft(y).reshape(d * n_a, sizes[1])
     y *= scale * math.sqrt(sizes[1])
     # row s n_b + b of A is u_sb, paired with B's plane wave b; A's plane
-    # wave a, row 2 n_b + a, is paired with B's row n_b + s n_a + a, y_sa
-    core = np.zeros((2 * n_b + n_a, n_b + 2 * n_a, 2))
+    # wave a, row d n_b + a, is paired with B's row n_b + s n_a + a, y_sa
+    core = np.zeros((d * n_b + n_a, n_b + d * n_a, d))
     b, a = np.arange(n_b), np.arange(n_a)
-    for s in (0, 1):
+    for s in range(d):
         core[s * n_b + b, b, s] = 1.0
-        core[2 * n_b + a, n_b + s * n_a + a, s] = 1.0
+        core[d * n_b + a, n_b + s * n_a + a, s] = 1.0
     factors = (np.concatenate([u, waves_a]), np.concatenate([waves_b, y]))
     norm = float(np.linalg.norm(spectrum))
     return _Branches(core, factors, None, norm, form.tail + dropped, spectrum)
@@ -989,8 +977,8 @@ def evolve(
     records the phase in its history. The shift method is dispatched here
     and only here, to the first route that takes the phase: a commuting
     phase on kick rows (``_evolve_commuting``) returns kick rows, whose
-    norm is checked from their Gram matrices; a qubit phase on two pointers
-    in branch form that ``_evolve_window`` takes returns a window form,
+    norm is checked from their Gram matrices; a phase on two pointers in
+    branch form that ``_evolve_window`` takes returns a window form,
     whose norm is checked from its coefficients together with the part
     delta it drops, hypot(norm, delta) against the input's; their
     amplitudes are formed only when read. Any other phase runs on the
@@ -1177,8 +1165,9 @@ def _window_expectation(
     """
     (in_a, _, p_a), (in_b, _, p_b) = map(_window, state.pointers)
     rows_a, rows_b = state.branches.factors
-    u = rows_a[: 2 * len(in_b)].reshape(2, len(in_b), -1)
-    y = rows_b[len(in_b) :].reshape(2, len(in_a), -1)
+    d = state.system.total
+    u = rows_a[: d * len(in_b)].reshape(d, len(in_b), -1)
+    y = rows_b[len(in_b) :].reshape(d, len(in_a), -1)
 
     def between(f: np.ndarray, w: np.ndarray | None, g: np.ndarray) -> np.ndarray:
         """<f_i| diag(w) |g_j>, batched over leading axes."""

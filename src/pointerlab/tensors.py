@@ -35,20 +35,19 @@ read-only, so the source of a cached value cannot change; the cached arrays
 are read-only too, and equality and hashing still read the dataclass fields
 alone.
 
-A StateVector copies the amplitudes it is given. Product states are the
-exception: ``kron_states`` forms the product of its factors in one
-outer-product chain, which the new state owns read-only down to its base,
-takes its norm as the product of the factors' kept norms, and takes its
-layout from ``product_dims``, one cached DimensionSpec per factor layout,
-so it makes no copy, no second norm pass and no recomputed sizes. The
-engine's branch sums are owned the same way (``StateVector._owning``).
+A StateVector copies the amplitudes it is given. The engine's branch sums
+are the exception: the new state owns them read-only down to their base,
+keeps a norm the engine already took, and takes its layout from
+``product_dims``, one cached DimensionSpec per factor layout
+(``StateVector._owning``), so it makes no copy, no second norm pass and no
+recomputed sizes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -406,25 +405,6 @@ def factored_distance(columns: np.ndarray, target: DensityMatrix) -> float:
 def product_dims(*specs: DimensionSpec) -> DimensionSpec:
     """The layout of a tensor product over ``specs``, in order, one object per layout."""
     return DimensionSpec(tuple(f for spec in specs for f in spec.factors))
-
-
-def kron_states(*states: StateVector) -> StateVector:
-    """Tensor product of the states, in order, from one outer-product chain.
-
-    The result owns the product array, read-only; no intermediate state is
-    made. Its layout is the cached ``product_dims`` of the factors', so its
-    sizes are computed once per layout. Its norm is the product of the
-    factors' cached norms, and it is claimed normalized when every factor
-    is, a claim still checked against NORM_TOL.
-    """
-    if not states:
-        raise ValueError("kron_states needs at least one state")
-    return StateVector._owning(
-        product_dims(*(s.dims for s in states)),
-        reduce(np.multiply.outer, [s.amplitudes for s in states]),
-        normalized=all(s.normalized for s in states),
-        norm=math.prod(s.norm for s in states),
-    )
 
 
 def expectation(op: Operator, state: StateVector) -> complex:

@@ -237,11 +237,13 @@ class TestRun:
         [
             ("gridN", "1e3", "invalid literal for int() with base 10: '1e3'"),
             ("gA", "abc", "could not convert string to float: 'abc'"),
+            ("gA", "nan", "g_a: coupling strength must be finite, got nan"),
+            ("sigma", "inf", "sigma: pointer spread must be finite, got inf"),
         ],
     )
     def test_config_value_error_names_its_place(self, tmp_path, capsys, key, value, why):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"# a value the key's type cannot parse\n{key} = {value}\n")
+        cfg.write_text(f"# a value the key cannot take\n{key} = {value}\n")
         assert main(["scenario", "run", "weak-noselect", "--config", str(cfg)]) == 1
         assert f"pointerlab: error: {cfg}:2: {key}: {why}" in capsys.readouterr().err
 

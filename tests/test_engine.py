@@ -42,6 +42,7 @@ from pointerlab.scenarios import (
     bloch_state,
     pauli,
 )
+from pointerlab.separability import readability_check
 from pointerlab.tensors import DimensionSpec, Operator, StateVector
 
 from helpers import (
@@ -600,10 +601,12 @@ class TestQubitBlocks:
         ]
         ft = rng.normal(size=(2, *points)) + 1j * rng.normal(size=(2, *points))
         got = engine_module._qubit_blocks(ft.copy(), state, couplings, t)
-        h = sum(
-            engine_module._kick(state, c, len(points))[..., None, None] * c.observable.matrix
-            for c in couplings
-        )
+        h = 0
+        for c in couplings:
+            # g k on the coupled pointer's axis, broadcast over the others
+            along = [-1 if lab == c.pointer else 1 for lab in labels]
+            gk = c.strength * state.pointer_spec(c.pointer).grid.wavenumbers().reshape(along)
+            h = h + gk[..., None, None] * c.observable.matrix
         w, v = np.linalg.eigh(h)
         u = (v * np.exp(-1j * t * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
         want = np.einsum("...ij,j...->i...", u, ft)
@@ -1009,7 +1012,7 @@ def _hermitian(rng, kind):
 
 
 class TestWindowRoute:
-    """A noncommuting qubit phase on two readout-grid pointers keeps a window form."""
+    """A noncommuting phase on two readout-grid pointers keeps a window form."""
 
     @settings(max_examples=16, deadline=None, derandomize=True)
     @given(
@@ -1051,10 +1054,64 @@ class TestWindowRoute:
         assert abs(form.norm**2 + delta**2 - state.norm**2) <= 1e-14
         assert np.abs(got.tensor() - want).max() <= delta + 1e-14
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([64, 128]),
+        st.integers(0, 2**32 - 1),
+        st.floats(-0.4, 0.4),
+        st.floats(-0.4, 0.4),
+    )
+    @example(d=3, points=128, seed=1, g_a=0.3, g_b=-0.2)
+    @example(d=4, points=128, seed=2, g_a=-0.3, g_b=0.2)
+    def test_any_system_dimension_matches_blocks(self, d, points, seed, g_a, g_b):
+        """A random Hermitian observable per pointer on a d-level system. On
+        128 x 128 points, about 21 window momenta per pointer leave room for
+        d + 1 rows per momentum, so the phase keeps a window form; on 64 x 64,
+        one kernel tile, the blocks run. Either way the amplitudes are the
+        blocks' to within the form's tail, and so is the verdict's ppt_min."""
+        state, phase = _random_qudit_case(d, "AB", PointerGrid(points, 16.0), seed, (g_a, g_b))
+        assert not commutes(*(c.observable for c in phase))
+        got = evolve(state, phase)
+        # the same phase on the same state as amplitudes runs the blocks
+        blocks = evolve(dataclasses.replace(state, _evolved=state.state), phase)
+        assert blocks.branches is None
+        form = got.branches
+        assert (form is None) if points == 64 else (form is not None and form.kicks is None)
+        ppt = readability_check(got).ppt_min
+        assert abs(ppt - readability_check(blocks).ppt_min) <= 1e-12
+        tail = 0.0 if form is None else form.tail
+        assert np.abs(got.tensor() - blocks.tensor()).max() <= tail + 1e-14
+
+    def test_qutrit_record_is_never_formed(self):
+        """Spin-1 Sx -> A and Sz -> B, g = 0.05, on two 256-point pointers:
+        ``evolve`` and ``readability_check`` form no amplitudes and peak at
+        most 1.3 readout states (3 x 256 x 256 amplitudes, 3 MiB) above where
+        they start. The whole-grid blocks peaked at 11.5 states."""
+        dims = DimensionSpec.of(("system", 3))
+        system = StateVector(dims, np.ones(3) / math.sqrt(3))
+        state = build_initial(system, [PointerSpec(lab, FINE) for lab in "AB"])
+        phase = [
+            Coupling(Operator(dims, SPIN1_X), "A", 0.05),
+            Coupling(Operator(dims, SPIN1_Z), "B", 0.05),
+        ]
+        readability_check(evolve(state, phase))  # fills the per-spec caches outside the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evolved = evolve(state, phase)
+            readability_check(evolved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evolved.branches.kicks is None
+        assert "state" not in vars(state) and "state" not in vars(evolved)
+        assert (peak - start) / (16 * 3 * FINE.points**2) <= 1.3
+
     def test_guard_sends_small_grids_to_blocks(self):
         """One kernel tile or less, windows whose rows would outnumber the grid
-        (79 of 128 momenta in a 64-long box), a single pointer, or a qudit runs
-        the blocks."""
+        (79 of 128 momenta in a 64-long box), or a single pointer runs the
+        blocks."""
         x, z = pauli(SIGMA_X), pauli(SIGMA_Z)
         phase = [Coupling(x, "A", 0.1), Coupling(z, "B", 0.1)]
         for grid in (PointerGrid(64, 16.0), PointerGrid(128, 64.0)):
@@ -1062,11 +1119,6 @@ class TestWindowRoute:
             assert evolve(build_initial(bloch_state(1.0, 0.0), two), phase).branches is None
         one = build_initial(bloch_state(1.0, 0.0), [PointerSpec("A", PointerGrid(8192, 64.0))])
         assert evolve(one, [Coupling(x, "A", 0.1), Coupling(z, "A", 0.1)]).branches is None
-        big = [PointerSpec(lab, PointerGrid(128, 16.0)) for lab in "AB"]
-        pair = build_initial(StateVector(PAIR_DIMS, np.array([0.5, 0.5, 0.5, 0.5])), big)
-        z_first = Operator(PAIR_DIMS, np.kron(SIGMA_Z, np.eye(2)))
-        phase = [Coupling(PAIR_X, "A", 0.1), Coupling(z_first, "B", 0.1)]
-        assert evolve(pair, phase).branches is None
 
     @pytest.mark.parametrize("tail, windowed", [(7e-15, True), (1.4e-14, False)])
     def test_tail_near_its_bound(self, tail, windowed):
@@ -1112,6 +1164,20 @@ class TestWindowRoute:
         got = engine_module._branch_distance(lazy, core, factors)
         assert "state" not in vars(lazy)
         assert abs(got - exact) <= 1e-15 + lazy.branches.tail
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_qudit_readouts_read_the_momenta(self, d):
+        """A d-level window form's readouts match its formed amplitudes', so
+        each system row's u and y rows are read where the form put them."""
+        state, phase = _random_qudit_case(d, "AB", FINE, d, (0.3, -0.2))
+        lazy = evolve(state, phase)
+        assert lazy.branches.kicks is None
+        formed = dataclasses.replace(lazy, _evolved=dataclasses.replace(lazy).state)
+        got, want = _readouts(lazy), _readouts(formed)
+        assert "state" not in vars(lazy)
+        assert got["rank"] == want["rank"]
+        for name, value in want.items():
+            assert np.abs(got[name] - value).max() <= 1e-13, name
 
     def test_chained_phases_keep_the_window(self):
         """A second phase on a window form, commuting or not, keeps it, and

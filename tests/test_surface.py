@@ -16,6 +16,7 @@ REMOVED = {
         "cross_validate",
         "_packet_moments",
         "_evolve_momentum",
+        "_kick",
     ),
     "tensors": (
         "kron_operators",
@@ -25,6 +26,7 @@ REMOVED = {
         "trace_distance",
         "DensityMatrix.from_factors",
         "DimensionSpec.merge",
+        "kron_states",
     ),
     "pointer": ("position_operator", "shifted_amplitudes"),
     "separability": (

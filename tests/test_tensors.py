@@ -24,7 +24,6 @@ from pointerlab.tensors import (
     factored_distance,
     generator_action,
     hermiticity_defect,
-    kron_states,
     schmidt,
 )
 
@@ -153,6 +152,9 @@ class TestConstructorValidation:
         loose = StateVector(Q, 2 * v, normalized=False)
         assert "norm" not in loose.__dict__
         assert loose.norm == float(np.linalg.norm(2 * v))
+        # the caller's array is copied, not kept
+        v[0] = 5.0
+        assert state.amplitudes[0] == 0.6 and not state.amplitudes.flags.writeable
 
     def test_whole_density_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -168,57 +170,14 @@ class TestConstructorValidation:
 
 
 class TestKron:
-    def test_kron_states_index_order(self):
-        a = StateVector(Q, np.array([1.0, 0.0]))
-        b = StateVector(R, np.array([0.0, 1.0]))
-        joint = kron_states(a, b)
-        # |0>_q |1>_r sits at flat index 0*2 + 1
-        np.testing.assert_array_equal(joint.amplitudes, [0, 1, 0, 0])
-
     def test_label_collision_rejected(self):
-        a = StateVector(Q, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="duplicate"):
-            kron_states(a, a)
-
-    @pytest.mark.parametrize("sizes", [(2, 16), (3, 8, 16), (4, 8, 8, 8)])
-    def test_product_chain_is_the_kron_chain_bit_for_bit(self, sizes):
-        rng = _rng(len(sizes))
-        labels = ("s", "A", "B", "C")
-        states = [_random_state(rng, DimensionSpec.of((lab, n))) for lab, n in zip(labels, sizes)]
-        joint = kron_states(*states)
-        want = states[0].amplitudes
-        for state in states[1:]:
-            want = np.kron(want, state.amplitudes)
-        np.testing.assert_array_equal(joint.amplitudes, want)
-        assert joint.dims.sizes == sizes and joint.normalized
-        assert not joint.amplitudes.flags.writeable
-        # the norm is the product of the factors' kept norms, not taken again
-        assert joint.__dict__["norm"] == math.prod(state.norm for state in states)
-
-    def test_normalized_claim_still_checked(self):
-        # each factor passes its own check; their product is off by 1.4e-10
-        v = np.array([1.0 + 0.7e-10, 0.0])
-        a, b = StateVector(Q, v), StateVector(R, v)
-        with pytest.raises(ValueError, match="claimed normalized"):
-            kron_states(a, b)
-        loose = kron_states(StateVector(Q, 2 * v, normalized=False), b)
-        assert not loose.normalized and loose.norm == pytest.approx(2.0)
+            tensors.product_dims(Q, Q)
 
     def test_layout_is_one_object_per_factor_layout(self):
-        rng = _rng(20)
-        first = kron_states(_random_state(rng, Q), _random_state(rng, R))
-        second = kron_states(_random_state(rng, Q), _random_state(rng, R))
-        assert first.dims is second.dims
-        assert first.dims == DimensionSpec(Q.factors + R.factors)
-
-    def test_caller_arrays_are_still_copied(self):
-        v = np.array([0.6, 0.8j])
-        state = StateVector(Q, v)
-        v[0] = 5.0
-        assert state.amplitudes[0] == 0.6
-        alone = kron_states(state)
-        np.testing.assert_array_equal(alone.amplitudes, state.amplitudes)
-        assert alone.dims == state.dims and not alone.amplitudes.flags.writeable
+        first = tensors.product_dims(Q, R)
+        assert tensors.product_dims(Q, R) is first
+        assert first == DimensionSpec(Q.factors + R.factors)
 
 
 class TestPartialTrace:
@@ -234,7 +193,8 @@ class TestPartialTrace:
         rng = _rng(seed)
         a = _random_state(rng, Q)
         b = _random_state(rng, R)
-        reduced = partial_trace(pure_density(kron_states(a, b)), QR, keep=["q"])
+        joint = StateVector(QR, np.kron(a.amplitudes, b.amplitudes))
+        reduced = partial_trace(pure_density(joint), QR, keep=["q"])
         np.testing.assert_allclose(reduced, pure_density(a), atol=1e-12)
 
     def test_keep_order_follows_dims(self):
@@ -499,7 +459,8 @@ class TestSchmidt:
 
     def test_product_state_rank_one(self):
         rng = _rng(3)
-        joint = kron_states(_random_state(rng, Q), _random_state(rng, R))
+        a, b = _random_state(rng, Q), _random_state(rng, R)
+        joint = StateVector(QR, np.kron(a.amplitudes, b.amplitudes))
         coeffs, rank = schmidt(joint, (("q",), ("r",)))
         assert rank == 1
         assert abs(coeffs[0] - 1.0) < 1e-12
@@ -669,7 +630,9 @@ class TestFactoredDensity:
 
     def test_read_only_columns_are_kept_as_a_view(self):
         """Columns nothing can write are viewed, not copied; writeable ones are copied."""
-        state = kron_states(_random_state(_rng(17), Q), _random_state(_rng(18), self.DIMS))
+        a, b = _random_state(_rng(17), Q), _random_state(_rng(18), self.DIMS)
+        dims = tensors.product_dims(Q, self.DIMS)
+        state = StateVector(dims, np.kron(a.amplitudes, b.amplitudes))
         columns = state.amplitudes.reshape(2, -1).T
         rho = DensityMatrix(self.DIMS, columns)
         assert np.shares_memory(rho.factors, state.amplitudes)

@@ -119,6 +119,18 @@ CATALOGUE = (
         "for s in range(2):",
         "the window core leaves out every system row past a qubit's two",
     ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "u, y = (f @ rows.reshape(d, -1) for rows in (rows_a[: d * n_b], rows_b[n_b:]))",
+        "u, y = (f.conj() @ rows.reshape(d, -1) for rows in (rows_a[: d * n_b], rows_b[n_b:]))",
+        "post-selection contracts a window form's rows with f instead of f*",
+    ),
+    Mutant(
+        "src/pointerlab/engine.py",
+        "core = np.tensordot(form.core, f, axes=(-1, 0))[..., None]",
+        "core = np.tensordot(form.core, f, axes=(0, 0))[..., None]",
+        "post-selection contracts the kick-row core on its first pointer axis, not the system's",
+    ),
 )
 
 # the first failing (or erroring) test of the short summary that -rfE prints

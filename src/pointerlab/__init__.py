@@ -9,17 +9,15 @@ resulting measurement record is separable, dial by dial.
 from .engine import (
     Coupling,
     OrthogonalPostselection,
-    Postselection,
     UnifiedState,
-    apparatus_density,
     build_initial,
     evolve,
     evolve_sequential,
     pointer_cross_mean,
     pointer_mean,
     postselect,
-    system_density,
     system_expectation,
+    system_purity,
     weak_value,
 )
 from .pointer import (
@@ -29,13 +27,11 @@ from .pointer import (
     gaussian_leakage,
     gaussian_state,
     momentum_operator,
-    translate,
 )
 from .separability import (
     SeparabilityVerdict,
     SeparableDecomposition,
     first_order_product_certificate,
-    ppt_min_eigenvalue,
     readability_check,
 )
 from .scenarios import (

@@ -85,18 +85,20 @@ keeps them. ``evolve`` takes the layout from the factors and checks a
 branch form's norm from its factor rows' Gram matrices, or from a window
 form's coefficients plus the part it drops, so it forms nothing. The
 readouts the scenarios take read the form: position expectations are
-quadratic forms in the factor rows (``_quadratic_form``); the system
-density, purity and Schmidt coefficients read ``UnifiedState.columns``,
-the state in an orthonormal basis, which for kick rows is a small Tucker
+quadratic forms in the factor rows (``_quadratic_form``); the system's
+reduced state C C-dagger, its purity and expectations, and the Schmidt
+coefficients read C = ``UnifiedState.columns``, the state in an
+orthonormal basis, which for kick rows is a small Tucker
 core from a thin QR of each pointer's rows (``UnifiedState.tucker``) and
 for a window form its coefficients on the cross region's plane waves
 (Parseval); and a truncation's distance to a window form is taken on the
 momenta (``_branch_distance``). A state without branch form, or one whose
 amplitudes were already formed, is read as it stands. The readability
 verdict reads the bases and core of ``tucker`` for either kind of rows.
-So a readout-grid array is written only where a result needs the
-amplitudes themselves: the dense oracle, post-selection and the apparatus
-density.
+Post-selection (``postselect``) contracts the system axis of the form
+with the final state, so the conditioned state is a form of the same kind,
+read by the same readers. So a readout-grid array is written only where a
+result needs the amplitudes themselves: the dense oracle.
 """
 
 from __future__ import annotations
@@ -111,7 +113,6 @@ import numpy as np
 from .pointer import CONTAINMENT_SIGMAS, LeakageError, PointerSpec, gaussian_state
 from .pointer import differentiation_matrix, near_edge
 from .tensors import (
-    DensityMatrix,
     DimensionSpec,
     NORM_TOL,
     Operator,
@@ -176,21 +177,6 @@ class Coupling:
 class WeakValue:
     value: complex
     overlap: complex
-
-
-@dataclass(frozen=True)
-class Postselection:
-    """The apparatus conditioned on a system outcome, and its two readouts.
-
-    ``apparatus`` is unnormalized, with trace ``probability``. Per pointer,
-    ``unnormalized_mean`` is the raw first moment and ``normalized_mean``
-    that moment divided by the probability.
-    """
-
-    probability: float
-    apparatus: DensityMatrix
-    unnormalized_mean: dict[str, float]
-    normalized_mean: dict[str, float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -836,7 +822,7 @@ def _evolve_window(
     sizes = tuple(spec.grid.points for spec in state.pointers)
     if math.prod(sizes) <= TILE_POINTS:
         return None
-    (in_a, _, waves_a), (in_b, out_b, waves_b) = map(_window, state.pointers)
+    (in_a, _, _), (in_b, out_b, _) = map(_window, state.pointers)
     n_a, n_b, d = len(in_a), len(in_b), state.system.total
     if n_a + d * n_b > sizes[0] or n_b + d * n_a > sizes[1]:
         return None
@@ -852,23 +838,36 @@ def _evolve_window(
     scale = 1 / math.sqrt(math.prod(sizes))
     spectrum = np.concatenate([left.reshape(d, -1), right.reshape(d, -1)], axis=1)
     spectrum *= scale
-    spectrum.setflags(write=False)
     u = np.fft.ifft(left.transpose(0, 2, 1).reshape(d * n_b, sizes[0]))
     u *= scale * math.sqrt(sizes[0])
     y = np.zeros((d, n_a, sizes[1]), dtype=complex)
     y[:, :, out_b] = right
     y = np.fft.ifft(y).reshape(d * n_a, sizes[1])
     y *= scale * math.sqrt(sizes[1])
-    # row s n_b + b of A is u_sb, paired with B's plane wave b; A's plane
-    # wave a, row d n_b + a, is paired with B's row n_b + s n_a + a, y_sa
+    return _window_form(state, u, y, spectrum, form.tail + dropped)
+
+
+def _window_form(
+    state: UnifiedState, u: np.ndarray, y: np.ndarray, spectrum: np.ndarray, tail: float
+) -> _Branches:
+    """The window form over ``state``'s pointers of rows u and y, coefficients ``spectrum``.
+
+    ``spectrum`` is (d, |R|), u is (d |W_B|, N_A), row s |W_B| + b the
+    column u_sb, and y is (d |W_A|, N_B), row s |W_A| + a the row y_sa
+    (``_Branches``). The core is 0/1: A's row s n_b + b is paired with B's
+    plane wave b, and A's plane wave a, row d n_b + a, with B's row
+    n_b + s n_a + a. The norm is read off ``spectrum``, made read-only.
+    """
+    (_, _, waves_a), (_, _, waves_b) = map(_window, state.pointers)
+    n_a, n_b, d = len(waves_a), len(waves_b), len(spectrum)
     core = np.zeros((d * n_b + n_a, n_b + d * n_a, d))
     b, a = np.arange(n_b), np.arange(n_a)
     for s in range(d):
         core[s * n_b + b, b, s] = 1.0
         core[d * n_b + a, n_b + s * n_a + a, s] = 1.0
     factors = (np.concatenate([u, waves_a]), np.concatenate([waves_b, y]))
-    norm = float(np.linalg.norm(spectrum))
-    return _Branches(core, factors, None, norm, form.tail + dropped, spectrum)
+    spectrum.setflags(write=False)
+    return _Branches(core, factors, None, float(np.linalg.norm(spectrum)), tail, spectrum)
 
 
 def _branch_distance(
@@ -1094,16 +1093,6 @@ def partial_sums(
     return [_branch_sum(core, factors).reshape(-1) for core in cores[1:]]
 
 
-def apparatus_density(state: UnifiedState) -> DensityMatrix:
-    """Reduced density matrix of all pointers, system traced out."""
-    return DensityMatrix(state.pointer_dims(), state.matrix().T)
-
-
-def system_density(state: UnifiedState) -> DensityMatrix:
-    """Reduced density matrix of the system, C C-dagger from the columns C of ``columns``."""
-    return DensityMatrix(state.system, state.columns)
-
-
 def system_schmidt(state: UnifiedState) -> tuple[np.ndarray, int]:
     """Schmidt coefficients across system | pointers, descending, and the rank.
 
@@ -1217,38 +1206,71 @@ def weak_value(observable: Operator, initial: StateVector, final: StateVector) -
     return WeakValue(value=numerator / overlap, overlap=overlap)
 
 
-def postselect(state: UnifiedState, final: StateVector) -> Postselection:
-    """Condition the apparatus on finding the system in ``final``.
+def postselect(state: UnifiedState, final: StateVector) -> UnifiedState:
+    """The state conditioned on finding the system in ``final``: <final| (x) 1 on it.
 
-    The conditional apparatus keeps its one column, <final| on the state,
-    so no matrix over the pointer grid is formed at any grid size.
+    The result is unnormalized, on a one-dimensional system, its squared
+    ``norm`` the probability, in its input's representation, each the
+    contraction of its system axis with f* = conj(final):
+
+    * kick rows: the core with f*, the rows kept;
+    * window rows: u'_b = sum_s f*_s u_sb, y'_a = sum_s f*_s y_sa and
+      f* ``spectrum``, one window form with d = 1 (``_window_form``), and
+      ``tail`` kept, a bound still, as <final| has norm 1;
+    * amplitudes: f* times the (system, rest) matrix.
+
+    Its ``initial_system`` is <final|initial>, and it keeps the history.
+    Every pointer reader reads it; a probability below
+    MIN_POSTSELECT_PROBABILITY is refused.
     """
     if final.dims != state.system:
         raise ValueError("post-selection state must live on the system factors")
-    m = state.matrix()
-    v = final.amplitudes.conj() @ m
-    probability = float(np.vdot(v, v).real)
+    f = final.amplitudes.conj()
+    system = StateVector(
+        DimensionSpec.of(("system", 1)), [f @ state.initial_system.amplitudes], normalized=False
+    )
+    form = state.branches
+    if form is None:
+        dims = product_dims(system.dims, state.pointer_dims())
+        selected = StateVector._owning(dims, f @ state.matrix(), normalized=False)
+    elif form.kicks is not None:
+        core = np.tensordot(form.core, f, axes=(-1, 0))[..., None]
+        selected = _Branches(core, form.factors, form.kicks, _gram_norm(core, form.factors))
+    else:
+        (in_a, _, _), (in_b, _, _) = map(_window, state.pointers)
+        rows_a, rows_b = form.factors
+        n_a, n_b, d = len(in_a), len(in_b), len(f)
+        u, y = (f @ rows.reshape(d, -1) for rows in (rows_a[: d * n_b], rows_b[n_b:]))
+        u, y = u.reshape(n_b, -1), y.reshape(n_a, -1)
+        selected = _window_form(state, u, y, (f @ form.spectrum)[None], form.tail)
+    out = replace(state, initial_system=system, _evolved=selected)
+    probability = out.norm**2
     if probability < MIN_POSTSELECT_PROBABILITY:
         raise OrthogonalPostselection(
             f"post-selection probability {probability:.3e} is numerically zero"
         )
-    pdims = state.pointer_dims()
-    apparatus = DensityMatrix(pdims, v[:, None], normalized=False)
-    shape = tuple(s.grid.points for s in state.pointers)
-    weights = (np.abs(v) ** 2).reshape(shape)
-    unnorm: dict[str, float] = {}
-    for i, spec in enumerate(state.pointers):
-        other = tuple(j for j in range(len(shape)) if j != i)
-        w = weights.sum(axis=other) if other else weights
-        unnorm[spec.label] = float(w @ spec.grid.positions())
-    normalized = {lab: val / probability for lab, val in unnorm.items()}
-    return Postselection(probability, apparatus, unnorm, normalized)
+    return out
+
+
+def _system_gram(state: UnifiedState) -> np.ndarray:
+    """C C-dagger for C = ``columns``: the system's reduced state, d x d."""
+    c = state.columns
+    return c @ c.conj().T
+
+
+def system_purity(state: UnifiedState) -> float:
+    """tr rho^2 of the system's reduced state: sum_ij |g_ij|^2, g = C C-dagger."""
+    g = _system_gram(state)
+    return float(np.vdot(g, g).real)
 
 
 def system_expectation(state: UnifiedState, observable: Operator) -> float:
-    """tr(A rho_system) of a system observable A."""
-    rho = system_density(state).matrix
-    value = complex(np.trace(observable.matrix @ rho))
+    """tr(A rho_system) of a system observable A, as tr(A g) with g = C C-dagger.
+
+    On an unnormalized state the trace is returned as is, not divided by
+    the norm; a value that is not a finite real number is refused.
+    """
+    value = complex(np.trace(observable.matrix @ _system_gram(state)))
     if not (abs(value.imag) <= EXPECTATION_IMAG_TOL and math.isfinite(value.real)):
         raise ValueError(f"expectation is not a finite real number: {value!r}")
     return float(value.real)

@@ -191,32 +191,3 @@ def momentum_operator(grid: PointerGrid, label: str) -> Operator:
     np.multiply.outer(s, grid.wavenumbers()[n // 2] / n * s, out=m.real)
     np.negative(differentiation_matrix(grid), out=m.imag)
     return Operator(DimensionSpec.of((label, n)), m)
-
-
-def state_moments(state: StateVector, grid: PointerGrid) -> tuple[float, float]:
-    """Mean and standard deviation of the position density of a 1-factor state."""
-    p = np.abs(state.amplitudes) ** 2
-    p = p / p.sum()
-    x = grid.positions()
-    mean = float(p @ x)
-    var = float(p @ (x - mean) ** 2)
-    return mean, math.sqrt(max(var, 0.0))
-
-
-def translate(state: StateVector, a: float, grid: PointerGrid) -> StateVector:
-    """Rigid shift of a single-pointer state by ``a``, exact in Fourier space.
-
-    Containment is judged from the measured mean and spread of the state:
-    after the shift, CONTAINMENT_SIGMAS standard deviations on both sides
-    must stay inside the box, and a NaN shift fails that test.
-    """
-    if state.dims.total != grid.points or len(state.dims.factors) != 1:
-        raise ValueError("translate expects a single-factor state on this grid")
-    mean, std = state_moments(state, grid)
-    if near_edge(mean + a, std, grid):
-        raise LeakageError(
-            f"translation by {a} would move the packet to within "
-            f"{CONTAINMENT_SIGMAS} spreads of the box edge"
-        )
-    shifted = np.fft.ifft(np.exp(-1j * grid.wavenumbers() * a) * np.fft.fft(state.amplitudes))
-    return StateVector(state.dims, shifted, normalized=state.normalized)

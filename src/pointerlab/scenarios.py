@@ -373,9 +373,11 @@ def _weak_noselect(run: Run) -> Measured:
 def _weak_postselect(run: Run) -> Measured:
     """Post-selected readout: the pointer mean reads Re of the weak value.
 
-    The weak-value formulas hold to first order in the impulse, so each
-    defect is checked for (at least) quadratic decay under halving rather
-    than against an absolute tolerance.
+    The conditioned state (``engine.postselect``) is read by the pointer
+    reader: its squared norm is the probability, and its raw mean over that
+    is the normalized one. The weak-value formulas hold to first order in
+    the impulse, so each defect is checked for (at least) quadratic decay
+    under halving rather than against an absolute tolerance.
     """
     final = bloch_state(run.cfg.theta_f, run.cfg.phi_f)
 
@@ -383,13 +385,15 @@ def _weak_postselect(run: Run) -> Measured:
         """Post-selected readouts of ``state`` and their first-order predictions."""
         ((coupling,),) = state.history
         selected = engine.postselect(state, final)
+        probability = selected.norm**2
+        mean = engine.pointer_mean(selected, "A")
         wv = engine.weak_value(coupling.observable, run.system, final)
         overlap_sq = abs(wv.overlap) ** 2
         shifted = run.cfg.x0_a + coupling.impulse * wv.value.real
         simulated = {
-            "probability": selected.probability,
-            "unnormalized_mean_a": selected.unnormalized_mean["A"],
-            "normalized_mean_a": selected.normalized_mean["A"],
+            "probability": probability,
+            "unnormalized_mean_a": mean,
+            "normalized_mean_a": mean / probability,
         }
         predicted = {
             "probability": overlap_sq,
@@ -543,7 +547,7 @@ def _weak_orders(run: Run) -> Measured:
     def ppt_at(impulse: float) -> float:
         couplings = [replace(c, strength=impulse, duration=1.0) for c in run.couplings]
         state = engine.evolve(engine.build_initial(system, specs), couplings)
-        return separability.ppt_min_eigenvalue(engine.apparatus_density(state), POINTER_CUT)
+        return readability_check(state, POINTER_CUT).ppt_min
 
     ppt_strong = ppt_at(1.0)
     ppt_weak = ppt_at(1e-3)
@@ -885,8 +889,7 @@ def run_scenario(name: str, cfg: ScenarioConfig | None = None) -> ScenarioReport
         state, _ = _evolve(system, specs, phases)
         analysis, paths = _evolve(system, analysis_specs, phases, oracle=True)
     verdict = readability_check(analysis, POINTER_CUT) if len(specs) == 2 else None
-    rho = engine.system_density(state).matrix
-    purity = float(np.trace(rho @ rho).real)
+    purity = engine.system_purity(state)
     schmidt_dict = _schmidt_dict(state)
     shared_checks = {
         "evolution_paths_agree": paths <= PATHS_TOL,

@@ -45,8 +45,8 @@ is eigensolved. Weyl's inequality bounds the error by the Frobenius norm
 of what the compression drops, plus, for a window form
 (``engine._evolve_window``), what that form drops, its ``tail``; a bound
 above SUPPORT_BOUND_TOL raises instead of answering.
-``ppt_min_eigenvalue`` is the same witness on a ``DensityMatrix``'s
-columns.
+The witness has this one door: every caller, the scenarios' probes
+included, reads ``readability_check(...).ppt_min``.
 
 ``readability_check`` forms no N x N apparatus matrix, and for a state in
 branch form no array of the grid's size, so a verdict has no size limit
@@ -70,7 +70,6 @@ from .tensors import (
     DensityMatrix,
     DimensionSpec,
     StateVector,
-    TRACE_TOL,
     _check_columns,
     cut_sides,
     factored_distance,
@@ -169,19 +168,6 @@ class SeparabilityVerdict:
     certificate_error: float | None = None
     method: str = "ppt"
     notes: tuple[str, ...] = ()
-
-
-def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
-    """Smallest eigenvalue after transposing the second block of the cut.
-
-    Negative values witness entanglement across the cut; for a pair of
-    qubit-sized factors nonnegativity is also sufficient for separability,
-    while for larger factors it is only necessary. The witness of
-    ``readability_check`` (``_witness``) on the state's own columns.
-    """
-    if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
-        raise ValueError("partial transpose analysis expects a normalized state")
-    return _witness(rho.factors, rho.dims, rho.dims.total, cut, 0.0)
 
 
 def _witness(

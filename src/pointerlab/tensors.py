@@ -15,10 +15,12 @@ matrices are exactly Hermitian too and are never re-checked.
 A density matrix has one form. Every reduced state here is rho = U U-dagger
 for a few columns U, so ``DensityMatrix`` keeps U, as a read-only view when
 the columns are read-only down to their base, as a state's amplitudes are,
-and as a copy otherwise. The apparatus and system reductions and the
-post-selected apparatus are built that way; the apparatus state has rank at
-most the system dimension. A density matrix is checked from U alone: its
-trace as the squared Frobenius norm of U, which also refuses NaN and
+and as a copy otherwise; the apparatus state has rank at most the system
+dimension. No runtime path builds one: the engine reads a reduced state off
+its columns, and ``DensityMatrix`` is the target that
+``SeparableDecomposition.validate`` takes. A density matrix is checked
+from U alone: its trace as the squared Frobenius norm of U, which also
+refuses NaN and
 infinite columns, and its spectrum floor on the smaller of U U-dagger and
 the r x r Gram matrix U-dagger U, which share their nonzero spectrum. The
 N x N matrix U U-dagger is formed, and its Hermiticity checked, when

@@ -30,6 +30,20 @@ def matrix_reads(monkeypatch):
 
 
 @pytest.fixture
+def density_builds(monkeypatch):
+    """Dimensions of every density matrix constructed, in order."""
+    built: list[int] = []
+    init = DensityMatrix.__init__
+
+    def spied(rho, dims, *args, **kwargs):
+        built.append(dims.total)
+        init(rho, dims, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", spied)
+    return built
+
+
+@pytest.fixture
 def eigensolve_shapes(monkeypatch):
     """Shapes of the arrays passed to np.linalg.eigh and eigvalsh, in call order."""
     shapes = []

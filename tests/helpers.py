@@ -1,5 +1,6 @@
 """Oracles the tests check the package against, kept apart from the code they check."""
 
+import dataclasses
 import math
 from functools import reduce
 from typing import Sequence
@@ -7,11 +8,13 @@ from typing import Sequence
 import numpy as np
 
 from pointerlab.engine import Coupling, UnifiedState, evolve
-from pointerlab.pointer import PointerGrid
-from pointerlab.separability import SeparableDecomposition
+from pointerlab.pointer import CONTAINMENT_SIGMAS, LeakageError, PointerGrid, near_edge
+from pointerlab.separability import SeparableDecomposition, _witness
 from pointerlab.tensors import (
     HERMITIAN_DERIVED_TOL,
+    TRACE_TOL,
     Cut,
+    DensityMatrix,
     DimensionSpec,
     Operator,
     StateVector,
@@ -61,6 +64,67 @@ def cross_validate(state: UnifiedState, couplings: Sequence[Coupling]) -> float:
     via_shift = evolve(state, couplings, "shift")
     via_dense = evolve(state, couplings, "expm")
     return float(np.abs(via_shift.state.amplitudes - via_dense.state.amplitudes).max())
+
+
+def state_moments(state: StateVector, grid: PointerGrid) -> tuple[float, float]:
+    """Mean and standard deviation of the position density of a 1-factor state."""
+    p = np.abs(state.amplitudes) ** 2
+    p = p / p.sum()
+    x = grid.positions()
+    mean = float(p @ x)
+    var = float(p @ (x - mean) ** 2)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def translate(state: StateVector, a: float, grid: PointerGrid) -> StateVector:
+    """Rigid shift of a single-pointer state by ``a``, exact in Fourier space.
+
+    The oracle for the engine's kick rows, which translate a packet by
+    phases on its cached spectrum. Containment is judged from the measured
+    mean and spread of the state: after the shift, CONTAINMENT_SIGMAS
+    standard deviations on both sides must stay inside the box, and a NaN
+    shift fails that test.
+    """
+    if state.dims.total != grid.points or len(state.dims.factors) != 1:
+        raise ValueError("translate expects a single-factor state on this grid")
+    mean, std = state_moments(state, grid)
+    if near_edge(mean + a, std, grid):
+        raise LeakageError(
+            f"translation by {a} would move the packet to within "
+            f"{CONTAINMENT_SIGMAS} spreads of the box edge"
+        )
+    shifted = np.fft.ifft(np.exp(-1j * grid.wavenumbers() * a) * np.fft.fft(state.amplitudes))
+    return StateVector(state.dims, shifted, normalized=state.normalized)
+
+
+def apparatus_density(state: UnifiedState) -> DensityMatrix:
+    """Reduced density matrix of all pointers, system traced out: the columns M^T.
+
+    M is the state's (system, pointers) matrix of amplitudes, so this forms
+    them, a readout-size array, where the package reads its record core.
+    """
+    return DensityMatrix(state.pointer_dims(), state.matrix().T)
+
+
+def ppt_min_eigenvalue(rho: DensityMatrix, cut: Cut) -> float:
+    """Smallest eigenvalue after transposing the second block of the cut.
+
+    The package's witness (``separability._witness``) on a density
+    matrix's own columns, where ``readability_check`` reads the record
+    core; only a normalized state is taken.
+    """
+    if not rho.normalized or not abs(rho.trace - 1.0) <= TRACE_TOL:
+        raise ValueError("partial transpose analysis expects a normalized state")
+    return _witness(rho.factors, rho.dims, rho.dims.total, cut, 0.0)
+
+
+def conditioned_amplitudes(state: UnifiedState, final: StateVector) -> np.ndarray:
+    """<final| (x) 1 on the dense amplitudes of ``state``, laid out as its pointers' grids.
+
+    The oracle for ``engine.postselect``'s contraction of the form. The
+    amplitudes are formed on a copy, so ``state`` keeps its form.
+    """
+    return np.tensordot(final.amplitudes.conj(), dataclasses.replace(state).tensor(), (0, 0))
 
 
 def whole_density(matrix: np.ndarray, normalized: bool = True) -> np.ndarray:

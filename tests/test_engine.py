@@ -17,7 +17,6 @@ from pointerlab import tensors
 from pointerlab.engine import (
     Coupling,
     OrthogonalPostselection,
-    apparatus_density,
     build_initial,
     commutes,
     evolve,
@@ -26,8 +25,8 @@ from pointerlab.engine import (
     pointer_cross_mean,
     pointer_mean,
     postselect,
-    system_density,
     system_expectation,
+    system_purity,
     weak_value,
 )
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
@@ -46,8 +45,10 @@ from pointerlab.separability import readability_check
 from pointerlab.tensors import DimensionSpec, Operator, StateVector
 
 from helpers import (
+    apparatus_density,
     branch_kicks,
     commuting_family,
+    conditioned_amplitudes,
     cross_validate,
     partial_trace,
     pure_density,
@@ -87,7 +88,8 @@ class TestEvolve:
     def test_noncommuting_result_is_kept_not_copied(self):
         """One noncommuting evolve on 2 x 256 x 256 holds about one state: the
         spectrum it writes is transformed back in place and kept, read-only
-        down to its base, so the reduced densities view it and copy nothing."""
+        down to its base, so the system columns and the apparatus columns view it
+        and copy nothing."""
         specs = [PointerSpec("A", FINE), PointerSpec("B", FINE)]
         state = build_initial(bloch_state(math.pi / 3, 0.7), specs)
         couplings = [Coupling(pauli(SIGMA_X), "A", 0.4), Coupling(pauli(SIGMA_Z), "B", 0.3)]
@@ -101,8 +103,8 @@ class TestEvolve:
             tracemalloc.stop()
         assert (peak - start) / (16 * 2 * 256 * 256) <= 1.2
         amplitudes = evolved.state.amplitudes
-        for rho in (system_density(evolved), apparatus_density(evolved)):
-            assert np.shares_memory(rho.factors, amplitudes)
+        assert np.shares_memory(evolved.columns, amplitudes)
+        assert np.shares_memory(apparatus_density(evolved).factors, amplitudes)
 
     def test_mean_shift_frozen(self):
         # <sigma_z> at theta = pi/3 is 1/2, so impulse 0.2 moves the mean to 0.1
@@ -904,7 +906,8 @@ def _readouts(state):
     coeffs, rank = engine_module.system_schmidt(state)
     out = {
         "norm": state.norm,
-        "system_density": system_density(state).matrix,
+        "system_density": engine_module._system_gram(state),
+        "purity": system_purity(state),
         "schmidt": coeffs,
         "rank": rank,
     }
@@ -1305,28 +1308,34 @@ class TestDensities:
     def test_system_density_traces_to_one(self):
         state, coupling = _single()
         evolved = evolve(state, [coupling])
-        rho = system_density(evolved)
-        assert abs(rho.trace - 1.0) < 1e-12
+        rho = engine_module._system_gram(evolved)
+        assert rho.shape == (2, 2)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
 
     def test_densities_keep_their_factors(self):
         state, coupling = _single(grid=COARSE)
         evolved = evolve(state, [coupling])
         # a branch form nobody formed keeps its compressed core, whose Gram
         # matrix is m m-dagger; formed amplitudes are their own core
-        core = system_density(evolved).factors
+        core = evolved.columns
         m = evolved.matrix()
         np.testing.assert_array_equal(apparatus_density(evolved).factors, m.T)
         assert core.shape == (2, 2)
         np.testing.assert_allclose(core @ core.conj().T, m @ m.conj().T, atol=1e-15)
+        np.testing.assert_allclose(
+            engine_module._system_gram(evolved), m @ m.conj().T, atol=1e-15
+        )
         formed = dataclasses.replace(evolved, _evolved=evolved.state)
-        np.testing.assert_array_equal(system_density(formed).factors, m)
+        np.testing.assert_array_equal(formed.columns, m)
         again = evolve(state, [coupling])
         again.state  # a branch form read once is its amplitudes from then on
-        np.testing.assert_array_equal(system_density(again).factors, m)
-        selected = postselect(evolved, bloch_state(math.pi / 4, 0.0)).apparatus
-        assert selected.factors.shape == (COARSE.points, 1)
+        np.testing.assert_array_equal(again.columns, m)
+        # the conditioned state keeps the kick rows, one core column per row
+        selected = postselect(evolved, bloch_state(math.pi / 4, 0.0))
+        assert selected.branches.factors is evolved.branches.factors
+        assert selected.branches.core.shape == evolved.branches.core.shape[:-1] + (1,)
         v = bloch_state(math.pi / 4, 0.0).amplitudes.conj() @ m
-        np.testing.assert_allclose(selected.matrix, np.outer(v, v.conj()), atol=1e-16)
+        np.testing.assert_allclose(selected.state.amplitudes, v, atol=1e-16)
 
     @pytest.mark.parametrize("formed", [False, True], ids=["branches", "amplitudes"])
     def test_expectation_refuses_bad_weights(self, formed):
@@ -1371,6 +1380,35 @@ class TestWeakValue:
             weak_value(pauli(SIGMA_Z), initial, final)
 
 
+def _conditioning_record(kind, d, seed):
+    """A two-pointer state on C^d in one representation, and a random final state.
+
+    Kick rows from a commuting phase, a window form from a noncommuting one
+    on 128-point grids, and amplitudes from a noncommuting one on 16-point
+    grids, which the window route leaves to the blocks.
+    """
+    rng = np.random.default_rng(seed)
+    dims = DimensionSpec.of(("system", d))
+
+    def unit(v):
+        return StateVector(dims, v / np.linalg.norm(v))
+
+    grid = COARSE if kind == "amplitudes" else PointerGrid(points=128, length=16.0)
+    specs = [PointerSpec("A", grid, x0=0.2), PointerSpec("B", grid, x0=-0.1)]
+    state = build_initial(unit(rng.normal(size=d) + 1j * rng.normal(size=d)), specs)
+    if kind == "kick":
+        observables = commuting_family(rng, d, 2)
+    else:
+        observables = []
+        for _ in "AB":
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = m + m.conj().T
+            observables.append(Operator(dims, m / np.abs(np.linalg.eigvalsh(m)).max()))
+    couplings = [Coupling(op, lab, 0.4) for op, lab in zip(observables, "AB")]
+    final = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
+    return evolve(state, couplings), final
+
+
 class TestPostselect:
     def test_projective_case_frozen(self):
         # selecting the coupled eigenstate reads its eigenvalue exactly:
@@ -1378,9 +1416,10 @@ class TestPostselect:
         state, coupling = _single(theta=math.pi / 3, g=0.1)
         evolved = evolve(state, [coupling])
         result = postselect(evolved, bloch_state(0.0, 0.0))
-        assert abs(result.probability - 0.75) < 1e-10
-        assert abs(result.normalized_mean["A"] - 0.1) < 1e-10
-        assert abs(result.unnormalized_mean["A"] - 0.075) < 1e-10
+        probability, mean = result.norm**2, pointer_mean(result, "A")
+        assert abs(probability - 0.75) < 1e-10
+        assert abs(mean / probability - 0.1) < 1e-10
+        assert abs(mean - 0.075) < 1e-10
 
     def test_probability_matches_overlap_formula(self):
         # closed form: (1 + sin(pi/4) exp(-(gt)^2 / 2 sigma^2)) / 2
@@ -1389,16 +1428,18 @@ class TestPostselect:
         result = postselect(evolved, bloch_state(math.pi / 4, 0.0))
         damping = math.exp(-(0.01**2) / 2.0)
         expected = 0.5 * (1.0 + math.sin(math.pi / 4) * damping)
-        assert abs(result.probability - expected) < 1e-12
-        assert abs(result.probability - 0.85353571) < 1e-8
+        assert abs(result.norm**2 - expected) < 1e-12
+        assert abs(result.norm**2 - 0.85353571) < 1e-8
 
     def test_apparatus_trace_equals_probability(self):
         state, coupling = _single(theta=math.pi / 2, g=0.01)
         evolved = evolve(state, [coupling])
-        result = postselect(evolved, bloch_state(math.pi / 4, 0.0))
-        assert abs(result.apparatus.trace - result.probability) < 1e-12
+        final = bloch_state(math.pi / 4, 0.0)
+        result = postselect(evolved, final)
+        selected = conditioned_amplitudes(evolved, final)
+        assert abs(np.vdot(selected, selected).real - result.norm**2) < 1e-12
 
-    def test_two_pointer_readout_grid_from_amplitudes(self, matrix_reads):
+    def test_two_pointer_readout_grid_from_amplitudes(self, matrix_reads, density_builds):
         # 2 x 256 x 256 amplitudes, far above DENSE_LIMIT; nothing squares them
         specs = [PointerSpec("A", FINE, x0=0.3), PointerSpec("B", FINE, x0=-0.2)]
         state = build_initial(bloch_state(math.pi / 3, 0.0), specs)
@@ -1406,18 +1447,76 @@ class TestPostselect:
         evolved = evolve(state, couplings)
         assert evolved.state.dims.total > engine_module.DENSE_LIMIT
         final = bloch_state(math.pi / 4, 0.0)
-        result = postselect(evolved, final)
+        result = postselect(dataclasses.replace(evolved), final)
+        assert result.branches.kicks is None
+        probability = result.norm**2
         selected = np.tensordot(final.amplitudes.conj(), evolved.tensor(), axes=(0, 0))
         weights = np.abs(selected) ** 2
-        probability = weights.sum()
         means = {"A": weights.sum(axis=1) @ FINE.positions()}
         means["B"] = weights.sum(axis=0) @ FINE.positions()
-        assert abs(result.probability - probability) < 1e-14
+        assert abs(probability - weights.sum()) < 1e-14
         for label, mean in means.items():
-            assert abs(result.unnormalized_mean[label] - mean) < 1e-14
-            assert abs(result.normalized_mean[label] - mean / probability) < 1e-14
-        assert abs(result.apparatus.trace - probability) < 1e-14
-        assert matrix_reads == []
+            assert abs(pointer_mean(result, label) - mean) < 1e-14
+            assert abs(pointer_mean(result, label) / probability - mean / weights.sum()) < 1e-14
+        np.testing.assert_allclose(result.tensor()[0], selected, rtol=0, atol=1e-15)
+        assert matrix_reads == [] and density_builds == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["kick", "window", "amplitudes"])
+    def test_conditioned_form_matches_dense_oracle(self, kind, d):
+        """<f| (x) 1 contracted on the form, against <f| on the dense amplitudes:
+        one representation in, the same one out, on a one-dimensional system,
+        with every pointer reader agreeing with the dense weights."""
+        evolved, final = _conditioning_record(kind, d, seed=10 * d + len(kind))
+        form = evolved.branches
+        assert {"kick": form is not None and form.kicks is not None,
+                "window": form is not None and form.kicks is None,
+                "amplitudes": form is None}[kind]
+        want = conditioned_amplitudes(evolved, final)
+        result = postselect(evolved, final)
+        assert result.system.total == 1 and result.pointers == evolved.pointers
+        assert result.history == evolved.history
+        if form is None:
+            assert result.branches is None
+        else:
+            assert (result.branches.kicks is None) == (form.kicks is None)
+            assert result.branches.tail == form.tail
+        initial = final.amplitudes.conj() @ evolved.initial_system.amplitudes
+        np.testing.assert_allclose(result.initial_system.amplitudes, [initial], atol=1e-16)
+        weights = np.abs(want) ** 2
+        positions = {spec.label: spec.grid.positions() for spec in evolved.pointers}
+        assert abs(result.norm**2 - weights.sum()) <= 1e-14
+        assert abs(pointer_mean(result, "A") - weights.sum(1) @ positions["A"]) <= 1e-14
+        assert abs(pointer_mean(result, "B") - weights.sum(0) @ positions["B"]) <= 1e-14
+        cross = positions["A"] @ weights @ positions["B"]
+        assert abs(pointer_cross_mean(result, "A", "B") - cross) <= 1e-14
+        # the amplitudes the conditioned form makes, formed last
+        np.testing.assert_allclose(result.tensor()[0], want, rtol=0, atol=1e-15)
+
+    def test_window_conditioning_forms_no_readout_size_array(self):
+        """Post-selecting a 256-point two-pointer window state, and reading the
+        probability and both means, stays under one 256 x 256 complex array."""
+        specs = [PointerSpec("A", FINE, x0=0.3), PointerSpec("B", FINE, x0=-0.2)]
+        state = build_initial(bloch_state(math.pi / 3, 0.0), specs)
+        couplings = [Coupling(pauli(SIGMA_X), "A", 0.05), Coupling(pauli(SIGMA_Z), "B", 0.05)]
+        evolved = evolve(state, couplings)
+        assert evolved.branches.kicks is None
+        final = bloch_state(math.pi / 4, 0.3)
+
+        def readouts():
+            selected = postselect(evolved, final)
+            return selected.norm**2, pointer_mean(selected, "A"), pointer_mean(selected, "B")
+
+        readouts()  # warms the grids' caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            readouts()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "state" not in vars(evolved)
+        assert peak - start < 16 * FINE.points**2
 
     def test_zero_probability_rejected(self):
         state, coupling = _single(theta=math.pi / 2, g=0.0)
@@ -1445,7 +1544,7 @@ class TestInitialInfo:
         evolved = evolve(state, [coupling])
         proj_up = pauli(np.array([[1, 0], [0, 0]], dtype=complex))
         for entry in (complex(np.nan, np.nan), complex(np.nan, 0.0)):
-            rho = type("Rho", (), {"matrix": np.full((2, 2), entry)})
-            monkeypatch.setattr(engine_module, "system_density", lambda state: rho)
+            # planted through the columns the expectation reads, C C-dagger
+            monkeypatch.setitem(vars(evolved), "columns", np.full((2, 2), entry))
             with pytest.raises(ValueError, match="not a finite real number"):
                 system_expectation(evolved, proj_up)

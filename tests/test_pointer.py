@@ -15,12 +15,10 @@ from pointerlab.pointer import (
     gaussian_leakage,
     gaussian_state,
     momentum_operator,
-    state_moments,
-    translate,
 )
 from pointerlab.tensors import hermiticity_defect
 
-from helpers import spectral_momentum, unitary_from_generator
+from helpers import spectral_momentum, state_moments, translate, unitary_from_generator
 
 FINE = PointerGrid(points=256, length=16.0)
 
@@ -182,6 +180,8 @@ class TestOperators:
 
 
 class TestTranslate:
+    """``helpers.translate``, the tests' oracle for a rigid shift, kept honest."""
+
     def test_mean_shifts_by_exactly_a(self):
         spec = PointerSpec("A", FINE, x0=0.0, sigma=1.0)
         state = gaussian_state(spec)

@@ -553,11 +553,12 @@ class TestWeakOrders:
         assert [order for sizes, order in passes if sizes == (2, n, n)] == [2]
         assert (2, n, n) not in shapes
 
-    def test_forms_no_apparatus_matrix(self, matrix_reads, eigensolve_shapes):
-        """Only the 2 x 2 system state is read whole, and no eigensolve reaches
-        the 256 dimensions of the two 16-point analysis pointers."""
+    def test_forms_no_apparatus_matrix(self, matrix_reads, density_builds, eigensolve_shapes):
+        """No density matrix is built, so none is read whole, the system's 2 x 2
+        one included, and no eigensolve reaches the 256 dimensions of the two
+        16-point analysis pointers."""
         run_scenario("weak-orders")
-        assert matrix_reads and set(matrix_reads) == {2}
+        assert matrix_reads == [] and density_builds == []
         assert max(shape[-1] for shape in eigensolve_shapes) < 256
 
     def test_coupling_strength_ladder(self, default_reports):
@@ -611,15 +612,16 @@ class TestWeakOrders:
     @pytest.mark.parametrize("ppt, failed", [(7e-9, set()), (1.4e-8, {"weak_limit_ppt_vanishes"})])
     def test_weak_ppt_near_its_tolerance(self, orders_run, monkeypatch, ppt, failed):
         """The weak probe, the second witness taken, reads -0.7 and -1.4 times
-        WEAK_PPT_TOL (1e-8)."""
-        original = separability.ppt_min_eigenvalue
+        WEAK_PPT_TOL (1e-8), planted in the verdict the probe reads it from."""
+        original = scenarios.readability_check
         calls = []
 
-        def planted(rho, cut):
+        def planted(state, cut):
             calls.append(cut)
-            return original(rho, cut) if len(calls) == 1 else -ppt
+            verdict = original(state, cut)
+            return verdict if len(calls) == 1 else dataclasses.replace(verdict, ppt_min=-ppt)
 
-        monkeypatch.setattr(separability, "ppt_min_eigenvalue", planted)
+        monkeypatch.setattr(scenarios, "readability_check", planted)
         exact = [[1e-3, 1e-3 / 4.0], [1e-5, 1e-5 / 8.0]]
         monkeypatch.setattr(scenarios, "_truncation_defects", lambda run: exact)
         assert self._failed(orders_run) == failed
@@ -641,8 +643,7 @@ class TestEigenstate:
         system = scenarios.bloch_state(cfg.theta_i, cfg.phi_i)
         phases = SCENARIOS["eigenstate"].phases(cfg, 1.0)
         state, _ = scenarios._evolve(system, [spec], phases)
-        rho = engine.system_density(state).matrix
-        purity = float(np.trace(rho @ rho).real) + offset
+        purity = engine.system_purity(state) + offset
         run = scenarios.Run(cfg, state, None, None, purity, None)
         checks = scenarios._eigenstate(run).checks
         assert checks["purity_matches_formula"] is ok

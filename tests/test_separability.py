@@ -12,26 +12,27 @@ from hypothesis import strategies as st
 from pointerlab import engine, pointer, scenarios, separability
 from pointerlab.engine import Coupling, build_initial, evolve, evolve_sequential
 from pointerlab.pointer import LeakageError, PointerGrid, PointerSpec, gaussian_state
-from pointerlab.pointer import translate
 from pointerlab.scenarios import DEFAULTS, SCENARIOS
 from pointerlab.scenarios import PAIR_X, PAIR_Z, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, pauli
 from pointerlab.separability import (
     ProductTerm,
     SeparableDecomposition,
     first_order_product_certificate,
-    ppt_min_eigenvalue,
     readability_check,
 )
 from pointerlab.tensors import DensityMatrix, DimensionSpec, Operator, StateVector
 
 from helpers import (
+    apparatus_density,
     branch_kicks,
     commuting_family,
     dense_ppt_min,
     partial_trace,
+    ppt_min_eigenvalue,
     pure_density,
     reconstruct,
     trace_distance,
+    translate,
     unitary_from_generator,
 )
 
@@ -174,7 +175,7 @@ class TestCommutingDecomposition:
         evolved = evolve(state, couplings)
         decomposition = readability_check(evolved).certificate
         assert sorted(decomposition.weights) == pytest.approx([0.5, 0.5], abs=1e-12)
-        rho = engine.apparatus_density(evolved)
+        rho = apparatus_density(evolved)
         assert decomposition.validate(rho) < 1e-10
 
     def test_anticorrelated_pair_weights_frozen(self):
@@ -230,7 +231,7 @@ class TestSequentialDecomposition:
         second = Coupling(pauli(SIGMA_X), "A", 0.8, 1.0)
         state = build_initial(system, specs)
         evolved = evolve_sequential(state, first, second)
-        rho = engine.apparatus_density(evolved)
+        rho = apparatus_density(evolved)
         decomposition = readability_check(evolved).certificate
         assert decomposition.validate(rho) < 1e-8
 
@@ -328,7 +329,7 @@ class TestCachedFactors:
             translate(gaussian_state(PointerSpec("A", COARSE)), shift, COARSE)
 
     def test_verdicts_rebuild_no_packet_after_first_use(self, monkeypatch):
-        """Once a spec's packet is cached, a verdict prepares, translates and krons nothing."""
+        """Once a spec's packet is cached, a verdict prepares and krons nothing."""
 
         def records(theta, impulse):
             start, _, _ = _coarse_pair(theta)
@@ -343,15 +344,14 @@ class TestCachedFactors:
             assert readability_check(record, CUT_POINTERS).status == "separable"
         calls = []
         for module in (pointer, engine, separability):
-            for name in ("gaussian_state", "translate"):
-                if hasattr(module, name):
-                    original = getattr(module, name)
-                    monkeypatch.setattr(
-                        module,
-                        name,
-                        lambda *a, _name=name, _original=original: calls.append(_name)
-                        or _original(*a),
-                    )
+            if hasattr(module, "gaussian_state"):
+                original = module.gaussian_state
+                monkeypatch.setattr(
+                    module,
+                    "gaussian_state",
+                    lambda *a, _original=original: calls.append("gaussian_state")
+                    or _original(*a),
+                )
         kron = np.kron
         monkeypatch.setattr(np, "kron", lambda *a: calls.append("kron") or kron(*a))
         verdicts = [readability_check(r, CUT_POINTERS) for r in records(2.1, 0.9)]
@@ -417,25 +417,27 @@ class TestReadability:
         assert verdict.method == "single-apparatus"
 
     @pytest.mark.parametrize("cut", [(("X",), ("Y",)), (("A", "B"), ()), ((), ())])
-    def test_single_pointer_refuses_a_foreign_cut(self, cut, monkeypatch):
+    def test_single_pointer_refuses_a_foreign_cut(self, cut, density_builds):
         state = build_initial(bloch_state(math.pi / 3, 0.0), [PointerSpec("A", COARSE)])
         with pytest.raises(ValueError, match="does not name the pointers"):
             readability_check(state, cut)
         # the verdict comes before any apparatus state is built
-        monkeypatch.setattr(engine, "apparatus_density", None)
         for own in ((("A",), ()), ((), ("A",))):
             verdict = readability_check(state, own)
             assert (verdict.status, verdict.method, verdict.cut) == (
                 "separable", "single-apparatus", own
             )
+        assert density_builds == []
 
-    def test_two_pointers_refuse_a_foreign_cut_before_any_certificate(self, monkeypatch):
+    def test_two_pointers_refuse_a_foreign_cut_before_any_certificate(
+        self, monkeypatch, density_builds
+    ):
         state, couplings, _ = _coarse_pair(obs_a=SIGMA_Z, impulse_a=0.3)
         state = evolve(state, couplings)
-        monkeypatch.setattr(engine, "apparatus_density", None)
         monkeypatch.setattr(separability, "_certificate_route", None)
         with pytest.raises(ValueError, match="partition"):
             readability_check(state, (("A",), ("X",)))
+        assert density_builds == []
 
     @pytest.mark.parametrize("kind", ["uncoupled", "commuting", "sequential", "noncommuting"])
     def test_readout_grid_verdict_matches_analysis_grid(self, kind, matrix_reads):
@@ -451,7 +453,7 @@ class TestReadability:
             # the window form's record core against the witness on its amplitudes
             state = _simultaneous_record(256, kind)
             assert state.branches.kicks is None
-            rho = engine.apparatus_density(state)
+            rho = apparatus_density(state)
             assert abs(fine.ppt_min - ppt_min_eigenvalue(rho, CUT_POINTERS)) <= 1e-13
 
 
@@ -518,7 +520,7 @@ def _record(points, theta, impulse, *couplings, **named):
     """Two-dial record on a ``points`` grid and the certificate its verdict carries."""
     state = _record_state(points, theta, impulse, *couplings, **named)
     certificate = readability_check(state, CUT_POINTERS).certificate
-    return engine.apparatus_density(state), certificate
+    return apparatus_density(state), certificate
 
 
 def _record_state(points, theta, impulse, sequential=False, obs_a=SIGMA_Z, obs_b=SIGMA_Z):
@@ -579,7 +581,7 @@ class TestFactoredValidation:
         certificate, _ = first_order_product_certificate(
             state.initial_system, specs, couplings[0], couplings[1]
         )
-        rho = engine.apparatus_density(evolve(state, couplings))
+        rho = apparatus_density(evolve(state, couplings))
         with pytest.raises(ValueError, match="trace"):
             certificate.validate(rho)
         with pytest.raises(ValueError, match="trace"):
@@ -929,7 +931,7 @@ class TestCertificateRule:
         assert (verdict.status, verdict.certificate) == ("inconclusive", None)
         certificate = readability_check(_history(phases), CUT_POINTERS).certificate
         assert certificate.kind == method
-        rho = engine.apparatus_density(state)
+        rho = apparatus_density(state)
         assert certificate.validate(rho) <= 1e-12
         _dense_oracles(state, certificate)
 

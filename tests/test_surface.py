@@ -1,4 +1,5 @@
-"""The public names the benchmark workloads read, and the names removed from the package."""
+"""The public names the benchmark workloads read, the names removed from the package, and
+what no runtime path builds."""
 
 import ast
 import dataclasses
@@ -17,6 +18,9 @@ REMOVED = {
         "_packet_moments",
         "_evolve_momentum",
         "_kick",
+        "Postselection",
+        "apparatus_density",
+        "system_density",
     ),
     "tensors": (
         "kron_operators",
@@ -28,7 +32,7 @@ REMOVED = {
         "DimensionSpec.merge",
         "kron_states",
     ),
-    "pointer": ("position_operator", "shifted_amplitudes"),
+    "pointer": ("position_operator", "shifted_amplitudes", "translate", "state_moments"),
     "separability": (
         "commuting_decomposition",
         "sequential_decomposition",
@@ -41,6 +45,7 @@ REMOVED = {
         "_revalidation_points",
         "_record_ppt_min",
         "_ppt_min",
+        "ppt_min_eigenvalue",
     ),
 }
 
@@ -99,3 +104,10 @@ def test_benchmark_names_resolve_and_removed_names_are_gone():
     fields = {f.name for f in dataclasses.fields(pointerlab.engine.UnifiedState)}
     assert "provenance" not in fields
 
+
+def test_default_scenarios_build_no_density_matrix(density_builds):
+    """No runtime path builds a ``DensityMatrix``: all seven scenarios at their
+    defaults, post-selection and every verdict included, construct none."""
+    for name in pointerlab.SCENARIOS:
+        assert pointerlab.run_scenario(name).passed, name
+    assert density_builds == []
